@@ -65,6 +65,7 @@ from .oracle import (
     realization_to_json,
     realize_cone,
     sample_realization,
+    string_config_rank,
     trivial_realization,
 )
 from .analysis import (

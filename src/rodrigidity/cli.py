@@ -33,14 +33,14 @@ from .oracle import (
     OracleError,
     PrimeField,
     RATIONALS,
-    build_concurrence_matrix,
-    is_string_config_rigid,
-    rank_of,
     realization_from_coords,
     realization_from_json,
     realize_cone,
     sample_realization,
+    string_config_rank,
 )
+# Not called here, but perfbench/tracing.py wraps these names in this module.
+from .oracle import build_concurrence_matrix, is_string_config_rigid, rank_of  # noqa: F401
 
 EXIT_RIGID = 0
 EXIT_ERROR = 1
@@ -163,10 +163,8 @@ def _cmd_oracle(args) -> int:
         return _fail(f"sampling infeasible after {rho.attempts} attempts: {rho.reason}")
     cone = build_cone_incidence(geometry)
     extended = realize_cone(geometry, rho, args.seed)
-    rigid = is_string_config_rigid(cone, extended)
-    g = cone.geometry
-    rank = rank_of(build_concurrence_matrix(g, extended))
-    max_rank = g.num_lines + 2 * g.num_points - 3
+    rank, max_rank = string_config_rank(cone, extended)
+    rigid = rank == max_rank
     if args.format == "json":
         _emit_json({"rigid": rigid, "rank": rank, "max_rank": max_rank})
     elif rigid:

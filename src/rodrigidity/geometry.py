@@ -268,9 +268,13 @@ def geometry_from_json(doc: dict) -> IncidenceGeometry:
     try:
         num_points = int(doc["points"])
         lines = tuple(tuple(int(p) for p in line) for line in doc["lines"])
+        names = doc.get("names")
+        if names is not None and not (
+            isinstance(names, list) and all(isinstance(n, str) for n in names)
+        ):
+            raise TypeError("names must be a list of strings")
     except (KeyError, TypeError, ValueError) as exc:
         raise GeometryError(f"bad geometry document: {exc}") from None
-    names = doc.get("names")
     return IncidenceGeometry(num_points, lines, tuple(names) if names else None)
 
 

@@ -4,8 +4,17 @@ A linear realization assigns to each line i a slope f_i and intercept h_i
 (the line is f_i*x + y + h_i = 0, so vertical lines are unrepresentable) and
 to each point j coordinates (x_j, y_j), with f_i*x_j + y_j + h_i = 0 for
 every incidence.  All arithmetic is exact: either arbitrary-precision
-rationals or a prime field Z_p with p around 2^61; floats appear nowhere, so
-a computed rank is a certificate.
+rationals or a prime field Z_p with p around 2^61; floats appear nowhere.
+The certificate runs one way.  The matrix entries are integer polynomials in
+the slopes, so the rank at sampled slopes never exceeds the generic rank:
+full rank over Z_p proves rigidity.  A rank deficit may be an unlucky draw of
+slopes (by Schwartz-Zippel a nonzero minor of degree d vanishes with
+probability at most d/p), which is why cross-validation tries several seeds.
+
+Rank, kernel and sampling share one sparse exact elimination.  Every
+concurrence row has three nonzeros, so rows are kept as {column: value}
+dicts and reduced one at a time against the pivot rows found so far, with
+an inline `% p` over Z_p and plain Fractions over Q.
 
 The concurrence matrix of a realization has one row per incidence over the
 unknowns (h_1..h_L, x_1, y_1, .., x_P, y_P); its kernel is the space of
@@ -17,11 +26,10 @@ with equality exactly when every redrawing is trivial.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .cone import ConeIncidenceGeometry, build_cone_incidence
 from .geometry import GeometryError, IncidenceGeometry
@@ -48,6 +56,7 @@ __all__ = [
     "trivial_realization",
     "realization_from_coords",
     "realize_cone",
+    "string_config_rank",
     "is_string_config_rigid",
     "is_sharply_independent",
     "is_sharply_independent_fast",
@@ -131,7 +140,7 @@ class RationalField:
         return -a
 
     def random_unit(self, rng: random.Random):
-        # modest magnitudes keep Bareiss entries and drawings reasonable
+        # modest magnitudes keep the fractions and drawings reasonable
         return Fraction(rng.randrange(1, 257), rng.randrange(1, 257))
 
 
@@ -188,128 +197,78 @@ class LinearRealization:
 
 
 # --- exact linear algebra ----------------------------------------------------
+#
+# One sparse elimination serves rank, kernel and sampling.  Rows are
+# {column: value} dicts holding only nonzeros.  Each row is reduced at its
+# leading (smallest) column by that column's pivot row until the leading
+# column has no pivot; the row is then scaled to a leading 1 and becomes that
+# column's pivot row.  Over Z_p every entry is reduced with an inline `% p`;
+# over Q the same loop runs on Fractions.
 
 
-def _rank_zp(rows: list[list[int]], p: int) -> int:
-    m = [row[:] for row in rows]
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][col] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        inv = pow(prow[col], -1, p)
-        for i in range(rank + 1, len(m)):
-            row = m[i]
-            a = row[col] % p
-            if a:
-                factor = (a * inv) % p
-                for k in range(col, ncols):
-                    row[k] = (row[k] - factor * prow[k]) % p
-        rank += 1
-    return rank
+def _eliminate(rows: Iterable[dict], field: Field) -> dict[int, dict]:
+    """Pivot rows of a row echelon form, keyed by their leading column.
 
-
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free integer elimination; all divisions are exact."""
-    m = [row[:] for row in rows]
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        pval = prow[col]
-        for i in range(rank + 1, len(m)):
-            row = m[i]
-            rval = row[col]
-            for k in range(col, ncols):
-                row[k] = (pval * row[k] - rval * prow[k]) // prev
-        prev = pval
-        rank += 1
-    return rank
-
-
-def _clear_denominators(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    cleared = []
+    The leading columns are those of the reduced row echelon form whatever
+    the row order, so the free columns depend only on the row space.
+    """
+    p = field.p if isinstance(field, PrimeField) else 0
+    one = field.one()
+    pivots: dict[int, dict] = {}
     for row in rows:
-        scale = 1
-        for x in row:
-            d = Fraction(x).denominator
-            scale = scale * d // math.gcd(scale, d)
-        cleared.append([int(Fraction(x) * scale) for x in row])
-    return cleared
+        if p:
+            row = {c: v % p for c, v in row.items() if v % p}
+        else:
+            row = {c: v for c, v in row.items() if v}
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = field.div(one, row[lead])
+                if p:
+                    pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                else:
+                    pivots[lead] = {c: v * inv for c, v in row.items()}
+                break
+            a = row[lead]
+            for c, v in prow.items():
+                x = row.get(c, 0) - a * v
+                if p:
+                    x %= p
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+    return pivots
+
+
+def _back_substitute(pivots: dict[int, dict], vector: list, field: Field) -> list:
+    """Fill the pivot columns of `vector` (free columns already set) so that
+    it solves every pivot row; returns the vector."""
+    p = field.p if isinstance(field, PrimeField) else 0
+    for lead in sorted(pivots, reverse=True):
+        s = field.zero()
+        for c, v in pivots[lead].items():
+            if c != lead:
+                s += v * vector[c]
+        vector[lead] = -s % p if p else -s
+    return vector
 
 
 def matrix_rank(rows: Sequence[Sequence], field: Field) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    if isinstance(field, PrimeField):
-        return _rank_zp(rows, field.p)
-    return _rank_bareiss(_clear_denominators(rows))
-
-
-def _rref(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
-    m = [row[:] for row in rows]
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    zero = field.zero()
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][col] != zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = field.div(field.one(), m[rank][col])
-        m[rank] = [field.mul(x, inv) for x in m[rank]]
-        prow = m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != zero:
-                a = m[i][col]
-                m[i] = [field.sub(x, field.mul(a, px)) for x, px in zip(m[i], prow)]
-        pivots.append(col)
-        rank += 1
-    return m, pivots
+    return len(_eliminate((dict(enumerate(r)) for r in rows), field))
 
 
 def matrix_kernel(rows: Sequence[Sequence], field: Field, ncols: int) -> list[list]:
     """Basis of the right kernel (one vector per free column)."""
-    if not rows:
-        ident = []
-        for c in range(ncols):
-            vec = [field.zero()] * ncols
-            vec[c] = field.one()
-            ident.append(vec)
-        return ident
-    m, pivots = _rref([list(r) for r in rows], field)
-    pivot_set = set(pivots)
+    pivots = _eliminate((dict(enumerate(r)) for r in rows), field)
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         vec = [field.zero()] * ncols
         vec[free] = field.one()
-        for r, pc in enumerate(pivots):
-            vec[pc] = field.neg(m[r][free])
-        basis.append(vec)
+        basis.append(_back_substitute(pivots, vec, field))
     return basis
 
 
@@ -353,6 +312,12 @@ class ConcurrenceMatrix:
             rows.append(row)
         return rows
 
+    def sparse_rows(self) -> Iterator[dict]:
+        """The rows as {column: value} dicts, three entries each."""
+        one = self.field.one()
+        for p, l in self.incidences:
+            yield {l: one, self.column_of_x(p): self.slopes[l], self.column_of_y(p): one}
+
     def apply(self, vector: Sequence) -> list:
         """Matrix-vector product, for kernel membership checks."""
         f = self.field
@@ -378,7 +343,18 @@ def build_concurrence_matrix(geometry: IncidenceGeometry,
 
 
 def rank_of(matrix: ConcurrenceMatrix) -> int:
-    return matrix_rank(matrix.dense_rows(), matrix.field)
+    """Exact rank of the concurrence matrix in its field.
+
+    The rank never exceeds the generic rank for these incidences, so full
+    rank proves rigidity; a deficit may be an unlucky draw of slopes (at most
+    degree/p likely over Z_p, by Schwartz-Zippel), which is why
+    cross-validation tries several seeds.  Columns are eliminated from the
+    last one down, so the coordinates of each point (cone points first) are
+    pivoted out before the intercepts, which keeps the fill-in low.
+    """
+    last = matrix.shape[1] - 1
+    rows = ({last - c: v for c, v in row.items()} for row in matrix.sparse_rows())
+    return len(_eliminate(rows, matrix.field))
 
 
 def kernel_witnesses(geometry: IncidenceGeometry,
@@ -424,11 +400,10 @@ def sample_realization(
     for _ in range(budget):
         slopes = tuple(field.random_unit(rng) for _ in range(L))
         matrix = ConcurrenceMatrix(field, L, geometry.num_points, incidences, slopes)
-        basis = matrix_kernel(matrix.dense_rows(), field, ncols)
-        vector = [field.zero()] * ncols
-        for b in basis:
-            c = field.random_unit(rng)
-            vector = [field.add(v, field.mul(c, x)) for v, x in zip(vector, b)]
+        pivots = _eliminate(matrix.sparse_rows(), field)
+        # one random unit per free column, in increasing column order
+        vector = [None if c in pivots else field.random_unit(rng) for c in range(ncols)]
+        _back_substitute(pivots, vector, field)
         candidate = LinearRealization(
             field=field,
             slopes=slopes,
@@ -562,16 +537,25 @@ def realize_cone(
     return extended
 
 
-def is_string_config_rigid(cone: ConeIncidenceGeometry, realization: LinearRealization) -> bool:
-    """Rigid iff the concurrence matrix of the extended realization has the
-    maximum possible rank, i.e. only trivial parallel redrawings remain."""
+def string_config_rank(cone: ConeIncidenceGeometry,
+                       realization: LinearRealization) -> tuple[int, int]:
+    """(rank, maximum rank) of the concurrence matrix of the extended
+    realization; the maximum is reached when only the trivial parallel
+    redrawings remain."""
     if not realization.satisfies(cone.geometry):
         raise OracleError("realization does not satisfy the cone incidence geometry")
     if not realization.is_proper():
         raise OracleError("non-proper realization refused")
     g = cone.geometry
     matrix = build_concurrence_matrix(g, realization)
-    return rank_of(matrix) == g.num_lines + 2 * g.num_points - 3
+    return rank_of(matrix), g.num_lines + 2 * g.num_points - 3
+
+
+def is_string_config_rigid(cone: ConeIncidenceGeometry, realization: LinearRealization) -> bool:
+    """Rigid iff the concurrence matrix of the extended realization has the
+    maximum possible rank, i.e. only trivial parallel redrawings remain."""
+    rank, max_rank = string_config_rank(cone, realization)
+    return rank == max_rank
 
 
 # --- sharp independence and regularity ---------------------------------------

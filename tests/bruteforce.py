@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to check the fast implementations.
 
 Everything here is deliberately naive: subset enumeration for sparsity
-counts, cofactor expansion for determinants, and queue-based traversal for
-connectivity.  None of it shares code with the package under test.
+counts, cofactor expansion for determinants, dense Gauss-Jordan elimination
+for rank and kernel, and queue-based traversal for connectivity.  None of it
+shares code with the package under test.
 """
 
 from __future__ import annotations
@@ -79,6 +80,53 @@ def minor_rank(rows: list[list[Fraction]]) -> int:
                 if cofactor_det(sub) != 0:
                     return k
     return 0
+
+
+def dense_rref(rows: list[list], p: int | None = None) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan on full dense rows, column by column; p=None means over Q.
+
+    Returns the reduced rows (zero rows at the bottom) and the pivot columns.
+    """
+    if p is None:
+        m = [[Fraction(v) for v in row] for row in rows]
+    else:
+        m = [[v % p for v in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][col] if p is None else pow(m[r][col], -1, p)
+        m[r] = [x * inv if p is None else x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            a = m[i][col]
+            if i != r and a:
+                m[i] = [x - a * y if p is None else (x - a * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots
+
+
+def dense_rank(rows: list[list], p: int | None = None) -> int:
+    return len(dense_rref(rows, p)[1])
+
+
+def dense_kernel(rows: list[list], ncols: int, p: int | None = None) -> list[list]:
+    """Kernel basis read off the RREF: one vector per free column, in order."""
+    m, pivots = dense_rref(rows, p)
+    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[free] = one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][free] if p is None else -m[r][free] % p
+        basis.append(vec)
+    return basis
 
 
 def bipartite_connected(num_points: int, lines: tuple[tuple[int, ...], ...]) -> bool:

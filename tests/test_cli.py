@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from rodrigidity import cli, oracle
 from rodrigidity.cli import main
 
 from conftest import FIG2_COORDS
@@ -81,6 +82,12 @@ class TestCheck:
         path.write_text(json.dumps({"points": 3, "lines": [[0, 1], [0, 2]]}))
         assert main(["check", str(path)]) == 2
 
+    def test_malformed_json_geometry_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"points": 3, "lines": [[0, 1], [0, 2]], "names": 5}))
+        assert main(["check", str(path)]) == 1
+        assert "bad geometry document" in capsys.readouterr().err
+
     def test_disconnected_input_is_flagged(self, tmp_path, capsys):
         path = tmp_path / "apart.geo"
         path.write_text("points: 4\nline: 0 1\nline: 2 3\n")
@@ -141,6 +148,15 @@ class TestOracleCommand:
         assert main(["oracle", hinge_file, "--field", "rational", "--format", "json"]) == 2
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"max_rank": 13, "rank": 12, "rigid": False}
+
+    def test_ranks_once(self, fig2_file, monkeypatch, capsys):
+        calls = []
+        real = oracle.rank_of
+        for module in (oracle, cli):
+            monkeypatch.setattr(module, "rank_of", lambda m: calls.append(m) or real(m))
+        assert main(["oracle", fig2_file, "--format", "json"]) == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out) == {"max_rank": 35, "rank": 35, "rigid": True}
 
 
 class TestDotAndSvg:

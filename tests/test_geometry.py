@@ -105,6 +105,11 @@ class TestParsing:
     def test_json_round_trip(self, g):
         assert geometry_from_json(geometry_to_json(g)) == g
 
+    @pytest.mark.parametrize("names", [5, "ab", [1, 2], {"0": "a"}])
+    def test_json_malformed_names_rejected(self, names):
+        with pytest.raises(GeometryError, match="bad geometry document"):
+            geometry_from_json({"points": 2, "lines": [[0, 1]], "names": names})
+
 
 class TestConnectivity:
     def test_running_example_is_connected(self, fig2):
