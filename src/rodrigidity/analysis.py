@@ -34,7 +34,9 @@ from .oracle import (
     realize_cone,
     sample_realization,
 )
-from .pebble import PebbleVerdict, independent_after, new_state, play, try_edge, verdict_of
+from .pebble import PebbleVerdict, new_state, play, try_edge, verdict_of
+# Not called here, but perfbench/tracing.py wraps this name in this module.
+from .pebble import independent_after  # noqa: F401
 
 __all__ = [
     "DEFAULT_SEED",
@@ -77,7 +79,6 @@ class RigidityVerdict:
     is_rigid: bool
     agreement: str  # "agree" | "disagree" | "algebraic-skipped"
     algebraic: Optional[tuple[bool, ...]] = None  # per-seed string-config verdicts
-    witness: Optional["CanonicalSubgraph"] = None
 
     @property
     def classification(self) -> str:
@@ -113,15 +114,13 @@ def decide_rod_rigidity(
     mode: str = "combinatorial",
     seed: int = DEFAULT_SEED,
     *,
-    num_seeds: int = 3,
     field: Optional[Field] = None,
     sample_budget: int = 32,
-    with_witness: bool = False,
 ) -> RigidityVerdict:
     """Classify the rod configurations realizing a geometry.
 
     Combinatorial mode plays the pebble game on the cone graph.
-    Cross-validated mode additionally samples exact realizations for several
+    Cross-validated mode additionally samples exact realizations for three
     derived seeds, extends each to the cone incidence geometry, and
     rank-checks it; agreement is "agree" only when every successfully sampled
     seed reaches the same algebraic verdict and it matches the pebble game.
@@ -139,15 +138,12 @@ def decide_rod_rigidity(
     else:
         pebble = None  # zero or one entity: nothing has an internal motion
         rigid = True
-    witness = None
-    if with_witness and connected and geometry.num_lines:
-        witness = canonical_subgraph(geometry)
     agreement = "algebraic-skipped"
     algebraic: Optional[tuple[bool, ...]] = None
     if mode == "cross-validated" and connected and pebble is not None:
         samples: list[tuple[int, LinearRealization, LinearRealization, bool]] = []
         sc = build_cone_incidence(geometry)
-        for s in _spawn_seeds(seed, num_seeds):
+        for s in _spawn_seeds(seed, 3):
             rho = sample_realization(geometry, s, field=field, budget=sample_budget)
             if isinstance(rho, Infeasible):
                 continue
@@ -172,7 +168,6 @@ def decide_rod_rigidity(
         is_rigid=rigid,
         agreement=agreement,
         algebraic=algebraic,
-        witness=witness,
     )
 
 
@@ -303,11 +298,12 @@ def canonical_subgraph(geometry: IncidenceGeometry) -> CanonicalSubgraph:
     """Deterministic maximally independent subgraph of a cone graph.
 
     Edges are offered to the pebble game in the staged order of
-    canonical_edge_order.  The unconditional stages must accept (each adds a
-    fresh vertex carrying two pebbles along with at most two edges); the
-    conditional stages are probed first and committed only when independent.
-    The accepted set is maximally independent in the cone graph, and the
-    induced subgeometry is sharply independent.
+    canonical_edge_order, each exactly once.  The unconditional stages must
+    accept (each adds a fresh vertex carrying two pebbles along with at most
+    two edges); an edge of the conditional stages is kept only when the game
+    accepts it, and a rejection leaves the game state valid.  The accepted
+    set is maximally independent in the cone graph, and the induced
+    subgeometry is sharply independent.
     """
     host, order, plan = canonical_edge_order(geometry)
     state = new_state(host.num_vertices)
@@ -315,16 +311,9 @@ def canonical_subgraph(geometry: IncidenceGeometry) -> CanonicalSubgraph:
     star_members: list[set[int]] = [set() for _ in range(geometry.num_lines)]
     spokes: set[tuple[int, int]] = set()
     for stage, line, u, v in plan:
-        if stage in (6, 7):
-            probe = independent_after(state, u, v)
-            accepted = try_edge(state, u, v)
-            if accepted != probe:
-                raise AssertionError("probe and commit disagreed")
-        else:
-            accepted = try_edge(state, u, v)
-            if not accepted:
+        if not try_edge(state, u, v):
+            if stage < 6:
                 raise AssertionError(f"unconditional construction edge ({u}, {v}) was rejected")
-        if not accepted:
             continue
         if u >= n_pts:
             spokes.add((line, v))
@@ -441,20 +430,22 @@ def decide_minimal_rigidity(
     """Rigid, and no single rod can be deleted without losing rigidity.
 
     Each deletion keeps all points, so a rod whose removal strands a point
-    yields a flexible configuration (the stranded point is a free joint)."""
+    yields a flexible configuration (the stranded point is a free joint).
+    A flexible base is decided once and gets no deletions: its report has
+    empty deletion_rigid and removable and is not minimally rigid."""
     base = decide_rod_rigidity(geometry, mode, seed)
-    if not base.is_rigid:
-        raise GeometryError("minimal rigidity is undefined: the geometry is not rigid")
-    deletion_rigid = []
-    for l in range(geometry.num_lines):
-        sub = remove_line(geometry, l)
-        deletion_rigid.append(decide_rod_rigidity(sub, mode, seed).is_rigid)
+    deletion_rigid: tuple[bool, ...] = ()
+    if base.is_rigid:
+        deletion_rigid = tuple(
+            decide_rod_rigidity(remove_line(geometry, l), mode, seed).is_rigid
+            for l in range(geometry.num_lines)
+        )
     removable = tuple(l for l, r in enumerate(deletion_rigid) if r)
     return MinimalRigidityReport(
         base=base,
-        deletion_rigid=tuple(deletion_rigid),
+        deletion_rigid=deletion_rigid,
         removable=removable,
-        minimally_rigid=not removable,
+        minimally_rigid=base.is_rigid and not removable,
     )
 
 
@@ -513,20 +504,18 @@ def random_geometry(
     rng: random.Random,
     max_points: int = 10,
     max_lines: int = 6,
-    max_line_size: int = 4,
-    connected: bool = True,
 ) -> IncidenceGeometry:
-    """Random connected test geometry: every line gets 2..max_line_size
-    distinct random points.  Test infrastructure, nothing more."""
+    """Random connected test geometry: every line gets 2..4 distinct random
+    points.  Test infrastructure, nothing more."""
     for _ in range(1000):
         n_pts = rng.randint(2, max_points)
         n_lines = rng.randint(1, max_lines)
         lines = []
         for _ in range(n_lines):
-            k = rng.randint(2, min(n_pts, max_line_size))
+            k = rng.randint(2, min(n_pts, 4))
             lines.append(tuple(sorted(rng.sample(range(n_pts), k))))
         geometry = IncidenceGeometry(n_pts, tuple(lines))
-        if not connected or is_connected(geometry):
+        if is_connected(geometry):
             return geometry
     raise RuntimeError("could not generate a connected geometry")
 
@@ -546,19 +535,18 @@ def run_agreement_campaign(
     *,
     max_points: int = 10,
     max_lines: int = 6,
-    num_seeds: int = 3,
     field: Optional[Field] = None,
-    sample_budget: int = 4,
-    attempt_cap: Optional[int] = None,
 ) -> CampaignReport:
     """Generate random geometries until `target` of them cross-validate.
 
     Geometries whose sampling is infeasible or whose seeds are algebraically
     unstable count as skipped.  Any disagreement raises OracleDisagreementError
-    with its reproduction bundle, failing the campaign immediately.
+    with its reproduction bundle, failing the campaign immediately.  Each
+    seed gets 4 sampling attempts, and the campaign gives up after
+    max(50, 25 * target) geometries.
     """
     rng = random.Random(seed)
-    cap = attempt_cap if attempt_cap is not None else max(50, target * 25)
+    cap = max(50, target * 25)
     attempted = validated = skipped = rigid = flexible = 0
     while validated < target:
         if attempted >= cap:
@@ -571,9 +559,8 @@ def run_agreement_campaign(
             geometry,
             "cross-validated",
             seed=rng.randrange(1 << 62),
-            num_seeds=num_seeds,
             field=field,
-            sample_budget=sample_budget,
+            sample_budget=4,
         )
         if verdict.agreement == "agree":
             validated += 1

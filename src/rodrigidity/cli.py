@@ -110,11 +110,10 @@ def _cmd_check(args) -> int:
 def _cmd_minimal(args) -> int:
     geometry = load_geometry(args.path)
     mode = "cross-validated" if args.cross_validate else "combinatorial"
-    probe = decide_rod_rigidity(geometry, "combinatorial", args.seed)
-    if not probe.is_rigid:
-        print(_verdict_text(probe) + "; minimality undefined")
-        return EXIT_FLEXIBLE
     report = decide_minimal_rigidity(geometry, mode, args.seed)
+    if not report.base.is_rigid:
+        print(_verdict_text(report.base) + "; minimality undefined")
+        return EXIT_FLEXIBLE
     if args.format == "json":
         _emit_json(minimal_report_to_json(report))
     elif report.minimally_rigid:
@@ -184,10 +183,12 @@ def _cmd_dot(args) -> int:
 def _load_realization_file(geometry: IncidenceGeometry, path: str, rotate: bool):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if "coords" in doc:
-        coords = [(Fraction(x), Fraction(y)) for x, y in doc["coords"]]
-        return realization_from_coords(geometry, coords, rotate_if_vertical=rotate)
-    return realization_from_json(doc)
+    if isinstance(doc, dict) and "coords" in doc:
+        return realization_from_coords(geometry, doc["coords"], rotate_if_vertical=rotate)
+    rho = realization_from_json(doc)
+    if not rho.satisfies(geometry):
+        raise OracleError("the realization does not satisfy the geometry")
+    return rho
 
 
 def _cmd_svg(args) -> int:

@@ -452,11 +452,15 @@ def realization_from_coords(
     Raises VerticalLineError for a vertical line unless rotate_if_vertical is
     set, in which case a random rational rotation is applied to all points
     first (exactly; rotations by rational unit vectors keep coordinates
-    rational).  Non-collinear coordinates for some line are a hard error.
+    rational).  Non-collinear coordinates for some line are a hard error, and
+    so is anything that is not a sequence of (x, y) rationals.
     """
-    if len(coords) != geometry.num_points:
+    try:
+        pts = [(Fraction(x), Fraction(y)) for x, y in coords]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise OracleError(f"bad coordinates: {exc}") from None
+    if len(pts) != geometry.num_points:
         raise OracleError("coordinate count does not match the geometry")
-    pts = [(Fraction(x), Fraction(y)) for x, y in coords]
     rng = random.Random(seed)
     attempts = budget if rotate_if_vertical else 1
     for attempt in range(attempts):
@@ -754,8 +758,10 @@ def realization_from_json(doc: dict) -> LinearRealization:
             ys = tuple(Fraction(int(y[0]), int(y[1])) for _, y in doc["points"])
         else:
             raise OracleError(f"unknown field {kind!r}")
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise OracleError(f"bad realization document: {exc}") from None
+    if len(slopes) != len(intercepts):
+        raise OracleError("bad realization document: slopes and intercepts differ in length")
     return LinearRealization(field, slopes, intercepts, xs, ys)
 
 

@@ -131,7 +131,7 @@ def test_criterion_5_inner_vertex_invariance(fig2, hinge, triangle_rods):
     rng = random.Random(555)
     corpus = [fig2, hinge, triangle_rods]
     while len(corpus) < 32:
-        corpus.append(random_geometry(rng, max_points=8, max_lines=4, max_line_size=4))
+        corpus.append(random_geometry(rng, max_points=8, max_lines=4))
     ok = all(len(inner_choice_classifications(g)) == 1 for g in corpus)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0

@@ -115,6 +115,26 @@ class TestMinimal:
         doc = json.loads(capsys.readouterr().out)
         assert doc["minimally_rigid"] is True and doc["removable_rods"] == []
 
+    def test_flexible_input_cross_validates(self, hinge_file, capsys):
+        assert main(["minimal", hinge_file, "--cross-validate"]) == 2
+        assert capsys.readouterr().out == (
+            "flexible (1 internal degree of freedom); cross-validation: agree; "
+            "minimality undefined\n"
+        )
+
+    @pytest.mark.parametrize("name,decides,code", [("fig2", 5, 0), ("hinge", 1, 2)])
+    def test_decides_once_per_question(self, request, name, decides, code, monkeypatch, capsys):
+        # the base verdict once, plus one per deleted rod when it is rigid
+        import rodrigidity.analysis as analysis
+
+        calls = []
+        real = analysis.decide_rod_rigidity
+        for module in (analysis, cli):
+            monkeypatch.setattr(module, "decide_rod_rigidity",
+                                lambda *a, **k: calls.append(a) or real(*a, **k))
+        assert main(["minimal", request.getfixturevalue(f"{name}_file")]) == code
+        assert len(calls) == decides
+
 
 class TestCanon:
     def test_text(self, fig2_file, capsys):
@@ -194,6 +214,25 @@ class TestDotAndSvg:
         ))
         assert main(["svg", fig2_file, "--realization", str(coords)]) == 0
         assert capsys.readouterr().out.count("<line") == 4
+
+    @pytest.mark.parametrize("doc", [
+        {"coords": 5},
+        {"coords": [["a", "b"], ["0", "1"]]},
+        {"coords": [[0, 0], [1]]},
+        5,
+        {"field": "rational", "slopes": [[1, 1]], "intercepts": [[0, 1]],
+         "points": [[[0, 1], [0, 1]]]},
+        {"field": "rational", "slopes": [[1, 1]], "intercepts": [],
+         "points": [[[0, 1], [0, 1]], [[1, 1], [-1, 1]]]},
+    ], ids=["coords-int", "coords-text", "coords-short-pair", "top-level-int",
+            "too-few-points", "missing-intercept"])
+    def test_svg_malformed_realization_exits_1(self, tmp_path, capsys, doc):
+        geo = tmp_path / "seg.geo"
+        geo.write_text("points: 2\nline: 0 1\n")
+        realization = tmp_path / "realization.json"
+        realization.write_text(json.dumps(doc))
+        assert main(["svg", str(geo), "--realization", str(realization)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_svg_vertical_needs_rotate(self, tmp_path, capsys):
         geo = tmp_path / "seg.geo"
