@@ -36,6 +36,7 @@ from .pebble import (
     independent_after,
     new_state,
     play,
+    remaining_without_each,
     try_edge,
 )
 from .oracle import (

@@ -34,7 +34,14 @@ from .oracle import (
     realize_cone,
     sample_realization,
 )
-from .pebble import PebbleVerdict, new_state, play, try_edge, verdict_of
+from .pebble import (
+    PebbleVerdict,
+    new_state,
+    play,
+    remaining_without_each,
+    try_edge,
+    verdict_of,
+)
 # Not called here, but perfbench/tracing.py wraps this name in this module.
 from .pebble import independent_after  # noqa: F401
 
@@ -426,20 +433,38 @@ def decide_minimal_rigidity(
     geometry: IncidenceGeometry,
     mode: str = "combinatorial",
     seed: int = DEFAULT_SEED,
+    *,
+    field: Optional[Field] = None,
 ) -> MinimalRigidityReport:
     """Rigid, and no single rod can be deleted without losing rigidity.
 
-    Each deletion keeps all points, so a rod whose removal strands a point
-    yields a flexible configuration (the stranded point is a free joint).
-    A flexible base is decided once and gets no deletions: its report has
-    empty deletion_rigid and removable and is not minimally rigid."""
-    base = decide_rod_rigidity(geometry, mode, seed)
+    The base verdict is decided once.  For a rigid base, one leave-one-out
+    pebble game (remaining_without_each over the cones of the cone graph)
+    answers every deletion: deleting rod l leaves its cone vertex isolated
+    with two pebbles, so the deletion is rigid iff five pebbles remain (the
+    three trivial motions plus those two).  Each deletion keeps all points,
+    so a rod whose removal strands a point yields a flexible configuration:
+    the stranded point is a free joint and keeps two more pebbles.
+    Cross-validated mode also decides and cross-validates each deletion
+    geometry on its own, over `field`, and raises if its verdict differs from
+    the leave-one-out answer.  A flexible base gets no deletions: its report
+    has empty deletion_rigid and removable and is not minimally rigid."""
+    base = decide_rod_rigidity(geometry, mode, seed, field=field)
     deletion_rigid: tuple[bool, ...] = ()
     if base.is_rigid:
+        cone = build_cone_graph(geometry)
+        groups = [[cone.edges[k] for k in indices] for indices in cone.cone_edges]
         deletion_rigid = tuple(
-            decide_rod_rigidity(remove_line(geometry, l), mode, seed).is_rigid
-            for l in range(geometry.num_lines)
+            left == 5 for left in remaining_without_each(cone.num_vertices, groups)
         )
+        if mode == "cross-validated":
+            for l, rigid in enumerate(deletion_rigid):
+                verdict = decide_rod_rigidity(remove_line(geometry, l), mode, seed, field=field)
+                if verdict.is_rigid != rigid:
+                    raise AssertionError(
+                        f"deleting rod {l}: the leave-one-out game says rigid={rigid}, "
+                        f"deciding the deletion says rigid={verdict.is_rigid}"
+                    )
     removable = tuple(l for l, r in enumerate(deletion_rigid) if r)
     return MinimalRigidityReport(
         base=base,

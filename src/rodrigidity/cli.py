@@ -110,7 +110,9 @@ def _cmd_check(args) -> int:
 def _cmd_minimal(args) -> int:
     geometry = load_geometry(args.path)
     mode = "cross-validated" if args.cross_validate else "combinatorial"
-    report = decide_minimal_rigidity(geometry, mode, args.seed)
+    report = decide_minimal_rigidity(
+        geometry, mode, args.seed, field=_field_from_name(args.field)
+    )
     if not report.base.is_rigid:
         print(_verdict_text(report.base) + "; minimality undefined")
         return EXIT_FLEXIBLE
@@ -355,6 +357,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(str(exc))
+    except UnicodeDecodeError as exc:
+        return _fail(f"input is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         return _fail(f"bad JSON: {exc}")
 

@@ -10,12 +10,17 @@ so a rejected edge never needs to be retried.
 
 Three pebbles always remain (the trivial planar motions).  Exactly three
 remaining means the input graph is rigid; any rejection means it is dependent.
+
+remaining_without_each answers a leave-one-out question over groups of edges
+with one game: batches of groups are inserted and removed again by divide and
+conquer, so each edge is offered O(log L) times instead of L - 1 times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Sequence
 
 __all__ = [
     "PebbleState",
@@ -24,6 +29,7 @@ __all__ = [
     "try_edge",
     "independent_after",
     "play",
+    "remaining_without_each",
 ]
 
 CLASSIFICATIONS = (
@@ -99,29 +105,114 @@ def _find_pebble(state: PebbleState, root: int, blocked: int) -> bool:
     return False
 
 
-def try_edge(state: PebbleState, u: int, v: int) -> bool:
-    """Offer edge (u, v); accept iff four pebbles can be gathered at u and v.
-
-    Accepting consumes one pebble from the lower-index endpoint and directs
-    the edge away from it.  A rejected edge leaves the pebble distribution
-    valid (searches may have reoriented edges and moved pebbles)."""
+def _check_edge(num_vertices: int, u: int, v: int) -> None:
     if u == v:
         raise ValueError(f"self-loop at vertex {u}")
-    if not (0 <= u < state.num_vertices and 0 <= v < state.num_vertices):
+    if not (0 <= u < num_vertices and 0 <= v < num_vertices):
         raise ValueError(f"edge ({u}, {v}) out of range")
+
+
+def _gather(state: PebbleState, u: int, v: int) -> bool:
+    """Move pebbles onto u and v until they hold four; False when the
+    searches run dry, i.e. when edge (u, v) is dependent."""
     pebbles = state.pebbles
     while pebbles[u] + pebbles[v] < 4:
         if pebbles[u] < 2 and _find_pebble(state, u, v):
             continue
         if pebbles[v] < 2 and _find_pebble(state, v, u):
             continue
+        return False
+    return True
+
+
+def _orient(state: PebbleState, u: int, v: int) -> None:
+    """Accept a gathered edge: the lower-index endpoint pays one pebble and
+    the edge is directed away from it."""
+    payer, other = (u, v) if u < v else (v, u)
+    state.pebbles[payer] -= 1
+    state.out[payer].append(other)
+
+
+def try_edge(state: PebbleState, u: int, v: int) -> bool:
+    """Offer edge (u, v); accept iff four pebbles can be gathered at u and v.
+
+    Accepting consumes one pebble from the lower-index endpoint and directs
+    the edge away from it.  A rejected edge leaves the pebble distribution
+    valid (searches may have reoriented edges and moved pebbles)."""
+    _check_edge(state.num_vertices, u, v)
+    if not _gather(state, u, v):
         state.rejected.append((u, v))
         return False
-    payer, other = (u, v) if u < v else (v, u)
-    pebbles[payer] -= 1
-    state.out[payer].append(other)
+    _orient(state, u, v)
     state.accepted.append((u, v))
     return True
+
+
+def _insert_batch(state: PebbleState, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Offer every edge and return those accepted.  Nothing is logged in
+    state.accepted or state.rejected, so the pebble count alone says how many
+    edges the state holds."""
+    kept = []
+    for edge in edges:
+        u, v = edge
+        if _gather(state, u, v):
+            _orient(state, u, v)
+            kept.append(edge)
+    return kept
+
+
+def _undo_batch(state: PebbleState, kept: Iterable[tuple[int, int]]) -> None:
+    """Remove edges accepted by _insert_batch, each from whichever end it is
+    oriented out of now, and give that end its pebble back.
+
+    Later searches may have reversed a kept edge but never duplicated it: an
+    independent set holds no two parallel edges.  Afterwards the accepted
+    edges are those held before the batch, possibly reoriented, which is a
+    valid state for every later offer."""
+    out, pebbles = state.out, state.pebbles
+    for u, v in kept:
+        if v in out[u]:
+            out[u].remove(v)
+            pebbles[u] += 1
+        else:
+            out[v].remove(u)
+            pebbles[v] += 1
+
+
+def remaining_without_each(
+    num_vertices: int, groups: Sequence[Sequence[tuple[int, int]]]
+) -> tuple[int, ...]:
+    """For each edge group g, the pebbles left by a game over every edge
+    outside g.
+
+    Divide and conquer over the groups: for a range [lo, hi) split at mid,
+    the groups of [mid, hi) are inserted while [lo, mid) is solved, then
+    removed again, and the same is done the other way round.  Each leaf holds
+    exactly the edges outside its group, and the pebble count depends only on
+    the accepted set (2|V| - |accepted|), not on its orientation.  Every edge
+    is offered O(log L) times for L groups."""
+    for group in groups:
+        for u, v in group:
+            _check_edge(num_vertices, u, v)
+    if not groups:
+        return ()
+    state = new_state(num_vertices)
+    remaining = [0] * len(groups)
+
+    def solve(lo: int, hi: int) -> None:
+        if hi - lo == 1:
+            remaining[lo] = state.remaining_pebbles()
+            return
+        mid = (lo + hi) // 2
+        kept = _insert_batch(state, chain.from_iterable(groups[mid:hi]))
+        solve(lo, mid)
+        _undo_batch(state, kept)
+        kept = _insert_batch(state, chain.from_iterable(groups[lo:mid]))
+        solve(mid, hi)
+        _undo_batch(state, kept)
+
+    solve(0, len(groups))
+    return tuple(remaining)
 
 
 def independent_after(state: PebbleState, u: int, v: int) -> bool:

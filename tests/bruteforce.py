@@ -3,7 +3,8 @@
 Everything here is deliberately naive: subset enumeration for sparsity
 counts, cofactor expansion for determinants, dense Gauss-Jordan elimination
 for rank and kernel, and queue-based traversal for connectivity.  None of it
-shares code with the package under test.
+shares code with the package under test, except the per-deletion reference
+for minimal rigidity, which decides every deletion with its own full game.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+
+from rodrigidity import IncidenceGeometry, decide_rod_rigidity, remove_line
 
 
 def subset_count_ok(edges: list[tuple[int, int]]) -> bool:
@@ -159,3 +162,14 @@ def henneberg_graph(rng: random.Random, num_vertices: int) -> list[tuple[int, in
         edges.append((a, v))
         edges.append((b, v))
     return edges
+
+
+def deletion_rigid_by_redecide(geometry: IncidenceGeometry) -> tuple[bool, ...]:
+    """Is the geometry still rigid after deleting each rod?  One full pebble
+    game per deletion; () for a flexible geometry."""
+    if not decide_rod_rigidity(geometry).is_rigid:
+        return ()
+    return tuple(
+        decide_rod_rigidity(remove_line(geometry, l)).is_rigid
+        for l in range(geometry.num_lines)
+    )

@@ -35,6 +35,8 @@ from rodrigidity import (
 from rodrigidity.analysis import minimal_report_to_json
 from rodrigidity.oracle import BudgetExceededError
 
+from bruteforce import deletion_rigid_by_redecide
+
 
 
 def single_line(k: int) -> IncidenceGeometry:
@@ -221,6 +223,39 @@ class TestMinimalRigidity:
         assert not report.minimally_rigid
         crossed = decide_minimal_rigidity(hinge, "cross-validated", seed=21)
         assert crossed.base.agreement == "agree" and not crossed.minimally_rigid
+
+    def test_leave_one_out_matches_redecide(self, fig2, triangle_rods):
+        corpus = [
+            fig2,
+            triangle_rods,
+            IncidenceGeometry(2, ((0, 1),)),
+            IncidenceGeometry(1, ()),
+            IncidenceGeometry(0, ()),
+        ]
+        corpus += [random_geometry(random.Random(s), max_points=14, max_lines=9)
+                   for s in range(300)]
+        flexible_deletions = removable = rigid_with_shared_pair = 0
+        for g in corpus:
+            expected = deletion_rigid_by_redecide(g)
+            assert decide_minimal_rigidity(g).deletion_rigid == expected
+            flexible_deletions += expected.count(False)
+            removable += expected.count(True)
+            sets = [set(line) for line in g.lines]
+            rigid_with_shared_pair += decide_rod_rigidity(g).is_rigid and any(
+                len(a & b) >= 2 for i, a in enumerate(sets) for b in sets[i + 1 :]
+            )
+        # the corpus must exercise both answers and the parallel cone edges
+        # of two rods through the same two points
+        assert flexible_deletions and removable and rigid_with_shared_pair
+
+    def test_cross_validation_checks_each_deletion(self, fig2, monkeypatch):
+        import rodrigidity.analysis as analysis
+
+        report = decide_minimal_rigidity(fig2, "cross-validated", seed=5)
+        assert report.base.agreement == "agree" and report.minimally_rigid
+        monkeypatch.setattr(analysis, "remaining_without_each", lambda n, groups: (5,) * len(groups))
+        with pytest.raises(AssertionError, match="deleting rod 0"):
+            decide_minimal_rigidity(fig2, "cross-validated", seed=5)
 
     def test_report_json(self, fig2):
         doc = minimal_report_to_json(decide_minimal_rigidity(fig2))

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from rodrigidity import independent_after, new_state, play, try_edge
-from rodrigidity.pebble import verdict_of
+from rodrigidity import independent_after, new_state, play, remaining_without_each, try_edge
+from rodrigidity.pebble import _insert_batch, _undo_batch, verdict_of
 
 from bruteforce import henneberg_graph, laman_independent, laman_rank
 from conftest import FIG1_EDGES, K4_EDGES
@@ -117,6 +117,62 @@ class TestIndependentAfter:
                 probe = independent_after(state, u, v)
                 assert try_edge(state, u, v) == probe
             assert verdict_of(state).accepted == direct.accepted
+
+
+def _held(state):
+    return sorted(tuple(sorted((u, w))) for u in range(state.num_vertices) for w in state.out[u])
+
+
+class TestLeaveOneOut:
+    def test_batch_undo_restores_the_state(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            n = rng.randint(3, 9)
+            state = new_state(n)
+            for _ in range(rng.randint(0, 10)):
+                try_edge(state, *rng.sample(range(n), 2))
+            before, held, logged = state.remaining_pebbles(), _held(state), len(state.accepted)
+            outer = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 10))]
+            inner = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 10))]
+            kept_outer = _insert_batch(state, outer)
+            middle, held_middle = state.remaining_pebbles(), _held(state)
+            # the inner batch's searches may reverse edges of the outer batch
+            _undo_batch(state, _insert_batch(state, inner))
+            assert state.remaining_pebbles() == middle and _held(state) == held_middle
+            _undo_batch(state, kept_outer)
+            for w in range(n):
+                assert state.pebbles[w] + len(state.out[w]) == 2
+            assert state.remaining_pebbles() == before
+            assert _held(state) == held and len(state.accepted) == logged
+
+    def test_rejected_parallel_copy_keeps_the_held_edge(self):
+        state = new_state(3)
+        try_edge(state, 0, 1)
+        kept = _insert_batch(state, [(1, 0), (1, 2)])
+        assert kept == [(1, 2)]
+        _undo_batch(state, kept)
+        assert _held(state) == [(0, 1)] and state.remaining_pebbles() == 5
+
+    def test_matches_one_game_per_group(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            groups = [[tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 4))]
+                      for _ in range(rng.randint(1, 9))]
+            expected = tuple(
+                play(n, [e for j, group in enumerate(groups) if j != i for e in group]).remaining_pebbles
+                for i in range(len(groups))
+            )
+            assert remaining_without_each(n, groups) == expected
+
+    def test_no_groups(self):
+        assert remaining_without_each(1, []) == ()
+
+    def test_bad_edge(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            remaining_without_each(3, [[(0, 1)], [(2, 2)]])
+        with pytest.raises(ValueError, match="out of range"):
+            remaining_without_each(3, [[(0, 3)]])
 
 
 class TestMatroidProperties:
