@@ -20,6 +20,7 @@ from .geometry import (
     parse_geometry,
     remove_line,
     serialize_geometry,
+    shared_rod_pair,
     support_of,
 )
 from .cone import (

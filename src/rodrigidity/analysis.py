@@ -133,7 +133,8 @@ def decide_rod_rigidity(
     seed reaches the same algebraic verdict and it matches the pebble game.
     Disconnected geometries (including any with an isolated point, when more
     than one entity exists) are flexible immediately and skip the algebraic
-    side, as do geometries whose sampling keeps hitting forced coincidences.
+    side, as do geometries whose sampling keeps hitting forced coincidences
+    (two rods through the same two points are refused without a draw).
     """
     if mode not in ("combinatorial", "cross-validated"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -149,11 +150,13 @@ def decide_rod_rigidity(
     algebraic: Optional[tuple[bool, ...]] = None
     if mode == "cross-validated" and connected and pebble is not None:
         samples: list[tuple[int, LinearRealization, LinearRealization, bool]] = []
-        sc = build_cone_incidence(geometry)
+        sc: Optional[ConeIncidenceGeometry] = None
         for s in _spawn_seeds(seed, 3):
             rho = sample_realization(geometry, s, field=field, budget=sample_budget)
             if isinstance(rho, Infeasible):
                 continue
+            if sc is None:
+                sc = build_cone_incidence(geometry)
             rho_cone = realize_cone(geometry, rho, s)
             samples.append((s, rho, rho_cone, is_string_config_rigid(sc, rho_cone)))
         if samples:

@@ -161,7 +161,7 @@ def _cmd_oracle(args) -> int:
     field = _field_from_name(args.field)
     rho = sample_realization(geometry, args.seed, field=field)
     if isinstance(rho, Infeasible):
-        return _fail(f"sampling infeasible after {rho.attempts} attempts: {rho.reason}")
+        return _fail(f"sampling infeasible: {rho.reason}")
     cone = build_cone_incidence(geometry)
     extended = realize_cone(geometry, rho, args.seed)
     rank, max_rank = string_config_rank(cone, extended)

@@ -24,6 +24,7 @@ __all__ = [
     "is_connected",
     "support_of",
     "remove_line",
+    "shared_rod_pair",
 ]
 
 
@@ -161,6 +162,25 @@ def is_connected(geometry: IncidenceGeometry) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == n_entities
+
+
+def shared_rod_pair(geometry: IncidenceGeometry) -> Optional[tuple[int, int, int, int]]:
+    """Two rods through the same two points, as (l1, l2, p, q) with l1 < l2
+    and p < q, or None when any two rods share at most one point.
+
+    Such a pair has no proper realization: rods of different slopes meet in
+    one point, so p and q would coincide.  Every point pairs up the rods
+    through it, so this takes O(sum of deg(p)^2) time; the pair returned is
+    the first one whose second shared point q is smallest.
+    """
+    first_shared: dict[tuple[int, int], int] = {}
+    for q, rods in enumerate(geometry.point_line_map()):
+        for i, l2 in enumerate(rods):
+            for l1 in rods[:i]:
+                p = first_shared.setdefault((l1, l2), q)
+                if p != q:
+                    return l1, l2, p, q
+    return None
 
 
 def remove_line(geometry: IncidenceGeometry, line_index: int) -> IncidenceGeometry:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .cone import ConeIncidenceGeometry, build_cone_incidence
-from .geometry import GeometryError, IncidenceGeometry
+from .geometry import GeometryError, IncidenceGeometry, shared_rod_pair
 
 __all__ = [
     "OracleError",
@@ -152,7 +152,11 @@ RATIONALS = RationalField()
 
 @dataclass(frozen=True)
 class Infeasible:
-    """Sampling gave up: the incidences forced a degenerate realization every time."""
+    """Sampling gave up: the incidences force a degenerate realization.
+
+    attempts is 0 when the geometry was refused before any draw, because two
+    of its rods pass through the same two points (the reason names them).
+    """
 
     attempts: int
     reason: str
@@ -390,8 +394,13 @@ def sample_realization(
     constraint at once (a point on two lines lands on their intersection, a
     point on one line gets a free abscissa, an isolated point is free).  If
     the draws keep producing non-proper realizations the incidences force a
-    coincidence for generic slopes and Infeasible is returned.
+    coincidence for generic slopes and Infeasible is returned.  Two rods
+    through the same two points force one for every pair of distinct
+    slopes, so such a geometry is refused before any draw.
     """
+    pair = shared_rod_pair(geometry)
+    if pair is not None:
+        return Infeasible(attempts=0, reason="rods {} and {} share points {} and {}".format(*pair))
     field = field or DEFAULT_FIELD
     rng = random.Random(seed)
     incidences = geometry.incidences()
@@ -416,7 +425,7 @@ def sample_realization(
         if candidate.is_proper():
             return candidate
     return Infeasible(attempts=budget,
-                      reason="every sampled realization collapsed distinct points")
+                      reason=f"all {budget} sampled realizations collapsed distinct points")
 
 
 def trivial_realization(geometry: IncidenceGeometry, field: Optional[Field] = None) -> LinearRealization:

@@ -152,6 +152,13 @@ def bipartite_connected(num_points: int, lines: tuple[tuple[int, ...], ...]) -> 
     return len(reached) == total
 
 
+def shares_two_points(geometry: IncidenceGeometry) -> bool:
+    """Do two rods pass through the same two points?  Every pair of rods is
+    intersected as sets."""
+    sets = [set(line) for line in geometry.lines]
+    return any(len(a & b) >= 2 for i, a in enumerate(sets) for b in sets[i + 1 :])
+
+
 def henneberg_graph(rng: random.Random, num_vertices: int) -> list[tuple[int, int]]:
     """Minimally rigid graph: a triangle grown by degree-2 vertex additions."""
     if num_vertices < 3:

@@ -35,7 +35,7 @@ from rodrigidity import (
 from rodrigidity.analysis import minimal_report_to_json
 from rodrigidity.oracle import BudgetExceededError
 
-from bruteforce import deletion_rigid_by_redecide
+from bruteforce import deletion_rigid_by_redecide, shares_two_points
 
 
 
@@ -85,6 +85,16 @@ class TestDecideRodRigidity:
         v = decide_rod_rigidity(two_point_three_lines, "cross-validated", seed=22)
         assert v.agreement == "algebraic-skipped"
         assert v.algebraic is None
+
+    @pytest.mark.parametrize("name,builds", [("fig2", 1), ("two_point_three_lines", 0)])
+    def test_cone_incidence_built_only_for_a_proper_sample(self, name, builds, request, monkeypatch):
+        import rodrigidity.analysis as analysis
+
+        calls = []
+        real = analysis.build_cone_incidence
+        monkeypatch.setattr(analysis, "build_cone_incidence", lambda g: calls.append(g) or real(g))
+        decide_rod_rigidity(request.getfixturevalue(name), "cross-validated", seed=22)
+        assert len(calls) == builds
 
     def test_unknown_mode(self, fig2):
         with pytest.raises(ValueError):
@@ -240,10 +250,7 @@ class TestMinimalRigidity:
             assert decide_minimal_rigidity(g).deletion_rigid == expected
             flexible_deletions += expected.count(False)
             removable += expected.count(True)
-            sets = [set(line) for line in g.lines]
-            rigid_with_shared_pair += decide_rod_rigidity(g).is_rigid and any(
-                len(a & b) >= 2 for i, a in enumerate(sets) for b in sets[i + 1 :]
-            )
+            rigid_with_shared_pair += decide_rod_rigidity(g).is_rigid and shares_two_points(g)
         # the corpus must exercise both answers and the parallel cone edges
         # of two rods through the same two points
         assert flexible_deletions and removable and rigid_with_shared_pair

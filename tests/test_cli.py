@@ -182,7 +182,8 @@ class TestOracleCommand:
         path = tmp_path / "forced.geo"
         path.write_text("points: 2\nline: 0 1\nline: 0 1\nline: 0 1\n")
         assert main(["oracle", str(path)]) == 1
-        assert "infeasible" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: sampling infeasible: rods 0 and 1 share points 0 and 1\n"
 
     def test_rational_field(self, hinge_file, capsys):
         assert main(["oracle", hinge_file, "--field", "rational", "--format", "json"]) == 2
@@ -262,6 +263,13 @@ class TestDotAndSvg:
         assert main(["svg", str(geo), "--realization", str(realization)]) == 1
         assert capsys.readouterr().err.startswith("error: input is not UTF-8 text")
 
+    def test_svg_infeasible(self, tmp_path, capsys):
+        path = tmp_path / "forced.geo"
+        path.write_text("points: 2\nline: 0 1\nline: 0 1\n")
+        assert main(["svg", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: sampling infeasible: rods 0 and 1 share points 0 and 1\n"
+
     def test_svg_vertical_needs_rotate(self, tmp_path, capsys):
         geo = tmp_path / "seg.geo"
         geo.write_text("points: 2\nline: 0 1\n")
@@ -276,3 +284,19 @@ def test_fuzz_small(capsys):
     assert main(["fuzz", "--count", "5", "--seed", "2"]) == 0
     out = capsys.readouterr().out
     assert "agree=5" in out and "disagreements=0" in out
+
+
+# stdout of `rodrig fuzz --count 200` at the commit before sampling refused
+# shared rod pairs up front; refusing them must not change a single byte
+FUZZ_GOLDEN = {
+    1: "agree=200 (rigid=135 flexible=65) skipped=1717 attempted=1917 disagreements=0\n",
+    2: "agree=200 (rigid=143 flexible=57) skipped=1806 attempted=2006 disagreements=0\n",
+    3: "agree=200 (rigid=133 flexible=67) skipped=1855 attempted=2055 disagreements=0\n",
+    77: "agree=200 (rigid=148 flexible=52) skipped=1635 attempted=1835 disagreements=0\n",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FUZZ_GOLDEN))
+def test_fuzz_golden(seed, capsys):
+    assert main(["fuzz", "--count", "200", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == FUZZ_GOLDEN[seed]

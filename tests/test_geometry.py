@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +16,12 @@ from rodrigidity import (
     parse_geometry,
     remove_line,
     serialize_geometry,
+    shared_rod_pair,
     support_of,
 )
+from rodrigidity.analysis import random_geometry
 
-from bruteforce import bipartite_connected
+from bruteforce import bipartite_connected, shares_two_points
 from conftest import FIG2_LINES
 
 TRIANGLE_TEXT = """\
@@ -173,3 +177,38 @@ def test_remove_line_keeps_points(fig2):
     assert g.isolated_points() == (6,)
     with pytest.raises(GeometryError):
         remove_line(fig2, 4)
+
+
+class TestSharedRodPair:
+    @staticmethod
+    def check(g):
+        pair = shared_rod_pair(g)
+        assert (pair is not None) == shares_two_points(g)
+        if pair is not None:
+            l1, l2, p, q = pair
+            assert l1 < l2 and p < q
+            assert {p, q} <= set(g.lines[l1]) & set(g.lines[l2])
+        return pair
+
+    @pytest.mark.parametrize("lines,expected", [
+        (((0, 1), (0, 1), (0, 1)), (0, 1, 0, 1)),  # three rods through one pair
+        (((0, 1, 2, 3), (3, 4, 5), (5, 2, 4)), (1, 2, 4, 5)),
+        (((0, 1, 2, 3), (3, 2, 4)), (0, 1, 2, 3)),
+        (((0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3)), None),
+        (((0, 1, 2), (0, 3, 4), (0, 5), (1, 3, 5)), None),
+        ((), None),
+    ])
+    def test_examples(self, lines, expected):
+        assert self.check(IncidenceGeometry(6, lines)) == expected
+
+    def test_running_example(self, fig2):
+        assert shared_rod_pair(fig2) is None
+
+    @settings(max_examples=200)
+    @given(geometries(max_points=7, max_lines=5))
+    def test_agrees_with_pairwise_intersection(self, g):
+        self.check(g)
+
+    def test_random_geometries(self):
+        found = [self.check(random_geometry(random.Random(s))) is not None for s in range(400)]
+        assert any(found) and not all(found)

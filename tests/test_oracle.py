@@ -34,11 +34,13 @@ from rodrigidity import (
     realization_to_json,
     realize_cone,
     sample_realization,
+    shared_rod_pair,
     trivial_realization,
 )
+from rodrigidity import oracle
 from rodrigidity.analysis import random_geometry
 
-from bruteforce import minor_rank
+from bruteforce import minor_rank, shares_two_points
 from conftest import FIG2_COORDS
 
 
@@ -97,7 +99,28 @@ class TestSampling:
     def test_forced_coincidence_is_infeasible(self, two_point_three_lines):
         rho = sample_realization(two_point_three_lines, seed=3)
         assert isinstance(rho, Infeasible)
-        assert rho.attempts == 32
+        assert rho.attempts == 0
+        assert rho.reason == "rods 0 and 1 share points 0 and 1"
+
+    @pytest.mark.parametrize("field", [DEFAULT_FIELD, PrimeField(ALTERNATE_PRIME), RATIONALS],
+                             ids=["mersenne", "alternate", "rational"])
+    def test_shared_pair_refused_before_elimination(self, field, monkeypatch):
+        def refuse(rows, field):
+            raise AssertionError("eliminated a geometry with a shared rod pair")
+
+        monkeypatch.setattr(oracle, "_eliminate", refuse)
+        rng = random.Random(5)
+        corpus = [IncidenceGeometry(3, ((0, 1), (1, 2), (0, 2), (1, 0)))]
+        while len(corpus) < 20:
+            g = random_geometry(rng)
+            if shares_two_points(g):
+                corpus.append(g)
+        for seed, g in enumerate(corpus):
+            rho = sample_realization(g, seed=seed, field=field)
+            assert isinstance(rho, Infeasible) and rho.attempts == 0
+            assert rho.reason == "rods {} and {} share points {} and {}".format(*shared_rod_pair(g))
+        with pytest.raises(AssertionError, match="eliminated"):  # the patch does intercept
+            sample_realization(IncidenceGeometry(3, ((0, 1), (1, 2), (0, 2))), seed=0, field=field)
 
     def test_no_lines_all_points_free(self):
         g = IncidenceGeometry(3, ())
