@@ -12,7 +12,6 @@ from .geometry import (
     GeometryError,
     GeometryParseError,
     IncidenceGeometry,
-    SubsetSupport,
     geometry_from_json,
     geometry_to_json,
     is_connected,
@@ -21,7 +20,6 @@ from .geometry import (
     remove_line,
     serialize_geometry,
     shared_rod_pair,
-    support_of,
 )
 from .cone import (
     ConeGraph,
@@ -29,7 +27,6 @@ from .cone import (
     build_cone_graph,
     build_cone_incidence,
     cone_graph_to_dot,
-    reassign_inner_vertex,
 )
 from .pebble import (
     PebbleState,
@@ -42,7 +39,6 @@ from .pebble import (
 )
 from .oracle import (
     ALTERNATE_PRIME,
-    BudgetExceededError,
     DEFAULT_FIELD,
     Infeasible,
     LinearRealization,
@@ -53,12 +49,7 @@ from .oracle import (
     RationalField,
     VerticalLineError,
     build_concurrence_matrix,
-    concurrence_to_csv,
-    is_regular,
-    is_sharply_independent,
-    is_sharply_independent_fast,
     is_string_config_rigid,
-    kernel_witnesses,
     matrix_kernel,
     matrix_rank,
     rank_of,
@@ -68,7 +59,6 @@ from .oracle import (
     realize_cone,
     sample_realization,
     string_config_rank,
-    trivial_realization,
 )
 from .analysis import (
     CampaignReport,
@@ -79,13 +69,9 @@ from .analysis import (
     RigidityVerdict,
     canonical_edge_order,
     canonical_subgraph,
-    check_body_joint_counts,
     decide_minimal_rigidity,
     decide_rod_rigidity,
-    derive_subgeometry,
-    inner_choice_classifications,
     random_geometry,
-    restrict_realization,
     run_agreement_campaign,
     verdict_to_json,
 )

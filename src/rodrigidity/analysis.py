@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cone import ConeGraph, ConeIncidenceGeometry, build_cone_graph, build_cone_incidence
 from .geometry import (
@@ -25,7 +24,6 @@ from .geometry import (
     remove_line,
 )
 from .oracle import (
-    BudgetExceededError,
     Field,
     Infeasible,
     LinearRealization,
@@ -55,11 +53,7 @@ __all__ = [
     "decide_rod_rigidity",
     "canonical_subgraph",
     "canonical_edge_order",
-    "derive_subgeometry",
-    "restrict_realization",
     "decide_minimal_rigidity",
-    "check_body_joint_counts",
-    "inner_choice_classifications",
     "random_geometry",
     "run_agreement_campaign",
     "verdict_to_json",
@@ -157,7 +151,7 @@ def decide_rod_rigidity(
                 continue
             if sc is None:
                 sc = build_cone_incidence(geometry)
-            rho_cone = realize_cone(geometry, rho, s)
+            rho_cone = realize_cone(sc, rho, s)
             samples.append((s, rho, rho_cone, is_string_config_rigid(sc, rho_cone)))
         if samples:
             verdicts = [v for _, _, _, v in samples]
@@ -365,63 +359,7 @@ def _subgeometry_from_parts(
     return sub, tuple(sources)
 
 
-def derive_subgeometry(
-    geometry: IncidenceGeometry,
-    host: ConeGraph,
-    edges: Iterable[tuple[int, int]],
-) -> tuple[IncidenceGeometry, tuple[int, ...]]:
-    """Subgeometry induced by an arbitrary subgraph of a cone graph.
-
-    Star edges are credited to the lowest-index line whose inner vertex they
-    touch (ownership is only ambiguous when two lines share two points).
-    Raises if an edge is not part of any cone of the host graph.
-    """
-    n_pts = geometry.num_points
-    star_members: list[set[int]] = [set() for _ in range(geometry.num_lines)]
-    spokes: set[tuple[int, int]] = set()
-    for u, v in edges:
-        if u < v:
-            u, v = v, u  # cone vertex (if any) first
-        if u >= n_pts:
-            line = u - n_pts
-            if v not in host.line_points[line]:
-                raise GeometryError(f"spoke ({u}, {v}) is not an edge of the cone graph")
-            spokes.add((line, v))
-            continue
-        owner = None
-        for l in range(geometry.num_lines):
-            if host.inner_vertex[l] in (u, v) and u in host.line_points[l] and v in host.line_points[l]:
-                owner = l
-                break
-        if owner is None:
-            raise GeometryError(f"edge ({u}, {v}) is not a star edge of the cone graph")
-        star_members[owner].update((u, v))
-    return _subgeometry_from_parts(geometry, star_members, spokes)
-
-
-def restrict_realization(
-    cone: ConeIncidenceGeometry,
-    realization: LinearRealization,
-    subgeometry: IncidenceGeometry,
-    source_lines: Sequence[int],
-) -> LinearRealization:
-    """Realization of a derived subgeometry, pulled from one of the cone
-    incidence geometry (points are shared; lines map through source_lines)."""
-    if len(source_lines) != subgeometry.num_lines:
-        raise GeometryError("source_lines length does not match the subgeometry")
-    restricted = LinearRealization(
-        field=realization.field,
-        slopes=tuple(realization.slopes[src] for src in source_lines),
-        intercepts=tuple(realization.intercepts[src] for src in source_lines),
-        xs=realization.xs,
-        ys=realization.ys,
-    )
-    if not restricted.satisfies(subgeometry):
-        raise GeometryError("restricted realization violates the subgeometry")
-    return restricted
-
-
-# --- minimal rigidity, counting screens, fuzzing -------------------------------
+# --- minimal rigidity and fuzzing --------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -482,50 +420,6 @@ def minimal_report_to_json(report: MinimalRigidityReport) -> dict:
     doc["removable_rods"] = list(report.removable)
     doc["minimally_rigid"] = report.minimally_rigid
     return doc
-
-
-def check_body_joint_counts(geometry: IncidenceGeometry, line_budget: int = 20) -> bool:
-    """Counting screen for independent body-and-joint realizability:
-    2|I'| <= 3|L'| + 2|P'| - 3 globally and for every nonempty set of lines
-    with its induced points.  Necessary for that model, but not for rod
-    rigidity, which is exactly why the cone-graph route exists."""
-    n = geometry.num_lines
-    if n > line_budget:
-        raise BudgetExceededError(f"{n} lines exceed the subset budget of {line_budget}")
-    if 2 * geometry.num_incidences > 3 * n + 2 * geometry.num_points - 3:
-        return False
-    masks = [0] * n
-    sizes = [len(line) for line in geometry.lines]
-    for i, line in enumerate(geometry.lines):
-        for p in line:
-            masks[i] |= 1 << p
-    for mask in range(1, 1 << n):
-        inc = 0
-        pts = 0
-        count = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            i = low.bit_length() - 1
-            inc += sizes[i]
-            pts |= masks[i]
-            count += 1
-        if 2 * inc > 3 * count + 2 * pts.bit_count() - 3:
-            return False
-    return True
-
-
-def inner_choice_classifications(geometry: IncidenceGeometry) -> set[str]:
-    """Pebble classifications of the cone graph over all inner-vertex choices.
-
-    Always a singleton: the choice of inner vertices never changes the
-    verdict.  Exhaustive, so only for small geometries."""
-    out = set()
-    for combo in product(*[sorted(line) for line in geometry.lines]):
-        graph = build_cone_graph(geometry, dict(enumerate(combo)))
-        out.add(play(graph.num_vertices, graph.edges).classification)
-    return out
 
 
 def random_geometry(

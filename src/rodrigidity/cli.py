@@ -163,7 +163,7 @@ def _cmd_oracle(args) -> int:
     if isinstance(rho, Infeasible):
         return _fail(f"sampling infeasible: {rho.reason}")
     cone = build_cone_incidence(geometry)
-    extended = realize_cone(geometry, rho, args.seed)
+    extended = realize_cone(cone, rho, args.seed)
     rank, max_rank = string_config_rank(cone, extended)
     rigid = rank == max_rank
     if args.format == "json":
@@ -205,7 +205,7 @@ def _cmd_svg(args) -> int:
         return _fail("svg rendering needs a rational realization")
     if args.cone:
         cone = build_cone_incidence(geometry)
-        extended = realize_cone(geometry, rho, args.seed)
+        extended = realize_cone(cone, rho, args.seed)
         svg = render_svg(cone.geometry, extended, hollow_from=geometry.num_points)
     else:
         svg = render_svg(geometry, rho)
@@ -214,6 +214,10 @@ def _cmd_svg(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    for flag, value, least in (("--count", args.count, 1), ("--max-points", args.max_points, 2),
+                               ("--max-lines", args.max_lines, 1)):
+        if value < least:
+            return _fail(f"{flag} must be at least {least}, got {value}")
     report = run_agreement_campaign(
         target=args.count,
         seed=args.seed,

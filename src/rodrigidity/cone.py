@@ -22,7 +22,6 @@ __all__ = [
     "ConeIncidenceGeometry",
     "build_cone_graph",
     "build_cone_incidence",
-    "reassign_inner_vertex",
     "cone_graph_to_dot",
 ]
 
@@ -55,9 +54,6 @@ class ConeGraph:
 
     def cone_vertex(self, line: int) -> int:
         return self.num_points + line
-
-    def is_cone_vertex(self, v: int) -> bool:
-        return v >= self.num_points
 
 
 def build_cone_graph(
@@ -98,18 +94,6 @@ def build_cone_graph(
     )
 
 
-def reassign_inner_vertex(graph: ConeGraph, line: int, new_inner: int) -> ConeGraph:
-    """New cone graph whose cone of `line` is rooted at `new_inner`."""
-    if not 0 <= line < graph.num_lines:
-        raise GeometryError(f"no line {line}")
-    if new_inner not in graph.line_points[line]:
-        raise GeometryError(f"inner vertex {new_inner} is not incident to line {line}")
-    inner = list(graph.inner_vertex)
-    inner[line] = new_inner
-    geometry = IncidenceGeometry(graph.num_points, graph.line_points)
-    return build_cone_graph(geometry, dict(enumerate(inner)))
-
-
 @dataclass(frozen=True)
 class ConeIncidenceGeometry:
     """The cone incidence geometry S^C built over a base geometry.
@@ -124,18 +108,8 @@ class ConeIncidenceGeometry:
     geometry: IncidenceGeometry
     spoke_of: tuple[tuple[int, int], ...]  # spoke k is line base.num_lines + k
 
-    @property
-    def num_collinear_lines(self) -> int:
-        return self.base.num_lines
-
     def cone_point(self, line: int) -> int:
         return self.base.num_points + line
-
-    def is_cone_point(self, v: int) -> bool:
-        return v >= self.base.num_points
-
-    def spoke_line_index(self, line: int, point: int) -> int:
-        return self.base.num_lines + self.spoke_of.index((line, point))
 
 
 def build_cone_incidence(geometry: IncidenceGeometry) -> ConeIncidenceGeometry:

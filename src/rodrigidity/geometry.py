@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 __all__ = [
     "GeometryError",
     "GeometryParseError",
     "IncidenceGeometry",
-    "SubsetSupport",
     "parse_geometry",
     "serialize_geometry",
     "geometry_from_json",
     "geometry_to_json",
+    "load_geometry",
     "is_connected",
-    "support_of",
     "remove_line",
     "shared_rod_pair",
 ]
@@ -49,7 +48,7 @@ class IncidenceGeometry:
     Every line must contain at least two distinct points: a rod through fewer
     than two points constrains nothing and only produces degenerate cones
     downstream, so such input is rejected outright.  Points on no line are
-    legal but reported as isolated.
+    legal; is_connected counts each as a component of its own.
     """
 
     num_points: int
@@ -88,53 +87,12 @@ class IncidenceGeometry:
     def line_set(self, i: int) -> frozenset[int]:
         return frozenset(self.lines[i])
 
-    def lines_of_point(self, p: int) -> tuple[int, ...]:
-        return tuple(i for i, line in enumerate(self.lines) if p in line)
-
     def point_line_map(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.num_points)]
         for i, line in enumerate(self.lines):
             for p in line:
                 out[p].append(i)
         return out
-
-    def isolated_points(self) -> tuple[int, ...]:
-        seen = set()
-        for line in self.lines:
-            seen.update(line)
-        return tuple(p for p in range(self.num_points) if p not in seen)
-
-    def name_of(self, p: int) -> str:
-        if self.point_names is not None and self.point_names[p]:
-            return self.point_names[p]
-        return str(p)
-
-
-@dataclass(frozen=True)
-class SubsetSupport:
-    """An incidence subset J together with the points Q and lines M it touches."""
-
-    incidences: frozenset[tuple[int, int]]
-    points: frozenset[int]
-    lines: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.incidences)
-
-
-def support_of(geometry: IncidenceGeometry, subset: Iterable[tuple[int, int]]) -> SubsetSupport:
-    """Support (Q, M) of a set of (point, line) incidences of the geometry."""
-    all_inc = set(geometry.incidences())
-    J = frozenset(subset)
-    for inc in J:
-        if inc not in all_inc:
-            raise GeometryError(f"incidence {inc} is not part of the geometry")
-    return SubsetSupport(
-        incidences=J,
-        points=frozenset(p for p, _ in J),
-        lines=frozenset(l for _, l in J),
-    )
 
 
 def is_connected(geometry: IncidenceGeometry) -> bool:
@@ -284,16 +242,34 @@ def geometry_to_json(geometry: IncidenceGeometry) -> dict:
     return doc
 
 
+def _json_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r:.40}")
+    return value
+
+
+def _json_list(value, length: Optional[int] = None) -> list:
+    """A JSON list, of the given length if one is given."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r:.40}")
+    if length is not None and len(value) != length:
+        raise TypeError(f"expected {length} entries, got {value!r:.40}")
+    return value
+
+
 def geometry_from_json(doc: dict) -> IncidenceGeometry:
+    """Counts and point indices must be JSON integers, and the lines and each
+    line JSON lists: a string, float or bool is refused, never coerced."""
     try:
-        num_points = int(doc["points"])
-        lines = tuple(tuple(int(p) for p in line) for line in doc["lines"])
+        num_points = _json_int(doc["points"])
+        lines = tuple(tuple(_json_int(p) for p in _json_list(line))
+                      for line in _json_list(doc["lines"]))
         names = doc.get("names")
         if names is not None and not (
             isinstance(names, list) and all(isinstance(n, str) for n in names)
         ):
             raise TypeError("names must be a list of strings")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise GeometryError(f"bad geometry document: {exc}") from None
     return IncidenceGeometry(num_points, lines, tuple(names) if names else None)
 

@@ -31,13 +31,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .cone import ConeIncidenceGeometry, build_cone_incidence
-from .geometry import GeometryError, IncidenceGeometry, shared_rod_pair
+from .cone import ConeIncidenceGeometry
+from .geometry import IncidenceGeometry, _json_list, shared_rod_pair
+# Not called here, but perfbench/tracing.py wraps this name in this module.
+from .cone import build_cone_incidence  # noqa: F401
 
 __all__ = [
     "OracleError",
     "VerticalLineError",
-    "BudgetExceededError",
     "PrimeField",
     "RationalField",
     "MERSENNE_PRIME",
@@ -51,19 +52,13 @@ __all__ = [
     "rank_of",
     "matrix_rank",
     "matrix_kernel",
-    "kernel_witnesses",
     "sample_realization",
-    "trivial_realization",
     "realization_from_coords",
     "realize_cone",
     "string_config_rank",
     "is_string_config_rigid",
-    "is_sharply_independent",
-    "is_sharply_independent_fast",
-    "is_regular",
     "realization_to_json",
     "realization_from_json",
-    "concurrence_to_csv",
 ]
 
 
@@ -73,10 +68,6 @@ class OracleError(ValueError):
 
 class VerticalLineError(OracleError):
     """A line of the realization is vertical and has no (slope, intercept) form."""
-
-
-class BudgetExceededError(OracleError):
-    """An exhaustive check was asked to cover more subsets than its budget allows."""
 
 
 MERSENNE_PRIME = 2**61 - 1
@@ -149,6 +140,10 @@ Field = Union[PrimeField, RationalField]
 DEFAULT_FIELD = PrimeField(MERSENNE_PRIME)
 RATIONALS = RationalField()
 
+# Random draws a construction makes before it gives up: cone-point
+# placements per line, and rotations of imported coordinates.
+_DRAWS = 32
+
 
 @dataclass(frozen=True)
 class Infeasible:
@@ -178,9 +173,6 @@ class LinearRealization:
     def num_points(self) -> int:
         return len(self.xs)
 
-    def coords(self, j: int):
-        return (self.xs[j], self.ys[j])
-
     def residual(self, point: int, line: int):
         f = self.field
         return f.add(f.add(f.mul(self.slopes[line], self.xs[point]), self.ys[point]),
@@ -195,9 +187,6 @@ class LinearRealization:
     def is_proper(self) -> bool:
         """Distinct points carry distinct coordinates."""
         return len({(x, y) for x, y in zip(self.xs, self.ys)}) == self.num_points
-
-    def is_trivial(self) -> bool:
-        return self.num_points > 0 and len({(x, y) for x, y in zip(self.xs, self.ys)}) == 1
 
 
 # --- exact linear algebra ----------------------------------------------------
@@ -302,35 +291,11 @@ class ConcurrenceMatrix:
     def column_of_y(self, j: int) -> int:
         return self.num_lines + 2 * j + 1
 
-    def dense_rows(self, subset: Optional[Iterable[int]] = None) -> list[list]:
-        zero, one = self.field.zero(), self.field.one()
-        ncols = self.num_lines + 2 * self.num_points
-        indices = range(len(self.incidences)) if subset is None else subset
-        rows = []
-        for r in indices:
-            p, l = self.incidences[r]
-            row = [zero] * ncols
-            row[l] = one
-            row[self.column_of_x(p)] = self.slopes[l]
-            row[self.column_of_y(p)] = one
-            rows.append(row)
-        return rows
-
     def sparse_rows(self) -> Iterator[dict]:
         """The rows as {column: value} dicts, three entries each."""
         one = self.field.one()
         for p, l in self.incidences:
             yield {l: one, self.column_of_x(p): self.slopes[l], self.column_of_y(p): one}
-
-    def apply(self, vector: Sequence) -> list:
-        """Matrix-vector product, for kernel membership checks."""
-        f = self.field
-        out = []
-        for p, l in self.incidences:
-            val = f.add(f.add(vector[l], f.mul(self.slopes[l], vector[self.column_of_x(p)])),
-                        vector[self.column_of_y(p)])
-            out.append(val)
-        return out
 
 
 def build_concurrence_matrix(geometry: IncidenceGeometry,
@@ -359,22 +324,6 @@ def rank_of(matrix: ConcurrenceMatrix) -> int:
     last = matrix.shape[1] - 1
     rows = ({last - c: v for c, v in row.items()} for row in matrix.sparse_rows())
     return len(_eliminate(rows, matrix.field))
-
-
-def kernel_witnesses(geometry: IncidenceGeometry,
-                     realization: LinearRealization) -> list[list]:
-    """The two translations and the dilation, as explicit kernel vectors."""
-    f = realization.field
-    L, P = geometry.num_lines, geometry.num_points
-    tx = [f.neg(realization.slopes[l]) for l in range(L)]
-    ty = [f.neg(f.one()) for _ in range(L)]
-    for _ in range(P):
-        tx.extend([f.one(), f.zero()])
-        ty.extend([f.zero(), f.one()])
-    dilation = list(realization.intercepts)
-    for j in range(P):
-        dilation.extend([realization.xs[j], realization.ys[j]])
-    return [tx, ty, dilation]
 
 
 # --- realization construction ------------------------------------------------
@@ -428,20 +377,6 @@ def sample_realization(
                       reason=f"all {budget} sampled realizations collapsed distinct points")
 
 
-def trivial_realization(geometry: IncidenceGeometry, field: Optional[Field] = None) -> LinearRealization:
-    """All points at (1, 1) on lines of a single shared slope."""
-    field = field or RATIONALS
-    one = field.one()
-    h = field.neg(field.add(one, one))  # f*x + y + h = 0 at (1,1) with f = 1
-    return LinearRealization(
-        field=field,
-        slopes=tuple(one for _ in range(geometry.num_lines)),
-        intercepts=tuple(h for _ in range(geometry.num_lines)),
-        xs=tuple(one for _ in range(geometry.num_points)),
-        ys=tuple(one for _ in range(geometry.num_points)),
-    )
-
-
 def _rotate_coords(coords, rng: random.Random):
     t = Fraction(rng.randrange(1, 1 << 16), rng.randrange(1, 1 << 16))
     den = 1 + t * t
@@ -453,16 +388,15 @@ def realization_from_coords(
     geometry: IncidenceGeometry,
     coords: Sequence[tuple],
     rotate_if_vertical: bool = False,
-    seed: int = 0,
-    budget: int = 32,
 ) -> LinearRealization:
     """Exact slope/intercept extraction from user-supplied rational coordinates.
 
     Raises VerticalLineError for a vertical line unless rotate_if_vertical is
     set, in which case a random rational rotation is applied to all points
     first (exactly; rotations by rational unit vectors keep coordinates
-    rational).  Non-collinear coordinates for some line are a hard error, and
-    so is anything that is not a sequence of (x, y) rationals.
+    rational; a fixed seed makes the rotation reproducible).  Non-collinear
+    coordinates for some line are a hard error, and so is anything that is
+    not a sequence of (x, y) rationals.
     """
     try:
         pts = [(Fraction(x), Fraction(y)) for x, y in coords]
@@ -470,8 +404,8 @@ def realization_from_coords(
         raise OracleError(f"bad coordinates: {exc}") from None
     if len(pts) != geometry.num_points:
         raise OracleError("coordinate count does not match the geometry")
-    rng = random.Random(seed)
-    attempts = budget if rotate_if_vertical else 1
+    rng = random.Random(0)
+    attempts = _DRAWS if rotate_if_vertical else 1
     for attempt in range(attempts):
         current = pts if attempt == 0 else _rotate_coords(pts, rng)
         slopes, intercepts = [], []
@@ -500,31 +434,31 @@ def realization_from_coords(
 
 
 def realize_cone(
-    geometry: IncidenceGeometry,
+    cone: ConeIncidenceGeometry,
     realization: LinearRealization,
     seed: int,
-    budget: int = 32,
 ) -> LinearRealization:
-    """Extend a proper realization of S to the cone incidence geometry.
+    """Extend a proper realization of S = cone.base to the cone incidence
+    geometry.
 
     Original points keep their coordinates.  Each cone point is placed at
     random exact coordinates off its line, away from all other points, and
     with an abscissa different from every point of the line so no spoke is
     vertical.  Spoke lines inherit the induced slope and intercept.
     """
+    geometry = cone.base
     if not realization.satisfies(geometry):
         raise OracleError("realization does not satisfy the geometry")
     if not realization.is_proper():
         raise OracleError("cone extension requires a proper realization")
     field = realization.field
     rng = random.Random(seed)
-    cone = build_cone_incidence(geometry)
     taken = {(x, y) for x, y in zip(realization.xs, realization.ys)}
     xs, ys = list(realization.xs), list(realization.ys)
     for i, line in enumerate(geometry.lines):
         f_i, h_i = realization.slopes[i], realization.intercepts[i]
-        for attempt in range(budget + 1):
-            if attempt == budget:
+        for attempt in range(_DRAWS + 1):
+            if attempt == _DRAWS:
                 raise OracleError(f"could not place the cone point of line {i} off the line")
             cx, cy = field.random_unit(rng), field.random_unit(rng)
             if (cx, cy) in taken:
@@ -554,14 +488,15 @@ def string_config_rank(cone: ConeIncidenceGeometry,
                        realization: LinearRealization) -> tuple[int, int]:
     """(rank, maximum rank) of the concurrence matrix of the extended
     realization; the maximum is reached when only the trivial parallel
-    redrawings remain."""
+    redrawings remain.  A geometry of one point or none has fewer than
+    three trivial motions, so the maximum is clamped at 0."""
     if not realization.satisfies(cone.geometry):
         raise OracleError("realization does not satisfy the cone incidence geometry")
     if not realization.is_proper():
         raise OracleError("non-proper realization refused")
     g = cone.geometry
     matrix = build_concurrence_matrix(g, realization)
-    return rank_of(matrix), g.num_lines + 2 * g.num_points - 3
+    return rank_of(matrix), max(0, g.num_lines + 2 * g.num_points - 3)
 
 
 def is_string_config_rigid(cone: ConeIncidenceGeometry, realization: LinearRealization) -> bool:
@@ -569,158 +504,6 @@ def is_string_config_rigid(cone: ConeIncidenceGeometry, realization: LinearReali
     maximum possible rank, i.e. only trivial parallel redrawings remain."""
     rank, max_rank = string_config_rank(cone, realization)
     return rank == max_rank
-
-
-# --- sharp independence and regularity ---------------------------------------
-#
-# A set of incidences I' is sharply independent when every subset J supported
-# on at least two points satisfies |J| <= |M| + 2|Q| - 3 over its support
-# (Q, M).  Subsets supported on a single point are exempt: their rows carry
-# distinct intercept columns and are independent in every realization, while
-# the -3 bound presumes two distinct support points.
-
-
-def _normalized_subset(geometry: IncidenceGeometry,
-                       subset: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    all_inc = set(geometry.incidences())
-    incs = sorted(set((int(p), int(l)) for p, l in subset))
-    for inc in incs:
-        if inc not in all_inc:
-            raise GeometryError(f"incidence {inc} is not part of the geometry")
-    return incs
-
-
-def is_sharply_independent(
-    geometry: IncidenceGeometry,
-    subset: Iterable[tuple[int, int]],
-    budget: int = 16,
-) -> bool:
-    """Brute-force check over all 2^|I'| incidence subsets (budget-capped)."""
-    incs = _normalized_subset(geometry, subset)
-    n = len(incs)
-    if n > budget:
-        raise BudgetExceededError(
-            f"{n} incidences exceed the exhaustive budget of {budget}; "
-            "use is_sharply_independent_fast or the rank oracle"
-        )
-    point_bit = [1 << p for p, _ in incs]
-    line_bit = [1 << l for _, l in incs]
-    pts_mask = [0] * (1 << n)
-    lin_mask = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        idx = low.bit_length() - 1
-        rest = mask ^ low
-        pts_mask[mask] = pts_mask[rest] | point_bit[idx]
-        lin_mask[mask] = lin_mask[rest] | line_bit[idx]
-        q = pts_mask[mask].bit_count()
-        if q >= 2 and mask.bit_count() > lin_mask[mask].bit_count() + 2 * q - 3:
-            return False
-    return True
-
-
-def is_sharply_independent_fast(
-    geometry: IncidenceGeometry,
-    subset: Iterable[tuple[int, int]],
-    line_budget: int = 24,
-) -> bool:
-    """Equivalent check that enumerates support line-sets instead of subsets.
-
-    For a fixed set of lines M the worst offending subset takes every
-    incidence of every chosen point, so it suffices to scan all 2^|M'| line
-    sets and pick points greedily: a point pays 2 and contributes its degree.
-    This decides the same predicate as the brute-force scan in O(2^L * I).
-    """
-    incs = _normalized_subset(geometry, subset)
-    by_line: dict[int, list[int]] = {}
-    for p, l in incs:
-        by_line.setdefault(l, []).append(p)
-    lines = sorted(by_line)
-    if len(lines) > line_budget:
-        raise BudgetExceededError(f"{len(lines)} support lines exceed the budget of {line_budget}")
-    line_pts = [by_line[l] for l in lines]
-    n = len(lines)
-    for mask in range(1, 1 << n):
-        degree: dict[int, int] = {}
-        m_size = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            m_size += 1
-            for p in line_pts[low.bit_length() - 1]:
-                degree[p] = degree.get(p, 0) + 1
-        if len(degree) < 2:
-            continue
-        chosen = sorted(degree.values(), reverse=True)
-        value = sum(d - 2 for d in chosen if d >= 3)
-        heavy = sum(1 for d in chosen if d >= 3)
-        if heavy < 2:
-            value += sum(d - 2 for d in chosen[heavy:2])
-        if value - m_size > -3:
-            return False
-    return True
-
-
-def is_regular(
-    geometry: IncidenceGeometry,
-    realization: LinearRealization,
-    budget: int = 16,
-) -> bool:
-    """Every sharply independent incidence subset has independent matrix rows.
-
-    Exhaustive over subsets, so desk-scale only; it is enough to rank-check
-    the maximal sharply independent subsets, since row independence is
-    inherited downward.
-    """
-    if not realization.satisfies(geometry):
-        raise OracleError("realization does not satisfy the geometry")
-    incs = geometry.incidences()
-    n = len(incs)
-    if n > budget:
-        raise BudgetExceededError(f"{n} incidences exceed the exhaustive budget of {budget}")
-    point_bit = [1 << p for p, _ in incs]
-    line_bit = [1 << l for _, l in incs]
-    size = 1 << n
-    pts_mask = [0] * size
-    lin_mask = [0] * size
-    sharp = bytearray([1]) * size
-    for mask in range(1, size):
-        low = mask & -mask
-        idx = low.bit_length() - 1
-        rest = mask ^ low
-        pts_mask[mask] = pts_mask[rest] | point_bit[idx]
-        lin_mask[mask] = lin_mask[rest] | line_bit[idx]
-        ok = True
-        q = pts_mask[mask].bit_count()
-        if q >= 2 and mask.bit_count() > lin_mask[mask].bit_count() + 2 * q - 3:
-            ok = False
-        else:
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if not sharp[mask ^ low]:
-                    ok = False
-                    break
-        sharp[mask] = 1 if ok else 0
-    matrix = build_concurrence_matrix(geometry, realization)
-    for mask in range(1, size):
-        if not sharp[mask]:
-            continue
-        maximal = True
-        for b in range(n):
-            sup = mask | (1 << b)
-            if sup != mask and sharp[sup]:
-                maximal = False
-                break
-        if not maximal:
-            continue
-        subset = [i for i in range(n) if mask >> i & 1]
-        rows = matrix.dense_rows(subset)
-        if matrix_rank(rows, matrix.field) < len(subset):
-            return False
-    return True
 
 
 # --- serialization ------------------------------------------------------------
@@ -749,36 +532,39 @@ def realization_to_json(realization: LinearRealization) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """A JSON integer or a string of one; a float or bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {value!r:.40}")
+    return int(value)
+
+
 def realization_from_json(doc: dict) -> LinearRealization:
+    """Values are integers (over Z_p) or [numerator, denominator] pairs
+    (over Q), each point a [x, y] list; every list must be a JSON list."""
     try:
         kind = doc["field"]
         if kind == "zp":
-            p = int(doc["p"])
+            p = _json_int(doc["p"])
             field: Field = PrimeField(p)
-            slopes = tuple(int(v) % p for v in doc["slopes"])
-            intercepts = tuple(int(v) % p for v in doc["intercepts"])
-            xs = tuple(int(x) % p for x, _ in doc["points"])
-            ys = tuple(int(y) % p for _, y in doc["points"])
+
+            def value(v):
+                return _json_int(v) % p
         elif kind == "rational":
             field = RATIONALS
-            slopes = tuple(Fraction(int(n), int(d)) for n, d in doc["slopes"])
-            intercepts = tuple(Fraction(int(n), int(d)) for n, d in doc["intercepts"])
-            xs = tuple(Fraction(int(x[0]), int(x[1])) for x, _ in doc["points"])
-            ys = tuple(Fraction(int(y[0]), int(y[1])) for _, y in doc["points"])
+
+            def value(v):
+                n, d = _json_list(v, 2)
+                return Fraction(_json_int(n), _json_int(d))
         else:
             raise OracleError(f"unknown field {kind!r}")
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        slopes = tuple(value(v) for v in _json_list(doc["slopes"]))
+        intercepts = tuple(value(v) for v in _json_list(doc["intercepts"]))
+        points = [_json_list(pt, 2) for pt in _json_list(doc["points"])]
+        xs = tuple(value(x) for x, _ in points)
+        ys = tuple(value(y) for _, y in points)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise OracleError(f"bad realization document: {exc}") from None
     if len(slopes) != len(intercepts):
         raise OracleError("bad realization document: slopes and intercepts differ in length")
     return LinearRealization(field, slopes, intercepts, xs, ys)
-
-
-def concurrence_to_csv(matrix: ConcurrenceMatrix) -> str:
-    header = [f"h{l}" for l in range(matrix.num_lines)]
-    for j in range(matrix.num_points):
-        header.extend([f"x{j}", f"y{j}"])
-    lines = [",".join(header)]
-    for row in matrix.dense_rows():
-        lines.append(",".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"

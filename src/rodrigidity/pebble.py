@@ -32,14 +32,6 @@ __all__ = [
     "remaining_without_each",
 ]
 
-CLASSIFICATIONS = (
-    "minimally-rigid",
-    "rigid-redundant",
-    "flexible-independent",
-    "flexible-redundant",
-)
-
-
 class PebbleState:
     """Mutable game state: pebble counts plus the orientation of accepted edges.
 
@@ -233,15 +225,6 @@ class PebbleVerdict:
     @property
     def is_rigid(self) -> bool:
         return self.remaining_pebbles == 3
-
-    @property
-    def is_independent(self) -> bool:
-        return not self.rejected
-
-    @property
-    def degrees_of_freedom(self) -> int:
-        """Internal degrees of freedom left after the trivial planar motions."""
-        return self.remaining_pebbles - 3
 
 
 def _classify(remaining: int, any_rejected: bool) -> str:

@@ -1,10 +1,12 @@
 """Independent brute-force oracles used to check the fast implementations.
 
 Everything here is deliberately naive: subset enumeration for sparsity
-counts, cofactor expansion for determinants, dense Gauss-Jordan elimination
-for rank and kernel, and queue-based traversal for connectivity.  None of it
-shares code with the package under test, except the per-deletion reference
-for minimal rigidity, which decides every deletion with its own full game.
+counts and sharp independence, cofactor expansion for determinants, dense
+concurrence rows with dense Gauss-Jordan elimination for rank and kernel,
+and queue-based traversal for connectivity.  None of it shares code with the
+package under test, except the per-deletion reference for minimal rigidity,
+which decides every deletion with its own full game, and the column layout
+of ConcurrenceMatrix, which dense_rows and apply read.
 """
 
 from __future__ import annotations
@@ -12,8 +14,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable, Optional, Sequence
 
 from rodrigidity import IncidenceGeometry, decide_rod_rigidity, remove_line
+from rodrigidity.oracle import ConcurrenceMatrix
+
+from paper_claims import BudgetExceededError, normalized_subset
 
 
 def subset_count_ok(edges: list[tuple[int, int]]) -> bool:
@@ -130,6 +136,64 @@ def dense_kernel(rows: list[list], ncols: int, p: int | None = None) -> list[lis
             vec[pc] = -m[r][free] if p is None else -m[r][free] % p
         basis.append(vec)
     return basis
+
+
+def dense_rows(matrix: ConcurrenceMatrix, subset: Optional[Iterable[int]] = None) -> list[list]:
+    """The concurrence rows (or those indexed by subset) as full dense lists."""
+    zero, one = matrix.field.zero(), matrix.field.one()
+    ncols = matrix.num_lines + 2 * matrix.num_points
+    indices = range(len(matrix.incidences)) if subset is None else subset
+    rows = []
+    for r in indices:
+        p, l = matrix.incidences[r]
+        row = [zero] * ncols
+        row[l] = one
+        row[matrix.column_of_x(p)] = matrix.slopes[l]
+        row[matrix.column_of_y(p)] = one
+        rows.append(row)
+    return rows
+
+
+def apply(matrix: ConcurrenceMatrix, vector: Sequence) -> list:
+    """Matrix-vector product, for kernel membership checks."""
+    f = matrix.field
+    out = []
+    for p, l in matrix.incidences:
+        val = f.add(f.add(vector[l], f.mul(matrix.slopes[l], vector[matrix.column_of_x(p)])),
+                    vector[matrix.column_of_y(p)])
+        out.append(val)
+    return out
+
+
+def is_sharply_independent(
+    geometry: IncidenceGeometry,
+    subset: Iterable[tuple[int, int]],
+    budget: int = 16,
+) -> bool:
+    """Brute-force check over all 2^|I'| incidence subsets (budget-capped):
+    every subset J on at least two points has |J| <= |M| + 2|Q| - 3 over
+    its support (Q, M)."""
+    incs = normalized_subset(geometry, subset)
+    n = len(incs)
+    if n > budget:
+        raise BudgetExceededError(
+            f"{n} incidences exceed the exhaustive budget of {budget}; "
+            "use is_sharply_independent_fast or the rank oracle"
+        )
+    point_bit = [1 << p for p, _ in incs]
+    line_bit = [1 << l for _, l in incs]
+    pts_mask = [0] * (1 << n)
+    lin_mask = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        idx = low.bit_length() - 1
+        rest = mask ^ low
+        pts_mask[mask] = pts_mask[rest] | point_bit[idx]
+        lin_mask[mask] = lin_mask[rest] | line_bit[idx]
+        q = pts_mask[mask].bit_count()
+        if q >= 2 and mask.bit_count() > lin_mask[mask].bit_count() + 2 * q - 3:
+            return False
+    return True
 
 
 def bipartite_connected(num_points: int, lines: tuple[tuple[int, ...], ...]) -> bool:

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -56,6 +58,24 @@ def two_point_three_lines() -> IncidenceGeometry:
     """Three distinct lines through the same two points; any realization
     forces the lines to coincide."""
     return IncidenceGeometry(2, ((0, 1), (0, 1), (0, 1)))
+
+
+# Any value json.loads can return, infinities and NaN included (json.loads
+# reads 1e400 as inf).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def with_examples(values):
+    """Hypothesis @example(value) for each value."""
+    def decorate(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+    return decorate
 
 
 _CRITERION_LINES: list[str] = []

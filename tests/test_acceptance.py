@@ -14,21 +14,23 @@ from rodrigidity import (
     build_concurrence_matrix,
     canonical_subgraph,
     decide_rod_rigidity,
-    derive_subgeometry,
-    inner_choice_classifications,
-    is_sharply_independent_fast,
     parse_geometry,
     play,
     random_geometry,
     rank_of,
     realize_cone,
-    restrict_realization,
     run_agreement_campaign,
     sample_realization,
 )
 
 from bruteforce import henneberg_graph, laman_independent
 from conftest import FIG1_EDGES, K4_EDGES, record_criterion
+from paper_claims import (
+    derive_subgeometry,
+    inner_choice_classifications,
+    is_sharply_independent_fast,
+    restrict_realization,
+)
 
 FIG2_TEXT = """\
 points: 7
@@ -192,7 +194,7 @@ def test_criterion_7_collinear_counterexample(fig2):
     sub, sources = derive_subgeometry(fig2, host, depicted)
     sc = build_cone_incidence(fig2)
     rho = sample_realization(fig2, seed=77)
-    ext = realize_cone(fig2, rho, seed=77)
+    ext = realize_cone(sc, rho, seed=77)
     restricted = restrict_realization(sc, ext, sub, sources)
     depicted_rank = rank_of(build_concurrence_matrix(sub, restricted))
     depicted_max = sub.num_lines + 2 * sub.num_points - 3

@@ -16,27 +16,28 @@ from rodrigidity import (
     build_concurrence_matrix,
     canonical_edge_order,
     canonical_subgraph,
-    check_body_joint_counts,
     decide_minimal_rigidity,
     decide_rod_rigidity,
-    derive_subgeometry,
-    inner_choice_classifications,
-    is_regular,
-    is_sharply_independent_fast,
     is_string_config_rigid,
     play,
     random_geometry,
     rank_of,
     realize_cone,
-    restrict_realization,
     sample_realization,
     verdict_to_json,
 )
 from rodrigidity.analysis import minimal_report_to_json
-from rodrigidity.oracle import BudgetExceededError
 
 from bruteforce import deletion_rigid_by_redecide, shares_two_points
-
+from paper_claims import (
+    BudgetExceededError,
+    check_body_joint_counts,
+    derive_subgeometry,
+    inner_choice_classifications,
+    is_regular,
+    is_sharply_independent_fast,
+    restrict_realization,
+)
 
 
 def single_line(k: int) -> IncidenceGeometry:
@@ -88,11 +89,14 @@ class TestDecideRodRigidity:
 
     @pytest.mark.parametrize("name,builds", [("fig2", 1), ("two_point_three_lines", 0)])
     def test_cone_incidence_built_only_for_a_proper_sample(self, name, builds, request, monkeypatch):
+        # once for all three seeds: realize_cone takes the one built here
         import rodrigidity.analysis as analysis
+        import rodrigidity.oracle as oracle
 
         calls = []
         real = analysis.build_cone_incidence
-        monkeypatch.setattr(analysis, "build_cone_incidence", lambda g: calls.append(g) or real(g))
+        for module in (analysis, oracle):
+            monkeypatch.setattr(module, "build_cone_incidence", lambda g: calls.append(g) or real(g))
         decide_rod_rigidity(request.getfixturevalue(name), "cross-validated", seed=22)
         assert len(calls) == builds
 
@@ -142,7 +146,7 @@ class TestCanonicalSubgraph:
         # regularity of the restriction holds too)
         sc = build_cone_incidence(hinge)
         rho = sample_realization(hinge, seed=32)
-        ext = realize_cone(hinge, rho, seed=32)
+        ext = realize_cone(sc, rho, seed=32)
         restricted = restrict_realization(sc, ext, sub, canon.source_lines)
         assert rank_of(build_concurrence_matrix(sub, restricted)) == 12
         assert is_regular(sub, restricted)
@@ -189,7 +193,7 @@ class TestCanonicalSubgraph:
         canon = canonical_subgraph(fig2)
         sc = build_cone_incidence(fig2)
         rho = sample_realization(fig2, seed=33)
-        ext = realize_cone(fig2, rho, seed=33)
+        ext = realize_cone(sc, rho, seed=33)
         restricted = restrict_realization(sc, ext, canon.subgeometry, canon.source_lines)
         sub = canon.subgeometry
         assert rank_of(build_concurrence_matrix(sub, restricted)) == \
@@ -278,8 +282,8 @@ class TestMinimalRigidity:
         assert not decide_rod_rigidity(bare).is_rigid
         rho = sample_realization(bare, seed=34)
         assert not isinstance(rho, Infeasible)
-        ext = realize_cone(bare, rho, seed=34)
-        assert not is_string_config_rigid(build_cone_incidence(bare), ext)
+        sc = build_cone_incidence(bare)
+        assert not is_string_config_rigid(sc, realize_cone(sc, rho, seed=34))
 
 
 class TestBodyJointCounts:
@@ -350,7 +354,7 @@ class TestTheoremEightAgreement:
                 rho = sample_realization(g, seed=seed)
                 if isinstance(rho, Infeasible):
                     continue
-                assert not is_string_config_rigid(sc, realize_cone(g, rho, seed=seed))
+                assert not is_string_config_rigid(sc, realize_cone(sc, rho, seed=seed))
 
     def test_agreement_on_regular_samples(self):
         # tiny geometries where the regularity of the extended realization can
@@ -366,7 +370,7 @@ class TestTheoremEightAgreement:
             combinatorial = decide_rod_rigidity(g).is_rigid
             rho = sample_realization(g, seed=38)
             assert not isinstance(rho, Infeasible)
-            ext = realize_cone(g, rho, seed=38)
+            ext = realize_cone(sc, rho, seed=38)
             if is_regular(sc.geometry, ext, budget=18):
                 assert is_string_config_rigid(sc, ext) == combinatorial
 

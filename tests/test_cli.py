@@ -88,6 +88,14 @@ class TestCheck:
         assert main(["check", str(path)]) == 1
         assert "bad geometry document" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"points": 1e400, "lines": []}',
+                                      '{"points": 3, "lines": [[0, 1e400]]}'])
+    def test_json_geometry_with_infinity_exits_1(self, tmp_path, capsys, text):
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == "error: bad geometry document: expected an integer, got inf\n"
+
     def test_undecodable_file_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.geo"
         path.write_bytes(b"\xff\xfe")
@@ -190,6 +198,21 @@ class TestOracleCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"max_rank": 13, "rank": 12, "rigid": False}
 
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_agrees_with_check_below_two_points(self, tmp_path, capsys, points):
+        # Fewer than three trivial motions: the maximum rank is 0, not negative.
+        path = tmp_path / "few.geo"
+        path.write_text(f"points: {points}\n")
+        assert main(["check", str(path)]) == main(["oracle", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "rigid (degenerate geometry: nothing can move)\nrigid (concurrence rank 0 = max 0)\n"
+        )
+        assert main(["check", str(path), "--format", "json"]) == 0
+        assert main(["oracle", str(path), "--format", "json"]) == 0
+        check, oracle_doc = map(json.loads, capsys.readouterr().out.splitlines())
+        assert check["remaining_pebbles"] == 3
+        assert oracle_doc == {"max_rank": 0, "rank": 0, "rigid": True}
+
     def test_ranks_once(self, fig2_file, monkeypatch, capsys):
         calls = []
         real = oracle.rank_of
@@ -284,6 +307,16 @@ def test_fuzz_small(capsys):
     assert main(["fuzz", "--count", "5", "--seed", "2"]) == 0
     out = capsys.readouterr().out
     assert "agree=5" in out and "disagreements=0" in out
+
+
+@pytest.mark.parametrize("flag,value,least", [
+    ("--count", "-1", 1), ("--count", "0", 1), ("--max-points", "1", 2), ("--max-lines", "0", 1),
+])
+def test_fuzz_out_of_range_bound_exits_1(capsys, flag, value, least):
+    assert main(["fuzz", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be at least {least}, got {value}\n"
 
 
 # stdout of `rodrig fuzz --count 200` at the commit before sampling refused

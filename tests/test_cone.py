@@ -11,7 +11,6 @@ from rodrigidity import (
     build_cone_incidence,
     cone_graph_to_dot,
     play,
-    reassign_inner_vertex,
 )
 from rodrigidity.analysis import random_geometry
 
@@ -60,9 +59,11 @@ class TestConeGraph:
 
 
 class TestReassignInnerVertex:
+    """Moving one cone's inner vertex: an inner choice for that line alone."""
+
     def test_counts_unchanged(self, fig2):
         g = build_cone_graph(fig2)
-        g2 = reassign_inner_vertex(g, 2, 5)
+        g2 = build_cone_graph(fig2, {2: 5})
         assert len(g2.edges) == 20
         assert g2.inner_vertex[2] == 5
         assert g2.inner_vertex[:2] == g.inner_vertex[:2]
@@ -72,19 +73,18 @@ class TestReassignInnerVertex:
         base = play(g.num_vertices, g.edges).classification
         for line, pts in enumerate(g.line_points):
             for p in pts:
-                moved = reassign_inner_vertex(g, line, p)
+                moved = build_cone_graph(fig2, {line: p})
                 assert play(moved.num_vertices, moved.edges).classification == base
 
     def test_two_point_line_swap_is_isomorphic(self):
         g = build_cone_graph(single_line(2))
-        swapped = reassign_inner_vertex(g, 0, 1)
+        swapped = build_cone_graph(single_line(2), {0: 1})
         as_sets = lambda graph: sorted(tuple(sorted(e)) for e in graph.edges)
         assert as_sets(g) == as_sets(swapped)
 
     def test_rejects_non_incident(self, fig2):
-        g = build_cone_graph(fig2)
         with pytest.raises(GeometryError):
-            reassign_inner_vertex(g, 0, 1)
+            build_cone_graph(fig2, {0: 1})
 
 
 class TestConeIncidence:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -17,12 +18,11 @@ from rodrigidity import (
     remove_line,
     serialize_geometry,
     shared_rod_pair,
-    support_of,
 )
 from rodrigidity.analysis import random_geometry
 
 from bruteforce import bipartite_connected, shares_two_points
-from conftest import FIG2_LINES
+from conftest import FIG2_LINES, JSON_VALUES, with_examples
 
 TRIANGLE_TEXT = """\
 points: 3
@@ -63,8 +63,7 @@ class TestParsing:
         g = parse_geometry(FIG2_TEXT)
         assert (g.num_points, g.num_lines, g.num_incidences) == (7, 4, 12)
         assert g.lines == FIG2_LINES
-        assert g.name_of(0) == "apex"
-        assert g.name_of(1) == "1"
+        assert g.point_names == ("apex", "", "", "", "", "", "")
 
     def test_dangling_reference(self):
         text = "points: 7\nline: 0 9\n"
@@ -115,6 +114,42 @@ class TestParsing:
             geometry_from_json({"points": 2, "lines": [[0, 1]], "names": names})
 
 
+# Each of these was once coerced into a geometry, or crashed the reader.
+MISTYPED_GEOMETRIES = [
+    {"points": 3, "lines": ["012"]},
+    {"points": 3, "lines": [[0, 1.7]]},
+    {"points": 3, "lines": [[0, True]]},
+    {"points": True, "lines": []},
+    {"points": 3.9, "lines": [[0, 1]]},
+    json.loads('{"points": 1e400, "lines": []}'),
+    json.loads('{"points": 3, "lines": [[0, 1e400]]}'),
+    {"points": 3, "lines": {"0": [0, 1]}},
+    {"points": 3, "lines": [{"0": 0, "1": 1}]},
+]
+
+
+class TestJsonReader:
+    @settings(max_examples=300)
+    @with_examples(MISTYPED_GEOMETRIES)
+    @given(JSON_VALUES | st.fixed_dictionaries(
+        {"points": st.integers(-1, 6) | JSON_VALUES,
+         "lines": st.lists(st.lists(st.integers(-1, 6) | JSON_VALUES, max_size=4), max_size=4)
+         | JSON_VALUES},
+        optional={"names": st.lists(st.text(max_size=2), max_size=6) | JSON_VALUES},
+    ))
+    def test_json_reader_refuses_or_reads_exactly(self, doc):
+        # A document is either refused with GeometryError or read as written:
+        # the geometry's JSON says exactly what the document said.
+        try:
+            g = geometry_from_json(doc)
+        except GeometryError:
+            return
+        assert isinstance(g, IncidenceGeometry)
+        written = geometry_to_json(g)
+        assert json.dumps([written["points"], written["lines"]]) == \
+            json.dumps([doc["points"], doc["lines"]])
+
+
 class TestConnectivity:
     def test_running_example_is_connected(self, fig2):
         assert is_connected(fig2)
@@ -134,7 +169,7 @@ class TestConnectivity:
     def test_isolated_point_disconnects(self):
         g = IncidenceGeometry(3, ((0, 1),))
         assert not is_connected(g)
-        assert g.isolated_points() == (2,)
+        assert g.point_line_map()[2] == []
 
     @settings(max_examples=120)
     @given(geometries(max_points=5, max_lines=3))
@@ -142,39 +177,11 @@ class TestConnectivity:
         assert is_connected(g) == bipartite_connected(g.num_points, g.lines)
 
 
-class TestSupport:
-    def test_full_support_of_running_example(self, fig2):
-        sup = support_of(fig2, fig2.incidences())
-        assert (len(sup.points), len(sup.lines), sup.size) == (7, 4, 12)
-
-    def test_empty(self, fig2):
-        sup = support_of(fig2, ())
-        assert sup.points == frozenset() and sup.lines == frozenset()
-
-    def test_single_incidence(self, fig2):
-        sup = support_of(fig2, [(3, 0)])
-        assert (len(sup.points), len(sup.lines)) == (1, 1)
-
-    def test_rejects_foreign_incidence(self, fig2):
-        with pytest.raises(GeometryError):
-            support_of(fig2, [(6, 0)])
-
-    @settings(max_examples=60)
-    @given(geometries(), st.randoms(use_true_random=False))
-    def test_monotone(self, g, rnd):
-        incs = list(g.incidences())
-        small = rnd.sample(incs, rnd.randint(0, len(incs)))
-        extra = rnd.sample(incs, rnd.randint(0, len(incs)))
-        big = set(small) | set(extra)
-        s1, s2 = support_of(g, small), support_of(g, big)
-        assert s1.points <= s2.points and s1.lines <= s2.lines
-
-
 def test_remove_line_keeps_points(fig2):
     g = remove_line(fig2, 3)
     assert g.num_points == 7
     assert g.num_lines == 3
-    assert g.isolated_points() == (6,)
+    assert [p for p, rods in enumerate(g.point_line_map()) if not rods] == [6]
     with pytest.raises(GeometryError):
         remove_line(fig2, 4)
 
