@@ -51,7 +51,6 @@ from .oracle import (
     build_concurrence_matrix,
     is_string_config_rigid,
     matrix_kernel,
-    matrix_rank,
     rank_of,
     realization_from_coords,
     realization_from_json,
@@ -61,6 +60,7 @@ from .oracle import (
     string_config_rank,
 )
 from .analysis import (
+    CampaignError,
     CampaignReport,
     CanonicalSubgraph,
     DEFAULT_SEED,

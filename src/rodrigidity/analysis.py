@@ -49,6 +49,7 @@ __all__ = [
     "RigidityVerdict",
     "CanonicalSubgraph",
     "MinimalRigidityReport",
+    "CampaignError",
     "CampaignReport",
     "decide_rod_rigidity",
     "canonical_subgraph",
@@ -60,6 +61,11 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1729
+
+
+class CampaignError(RuntimeError):
+    """Random geometries within the given bounds cannot be drawn, or too few
+    of them cross-validate; the bounds, not the oracles, are at fault."""
 
 
 class OracleDisagreementError(RuntimeError):
@@ -439,7 +445,8 @@ def random_geometry(
         geometry = IncidenceGeometry(n_pts, tuple(lines))
         if is_connected(geometry):
             return geometry
-    raise RuntimeError("could not generate a connected geometry")
+    raise CampaignError(f"could not generate a connected geometry in 1000 draws"
+                        f" (max_points={max_points}, max_lines={max_lines})")
 
 
 @dataclass(frozen=True)
@@ -472,7 +479,7 @@ def run_agreement_campaign(
     attempted = validated = skipped = rigid = flexible = 0
     while validated < target:
         if attempted >= cap:
-            raise RuntimeError(
+            raise CampaignError(
                 f"campaign validated only {validated}/{target} geometries in {attempted} attempts"
             )
         attempted += 1

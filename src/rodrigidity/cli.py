@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .analysis import (
     DEFAULT_SEED,
+    CampaignError,
     OracleDisagreementError,
     canonical_subgraph,
     decide_minimal_rigidity,
@@ -48,14 +49,8 @@ EXIT_FLEXIBLE = 2
 EXIT_DISAGREEMENT = 3
 
 
-def _field_from_name(name: str):
-    if name == "zp":
-        return DEFAULT_FIELD
-    if name == "zp2":
-        return PrimeField(ALTERNATE_PRIME)
-    if name == "rational":
-        return RATIONALS
-    raise ValueError(f"unknown field {name!r}")
+# The --field choices, in the order --help lists them.
+FIELDS = {"zp": DEFAULT_FIELD, "zp2": PrimeField(ALTERNATE_PRIME), "rational": RATIONALS}
 
 
 def _emit_json(doc: dict) -> None:
@@ -97,9 +92,7 @@ def _verdict_text(verdict) -> str:
 def _cmd_check(args) -> int:
     geometry = load_geometry(args.path)
     mode = "cross-validated" if args.cross_validate else "combinatorial"
-    verdict = decide_rod_rigidity(
-        geometry, mode, args.seed, field=_field_from_name(args.field)
-    )
+    verdict = decide_rod_rigidity(geometry, mode, args.seed, field=FIELDS[args.field])
     if args.format == "json":
         _emit_json(verdict_to_json(verdict))
     else:
@@ -110,9 +103,7 @@ def _cmd_check(args) -> int:
 def _cmd_minimal(args) -> int:
     geometry = load_geometry(args.path)
     mode = "cross-validated" if args.cross_validate else "combinatorial"
-    report = decide_minimal_rigidity(
-        geometry, mode, args.seed, field=_field_from_name(args.field)
-    )
+    report = decide_minimal_rigidity(geometry, mode, args.seed, field=FIELDS[args.field])
     if not report.base.is_rigid:
         print(_verdict_text(report.base) + "; minimality undefined")
         return EXIT_FLEXIBLE
@@ -158,8 +149,7 @@ def _cmd_canon(args) -> int:
 
 def _cmd_oracle(args) -> int:
     geometry = load_geometry(args.path)
-    field = _field_from_name(args.field)
-    rho = sample_realization(geometry, args.seed, field=field)
+    rho = sample_realization(geometry, args.seed, field=FIELDS[args.field])
     if isinstance(rho, Infeasible):
         return _fail(f"sampling infeasible: {rho.reason}")
     cone = build_cone_incidence(geometry)
@@ -201,7 +191,7 @@ def _cmd_svg(args) -> int:
         rho = sample_realization(geometry, args.seed, field=RATIONALS)
         if isinstance(rho, Infeasible):
             return _fail(f"sampling infeasible: {rho.reason}")
-    if rho.field.name != "rational":
+    if rho.field.p:
         return _fail("svg rendering needs a rational realization")
     if args.cone:
         cone = build_cone_incidence(geometry)
@@ -223,7 +213,7 @@ def _cmd_fuzz(args) -> int:
         seed=args.seed,
         max_points=args.max_points,
         max_lines=args.max_lines,
-        field=_field_from_name(args.field),
+        field=FIELDS[args.field],
     )
     print(
         f"agree={report.validated} (rigid={report.rigid} flexible={report.flexible}) "
@@ -300,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--format", choices=("text", "json"), default="text")
         if field:
-            p.add_argument("--field", choices=("zp", "zp2", "rational"), default="zp")
+            p.add_argument("--field", choices=tuple(FIELDS), default="zp")
 
     p = sub.add_parser("check", help="rigidity verdict for a geometry file")
     p.add_argument("path")
@@ -357,7 +347,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except OracleDisagreementError as exc:
         return _dump_disagreement(exc)
-    except (GeometryError, OracleError) as exc:
+    except (GeometryError, OracleError, CampaignError) as exc:
         return _fail(str(exc))
     except OSError as exc:
         return _fail(str(exc))

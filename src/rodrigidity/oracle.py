@@ -5,6 +5,9 @@ A linear realization assigns to each line i a slope f_i and intercept h_i
 to each point j coordinates (x_j, y_j), with f_i*x_j + y_j + h_i = 0 for
 every incidence.  All arithmetic is exact: either arbitrary-precision
 rationals or a prime field Z_p with p around 2^61; floats appear nowhere.
+A field is plain data: `PrimeField(p)` or `RATIONALS` (whose `p` is 0),
+carrying its `zero`, `one` and `random_unit`.  Arithmetic is written inline
+on plain values and reduced with `x % p if p else x`.
 The certificate runs one way.  The matrix entries are integer polynomials in
 the slopes, so the rank at sampled slopes never exceeds the generic rank:
 full rank over Z_p proves rigidity.  A rank deficit may be an unlucky draw of
@@ -13,8 +16,7 @@ probability at most d/p), which is why cross-validation tries several seeds.
 
 Rank, kernel and sampling share one sparse exact elimination.  Every
 concurrence row has three nonzeros, so rows are kept as {column: value}
-dicts and reduced one at a time against the pivot rows found so far, with
-an inline `% p` over Z_p and plain Fractions over Q.
+dicts and reduced one at a time against the pivot rows found so far.
 
 The concurrence matrix of a realization has one row per incidence over the
 unknowns (h_1..h_L, x_1, y_1, .., x_P, y_P); its kernel is the space of
@@ -50,7 +52,6 @@ __all__ = [
     "ConcurrenceMatrix",
     "build_concurrence_matrix",
     "rank_of",
-    "matrix_rank",
     "matrix_kernel",
     "sample_realization",
     "realization_from_coords",
@@ -74,32 +75,40 @@ MERSENNE_PRIME = 2**61 - 1
 ALTERNATE_PRIME = 2305843009213693967  # next prime above 2^61
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the primes up to 41 as bases, which is exact for
+    every n below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class PrimeField:
+    """Z_p: values are ints in [0, p)."""
+
     p: int
 
-    name = "zp"
+    zero = 0
+    one = 1
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def div(self, a, b):
-        return (a * pow(b, -1, self.p)) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
+    def __post_init__(self):
+        if not _is_prime(self.p):
+            raise ValueError(f"a prime field needs a prime p, got {self.p}")
 
     def random_unit(self, rng: random.Random):
         return rng.randrange(1, self.p)
@@ -107,28 +116,11 @@ class PrimeField:
 
 @dataclass(frozen=True)
 class RationalField:
-    name = "rational"
+    """Q: values are Fractions; p is 0 so that `x % p if p else x` leaves them."""
 
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
-
-    def neg(self, a):
-        return -a
+    p = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def random_unit(self, rng: random.Random):
         # modest magnitudes keep the fractions and drawings reasonable
@@ -173,16 +165,15 @@ class LinearRealization:
     def num_points(self) -> int:
         return len(self.xs)
 
-    def residual(self, point: int, line: int):
-        f = self.field
-        return f.add(f.add(f.mul(self.slopes[line], self.xs[point]), self.ys[point]),
-                     self.intercepts[line])
-
     def satisfies(self, geometry: IncidenceGeometry) -> bool:
         if geometry.num_points != self.num_points or geometry.num_lines != self.num_lines:
             return False
-        zero = self.field.zero()
-        return all(self.residual(p, l) == zero for p, l in geometry.incidences())
+        p = self.field.p
+        for j, l in geometry.incidences():
+            r = self.slopes[l] * self.xs[j] + self.ys[j] + self.intercepts[l]
+            if (r % p if p else r) != 0:
+                return False
+        return True
 
     def is_proper(self) -> bool:
         """Distinct points carry distinct coordinates."""
@@ -199,14 +190,18 @@ class LinearRealization:
 # over Q the same loop runs on Fractions.
 
 
+def _inv(a, p: int):
+    """1/a in Z_p, or in Q when p is 0 (a Fraction even for an int a)."""
+    return pow(a, -1, p) if p else 1 / Fraction(a)
+
+
 def _eliminate(rows: Iterable[dict], field: Field) -> dict[int, dict]:
     """Pivot rows of a row echelon form, keyed by their leading column.
 
     The leading columns are those of the reduced row echelon form whatever
     the row order, so the free columns depend only on the row space.
     """
-    p = field.p if isinstance(field, PrimeField) else 0
-    one = field.one()
+    p = field.p
     pivots: dict[int, dict] = {}
     for row in rows:
         if p:
@@ -217,7 +212,7 @@ def _eliminate(rows: Iterable[dict], field: Field) -> dict[int, dict]:
             lead = min(row)
             prow = pivots.get(lead)
             if prow is None:
-                inv = field.div(one, row[lead])
+                inv = _inv(row[lead], p)
                 if p:
                     pivots[lead] = {c: v * inv % p for c, v in row.items()}
                 else:
@@ -238,18 +233,14 @@ def _eliminate(rows: Iterable[dict], field: Field) -> dict[int, dict]:
 def _back_substitute(pivots: dict[int, dict], vector: list, field: Field) -> list:
     """Fill the pivot columns of `vector` (free columns already set) so that
     it solves every pivot row; returns the vector."""
-    p = field.p if isinstance(field, PrimeField) else 0
+    p = field.p
     for lead in sorted(pivots, reverse=True):
-        s = field.zero()
+        s = field.zero
         for c, v in pivots[lead].items():
             if c != lead:
                 s += v * vector[c]
         vector[lead] = -s % p if p else -s
     return vector
-
-
-def matrix_rank(rows: Sequence[Sequence], field: Field) -> int:
-    return len(_eliminate((dict(enumerate(r)) for r in rows), field))
 
 
 def matrix_kernel(rows: Sequence[Sequence], field: Field, ncols: int) -> list[list]:
@@ -259,8 +250,8 @@ def matrix_kernel(rows: Sequence[Sequence], field: Field, ncols: int) -> list[li
     for free in range(ncols):
         if free in pivots:
             continue
-        vec = [field.zero()] * ncols
-        vec[free] = field.one()
+        vec = [field.zero] * ncols
+        vec[free] = field.one
         basis.append(_back_substitute(pivots, vec, field))
     return basis
 
@@ -293,7 +284,7 @@ class ConcurrenceMatrix:
 
     def sparse_rows(self) -> Iterator[dict]:
         """The rows as {column: value} dicts, three entries each."""
-        one = self.field.one()
+        one = self.field.one
         for p, l in self.incidences:
             yield {l: one, self.column_of_x(p): self.slopes[l], self.column_of_y(p): one}
 
@@ -452,6 +443,7 @@ def realize_cone(
     if not realization.is_proper():
         raise OracleError("cone extension requires a proper realization")
     field = realization.field
+    p = field.p
     rng = random.Random(seed)
     taken = {(x, y) for x, y in zip(realization.xs, realization.ys)}
     xs, ys = list(realization.xs), list(realization.ys)
@@ -463,21 +455,22 @@ def realize_cone(
             cx, cy = field.random_unit(rng), field.random_unit(rng)
             if (cx, cy) in taken:
                 continue
-            if field.add(field.add(field.mul(f_i, cx), cy), h_i) == field.zero():
+            r = f_i * cx + cy + h_i
+            if (r % p if p else r) == 0:
                 continue  # on the line itself
-            if any(cx == xs[p] for p in line):
+            if any(cx == xs[j] for j in line):
                 continue  # would make a spoke vertical
             break
         taken.add((cx, cy))
         xs.append(cx)
         ys.append(cy)
     slopes, intercepts = list(realization.slopes), list(realization.intercepts)
-    for line_idx, p in cone.spoke_of:
+    for line_idx, j in cone.spoke_of:
         c = cone.cone_point(line_idx)
-        fx = field.div(field.neg(field.sub(ys[c], ys[p])), field.sub(xs[c], xs[p]))
-        hx = field.sub(field.neg(field.mul(fx, xs[p])), ys[p])
-        slopes.append(fx)
-        intercepts.append(hx)
+        fx = (ys[j] - ys[c]) * _inv(xs[c] - xs[j], p)
+        hx = -fx * xs[j] - ys[j]
+        slopes.append(fx % p if p else fx)
+        intercepts.append(hx % p if p else hx)
     extended = LinearRealization(field, tuple(slopes), tuple(intercepts), tuple(xs), tuple(ys))
     if not extended.satisfies(cone.geometry):
         raise AssertionError("cone extension violates an incidence")
@@ -515,7 +508,7 @@ def _fraction_pair(x: Fraction) -> list[str]:
 
 
 def realization_to_json(realization: LinearRealization) -> dict:
-    if isinstance(realization.field, PrimeField):
+    if realization.field.p:
         return {
             "field": "zp",
             "p": str(realization.field.p),

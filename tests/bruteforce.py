@@ -140,7 +140,7 @@ def dense_kernel(rows: list[list], ncols: int, p: int | None = None) -> list[lis
 
 def dense_rows(matrix: ConcurrenceMatrix, subset: Optional[Iterable[int]] = None) -> list[list]:
     """The concurrence rows (or those indexed by subset) as full dense lists."""
-    zero, one = matrix.field.zero(), matrix.field.one()
+    zero, one = matrix.field.zero, matrix.field.one
     ncols = matrix.num_lines + 2 * matrix.num_points
     indices = range(len(matrix.incidences)) if subset is None else subset
     rows = []
@@ -156,12 +156,11 @@ def dense_rows(matrix: ConcurrenceMatrix, subset: Optional[Iterable[int]] = None
 
 def apply(matrix: ConcurrenceMatrix, vector: Sequence) -> list:
     """Matrix-vector product, for kernel membership checks."""
-    f = matrix.field
+    p = matrix.field.p
     out = []
-    for p, l in matrix.incidences:
-        val = f.add(f.add(vector[l], f.mul(matrix.slopes[l], vector[matrix.column_of_x(p)])),
-                    vector[matrix.column_of_y(p)])
-        out.append(val)
+    for j, l in matrix.incidences:
+        val = vector[l] + matrix.slopes[l] * vector[matrix.column_of_x(j)] + vector[matrix.column_of_y(j)]
+        out.append(val % p if p else val)
     return out
 
 

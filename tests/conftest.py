@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from rodrigidity import IncidenceGeometry
+from rodrigidity.oracle import _eliminate
 
 # The running example: a triangle of three-point rods (each side has a
 # midpoint) plus a cevian from the bottom-left corner through the right
@@ -58,6 +59,11 @@ def two_point_three_lines() -> IncidenceGeometry:
     """Three distinct lines through the same two points; any realization
     forces the lines to coincide."""
     return IncidenceGeometry(2, ((0, 1), (0, 1), (0, 1)))
+
+
+def sparse_rank(rows, field) -> int:
+    """Rank of dense rows, through the package's own sparse elimination."""
+    return len(_eliminate((dict(enumerate(r)) for r in rows), field))
 
 
 # Any value json.loads can return, infinities and NaN included (json.loads

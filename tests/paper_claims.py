@@ -270,13 +270,13 @@ def restrict_realization(
 def kernel_witnesses(geometry: IncidenceGeometry,
                      realization: LinearRealization) -> list[list]:
     """The two translations and the dilation, as explicit kernel vectors."""
-    f = realization.field
+    zero, one, p = realization.field.zero, realization.field.one, realization.field.p
     L, P = geometry.num_lines, geometry.num_points
-    tx = [f.neg(realization.slopes[l]) for l in range(L)]
-    ty = [f.neg(f.one()) for _ in range(L)]
+    tx = [-realization.slopes[l] % p if p else -realization.slopes[l] for l in range(L)]
+    ty = [-one % p if p else -one for _ in range(L)]
     for _ in range(P):
-        tx.extend([f.one(), f.zero()])
-        ty.extend([f.zero(), f.one()])
+        tx.extend([one, zero])
+        ty.extend([zero, one])
     dilation = list(realization.intercepts)
     for j in range(P):
         dilation.extend([realization.xs[j], realization.ys[j]])
@@ -286,8 +286,8 @@ def kernel_witnesses(geometry: IncidenceGeometry,
 def trivial_realization(geometry: IncidenceGeometry, field: Optional[Field] = None) -> LinearRealization:
     """All points at (1, 1) on lines of a single shared slope."""
     field = field or RATIONALS
-    one = field.one()
-    h = field.neg(field.add(one, one))  # f*x + y + h = 0 at (1,1) with f = 1
+    one, p = field.one, field.p
+    h = -(one + one) % p if p else -(one + one)  # f*x + y + h = 0 at (1,1) with f = 1
     return LinearRealization(
         field=field,
         slopes=tuple(one for _ in range(geometry.num_lines)),

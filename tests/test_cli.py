@@ -319,6 +319,27 @@ def test_fuzz_out_of_range_bound_exits_1(capsys, flag, value, least):
     assert captured.err == f"error: {flag} must be at least {least}, got {value}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--max-points", "3000", "--max-lines", "1", "--count", "1"],
+     "could not generate a connected geometry in 1000 draws (max_points=3000, max_lines=1)"),
+    (["--max-points", "2", "--max-lines", "1000", "--count", "5"],
+     "campaign validated only 0/5 geometries in 125 attempts"),
+], ids=["no-connected-draw", "nothing-validates"])
+def test_fuzz_unmet_bounds_exit_1(capsys, argv, message):
+    assert main(["fuzz", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_fuzz_disagreement_still_exits_3(capsys, monkeypatch):
+    import rodrigidity.analysis as analysis
+
+    monkeypatch.setattr(analysis, "is_string_config_rigid", lambda sc, rho: False)
+    assert main(["fuzz", "--count", "5"]) == 3
+    assert "DEFECT" in capsys.readouterr().err
+
+
 # stdout of `rodrig fuzz --count 200` at the commit before sampling refused
 # shared rod pairs up front; refusing them must not change a single byte
 FUZZ_GOLDEN = {

@@ -1,10 +1,11 @@
 """The sparse exact elimination against a dense reference, and pinned samples.
 
-`matrix_rank`, `matrix_kernel` and `rank_of` must agree with plain dense
-Gauss-Jordan elimination (tests/bruteforce.py) over both default primes, a
-tiny prime where cancellations are frequent, and the rationals.  The golden
-digests pin `sample_realization` exactly: any change in pivot set, free
-columns or random draw order changes them.
+`_eliminate` (read as a rank), `matrix_kernel` and `rank_of` must agree
+with plain dense Gauss-Jordan elimination (tests/bruteforce.py) over both
+default primes, a tiny prime where cancellations are frequent, and the
+rationals.  The golden digests pin `sample_realization` and `realize_cone`
+exactly: any change in pivot set, free columns, random draw order or the
+type of a value changes them.
 """
 
 from __future__ import annotations
@@ -25,14 +26,15 @@ from rodrigidity import (
     RATIONALS,
     build_cone_incidence,
     matrix_kernel,
-    matrix_rank,
     rank_of,
+    realize_cone,
     sample_realization,
 )
 from rodrigidity.analysis import random_geometry
 from rodrigidity.oracle import ConcurrenceMatrix
 
 from bruteforce import apply, dense_kernel, dense_rank, dense_rows
+from conftest import sparse_rank
 
 FIELDS = [
     (DEFAULT_FIELD, MERSENNE_PRIME),
@@ -71,7 +73,7 @@ def _dot(row, vec, p):
 def test_integer_matrices_match_dense_reference(field, p, shape):
     ncols, rows = shape
     rows = _in_field(rows, p)
-    rank = matrix_rank(rows, field)
+    rank = sparse_rank(rows, field)
     assert rank == dense_rank(rows, p)
     kernel = matrix_kernel(rows, field, ncols)
     assert kernel == dense_kernel(rows, ncols, p)
@@ -95,10 +97,10 @@ def test_cone_concurrence_matrices_match_dense_reference(field, p, seed):
     ncols = matrix.shape[1]
     rank = dense_rank(rows, p)
     assert rank_of(matrix) == rank
-    assert matrix_rank(rows, field) == rank
+    assert sparse_rank(rows, field) == rank
     kernel = matrix_kernel(rows, field, ncols)
     assert len(kernel) == ncols - rank
-    zero = field.zero()
+    zero = field.zero
     for vec in kernel:
         assert all(v == zero for v in apply(matrix, vec))
 
@@ -127,3 +129,39 @@ def test_golden_realizations(request, geometry, field_name, seed):
     rho = sample_realization(request.getfixturevalue(geometry), seed, field=field)
     digest = hashlib.sha256(repr(rho).encode()).hexdigest()
     assert digest == GOLDEN[(geometry, field_name, seed)]
+
+
+# sha256 of repr(realize_cone(cone, sample_realization(geometry, seed, field),
+# seed)), fixed from the implementation that did its arithmetic through
+# per-field methods.
+CONE_GOLDEN = {
+    ("fig2", "zp", 0): "2e5ffeda134ab1b9cf0452cb1fea9f480dd51ae35acc5cf996e5b10431d5c513",
+    ("fig2", "zp", 1): "16f4d66ab924ad902d88f20cf53f9bcf19c512f94bdacd1bd14cde166f58cd8e",
+    ("fig2", "zp", 42): "2af073724459ef032b316f31502b74114dce9720735891c14ae50c2fe3252bd9",
+    ("fig2", "rational", 0): "e6a3884454518bdbbe1ec8b81c6c7f72faca75feb878ebcf8afb850c051b81b0",
+    ("fig2", "rational", 1): "073c7ab0a239ac09c31f9f408a0819c32cb27854a7671eb5ef4b4a23bccc58be",
+    ("fig2", "rational", 42): "c96f5d87cdc0b8ec87f98bd9896579ffc797caeddf79ffda016f2d85d14bd6f1",
+    ("triangle_rods", "zp", 0): "cf8064fbd1a99f80287699d33bde00451d2a38ebdca11807bb4bf1312a7192e2",
+    ("triangle_rods", "zp", 1): "0a4219078b3ade9660d49a5fb7f12f8dea06069465113d03228fe7bea69aade9",
+    ("triangle_rods", "zp", 42): "beeb83b8124fd626edd8984abd053483c8c26c405a9d4270a836c4160c7094f5",
+    ("triangle_rods", "rational", 0): "ddb78e386f9f628ccec1017f7e818a820d30ace4af1f31d756a036875978b871",
+    ("triangle_rods", "rational", 1): "61a68c7cd61a13daf28ee5aef5cbb86760dcb09df3230c6176aae5643bee7d1b",
+    ("triangle_rods", "rational", 42): "de6f734e72174244f53edaff3508eb03879d86f5065731cd13c4fbfe9cf45cfe",
+}
+
+
+@pytest.mark.parametrize("geometry,field_name,seed", sorted(CONE_GOLDEN))
+def test_golden_cone_extensions(request, geometry, field_name, seed):
+    field = DEFAULT_FIELD if field_name == "zp" else RATIONALS
+    g = request.getfixturevalue(geometry)
+    extended = realize_cone(build_cone_incidence(g), sample_realization(g, seed, field=field), seed)
+    digest = hashlib.sha256(repr(extended).encode()).hexdigest()
+    assert digest == CONE_GOLDEN[(geometry, field_name, seed)]
+
+
+def test_integer_rows_over_rationals_give_fraction_kernels():
+    # Pivot inverses over Q are exact: 1 / 2 must be Fraction(1, 2), not 0.5.
+    rows = [[2, 3, 0, 1], [0, 4, 6, 0]]
+    kernel = matrix_kernel(rows, RATIONALS, 4)
+    assert kernel == dense_kernel([[Fraction(v) for v in row] for row in rows], 4)
+    assert all(type(v) is Fraction for vec in kernel for v in vec)

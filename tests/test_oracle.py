@@ -23,7 +23,6 @@ from rodrigidity import (
     build_cone_incidence,
     build_concurrence_matrix,
     is_string_config_rigid,
-    matrix_rank,
     play,
     rank_of,
     realization_from_coords,
@@ -37,7 +36,7 @@ from rodrigidity import oracle
 from rodrigidity.analysis import random_geometry
 
 from bruteforce import apply, dense_rows, is_sharply_independent, minor_rank, shares_two_points
-from conftest import FIG2_COORDS, JSON_VALUES, with_examples
+from conftest import FIG2_COORDS, JSON_VALUES, sparse_rank, with_examples
 from paper_claims import (
     BudgetExceededError,
     is_regular,
@@ -56,8 +55,8 @@ class TestRealizationFromCoords:
         rho = realization_from_coords(fig2, FIG2_COORDS)
         assert rho.satisfies(fig2)
         assert rho.is_proper()
-        zero = Fraction(0)
-        assert all(rho.residual(p, l) == zero for p, l in fig2.incidences())
+        assert all(rho.slopes[l] * rho.xs[p] + rho.ys[p] + rho.intercepts[l] == 0
+                   for p, l in fig2.incidences())
 
     def test_non_collinear_coordinates_rejected(self, triangle_rods):
         coords = [(0, 0), (1, 0), (0, 1)]
@@ -138,8 +137,8 @@ class TestSampling:
 class TestRank:
     def test_zero_matrix(self):
         rows = [[0, 0, 0], [0, 0, 0]]
-        assert matrix_rank(rows, DEFAULT_FIELD) == 0
-        assert matrix_rank([[Fraction(0)] * 3] * 2, RATIONALS) == 0
+        assert sparse_rank(rows, DEFAULT_FIELD) == 0
+        assert sparse_rank([[Fraction(0)] * 3] * 2, RATIONALS) == 0
 
     def test_triangle_reaches_max_rank(self, triangle_rods):
         rho = sample_realization(triangle_rods, seed=5, field=RATIONALS)
@@ -160,7 +159,7 @@ class TestRank:
         for field in (DEFAULT_FIELD, RATIONALS):
             rho = sample_realization(fig2, seed=6, field=field)
             m = build_concurrence_matrix(fig2, rho)
-            zero = field.zero()
+            zero = field.zero
             for witness in kernel_witnesses(fig2, rho):
                 assert all(v == zero for v in apply(m, witness))
             assert rank_of(m) <= fig2.num_lines + 2 * fig2.num_points - 3
@@ -170,16 +169,16 @@ class TestRank:
         rng = random.Random(10)
         for _ in range(20):
             rows = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(rng.randint(1, 6))]
-            expected = matrix_rank([[Fraction(v) for v in row] for row in rows], RATIONALS)
-            assert matrix_rank([[v % MERSENNE_PRIME for v in row] for row in rows], DEFAULT_FIELD) == expected
-            assert matrix_rank([[v % ALTERNATE_PRIME for v in row] for row in rows], second) == expected
+            expected = sparse_rank([[Fraction(v) for v in row] for row in rows], RATIONALS)
+            assert sparse_rank([[v % MERSENNE_PRIME for v in row] for row in rows], DEFAULT_FIELD) == expected
+            assert sparse_rank([[v % ALTERNATE_PRIME for v in row] for row in rows], second) == expected
             assert minor_rank(rows) == expected
 
     def test_adding_rows_never_decreases_rank(self):
         rng = random.Random(11)
         for _ in range(10):
             rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(6)]
-            ranks = [matrix_rank([[Fraction(v) for v in r] for r in rows[:k]], RATIONALS)
+            ranks = [sparse_rank([[Fraction(v) for v in r] for r in rows[:k]], RATIONALS)
                      for k in range(1, 7)]
             assert all(a <= b for a, b in zip(ranks, ranks[1:]))
 
@@ -193,12 +192,11 @@ class TestRealizeCone:
         assert ext.is_proper()
         assert ext.xs[:7] == rho.xs and ext.ys[:7] == rho.ys
         # cone points sit off their lines, and no spoke is parallel to its base line
-        field = rho.field
+        p = rho.field.p
         for line in range(fig2.num_lines):
             c = sc.cone_point(line)
-            res = field.add(field.add(field.mul(rho.slopes[line], ext.xs[c]), ext.ys[c]),
-                            rho.intercepts[line])
-            assert res != field.zero()
+            res = rho.slopes[line] * ext.xs[c] + ext.ys[c] + rho.intercepts[line]
+            assert res % p != 0
         for k, (line, _point) in enumerate(sc.spoke_of):
             assert ext.slopes[sc.base.num_lines + k] != rho.slopes[line]
 
@@ -337,6 +335,15 @@ class TestSerialization:
     def test_bad_document(self):
         with pytest.raises(OracleError):
             realization_from_json({"field": "octonion"})
+
+    # "0" must not read as the rationals, whose p is 0; 561 is a Carmichael number.
+    @pytest.mark.parametrize("p", ["-7", "0", "1", "4", 0, 561, str(MERSENNE_PRIME + 2)])
+    def test_modulus_that_is_not_prime_refused(self, p):
+        doc = {"field": "zp", "p": p, "slopes": ["1"], "intercepts": ["0"], "points": [["0", "0"]]}
+        with pytest.raises(OracleError, match="prime"):
+            realization_from_json(doc)
+        with pytest.raises(ValueError, match="prime"):
+            PrimeField(int(p))
 
     @settings(max_examples=300)
     @with_examples(MISTYPED_REALIZATIONS)
