@@ -4,9 +4,10 @@ The combinatorial route plays the (2,3)-pebble game on a cone graph of the
 input geometry: three remaining pebbles means every sufficiently generic rod
 configuration realizing it is infinitesimally rigid.  The algebraic route
 samples an exact proper realization, extends it to the cone incidence
-geometry, and checks whether the concurrence matrix reaches its maximum rank.
-Both routes must agree on regular samples; a disagreement is a defect and is
-raised loudly with a reproduction bundle, never swallowed.
+geometry, and ranks its concurrence matrix; every pebble beyond three is one
+rank short of the maximum.  Both routes must agree on regular samples; a
+disagreement is a defect and is raised loudly with a reproduction bundle,
+never swallowed.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from .oracle import (
     Field,
     Infeasible,
     LinearRealization,
-    is_string_config_rigid,
     realization_to_json,
     realize_cone,
     sample_realization,
+    string_config_rank,
 )
 from .pebble import (
     PebbleVerdict,
@@ -40,7 +41,8 @@ from .pebble import (
     try_edge,
     verdict_of,
 )
-# Not called here, but perfbench/tracing.py wraps this name in this module.
+# Not called here, but perfbench/tracing.py wraps these names in this module.
+from .oracle import is_string_config_rigid  # noqa: F401
 from .pebble import independent_after  # noqa: F401
 
 __all__ = [
@@ -84,8 +86,8 @@ class RigidityVerdict:
     connected: bool
     pebble: Optional[PebbleVerdict]
     is_rigid: bool
-    agreement: str  # "agree" | "disagree" | "algebraic-skipped"
-    algebraic: Optional[tuple[bool, ...]] = None  # per-seed string-config verdicts
+    agreement: str  # "agree" | "algebraic-skipped"; a disagreement raises
+    algebraic: Optional[tuple[tuple[int, int], ...]] = None  # (rank, max_rank) per proper sample
 
     @property
     def classification(self) -> str:
@@ -103,12 +105,15 @@ class RigidityVerdict:
 
 
 def verdict_to_json(verdict: RigidityVerdict) -> dict:
-    return {
+    doc = {
         "classification": verdict.classification,
         "remaining_pebbles": verdict.remaining_pebbles,
         "accepted_edges": [list(e) for e in verdict.pebble.accepted] if verdict.pebble else [],
         "agreement": verdict.agreement,
     }
+    if verdict.algebraic is not None:
+        doc["algebraic"] = [list(pair) for pair in verdict.algebraic]
+    return doc
 
 
 def _spawn_seeds(seed: int, count: int) -> list[int]:
@@ -127,10 +132,17 @@ def decide_rod_rigidity(
     """Classify the rod configurations realizing a geometry.
 
     Combinatorial mode plays the pebble game on the cone graph.
-    Cross-validated mode additionally samples exact realizations for three
-    derived seeds, extends each to the cone incidence geometry, and
-    rank-checks it; agreement is "agree" only when every successfully sampled
-    seed reaches the same algebraic verdict and it matches the pebble game.
+    Cross-validated mode also checks the game's count of degrees of freedom
+    algebraically.  The game predicts the rank of a generic sample: the
+    maximum rank minus (remaining pebbles - 3).  Exact realizations are
+    sampled for up to three derived seeds, in order, each extended to the
+    cone incidence geometry and ranked.  A sample's rank never exceeds the
+    generic rank, so a sample above the prediction raises at once, and one
+    that reaches it certifies the count: agreement is "agree" and no further
+    seed is drawn.  A sample below it may be an unlucky draw, so the next
+    seed is tried.  When every sample falls short, a rigid verdict raises
+    and a flexible one stays "algebraic-skipped".  `algebraic` holds the
+    (rank, max_rank) of each proper sample tried.
     Disconnected geometries (including any with an isolated point, when more
     than one entity exists) are flexible immediately and skip the algebraic
     side, as do geometries whose sampling keeps hitting forced coincidences
@@ -147,9 +159,10 @@ def decide_rod_rigidity(
         pebble = None  # zero or one entity: nothing has an internal motion
         rigid = True
     agreement = "algebraic-skipped"
-    algebraic: Optional[tuple[bool, ...]] = None
+    algebraic: Optional[tuple[tuple[int, int], ...]] = None
     if mode == "cross-validated" and connected and pebble is not None:
-        samples: list[tuple[int, LinearRealization, LinearRealization, bool]] = []
+        deficit = pebble.remaining_pebbles - 3
+        samples: list[tuple[int, LinearRealization, LinearRealization, int, int]] = []
         sc: Optional[ConeIncidenceGeometry] = None
         for s in _spawn_seeds(seed, 3):
             rho = sample_realization(geometry, s, field=field, budget=sample_budget)
@@ -158,20 +171,22 @@ def decide_rod_rigidity(
             if sc is None:
                 sc = build_cone_incidence(geometry)
             rho_cone = realize_cone(sc, rho, s)
-            samples.append((s, rho, rho_cone, is_string_config_rigid(sc, rho_cone)))
-        if samples:
-            verdicts = [v for _, _, _, v in samples]
-            algebraic = tuple(verdicts)
-            if all(v == verdicts[0] for v in verdicts):
-                if verdicts[0] == rigid:
-                    agreement = "agree"
-                else:
-                    _raise_disagreement(geometry, seed, pebble, samples)
-            elif not rigid and any(verdicts):
-                # A flexible cone graph bounds the matrix rank from above, so
-                # even one rigid algebraic sample is a defect.
+            rank, max_rank = string_config_rank(sc, rho_cone)
+            samples.append((s, rho, rho_cone, rank, max_rank))
+            predicted = max_rank - deficit
+            if rank > predicted:
+                # no sample exceeds the generic rank, which the game predicts
                 _raise_disagreement(geometry, seed, pebble, samples)
-            # otherwise the seeds are unstable (irregular samples): stay skipped
+            if rank == predicted:
+                agreement = "agree"
+                break
+        else:
+            # every sample fell short: a rigid count must be reached by one of
+            # them; a flexible count that none reached stays skipped
+            if samples and rigid:
+                _raise_disagreement(geometry, seed, pebble, samples)
+        if samples:
+            algebraic = tuple((rank, max_rank) for *_, rank, max_rank in samples)
     return RigidityVerdict(
         connected=connected,
         pebble=pebble,
@@ -182,6 +197,7 @@ def decide_rod_rigidity(
 
 
 def _raise_disagreement(geometry, seed, pebble, samples) -> None:
+    deficit = pebble.remaining_pebbles - 3
     bundle = {
         "geometry": geometry_to_json(geometry),
         "seed": seed,
@@ -190,11 +206,14 @@ def _raise_disagreement(geometry, seed, pebble, samples) -> None:
         "samples": [
             {
                 "sample_seed": s,
-                "algebraic_rigid": bool(v),
+                "algebraic_rigid": rank == max_rank,
+                "rank": rank,
+                "max_rank": max_rank,
+                "predicted_rank": max_rank - deficit,
                 "realization": realization_to_json(rho),
                 "cone_realization": realization_to_json(rho_cone),
             }
-            for s, rho, rho_cone, v in samples
+            for s, rho, rho_cone, rank, max_rank in samples
         ],
     }
     raise OracleDisagreementError(
@@ -468,11 +487,11 @@ def run_agreement_campaign(
 ) -> CampaignReport:
     """Generate random geometries until `target` of them cross-validate.
 
-    Geometries whose sampling is infeasible or whose seeds are algebraically
-    unstable count as skipped.  Any disagreement raises OracleDisagreementError
-    with its reproduction bundle, failing the campaign immediately.  Each
-    seed gets 4 sampling attempts, and the campaign gives up after
-    max(50, 25 * target) geometries.
+    Geometries whose sampling is infeasible, or flexible ones whose samples
+    all fall below the predicted rank, count as skipped.  Any disagreement
+    raises OracleDisagreementError with its reproduction bundle, failing the
+    campaign immediately.  Each seed gets 4 sampling attempts, and the
+    campaign gives up after max(50, 25 * target) geometries.
     """
     rng = random.Random(seed)
     cap = max(50, target * 25)

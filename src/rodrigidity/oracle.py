@@ -12,7 +12,10 @@ The certificate runs one way.  The matrix entries are integer polynomials in
 the slopes, so the rank at sampled slopes never exceeds the generic rank:
 full rank over Z_p proves rigidity.  A rank deficit may be an unlucky draw of
 slopes (by Schwartz-Zippel a nonzero minor of degree d vanishes with
-probability at most d/p), which is why cross-validation tries several seeds.
+probability at most d/p).  So cross-validation compares each sample's rank
+with the generic rank the pebble game predicts: a sample that reaches it
+certifies the count, one above it is a defect, and only one below it calls
+for another seed.
 
 Rank, kernel and sampling share one sparse exact elimination.  Every
 concurrence row has three nonzeros, so rows are kept as {column: value}
@@ -307,10 +310,11 @@ def rank_of(matrix: ConcurrenceMatrix) -> int:
 
     The rank never exceeds the generic rank for these incidences, so full
     rank proves rigidity; a deficit may be an unlucky draw of slopes (at most
-    degree/p likely over Z_p, by Schwartz-Zippel), which is why
-    cross-validation tries several seeds.  Columns are eliminated from the
-    last one down, so the coordinates of each point (cone points first) are
-    pivoted out before the intercepts, which keeps the fill-in low.
+    degree/p likely over Z_p, by Schwartz-Zippel), so cross-validation draws
+    another seed only when a sample falls below the predicted rank.  Columns
+    are eliminated from the last one down, so the coordinates of each point
+    (cone points first) are pivoted out before the intercepts, which keeps
+    the fill-in low.
     """
     last = matrix.shape[1] - 1
     rows = ({last - c: v for c, v in row.items()} for row in matrix.sparse_rows())

@@ -66,6 +66,25 @@ def sparse_rank(rows, field) -> int:
     return len(_eliminate((dict(enumerate(r)) for r in rows), field))
 
 
+def plant_rank_shift(monkeypatch, *shifts: int) -> list[int]:
+    """Plant a defect in cross-validation: the k-th sample's true rank is
+    shifted by shifts[k] (the last shift repeats).  Returns the true ranks,
+    one per sample ranked."""
+    import rodrigidity.analysis as analysis
+
+    real = analysis.string_config_rank
+    ranks: list[int] = []
+
+    def planted(cone, realization):
+        rank, max_rank = real(cone, realization)
+        shift = shifts[min(len(ranks), len(shifts) - 1)]
+        ranks.append(rank)
+        return rank + shift, max_rank
+
+    monkeypatch.setattr(analysis, "string_config_rank", planted)
+    return ranks
+
+
 # Any value json.loads can return, infinities and NaN included (json.loads
 # reads 1e400 as inf).
 JSON_VALUES = st.recursive(

@@ -29,6 +29,7 @@ from rodrigidity import (
 from rodrigidity.analysis import minimal_report_to_json
 
 from bruteforce import deletion_rigid_by_redecide, shares_two_points
+from conftest import plant_rank_shift
 from paper_claims import (
     BudgetExceededError,
     check_body_joint_counts,
@@ -80,7 +81,45 @@ class TestDecideRodRigidity:
         g = request.getfixturevalue(name)
         v = decide_rod_rigidity(g, "cross-validated", seed=21)
         assert v.agreement == "agree"
-        assert v.algebraic is not None and all(a == v.is_rigid for a in v.algebraic)
+        # the last sample reached the predicted rank; any before it fell short
+        *short, (rank, max_rank) = v.algebraic
+        assert max_rank - rank == v.degrees_of_freedom
+        assert all(r < rank for r, _ in short)
+
+    def test_one_sample_certifies_the_running_example(self, fig2, monkeypatch):
+        import rodrigidity.analysis as analysis
+
+        seeds = []
+        real = analysis.sample_realization
+        monkeypatch.setattr(analysis, "sample_realization",
+                            lambda g, s, **k: seeds.append(s) or real(g, s, **k))
+        v = decide_rod_rigidity(fig2, "cross-validated", seed=21)
+        assert v.agreement == "agree"
+        assert len(seeds) == 1 and v.algebraic == ((35, 35),)
+
+    def test_a_short_sample_draws_the_next_seed(self, triangle_rods, monkeypatch):
+        ranks = plant_rank_shift(monkeypatch, -1, 0)
+        v = decide_rod_rigidity(triangle_rods, "cross-validated", seed=21)
+        assert v.agreement == "agree" and v.is_rigid
+        assert len(ranks) == 2
+        (first, max_rank), second = v.algebraic
+        assert first == max_rank - 1 and second == (max_rank, max_rank)
+
+    def test_above_the_prediction_raises_at_once(self, hinge, monkeypatch):
+        ranks = plant_rank_shift(monkeypatch, 1)
+        with pytest.raises(OracleDisagreementError) as info:
+            decide_rod_rigidity(hinge, "cross-validated", seed=21)
+        assert len(ranks) == 1
+        (sample,) = info.value.bundle["samples"]
+        assert sample["rank"] == sample["max_rank"] == sample["predicted_rank"] + 1
+        assert sample["algebraic_rigid"] is True
+
+    def test_flexible_count_never_reached_is_skipped(self, hinge, monkeypatch):
+        ranks = plant_rank_shift(monkeypatch, -1)
+        v = decide_rod_rigidity(hinge, "cross-validated", seed=21)
+        assert v.agreement == "algebraic-skipped" and not v.is_rigid
+        assert len(ranks) == 3 and len(v.algebraic) == 3
+        assert verdict_to_json(v)["algebraic"] == [list(pair) for pair in v.algebraic]
 
     def test_cross_validation_skips_infeasible(self, two_point_three_lines):
         v = decide_rod_rigidity(two_point_three_lines, "cross-validated", seed=22)
@@ -89,7 +128,7 @@ class TestDecideRodRigidity:
 
     @pytest.mark.parametrize("name,builds", [("fig2", 1), ("two_point_three_lines", 0)])
     def test_cone_incidence_built_only_for_a_proper_sample(self, name, builds, request, monkeypatch):
-        # once for all three seeds: realize_cone takes the one built here
+        # once however many seeds are sampled: realize_cone takes the one built here
         import rodrigidity.analysis as analysis
         import rodrigidity.oracle as oracle
 
@@ -110,14 +149,15 @@ class TestDecideRodRigidity:
         json.dumps(doc)
 
     def test_disagreement_raises_with_bundle(self, triangle_rods, monkeypatch):
-        import rodrigidity.analysis as analysis
-
-        monkeypatch.setattr(analysis, "is_string_config_rigid", lambda sc, rho: False)
+        plant_rank_shift(monkeypatch, -1)
         with pytest.raises(OracleDisagreementError) as info:
             decide_rod_rigidity(triangle_rods, "cross-validated", seed=23)
         bundle = info.value.bundle
         assert bundle["geometry"]["points"] == 3
         assert len(bundle["samples"]) == 3
+        for sample in bundle["samples"]:
+            assert sample["rank"] == sample["predicted_rank"] - 1 == sample["max_rank"] - 1
+            assert sample["algebraic_rigid"] is False
         json.dumps(bundle)
 
 

@@ -7,7 +7,7 @@ import pytest
 from rodrigidity import cli, oracle
 from rodrigidity.cli import main
 
-from conftest import FIG2_COORDS
+from conftest import FIG2_COORDS, plant_rank_shift
 
 FIG2_TEXT = """\
 points: 7
@@ -69,9 +69,7 @@ class TestCheck:
         assert "cross-validation: agree" in capsys.readouterr().out
 
     def test_disagreement_exit_three(self, fig2_file, capsys, monkeypatch):
-        import rodrigidity.analysis as analysis
-
-        monkeypatch.setattr(analysis, "is_string_config_rigid", lambda sc, rho: False)
+        plant_rank_shift(monkeypatch, -1)
         assert main(["check", fig2_file, "--cross-validate"]) == 3
         err = capsys.readouterr().err
         assert "DEFECT" in err
@@ -159,9 +157,9 @@ class TestMinimal:
                             lambda *a, **k: fields.append(k.get("field")) or real(*a, **k))
         assert main(["minimal", fig2_file, "--cross-validate", "--field", "rational"]) == 0
         assert "minimally rigid" in capsys.readouterr().out
-        # three seeds for the base and three for deleting rod 0; the other
-        # deletions strand a point, so they are flexible without sampling
-        assert len(fields) == 6 and all(f is oracle.RATIONALS for f in fields)
+        # one certifying sample for the base and one for deleting rod 0; the
+        # other deletions strand a point, so they are flexible without sampling
+        assert len(fields) == 2 and all(f is oracle.RATIONALS for f in fields)
 
 
 class TestCanon:
@@ -333,9 +331,7 @@ def test_fuzz_unmet_bounds_exit_1(capsys, argv, message):
 
 
 def test_fuzz_disagreement_still_exits_3(capsys, monkeypatch):
-    import rodrigidity.analysis as analysis
-
-    monkeypatch.setattr(analysis, "is_string_config_rigid", lambda sc, rho: False)
+    plant_rank_shift(monkeypatch, -1)
     assert main(["fuzz", "--count", "5"]) == 3
     assert "DEFECT" in capsys.readouterr().err
 
