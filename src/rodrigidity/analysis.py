@@ -127,7 +127,6 @@ def decide_rod_rigidity(
     seed: int = DEFAULT_SEED,
     *,
     field: Optional[Field] = None,
-    sample_budget: int = 32,
 ) -> RigidityVerdict:
     """Classify the rod configurations realizing a geometry.
 
@@ -145,8 +144,10 @@ def decide_rod_rigidity(
     (rank, max_rank) of each proper sample tried.
     Disconnected geometries (including any with an isolated point, when more
     than one entity exists) are flexible immediately and skip the algebraic
-    side, as do geometries whose sampling keeps hitting forced coincidences
-    (two rods through the same two points are refused without a draw).
+    side.  So do geometries without a proper realization: the first refusal
+    (Infeasible) ends the algebraic side, because another seed would be
+    refused too (two rods through the same two points are refused without a
+    draw).
     """
     if mode not in ("combinatorial", "cross-validated"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -165,9 +166,9 @@ def decide_rod_rigidity(
         samples: list[tuple[int, LinearRealization, LinearRealization, int, int]] = []
         sc: Optional[ConeIncidenceGeometry] = None
         for s in _spawn_seeds(seed, 3):
-            rho = sample_realization(geometry, s, field=field, budget=sample_budget)
+            rho = sample_realization(geometry, s, field=field)
             if isinstance(rho, Infeasible):
-                continue
+                break  # final: no seed realizes these incidences properly
             if sc is None:
                 sc = build_cone_incidence(geometry)
             rho_cone = realize_cone(sc, rho, s)
@@ -251,21 +252,25 @@ class CanonicalSubgraph:
 
 
 def _line_order(geometry: IncidenceGeometry) -> tuple[int, ...]:
-    """BFS over the line-intersection graph from line 0, neighbors by index."""
-    n = geometry.num_lines
-    sets = [geometry.line_set(i) for i in range(n)]
+    """BFS over the line-intersection graph from line 0, neighbors by index.
+
+    Each point is expanded once, by the first line through it that leaves
+    the queue; later lines through it would find every rod there seen.
+    canonical_edge_order has refused a disconnected geometry, so every line
+    is reached.
+    """
+    rods_at = geometry.point_line_map()
     order = [0]
     seen = {0}
-    head = 0
-    while head < len(order):
-        current = order[head]
-        head += 1
-        for j in range(n):
-            if j not in seen and sets[current] & sets[j]:
-                seen.add(j)
-                order.append(j)
-    if len(order) != n:
-        raise GeometryError("line-intersection graph is disconnected")
+    expanded: set[int] = set()
+    for current in order:  # the list grows while it is walked: a queue
+        fresh: set[int] = set()
+        for p in geometry.lines[current]:
+            if p not in expanded:
+                expanded.add(p)
+                fresh.update(l for l in rods_at[p] if l not in seen)
+        seen |= fresh
+        order.extend(sorted(fresh))
     return tuple(order)
 
 
@@ -490,8 +495,8 @@ def run_agreement_campaign(
     Geometries whose sampling is infeasible, or flexible ones whose samples
     all fall below the predicted rank, count as skipped.  Any disagreement
     raises OracleDisagreementError with its reproduction bundle, failing the
-    campaign immediately.  Each seed gets 4 sampling attempts, and the
-    campaign gives up after max(50, 25 * target) geometries.
+    campaign immediately.  The campaign gives up after max(50, 25 * target)
+    geometries.
     """
     rng = random.Random(seed)
     cap = max(50, target * 25)
@@ -508,7 +513,6 @@ def run_agreement_campaign(
             "cross-validated",
             seed=rng.randrange(1 << 62),
             field=field,
-            sample_budget=4,
         )
         if verdict.agreement == "agree":
             validated += 1

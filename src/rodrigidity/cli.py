@@ -9,6 +9,7 @@ All output is deterministic for a fixed input and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -279,6 +280,7 @@ def render_svg(geometry: IncidenceGeometry, realization, hollow_from: Optional[i
     return "\n".join(out) + "\n"
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rodrig",

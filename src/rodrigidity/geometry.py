@@ -84,9 +84,6 @@ class IncidenceGeometry:
         """All (point, line) pairs, line-major, points in stored order."""
         return tuple((p, i) for i, line in enumerate(self.lines) for p in line)
 
-    def line_set(self, i: int) -> frozenset[int]:
-        return frozenset(self.lines[i])
-
     def point_line_map(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.num_points)]
         for i, line in enumerate(self.lines):
@@ -127,17 +124,22 @@ def shared_rod_pair(geometry: IncidenceGeometry) -> Optional[tuple[int, int, int
     and p < q, or None when any two rods share at most one point.
 
     Such a pair has no proper realization: rods of different slopes meet in
-    one point, so p and q would coincide.  Every point pairs up the rods
-    through it, so this takes O(sum of deg(p)^2) time; the pair returned is
-    the first one whose second shared point q is smallest.
+    one point, so p and q would coincide.  Rods are scanned in index order;
+    for each point q of rod l2, in stored order, the rods l1 < l2 through q
+    are walked, and the first rod l1 met at a second point ends the scan.
+    So l2 is the first rod that shares two points with an earlier one, and
+    the scan takes O(sum of deg(p)^2) time at most.
     """
-    first_shared: dict[tuple[int, int], int] = {}
-    for q, rods in enumerate(geometry.point_line_map()):
-        for i, l2 in enumerate(rods):
-            for l1 in rods[:i]:
-                p = first_shared.setdefault((l1, l2), q)
+    rods_at = geometry.point_line_map()  # each list in ascending rod order
+    for l2, line in enumerate(geometry.lines):
+        first_shared: dict[int, int] = {}
+        for q in line:
+            for l1 in rods_at[q]:
+                if l1 >= l2:
+                    break
+                p = first_shared.setdefault(l1, q)
                 if p != q:
-                    return l1, l2, p, q
+                    return l1, l2, min(p, q), max(p, q)
     return None
 
 

@@ -135,20 +135,23 @@ Field = Union[PrimeField, RationalField]
 DEFAULT_FIELD = PrimeField(MERSENNE_PRIME)
 RATIONALS = RationalField()
 
-# Random draws a construction makes before it gives up: cone-point
-# placements per line, and rotations of imported coordinates.
+# Random draws a construction makes before it gives up: slope vectors per
+# sampled realization, cone-point placements per line, and rotations of
+# imported coordinates.
 _DRAWS = 32
 
 
 @dataclass(frozen=True)
 class Infeasible:
-    """Sampling gave up: the incidences force a degenerate realization.
+    """The geometry has no proper realization, so sampling refused it.
 
-    attempts is 0 when the geometry was refused before any draw, because two
-    of its rods pass through the same two points (the reason names them).
+    The reason names two rods through the same two points, refused before
+    any draw, or says that all _DRAWS sampled realizations collapsed distinct
+    points.  The refusal is final, so callers do not retry with another
+    seed: whether a proper realization exists depends on the incidences, and
+    a draw collapses by accident with probability at most degree/p over Z_p.
     """
 
-    attempts: int
     reason: str
 
 
@@ -328,7 +331,6 @@ def sample_realization(
     geometry: IncidenceGeometry,
     seed: int,
     field: Optional[Field] = None,
-    budget: int = 32,
 ) -> Union[LinearRealization, Infeasible]:
     """Random exact realization: draw slopes, then solve for the rest.
 
@@ -336,21 +338,22 @@ def sample_realization(
     point coordinates come from a random element of the kernel of the
     concurrence matrix for those slopes, which solves every incidence
     constraint at once (a point on two lines lands on their intersection, a
-    point on one line gets a free abscissa, an isolated point is free).  If
-    the draws keep producing non-proper realizations the incidences force a
-    coincidence for generic slopes and Infeasible is returned.  Two rods
-    through the same two points force one for every pair of distinct
-    slopes, so such a geometry is refused before any draw.
+    point on one line gets a free abscissa, an isolated point is free).  At
+    most _DRAWS slope vectors are drawn; if every one gives a non-proper
+    realization, the incidences force a coincidence for generic slopes and
+    Infeasible is returned.  Two rods through the same two points force one
+    for every pair of distinct slopes, so such a geometry is refused before
+    any draw.
     """
     pair = shared_rod_pair(geometry)
     if pair is not None:
-        return Infeasible(attempts=0, reason="rods {} and {} share points {} and {}".format(*pair))
+        return Infeasible("rods {} and {} share points {} and {}".format(*pair))
     field = field or DEFAULT_FIELD
     rng = random.Random(seed)
     incidences = geometry.incidences()
     ncols = geometry.num_lines + 2 * geometry.num_points
     L = geometry.num_lines
-    for _ in range(budget):
+    for _ in range(_DRAWS):
         slopes = tuple(field.random_unit(rng) for _ in range(L))
         matrix = ConcurrenceMatrix(field, L, geometry.num_points, incidences, slopes)
         pivots = _eliminate(matrix.sparse_rows(), field)
@@ -368,8 +371,7 @@ def sample_realization(
             raise AssertionError("kernel element violates an incidence")
         if candidate.is_proper():
             return candidate
-    return Infeasible(attempts=budget,
-                      reason=f"all {budget} sampled realizations collapsed distinct points")
+    return Infeasible(f"all {_DRAWS} sampled realizations collapsed distinct points")
 
 
 def _rotate_coords(coords, rng: random.Random):

@@ -61,6 +61,19 @@ def two_point_three_lines() -> IncidenceGeometry:
     return IncidenceGeometry(2, ((0, 1), (0, 1), (0, 1)))
 
 
+# The Pappus 9_3 configuration: A, B, C (0-2) on one rod, a, b, c (3-5) on
+# another, X = Ab.aB (6), Y = Ac.aC (7), Z = Bc.bC (8), and the Pappus rod
+# XYZ.  No two rods share two points, yet for rods of prescribed random
+# slopes the incidences force distinct points together.
+PAPPUS_LINES = ((0, 1, 2), (3, 4, 5), (0, 6, 4), (3, 6, 1), (0, 7, 5), (3, 7, 2),
+                (1, 8, 5), (4, 8, 2), (6, 7, 8))
+
+
+@pytest.fixture
+def pappus() -> IncidenceGeometry:
+    return IncidenceGeometry(9, PAPPUS_LINES)
+
+
 def sparse_rank(rows, field) -> int:
     """Rank of dense rows, through the package's own sparse elimination."""
     return len(_eliminate((dict(enumerate(r)) for r in rows), field))

@@ -121,10 +121,36 @@ class TestDecideRodRigidity:
         assert len(ranks) == 3 and len(v.algebraic) == 3
         assert verdict_to_json(v)["algebraic"] == [list(pair) for pair in v.algebraic]
 
-    def test_cross_validation_skips_infeasible(self, two_point_three_lines):
+    @staticmethod
+    def count_sampling(monkeypatch) -> tuple[list, list]:
+        """Record the seeds sampled and the eliminations run, in order."""
+        import rodrigidity.analysis as analysis
+        import rodrigidity.oracle as oracle
+
+        seeds, eliminations = [], []
+        real_sample, real_eliminate = analysis.sample_realization, oracle._eliminate
+        monkeypatch.setattr(analysis, "sample_realization",
+                            lambda g, s, **k: seeds.append(s) or real_sample(g, s, **k))
+        monkeypatch.setattr(oracle, "_eliminate",
+                            lambda rows, field: eliminations.append(field) or real_eliminate(rows, field))
+        return seeds, eliminations
+
+    def test_cross_validation_skips_infeasible(self, two_point_three_lines, monkeypatch):
+        # refused before any draw, and the refusal ends the algebraic side
+        seeds, eliminations = self.count_sampling(monkeypatch)
         v = decide_rod_rigidity(two_point_three_lines, "cross-validated", seed=22)
         assert v.agreement == "algebraic-skipped"
         assert v.algebraic is None
+        assert len(seeds) == 1 and not eliminations
+
+    def test_pappus_is_sampled_once(self, pappus, monkeypatch):
+        # all 32 draws of the first seed collapse; no second seed is sampled
+        seeds, eliminations = self.count_sampling(monkeypatch)
+        v = decide_rod_rigidity(pappus, "cross-validated", seed=22)
+        assert v.classification == "rigid-redundant"
+        assert v.agreement == "algebraic-skipped"
+        assert v.algebraic is None
+        assert len(seeds) == 1 and len(eliminations) == 32
 
     @pytest.mark.parametrize("name,builds", [("fig2", 1), ("two_point_three_lines", 0)])
     def test_cone_incidence_built_only_for_a_proper_sample(self, name, builds, request, monkeypatch):
@@ -384,7 +410,7 @@ class TestTheoremEightAgreement:
         while len(flexibles) < 4:
             g = random_geometry(rng, max_points=8, max_lines=4)
             if not decide_rod_rigidity(g).is_rigid and not isinstance(
-                sample_realization(g, seed=0, budget=4), Infeasible
+                sample_realization(g, seed=0), Infeasible
             ):
                 flexibles.append(g)
         for g in flexibles:

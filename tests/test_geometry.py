@@ -204,12 +204,16 @@ class TestSharedRodPair:
         (((0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3)), None),
         (((0, 1, 2), (0, 3, 4), (0, 5), (1, 3, 5)), None),
         ((), None),
+        (((2, 3), (0, 1), (2, 3), (0, 1)), (0, 2, 2, 3)),  # rod 2 is the first to share two
     ])
     def test_examples(self, lines, expected):
         assert self.check(IncidenceGeometry(6, lines)) == expected
 
     def test_running_example(self, fig2):
         assert shared_rod_pair(fig2) is None
+
+    def test_stops_at_the_first_pair(self):
+        assert shared_rod_pair(IncidenceGeometry(2, ((0, 1),) * 1000)) == (0, 1, 0, 1)
 
     @settings(max_examples=200)
     @given(geometries(max_points=7, max_lines=5))

@@ -101,8 +101,13 @@ class TestSampling:
     def test_forced_coincidence_is_infeasible(self, two_point_three_lines):
         rho = sample_realization(two_point_three_lines, seed=3)
         assert isinstance(rho, Infeasible)
-        assert rho.attempts == 0
         assert rho.reason == "rods 0 and 1 share points 0 and 1"
+
+    @pytest.mark.parametrize("field", [DEFAULT_FIELD, RATIONALS], ids=["mersenne", "rational"])
+    def test_pappus_collapses_every_draw(self, pappus, field):
+        assert shared_rod_pair(pappus) is None
+        rho = sample_realization(pappus, seed=3, field=field)
+        assert rho == Infeasible("all 32 sampled realizations collapsed distinct points")
 
     @pytest.mark.parametrize("field", [DEFAULT_FIELD, PrimeField(ALTERNATE_PRIME), RATIONALS],
                              ids=["mersenne", "alternate", "rational"])
@@ -119,7 +124,7 @@ class TestSampling:
                 corpus.append(g)
         for seed, g in enumerate(corpus):
             rho = sample_realization(g, seed=seed, field=field)
-            assert isinstance(rho, Infeasible) and rho.attempts == 0
+            assert isinstance(rho, Infeasible)
             assert rho.reason == "rods {} and {} share points {} and {}".format(*shared_rod_pair(g))
         with pytest.raises(AssertionError, match="eliminated"):  # the patch does intercept
             sample_realization(IncidenceGeometry(3, ((0, 1), (1, 2), (0, 2))), seed=0, field=field)
