@@ -23,6 +23,7 @@ from .geometry import (
     geometry_to_json,
     is_connected,
     remove_line,
+    shared_rod_pair,
 )
 from .oracle import (
     Field,
@@ -88,6 +89,7 @@ class RigidityVerdict:
     is_rigid: bool
     agreement: str  # "agree" | "algebraic-skipped"; a disagreement raises
     algebraic: Optional[tuple[tuple[int, int], ...]] = None  # (rank, max_rank) per proper sample
+    skip_reason: Optional[str] = None  # why sampling refused the geometry, when it was asked to sample
 
     @property
     def classification(self) -> str:
@@ -113,6 +115,8 @@ def verdict_to_json(verdict: RigidityVerdict) -> dict:
     }
     if verdict.algebraic is not None:
         doc["algebraic"] = [list(pair) for pair in verdict.algebraic]
+    if verdict.skip_reason is not None:
+        doc["skip_reason"] = verdict.skip_reason
     return doc
 
 
@@ -147,7 +151,7 @@ def decide_rod_rigidity(
     side.  So do geometries without a proper realization: the first refusal
     (Infeasible) ends the algebraic side, because another seed would be
     refused too (two rods through the same two points are refused without a
-    draw).
+    draw), and its reason becomes `skip_reason`.
     """
     if mode not in ("combinatorial", "cross-validated"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -161,6 +165,7 @@ def decide_rod_rigidity(
         rigid = True
     agreement = "algebraic-skipped"
     algebraic: Optional[tuple[tuple[int, int], ...]] = None
+    skip_reason: Optional[str] = None
     if mode == "cross-validated" and connected and pebble is not None:
         deficit = pebble.remaining_pebbles - 3
         samples: list[tuple[int, LinearRealization, LinearRealization, int, int]] = []
@@ -168,6 +173,7 @@ def decide_rod_rigidity(
         for s in _spawn_seeds(seed, 3):
             rho = sample_realization(geometry, s, field=field)
             if isinstance(rho, Infeasible):
+                skip_reason = rho.reason
                 break  # final: no seed realizes these incidences properly
             if sc is None:
                 sc = build_cone_incidence(geometry)
@@ -194,6 +200,7 @@ def decide_rod_rigidity(
         is_rigid=rigid,
         agreement=agreement,
         algebraic=algebraic,
+        skip_reason=skip_reason,
     )
 
 
@@ -493,7 +500,9 @@ def run_agreement_campaign(
     """Generate random geometries until `target` of them cross-validate.
 
     Geometries whose sampling is infeasible, or flexible ones whose samples
-    all fall below the predicted rank, count as skipped.  Any disagreement
+    all fall below the predicted rank, count as skipped.  A geometry with two
+    rods through the same two points is skipped without playing the game:
+    sampling would refuse it before drawing.  Any disagreement
     raises OracleDisagreementError with its reproduction bundle, failing the
     campaign immediately.  The campaign gives up after max(50, 25 * target)
     geometries.
@@ -508,12 +517,11 @@ def run_agreement_campaign(
             )
         attempted += 1
         geometry = random_geometry(rng, max_points, max_lines)
-        verdict = decide_rod_rigidity(
-            geometry,
-            "cross-validated",
-            seed=rng.randrange(1 << 62),
-            field=field,
-        )
+        sample_seed = rng.randrange(1 << 62)  # drawn before the skip, so no later draw moves
+        if shared_rod_pair(geometry) is not None:
+            skipped += 1
+            continue
+        verdict = decide_rod_rigidity(geometry, "cross-validated", seed=sample_seed, field=field)
         if verdict.agreement == "agree":
             validated += 1
             if verdict.is_rigid:

@@ -87,6 +87,8 @@ def _verdict_text(verdict) -> str:
         text += " [disconnected input]"
     if verdict.agreement != "algebraic-skipped":
         text += f"; cross-validation: {verdict.agreement}"
+    elif verdict.skip_reason is not None:
+        text += f"; cross-validation: skipped ({verdict.skip_reason})"
     return text
 
 

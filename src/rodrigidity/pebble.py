@@ -8,6 +8,11 @@ while searching from one endpoint, the other endpoint is blocked.  Accepted
 edges always form a maximally independent subgraph of the edges seen so far,
 so a rejected edge never needs to be retried.
 
+A search allocates no visit set.  Each state keeps one visit mark and one
+tree parent per vertex, allocated once: a search takes a new stamp, marks the
+root and the blocked endpoint with it, and a vertex counts as visited when its
+mark equals the stamp, so nothing is cleared between searches.
+
 Three pebbles always remain (the trivial planar motions).  Exactly three
 remaining means the input graph is rigid; any rejection means it is dependent.
 
@@ -36,10 +41,12 @@ class PebbleState:
     """Mutable game state: pebble counts plus the orientation of accepted edges.
 
     Invariant: pebbles[v] + outdegree(v) == 2 for every vertex, hence the
-    total pebble count is 2|V| - |accepted|.
+    total pebble count is 2|V| - |accepted|.  _seen, _parent and _stamp are
+    the searches' reusable visit marks (see _gather).
     """
 
-    __slots__ = ("num_vertices", "pebbles", "out", "accepted", "rejected")
+    __slots__ = ("num_vertices", "pebbles", "out", "accepted", "rejected",
+                 "_seen", "_parent", "_stamp")
 
     def __init__(self, num_vertices: int):
         if num_vertices < 2:
@@ -49,6 +56,12 @@ class PebbleState:
         self.out: list[list[int]] = [[] for _ in range(num_vertices)]
         self.accepted: list[tuple[int, int]] = []
         self.rejected: list[tuple[int, int]] = []
+        self._fresh_marks()
+
+    def _fresh_marks(self) -> None:
+        self._seen = [0] * self.num_vertices  # stamp of the last search to reach each vertex
+        self._parent = [0] * self.num_vertices  # DFS tree parent, valid where _seen is current
+        self._stamp = 0
 
     def copy(self) -> "PebbleState":
         dup = PebbleState.__new__(PebbleState)
@@ -57,6 +70,7 @@ class PebbleState:
         dup.out = [adj[:] for adj in self.out]
         dup.accepted = self.accepted[:]
         dup.rejected = self.rejected[:]
+        dup._fresh_marks()
         return dup
 
     def remaining_pebbles(self) -> int:
@@ -65,36 +79,6 @@ class PebbleState:
 
 def new_state(num_vertices: int) -> PebbleState:
     return PebbleState(num_vertices)
-
-
-def _find_pebble(state: PebbleState, root: int, blocked: int) -> bool:
-    """DFS from `root` along directed edges for a vertex holding a free pebble.
-
-    On success the path is reversed, one pebble moves to `root`, and True is
-    returned.  The blocked vertex is neither visited nor robbed of pebbles.
-    """
-    out = state.out
-    parent = {root: root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w in out[u]:
-            if w in parent or w == blocked:
-                continue
-            parent[w] = u
-            if state.pebbles[w] > 0:
-                state.pebbles[w] -= 1
-                state.pebbles[root] += 1
-                # Reverse the tree path root -> w.
-                node = w
-                while node != root:
-                    prev = parent[node]
-                    out[prev].remove(node)
-                    out[node].append(prev)
-                    node = prev
-                return True
-            stack.append(w)
-    return False
 
 
 def _check_edge(num_vertices: int, u: int, v: int) -> None:
@@ -106,14 +90,46 @@ def _check_edge(num_vertices: int, u: int, v: int) -> None:
 
 def _gather(state: PebbleState, u: int, v: int) -> bool:
     """Move pebbles onto u and v until they hold four; False when the
-    searches run dry, i.e. when edge (u, v) is dependent."""
-    pebbles = state.pebbles
+    searches run dry, i.e. when edge (u, v) is dependent.
+
+    Each search is a DFS from an endpoint short of two pebbles (u first)
+    along directed edges, with the other endpoint blocked.  It pops a vertex,
+    scans its out-edges in order, and at the first vertex holding a pebble it
+    reverses the tree path, which moves that pebble to the root."""
+    pebbles, out, seen, parent = state.pebbles, state.out, state._seen, state._parent
     while pebbles[u] + pebbles[v] < 4:
-        if pebbles[u] < 2 and _find_pebble(state, u, v):
-            continue
-        if pebbles[v] < 2 and _find_pebble(state, v, u):
-            continue
-        return False
+        for root, blocked in ((u, v), (v, u)):
+            if pebbles[root] >= 2:
+                continue
+            state._stamp += 1
+            stamp = state._stamp
+            seen[root] = seen[blocked] = stamp
+            hit = -1
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for w in out[x]:
+                    if seen[w] != stamp:
+                        seen[w] = stamp
+                        parent[w] = x
+                        if pebbles[w]:
+                            hit = w
+                            break
+                        stack.append(w)
+                if hit >= 0:
+                    break
+            if hit < 0:
+                continue  # this endpoint's search ran dry
+            pebbles[hit] -= 1
+            pebbles[root] += 1
+            while hit != root:  # reverse the tree path root -> hit
+                x = parent[hit]
+                out[x].remove(hit)
+                out[hit].append(x)
+                hit = x
+            break
+        else:
+            return False
     return True
 
 

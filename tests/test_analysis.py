@@ -81,6 +81,7 @@ class TestDecideRodRigidity:
         g = request.getfixturevalue(name)
         v = decide_rod_rigidity(g, "cross-validated", seed=21)
         assert v.agreement == "agree"
+        assert v.skip_reason is None and "skip_reason" not in verdict_to_json(v)
         # the last sample reached the predicted rank; any before it fell short
         *short, (rank, max_rank) = v.algebraic
         assert max_rank - rank == v.degrees_of_freedom
@@ -118,6 +119,7 @@ class TestDecideRodRigidity:
         ranks = plant_rank_shift(monkeypatch, -1)
         v = decide_rod_rigidity(hinge, "cross-validated", seed=21)
         assert v.agreement == "algebraic-skipped" and not v.is_rigid
+        assert v.skip_reason is None  # sampled, not refused
         assert len(ranks) == 3 and len(v.algebraic) == 3
         assert verdict_to_json(v)["algebraic"] == [list(pair) for pair in v.algebraic]
 
@@ -141,6 +143,7 @@ class TestDecideRodRigidity:
         v = decide_rod_rigidity(two_point_three_lines, "cross-validated", seed=22)
         assert v.agreement == "algebraic-skipped"
         assert v.algebraic is None
+        assert v.skip_reason == "rods 0 and 1 share points 0 and 1"
         assert len(seeds) == 1 and not eliminations
 
     def test_pappus_is_sampled_once(self, pappus, monkeypatch):
@@ -150,6 +153,7 @@ class TestDecideRodRigidity:
         assert v.classification == "rigid-redundant"
         assert v.agreement == "algebraic-skipped"
         assert v.algebraic is None
+        assert v.skip_reason == "all 32 sampled realizations collapsed distinct points"
         assert len(seeds) == 1 and len(eliminations) == 32
 
     @pytest.mark.parametrize("name,builds", [("fig2", 1), ("two_point_three_lines", 0)])
@@ -402,6 +406,22 @@ class TestTheoremEightAgreement:
         report = run_agreement_campaign(target=30, seed=37)
         assert report.validated == 30
         assert report.rigid + report.flexible == 30
+
+    def test_campaign_plays_no_game_on_shared_pairs(self, monkeypatch):
+        import rodrigidity.analysis as analysis
+        from rodrigidity import run_agreement_campaign, shared_rod_pair
+
+        drawn, games = [], []
+        real_draw, real_play = analysis.random_geometry, analysis.play
+        monkeypatch.setattr(analysis, "random_geometry",
+                            lambda *a: drawn.append(real_draw(*a)) or drawn[-1])
+        monkeypatch.setattr(analysis, "play", lambda n, edges: games.append(n) or real_play(n, edges))
+        report = run_agreement_campaign(target=20, seed=37)
+        shared = sum(shared_rod_pair(g) is not None for g in drawn)
+        assert len(drawn) == report.attempted
+        assert shared > 0  # the campaign met geometries sampling refuses
+        assert len(games) == report.attempted - shared
+        assert report.skipped >= shared
 
     def test_flexible_never_algebraically_rigid(self, hinge):
         # ten sampled realizations of flexible geometries: none reaches max rank

@@ -7,7 +7,7 @@ import pytest
 from rodrigidity import cli, oracle
 from rodrigidity.cli import main
 
-from conftest import FIG2_COORDS, plant_rank_shift
+from conftest import FIG2_COORDS, PAPPUS_LINES, plant_rank_shift
 
 FIG2_TEXT = """\
 points: 7
@@ -19,6 +19,9 @@ line: 1 3 6
 
 HINGE_TEXT = "points: 3\nline: 0 1\nline: 0 2\n"
 TRIANGLE_TEXT = "points: 3\nline: 0 1\nline: 1 2\nline: 0 2\n"
+DOUBLED_TEXT = "points: 2\nline: 0 1\nline: 0 1\n"
+PAPPUS_TEXT = "points: 9\n" + "".join(
+    "line: " + " ".join(map(str, line)) + "\n" for line in PAPPUS_LINES)
 
 
 @pytest.fixture
@@ -67,6 +70,26 @@ class TestCheck:
     def test_cross_validate(self, fig2_file, capsys):
         assert main(["check", fig2_file, "--cross-validate"]) == 0
         assert "cross-validation: agree" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text,verdict,reason", [
+        (PAPPUS_TEXT, "rigid (33/45 edges independent, 3 pebbles remain)",
+         "all 32 sampled realizations collapsed distinct points"),
+        (DOUBLED_TEXT, "rigid (5/6 edges independent, 3 pebbles remain)",
+         "rods 0 and 1 share points 0 and 1"),
+    ], ids=["pappus", "doubled-rod"])
+    def test_cross_validation_says_why_it_skipped(self, tmp_path, capsys, text, verdict, reason):
+        path = tmp_path / "refused.geo"
+        path.write_text(text)
+        assert main(["check", str(path), "--cross-validate"]) == 0
+        assert capsys.readouterr().out == f"{verdict}; cross-validation: skipped ({reason})\n"
+        assert main(["check", str(path), "--cross-validate", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["agreement"] == "algebraic-skipped" and doc["skip_reason"] == reason
+        # without --cross-validate nothing was sampled, so nothing was skipped
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == f"{verdict}\n"
+        assert main(["check", str(path), "--format", "json"]) == 0
+        assert "skip_reason" not in json.loads(capsys.readouterr().out)
 
     def test_disagreement_exit_three(self, fig2_file, capsys, monkeypatch):
         plant_rank_shift(monkeypatch, -1)

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
-from rodrigidity import independent_after, new_state, play, remaining_without_each, try_edge
+from rodrigidity import (
+    IncidenceGeometry,
+    build_cone_graph,
+    canonical_subgraph,
+    independent_after,
+    new_state,
+    play,
+    remaining_without_each,
+    try_edge,
+)
 from rodrigidity.pebble import _insert_batch, _undo_batch, verdict_of
 
 from bruteforce import henneberg_graph, laman_independent, laman_rank
@@ -262,3 +272,77 @@ def _non_adjacent_pair(edges, n):
             if (u, v) not in present:
                 return u, v
     raise AssertionError("complete graph has no non-adjacent pair")
+
+
+class TestCopy:
+    def test_interleaved_copies_each_match_a_fresh_game(self):
+        # the original and its copy take turns; neither may see the other's
+        # searches, so each ends exactly where one game over its edges ends
+        rng = random.Random(17)
+        for _ in range(40):
+            n = rng.randint(3, 9)
+            shared = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 12))]
+            first = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 12))]
+            second = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 12))]
+            state = new_state(n)
+            for u, v in shared:
+                try_edge(state, u, v)
+            dup = state.copy()
+            for k in range(max(len(first), len(second))):
+                if k < len(first):
+                    try_edge(state, *first[k])
+                if k < len(second):
+                    try_edge(dup, *second[k])
+            for game, tail in ((state, first), (dup, second)):
+                fresh = new_state(n)
+                for u, v in shared + tail:
+                    try_edge(fresh, u, v)
+                assert (game.pebbles, game.out) == (fresh.pebbles, fresh.out)
+                assert (game.accepted, game.rejected) == (fresh.accepted, fresh.rejected)
+
+
+def _arrangement(num_rods: int, share: float, seed: int) -> IncidenceGeometry:
+    """A seeded fraction of the rod pairs, each pair meeting in its own point."""
+    pairs = [(i, j) for i in range(num_rods) for j in range(i + 1, num_rods)]
+    chosen = sorted(random.Random(seed).sample(pairs, round(share * len(pairs))))
+    lines: list[list[int]] = [[] for _ in range(num_rods)]
+    for p, (i, j) in enumerate(chosen):
+        lines[i].append(p)
+        lines[j].append(p)
+    return IncidenceGeometry(len(chosen), tuple(tuple(l) for l in lines))
+
+
+# sha256 of repr of each answer on a 30-rod arrangement (261 points, 291 cone
+# vertices, 1014 edges), fixed from the search that kept its visit marks in a
+# fresh dict per search.  The arrangement is rigid and stays rigid without any
+# one rod, so the leave-one-out digest pins thirty 5s; flexible deletions are
+# pinned by test_golden_pebble_answers.
+ARRANGEMENT_GOLDEN = {
+    "canonical": "ba5c3f35920592ff21d18e86318f9fd7960ed312d9ceea54a197bc4f66f94a33",
+    "leave_one_out": "8339d1ab0b044cbd2570b9a2925a58ad45bba631fc3987b49feda3bd3ca03372",
+    "play": "92e2da27c3d79798ced6ffd59a7630cb36ec05b7eb464f00e732b3968ac26426",
+    "state": "3cbd63e7644667f0c81db2ac8bcaa61d30e550d36d364ede661d97139cb1f5c4",
+}
+
+
+@pytest.mark.parametrize("question", sorted(ARRANGEMENT_GOLDEN))
+def test_golden_arrangement_answers(question):
+    g = _arrangement(30, 0.6, seed=2024)
+    cone = build_cone_graph(g)
+    if question == "play":
+        game = play(cone.num_vertices, cone.edges)
+        answer = (game.accepted, game.rejected)
+    elif question == "state":
+        # the searches visit in a fixed order, so the orientation is pinned too
+        state = new_state(cone.num_vertices)
+        for u, v in cone.edges:
+            try_edge(state, u, v)
+        answer = (state.pebbles, state.out)
+    elif question == "leave_one_out":
+        groups = [[cone.edges[k] for k in indices] for indices in cone.cone_edges]
+        answer = remaining_without_each(cone.num_vertices, groups)
+    else:
+        c = canonical_subgraph(g)
+        answer = (c.edges, c.rejected, c.line_order, c.subgeometry.lines, c.source_lines)
+    digest = hashlib.sha256(repr(answer).encode()).hexdigest()
+    assert digest == ARRANGEMENT_GOLDEN[question]
