@@ -167,33 +167,10 @@ def decide_rod_rigidity(
     algebraic: Optional[tuple[tuple[int, int], ...]] = None
     skip_reason: Optional[str] = None
     if mode == "cross-validated" and connected and pebble is not None:
-        deficit = pebble.remaining_pebbles - 3
-        samples: list[tuple[int, LinearRealization, LinearRealization, int, int]] = []
-        sc: Optional[ConeIncidenceGeometry] = None
-        for s in _spawn_seeds(seed, 3):
-            rho = sample_realization(geometry, s, field=field)
-            if isinstance(rho, Infeasible):
-                skip_reason = rho.reason
-                break  # final: no seed realizes these incidences properly
-            if sc is None:
-                sc = build_cone_incidence(geometry)
-            rho_cone = realize_cone(sc, rho, s)
-            rank, max_rank = string_config_rank(sc, rho_cone)
-            samples.append((s, rho, rho_cone, rank, max_rank))
-            predicted = max_rank - deficit
-            if rank > predicted:
-                # no sample exceeds the generic rank, which the game predicts
-                _raise_disagreement(geometry, seed, pebble, samples)
-            if rank == predicted:
-                agreement = "agree"
-                break
-        else:
-            # every sample fell short: a rigid count must be reached by one of
-            # them; a flexible count that none reached stays skipped
-            if samples and rigid:
-                _raise_disagreement(geometry, seed, pebble, samples)
-        if samples:
-            algebraic = tuple((rank, max_rank) for *_, rank, max_rank in samples)
+        agreement, algebraic, skip_reason = _cross_validate(
+            geometry, pebble.remaining_pebbles, seed, field,
+            f"pebble: {pebble.classification}", pebble_classification=pebble.classification,
+        )
     return RigidityVerdict(
         connected=connected,
         pebble=pebble,
@@ -204,13 +181,59 @@ def decide_rod_rigidity(
     )
 
 
-def _raise_disagreement(geometry, seed, pebble, samples) -> None:
-    deficit = pebble.remaining_pebbles - 3
+def _cross_validate(
+    geometry: IncidenceGeometry,
+    remaining: int,
+    seed: int,
+    field: Optional[Field],
+    label: str,
+    **about,
+) -> tuple[str, Optional[tuple[tuple[int, int], ...]], Optional[str]]:
+    """Check a pebble count of a connected geometry on exact samples.
+
+    `remaining` is the count the game left on the geometry's cone graph.
+    Returns (agreement, algebraic, skip_reason) as decide_rod_rigidity
+    reports them, or raises OracleDisagreementError; `label` goes into its
+    message and `about` into its bundle, naming the count that was checked.
+    """
+    deficit = remaining - 3
+    agreement = "algebraic-skipped"
+    skip_reason: Optional[str] = None
+    samples: list[tuple[int, LinearRealization, LinearRealization, int, int]] = []
+    sc: Optional[ConeIncidenceGeometry] = None
+    for s in _spawn_seeds(seed, 3):
+        rho = sample_realization(geometry, s, field=field)
+        if isinstance(rho, Infeasible):
+            skip_reason = rho.reason
+            break  # final: no seed realizes these incidences properly
+        if sc is None:
+            sc = build_cone_incidence(geometry)
+        rho_cone = realize_cone(sc, rho, s)
+        rank, max_rank = string_config_rank(sc, rho_cone)
+        samples.append((s, rho, rho_cone, rank, max_rank))
+        predicted = max_rank - deficit
+        if rank > predicted:
+            # no sample exceeds the generic rank, which the game predicts
+            _raise_disagreement(geometry, seed, remaining, samples, label, about)
+        if rank == predicted:
+            agreement = "agree"
+            break
+    else:
+        # every sample fell short: a rigid count must be reached by one of
+        # them; a flexible count that none reached stays skipped
+        if samples and deficit == 0:
+            _raise_disagreement(geometry, seed, remaining, samples, label, about)
+    algebraic = tuple((rank, max_rank) for *_, rank, max_rank in samples) if samples else None
+    return agreement, algebraic, skip_reason
+
+
+def _raise_disagreement(geometry, seed, remaining, samples, label, about) -> None:
+    deficit = remaining - 3
     bundle = {
         "geometry": geometry_to_json(geometry),
         "seed": seed,
-        "pebble_classification": pebble.classification,
-        "remaining_pebbles": pebble.remaining_pebbles,
+        **about,
+        "remaining_pebbles": remaining,
         "samples": [
             {
                 "sample_seed": s,
@@ -225,8 +248,8 @@ def _raise_disagreement(geometry, seed, pebble, samples) -> None:
         ],
     }
     raise OracleDisagreementError(
-        "combinatorial and algebraic rigidity verdicts disagree "
-        f"(pebble: {pebble.classification}); reproduction bundle attached",
+        f"combinatorial and algebraic rigidity verdicts disagree ({label}); "
+        "reproduction bundle attached",
         bundle,
     )
 
@@ -405,6 +428,9 @@ class MinimalRigidityReport:
     deletion_rigid: tuple[bool, ...]
     removable: tuple[int, ...]
     minimally_rigid: bool
+    # (agreement, skip_reason) per deletion when a rigid base was
+    # cross-validated; None for a deletion that disconnects the geometry
+    deletion_checks: Optional[tuple[Optional[tuple[str, Optional[str]]], ...]] = None
 
 
 def decide_minimal_rigidity(
@@ -423,32 +449,43 @@ def decide_minimal_rigidity(
     three trivial motions plus those two).  Each deletion keeps all points,
     so a rod whose removal strands a point yields a flexible configuration:
     the stranded point is a free joint and keeps two more pebbles.
-    Cross-validated mode also decides and cross-validates each deletion
-    geometry on its own, over `field`, and raises if its verdict differs from
-    the leave-one-out answer.  A flexible base gets no deletions: its report
-    has empty deletion_rigid and removable and is not minimally rigid."""
+    Cross-validated mode also checks each leave-one-out count, less the two
+    pebbles of the isolated cone vertex, on exact samples of the deletion
+    geometry over `field`, exactly as decide_rod_rigidity checks its own
+    count: same seeds, same agreement rule, and a disagreement raises
+    OracleDisagreementError whose bundle names the `deleted_rod`.  A
+    deletion that disconnects the geometry is flexible and is not sampled.
+    Each outcome lands in deletion_checks.  A flexible base gets no
+    deletions: its report has empty deletion_rigid and removable and is not
+    minimally rigid."""
     base = decide_rod_rigidity(geometry, mode, seed, field=field)
     deletion_rigid: tuple[bool, ...] = ()
+    deletion_checks = None
     if base.is_rigid:
         cone = build_cone_graph(geometry)
         groups = [[cone.edges[k] for k in indices] for indices in cone.cone_edges]
-        deletion_rigid = tuple(
-            left == 5 for left in remaining_without_each(cone.num_vertices, groups)
-        )
+        lefts = remaining_without_each(cone.num_vertices, groups)
+        deletion_rigid = tuple(left == 5 for left in lefts)
         if mode == "cross-validated":
-            for l, rigid in enumerate(deletion_rigid):
-                verdict = decide_rod_rigidity(remove_line(geometry, l), mode, seed, field=field)
-                if verdict.is_rigid != rigid:
-                    raise AssertionError(
-                        f"deleting rod {l}: the leave-one-out game says rigid={rigid}, "
-                        f"deciding the deletion says rigid={verdict.is_rigid}"
-                    )
+            checks: list[Optional[tuple[str, Optional[str]]]] = []
+            for l, left in enumerate(lefts):
+                deletion = remove_line(geometry, l)
+                if not is_connected(deletion):
+                    checks.append(None)
+                    continue
+                agreement, _, skip_reason = _cross_validate(
+                    deletion, left - 2, seed, field,
+                    f"deleting rod {l}: {left - 2} pebbles remain", deleted_rod=l,
+                )
+                checks.append((agreement, skip_reason))
+            deletion_checks = tuple(checks)
     removable = tuple(l for l, r in enumerate(deletion_rigid) if r)
     return MinimalRigidityReport(
         base=base,
         deletion_rigid=deletion_rigid,
         removable=removable,
         minimally_rigid=base.is_rigid and not removable,
+        deletion_checks=deletion_checks,
     )
 
 
@@ -456,6 +493,11 @@ def minimal_report_to_json(report: MinimalRigidityReport) -> dict:
     doc = verdict_to_json(report.base)
     doc["removable_rods"] = list(report.removable)
     doc["minimally_rigid"] = report.minimally_rigid
+    if report.deletion_checks is not None:
+        doc["deletion_cross_validation"] = [
+            None if check is None else {"agreement": check[0], "skip_reason": check[1]}
+            for check in report.deletion_checks
+        ]
     return doc
 
 

@@ -85,10 +85,38 @@ def _verdict_text(verdict) -> str:
         text = f"flexible ({dof} internal degree{'s' if dof != 1 else ''} of freedom)"
     if not verdict.connected:
         text += " [disconnected input]"
-    if verdict.agreement != "algebraic-skipped":
-        text += f"; cross-validation: {verdict.agreement}"
-    elif verdict.skip_reason is not None:
-        text += f"; cross-validation: skipped ({verdict.skip_reason})"
+    return text + _cross_validation_text(verdict.agreement, verdict.skip_reason)
+
+
+def _cross_validation_text(agreement: str, skip_reason: Optional[str]) -> str:
+    if agreement != "algebraic-skipped":
+        return f"; cross-validation: {agreement}"
+    if skip_reason is not None:
+        return f"; cross-validation: skipped ({skip_reason})"
+    return ""
+
+
+def _deletion_checks_text(report) -> str:
+    """Clauses naming the deletions whose cross-validation certified nothing:
+    those whose sampling was refused, grouped by reason, and those whose
+    samples all fell short of the predicted rank."""
+    refused: dict[str, list[str]] = {}
+    short: list[str] = []
+    for l, check in enumerate(report.deletion_checks or ()):
+        if check is None or check[0] == "agree":
+            continue
+        if check[1] is not None:
+            refused.setdefault(check[1], []).append(str(l))
+        else:
+            short.append(str(l))
+
+    def rods(ls: list[str]) -> str:
+        return f"rod{'s' if len(ls) > 1 else ''} {' '.join(ls)}"
+
+    text = "".join(f"; deleting {rods(ls)}: cross-validation skipped ({reason})"
+                   for reason, ls in refused.items())
+    if short:
+        text += f"; deleting {rods(short)}: cross-validation skipped (samples fell short)"
     return text
 
 
@@ -112,11 +140,15 @@ def _cmd_minimal(args) -> int:
         return EXIT_FLEXIBLE
     if args.format == "json":
         _emit_json(minimal_report_to_json(report))
-    elif report.minimally_rigid:
-        print("minimally rigid (deleting any rod yields a flexible configuration)")
+        return EXIT_RIGID
+    if report.minimally_rigid:
+        text = "minimally rigid (deleting any rod yields a flexible configuration)"
     else:
         rods = " ".join(str(l) for l in report.removable)
-        print(f"rigid but not minimally rigid (removable rods: {rods})")
+        text = f"rigid but not minimally rigid (removable rods: {rods})"
+    base = report.base
+    print(text + _cross_validation_text(base.agreement, base.skip_reason)
+          + _deletion_checks_text(report))
     return EXIT_RIGID
 
 

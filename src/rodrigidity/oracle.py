@@ -391,9 +391,11 @@ def realization_from_coords(
     Raises VerticalLineError for a vertical line unless rotate_if_vertical is
     set, in which case a random rational rotation is applied to all points
     first (exactly; rotations by rational unit vectors keep coordinates
-    rational; a fixed seed makes the rotation reproducible).  Non-collinear
-    coordinates for some line are a hard error, and so is anything that is
-    not a sequence of (x, y) rationals.
+    rational; a fixed seed makes the rotation reproducible).  A line's
+    direction comes from two of its points with distinct coordinates.
+    Non-collinear coordinates for some line are a hard error, and so are a
+    line whose points all coincide and anything that is not a sequence of
+    (x, y) rationals.
     """
     try:
         pts = [(Fraction(x), Fraction(y)) for x, y in coords]
@@ -408,7 +410,12 @@ def realization_from_coords(
         slopes, intercepts = [], []
         vertical = False
         for i, line in enumerate(geometry.lines):
-            (x0, y0), (x1, y1) = current[line[0]], current[line[1]]
+            x0, y0 = current[line[0]]
+            other = next((current[p] for p in line if current[p] != (x0, y0)), None)
+            if other is None:
+                raise OracleError(f"every point of line {i} has the same coordinates, "
+                                  "so they fix no direction for it")
+            x1, y1 = other
             if x0 == x1:
                 vertical = True
                 break

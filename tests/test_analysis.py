@@ -23,6 +23,7 @@ from rodrigidity import (
     random_geometry,
     rank_of,
     realize_cone,
+    remove_line,
     sample_realization,
     verdict_to_json,
 )
@@ -335,8 +336,49 @@ class TestMinimalRigidity:
         report = decide_minimal_rigidity(fig2, "cross-validated", seed=5)
         assert report.base.agreement == "agree" and report.minimally_rigid
         monkeypatch.setattr(analysis, "remaining_without_each", lambda n, groups: (5,) * len(groups))
-        with pytest.raises(AssertionError, match="deleting rod 0"):
+        with pytest.raises(OracleDisagreementError, match="deleting rod 0") as info:
             decide_minimal_rigidity(fig2, "cross-validated", seed=5)
+        # the planted count calls deleting rod 0 rigid; its samples fall short
+        bundle = info.value.bundle
+        assert bundle["deleted_rod"] == 0 and bundle["remaining_pebbles"] == 3
+        assert bundle["geometry"]["lines"] == [list(l) for l in fig2.lines[1:]]
+        assert len(bundle["samples"]) == 3
+        json.dumps(bundle)
+
+    def test_cross_validation_reports_each_deletion(self, fig2, two_point_three_lines):
+        # deleting rod 0 is flexible and agrees; the others strand a point,
+        # so they are flexible without sampling
+        report = decide_minimal_rigidity(fig2, "cross-validated", seed=5)
+        assert report.deletion_checks == (("agree", None), None, None, None)
+        assert decide_minimal_rigidity(fig2).deletion_checks is None
+        # every deletion still doubles a rod, so sampling refuses each one
+        reason = "rods 0 and 1 share points 0 and 1"
+        report = decide_minimal_rigidity(two_point_three_lines, "cross-validated")
+        assert report.base.skip_reason == reason and report.removable == (0, 1, 2)
+        assert report.deletion_checks == (("algebraic-skipped", reason),) * 3
+        doc = minimal_report_to_json(report)
+        assert doc["deletion_cross_validation"] == [
+            {"agreement": "algebraic-skipped", "skip_reason": reason}] * 3
+        assert "deletion_cross_validation" not in minimal_report_to_json(
+            decide_minimal_rigidity(two_point_three_lines))
+
+    def test_cross_validation_draws_what_redeciding_draws(self):
+        # each deletion is sampled with the seeds, and to the same verdict,
+        # that deciding the deletion geometry on its own would use
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(40):
+            g = random_geometry(rng, max_points=8, max_lines=6)
+            report = decide_minimal_rigidity(g, "cross-validated", seed=11)
+            for l, check in enumerate(report.deletion_checks or ()):
+                verdict = decide_rod_rigidity(remove_line(g, l), "cross-validated", seed=11)
+                if check is None:
+                    assert not verdict.connected
+                else:
+                    assert check == (verdict.agreement, verdict.skip_reason)
+                    checked += 1
+                assert verdict.is_rigid == report.deletion_rigid[l]
+        assert checked
 
     def test_report_json(self, fig2):
         doc = minimal_report_to_json(decide_minimal_rigidity(fig2))
@@ -346,8 +388,6 @@ class TestMinimalRigidity:
     def test_deleting_the_cevian_cross_checks_flexible(self, fig2):
         # dropping the cevian strands its midpoint: combinatorially flexible,
         # and the rank oracle on a sampled realization must agree
-        from rodrigidity import remove_line
-
         bare = remove_line(fig2, 3)
         assert not decide_rod_rigidity(bare).is_rigid
         rho = sample_realization(bare, seed=34)

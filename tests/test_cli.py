@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -28,6 +29,17 @@ PAPPUS_TEXT = "points: 9\n" + "".join(
 def fig2_file(tmp_path):
     path = tmp_path / "fig2.geo"
     path.write_text(FIG2_TEXT)
+    return str(path)
+
+
+@pytest.fixture
+def arrangement8_file(tmp_path):
+    """Eight rods, every two meeting in a point of their own."""
+    pairs = list(combinations(range(8), 2))
+    path = tmp_path / "arrangement8.geo"
+    path.write_text(f"points: {len(pairs)}\n" + "".join(
+        "line: " + " ".join(str(p) for p, pair in enumerate(pairs) if rod in pair) + "\n"
+        for rod in range(8)))
     return str(path)
 
 
@@ -170,6 +182,65 @@ class TestMinimal:
         assert main(["minimal", request.getfixturevalue(f"{name}_file")]) == code
         assert len(calls) == decides
 
+    @pytest.mark.parametrize("name", ["fig2", "arrangement8"])
+    def test_cross_validation_plays_once(self, request, name, monkeypatch, capsys):
+        # each deletion is checked against its leave-one-out count, not
+        # decided again with a game of its own
+        import rodrigidity.analysis as analysis
+
+        decides, plays = [], []
+        real_decide, real_play = analysis.decide_rod_rigidity, analysis.play
+        for module in (analysis, cli):
+            monkeypatch.setattr(module, "decide_rod_rigidity",
+                                lambda *a, **k: decides.append(a) or real_decide(*a, **k))
+        monkeypatch.setattr(analysis, "play", lambda *a, **k: plays.append(a) or real_play(*a, **k))
+        assert main(["minimal", request.getfixturevalue(f"{name}_file"), "--cross-validate"]) == 0
+        assert "; cross-validation: agree" in capsys.readouterr().out
+        assert len(decides) == len(plays) == 1
+
+    def test_deletion_disagreement_exit_three(self, fig2_file, capsys, monkeypatch):
+        import rodrigidity.analysis as analysis
+
+        # a planted leave-one-out count calls every deletion rigid
+        monkeypatch.setattr(analysis, "remaining_without_each", lambda n, groups: (5,) * len(groups))
+        assert main(["minimal", fig2_file, "--cross-validate"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message, bundle = captured.err.splitlines()
+        assert message.startswith("DEFECT: ") and "deleting rod 0" in message
+        bundle = json.loads(bundle)
+        assert bundle["deleted_rod"] == 0 and bundle["remaining_pebbles"] == 3
+
+    def test_refused_deletions_are_reported(self, tmp_path, capsys):
+        path = tmp_path / "tripled.geo"
+        path.write_text("points: 2\nline: 0 1\nline: 0 1\nline: 0 1\n")
+        reason = "rods 0 and 1 share points 0 and 1"
+        assert main(["minimal", str(path), "--cross-validate"]) == 0
+        assert capsys.readouterr().out == (
+            f"rigid but not minimally rigid (removable rods: 0 1 2); cross-validation: "
+            f"skipped ({reason}); deleting rods 0 1 2: cross-validation skipped ({reason})\n"
+        )
+        assert main(["minimal", str(path), "--cross-validate", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["skip_reason"] == reason
+        assert doc["deletion_cross_validation"] == [
+            {"agreement": "algebraic-skipped", "skip_reason": reason}] * 3
+        # without --cross-validate nothing was sampled, so nothing is reported
+        assert main(["minimal", str(path)]) == 0
+        assert capsys.readouterr().out == "rigid but not minimally rigid (removable rods: 0 1 2)\n"
+        assert main(["minimal", str(path), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "deletion_cross_validation" not in doc and "skip_reason" not in doc
+
+    def test_short_deletion_is_reported(self, fig2_file, monkeypatch, capsys):
+        # the base's sample is true; every sample of deleting rod 0, a
+        # flexible deletion, falls one short of its predicted rank
+        plant_rank_shift(monkeypatch, 0, -1)
+        assert main(["minimal", fig2_file, "--cross-validate"]) == 0
+        assert capsys.readouterr().out == (
+            "minimally rigid (deleting any rod yields a flexible configuration); "
+            "cross-validation: agree; deleting rod 0: cross-validation skipped (samples fell short)\n"
+        )
 
     def test_field_reaches_sampling(self, fig2_file, monkeypatch, capsys):
         import rodrigidity.analysis as analysis
@@ -322,6 +393,25 @@ class TestDotAndSvg:
         assert main(["svg", str(geo), "--realization", str(coords)]) == 1
         assert "vertical" in capsys.readouterr().err
         assert main(["svg", str(geo), "--realization", str(coords), "--rotate"]) == 0
+
+    def test_svg_coincident_points(self, tmp_path, capsys):
+        # a line's direction comes from two distinct points, whichever
+        # point comes first
+        geo = tmp_path / "rod.geo"
+        geo.write_text("points: 3\nline: 0 1 2\n")
+        drawings = []
+        for coords in ([["0", "0"], ["0", "0"], ["1", "1"]], [["0", "0"], ["1", "1"], ["0", "0"]]):
+            path = tmp_path / "coords.json"
+            path.write_text(json.dumps({"coords": coords}))
+            for flags in ([], ["--rotate"]):
+                assert main(["svg", str(geo), "--realization", str(path)] + flags) == 0
+                drawings.append(capsys.readouterr().out)
+        assert drawings[0] == drawings[1] and drawings[2] == drawings[3]
+        assert [d.count("<line") for d in drawings] == [1] * 4
+        path.write_text(json.dumps({"coords": [["1", "2"]] * 3}))
+        assert main(["svg", str(geo), "--realization", str(path), "--rotate"]) == 1
+        assert capsys.readouterr().err == (
+            "error: every point of line 0 has the same coordinates, so they fix no direction for it\n")
 
 
 def test_fuzz_small(capsys):

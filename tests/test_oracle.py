@@ -76,6 +76,19 @@ class TestRealizationFromCoords:
         dy = rho.ys[0] - rho.ys[1]
         assert dx * dx + dy * dy == 1
 
+    def test_coincident_points_in_either_order(self):
+        g = single_line(3)
+        first = realization_from_coords(g, [(0, 0), (0, 0), (1, 1)])
+        second = realization_from_coords(g, [(0, 0), (1, 1), (0, 0)])
+        assert first.slopes == second.slopes == (-1,)
+        assert first.intercepts == second.intercepts == (0,)
+        assert first.satisfies(g) and second.satisfies(g)
+
+    def test_all_points_coincide_rejected(self):
+        g = IncidenceGeometry(3, ((0, 1), (1, 2)))
+        with pytest.raises(OracleError, match="every point of line 1 has the same coordinates"):
+            realization_from_coords(g, [(0, 0), (1, 1), (1, 1)], rotate_if_vertical=True)
+
 
 class TestTrivialRealization:
     def test_satisfies_but_not_proper(self, fig2):
