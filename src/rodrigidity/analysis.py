@@ -167,10 +167,11 @@ def decide_rod_rigidity(
     algebraic: Optional[tuple[tuple[int, int], ...]] = None
     skip_reason: Optional[str] = None
     if mode == "cross-validated" and connected and pebble is not None:
-        agreement, algebraic, skip_reason = _cross_validate(
+        agreement, algebraic, refusal = _cross_validate(
             geometry, pebble.remaining_pebbles, seed, field,
             f"pebble: {pebble.classification}", pebble_classification=pebble.classification,
         )
+        skip_reason = refusal.reason if refusal else None
     return RigidityVerdict(
         connected=connected,
         pebble=pebble,
@@ -188,23 +189,24 @@ def _cross_validate(
     field: Optional[Field],
     label: str,
     **about,
-) -> tuple[str, Optional[tuple[tuple[int, int], ...]], Optional[str]]:
+) -> tuple[str, Optional[tuple[tuple[int, int], ...]], Optional[Infeasible]]:
     """Check a pebble count of a connected geometry on exact samples.
 
     `remaining` is the count the game left on the geometry's cone graph.
-    Returns (agreement, algebraic, skip_reason) as decide_rod_rigidity
-    reports them, or raises OracleDisagreementError; `label` goes into its
-    message and `about` into its bundle, naming the count that was checked.
+    Returns (agreement, algebraic, refusal) as decide_rod_rigidity reports
+    them, refusal being the Infeasible whose reason becomes skip_reason, or
+    raises OracleDisagreementError; `label` goes into its message and
+    `about` into its bundle, naming the count that was checked.
     """
     deficit = remaining - 3
     agreement = "algebraic-skipped"
-    skip_reason: Optional[str] = None
+    refusal: Optional[Infeasible] = None
     samples: list[tuple[int, LinearRealization, LinearRealization, int, int]] = []
     sc: Optional[ConeIncidenceGeometry] = None
     for s in _spawn_seeds(seed, 3):
         rho = sample_realization(geometry, s, field=field)
         if isinstance(rho, Infeasible):
-            skip_reason = rho.reason
+            refusal = rho
             break  # final: no seed realizes these incidences properly
         if sc is None:
             sc = build_cone_incidence(geometry)
@@ -224,7 +226,7 @@ def _cross_validate(
         if samples and deficit == 0:
             _raise_disagreement(geometry, seed, remaining, samples, label, about)
     algebraic = tuple((rank, max_rank) for *_, rank, max_rank in samples) if samples else None
-    return agreement, algebraic, skip_reason
+    return agreement, algebraic, refusal
 
 
 def _raise_disagreement(geometry, seed, remaining, samples, label, about) -> None:
@@ -455,9 +457,9 @@ def decide_minimal_rigidity(
     count: same seeds, same agreement rule, and a disagreement raises
     OracleDisagreementError whose bundle names the `deleted_rod`.  A
     deletion that disconnects the geometry is flexible and is not sampled.
-    Each outcome lands in deletion_checks.  A flexible base gets no
-    deletions: its report has empty deletion_rigid and removable and is not
-    minimally rigid."""
+    Each outcome lands in deletion_checks, with a refusal's reason in the
+    input's rod numbers.  A flexible base gets no deletions: its report has
+    empty deletion_rigid and removable and is not minimally rigid."""
     base = decide_rod_rigidity(geometry, mode, seed, field=field)
     deletion_rigid: tuple[bool, ...] = ()
     deletion_checks = None
@@ -473,11 +475,11 @@ def decide_minimal_rigidity(
                 if not is_connected(deletion):
                     checks.append(None)
                     continue
-                agreement, _, skip_reason = _cross_validate(
+                agreement, _, refusal = _cross_validate(
                     deletion, left - 2, seed, field,
                     f"deleting rod {l}: {left - 2} pebbles remain", deleted_rod=l,
                 )
-                checks.append((agreement, skip_reason))
+                checks.append((agreement, refusal.before_deleting(l).reason if refusal else None))
             deletion_checks = tuple(checks)
     removable = tuple(l for l, r in enumerate(deletion_rigid) if r)
     return MinimalRigidityReport(

@@ -35,6 +35,7 @@ from .oracle import (
     OracleError,
     PrimeField,
     RATIONALS,
+    VerticalLineError,
     realization_from_coords,
     realization_from_json,
     realize_cone,
@@ -211,7 +212,10 @@ def _load_realization_file(geometry: IncidenceGeometry, path: str, rotate: bool)
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict) and "coords" in doc:
-        return realization_from_coords(geometry, doc["coords"], rotate_if_vertical=rotate)
+        try:
+            return realization_from_coords(geometry, doc["coords"], rotate_if_vertical=rotate)
+        except VerticalLineError as exc:
+            raise OracleError(f"{exc}; pass --rotate to rotate the input first") from None
     rho = realization_from_json(doc)
     if not rho.satisfies(geometry):
         raise OracleError("the realization does not satisfy the geometry")

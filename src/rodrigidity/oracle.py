@@ -153,6 +153,20 @@ class Infeasible:
     """
 
     reason: str
+    # (l1, l2, p, q) when rods l1 and l2 both pass through points p and q
+    shared_pair: Optional[tuple[int, int, int, int]] = None
+
+    @classmethod
+    def shared(cls, l1: int, l2: int, p: int, q: int) -> "Infeasible":
+        return cls(f"rods {l1} and {l2} share points {p} and {q}", (l1, l2, p, q))
+
+    def before_deleting(self, rod: int) -> "Infeasible":
+        """The same refusal in the rod numbers of the geometry that rod `rod`
+        was deleted from: rod r of the deletion is rod r + (r >= rod) there."""
+        if self.shared_pair is None:
+            return self
+        l1, l2, p, q = self.shared_pair
+        return Infeasible.shared(l1 + (l1 >= rod), l2 + (l2 >= rod), p, q)
 
 
 @dataclass(frozen=True)
@@ -347,7 +361,7 @@ def sample_realization(
     """
     pair = shared_rod_pair(geometry)
     if pair is not None:
-        return Infeasible("rods {} and {} share points {} and {}".format(*pair))
+        return Infeasible.shared(*pair)
     field = field or DEFAULT_FIELD
     rng = random.Random(seed)
     incidences = geometry.incidences()
@@ -432,9 +446,7 @@ def realization_from_coords(
             continue
         return LinearRealization(RATIONALS, tuple(slopes), tuple(intercepts),
                                  tuple(x for x, _ in current), tuple(y for _, y in current))
-    raise VerticalLineError(
-        "a line is vertical; pass rotate_if_vertical=True to rotate the input first"
-    )
+    raise VerticalLineError(f"line {i} is vertical, so it has no slope-intercept form")
 
 
 def realize_cone(

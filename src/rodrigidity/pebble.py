@@ -17,8 +17,10 @@ Three pebbles always remain (the trivial planar motions).  Exactly three
 remaining means the input graph is rigid; any rejection means it is dependent.
 
 remaining_without_each answers a leave-one-out question over groups of edges
-with one game: batches of groups are inserted and removed again by divide and
-conquer, so each edge is offered O(log L) times instead of L - 1 times.
+in three games.  A forward game in group order keeps a basis of every prefix
+of the groups, and a backward game in reverse order a basis of every suffix.
+A divide and conquer over the groups then offers only those basis edges, so
+an edge that both games reject is never offered again.
 """
 
 from __future__ import annotations
@@ -187,23 +189,43 @@ def _undo_batch(state: PebbleState, kept: Iterable[tuple[int, int]]) -> None:
             pebbles[v] += 1
 
 
+def _group_bases(
+    num_vertices: int, groups: Iterable[Sequence[tuple[int, int]]]
+) -> list[list[tuple[int, int]]]:
+    """One game over the groups in the given order: the edges it accepts
+    from each group."""
+    state = new_state(num_vertices)
+    return [_insert_batch(state, group) for group in groups]
+
+
 def remaining_without_each(
     num_vertices: int, groups: Sequence[Sequence[tuple[int, int]]]
 ) -> tuple[int, ...]:
     """For each edge group g, the pebbles left by a game over every edge
     outside g.
 
-    Divide and conquer over the groups: for a range [lo, hi) split at mid,
-    the groups of [mid, hi) are inserted while [lo, mid) is solved, then
-    removed again, and the same is done the other way round.  Each leaf holds
-    exactly the edges outside its group, and the pebble count depends only on
-    the accepted set (2|V| - |accepted|), not on its orientation.  Every edge
-    is offered O(log L) times for L groups."""
+    Two games come first: a forward game over the groups in order, which
+    accepts F_j from group j, and a backward game in reverse order, which
+    accepts R_j.  The accepted edges of a game always span every edge it has
+    seen, so F_<i (the F_j of every j < i) spans each edge of a group before
+    i, and R_>i spans each edge of a group after i.  Hence F_<i and R_>i
+    together span exactly the edges outside group i: both sets have the same
+    rank, and the pebble count depends only on the rank of what a game holds
+    (2|V| - |accepted|), not on the order or the orientation.
+
+    Then divide and conquer over the groups: for a range [lo, hi) split at
+    mid, R of the groups [mid, hi) is inserted while [lo, mid) is solved,
+    then removed again, and F of the groups [lo, mid) is inserted while
+    [mid, hi) is solved.  Leaf i then holds exactly F_<i and R_>i.  Each
+    basis edge is offered O(log L) times for L groups, and an edge that both
+    games reject is offered by the games alone."""
     for group in groups:
         for u, v in group:
             _check_edge(num_vertices, u, v)
     if not groups:
         return ()
+    forward = _group_bases(num_vertices, groups)
+    backward = _group_bases(num_vertices, reversed(groups))[::-1]
     state = new_state(num_vertices)
     remaining = [0] * len(groups)
 
@@ -212,10 +234,10 @@ def remaining_without_each(
             remaining[lo] = state.remaining_pebbles()
             return
         mid = (lo + hi) // 2
-        kept = _insert_batch(state, chain.from_iterable(groups[mid:hi]))
+        kept = _insert_batch(state, chain.from_iterable(backward[mid:hi]))
         solve(lo, mid)
         _undo_batch(state, kept)
-        kept = _insert_batch(state, chain.from_iterable(groups[lo:mid]))
+        kept = _insert_batch(state, chain.from_iterable(forward[lo:mid]))
         solve(mid, hi)
         _undo_batch(state, kept)
 

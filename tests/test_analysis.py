@@ -25,6 +25,7 @@ from rodrigidity import (
     realize_cone,
     remove_line,
     sample_realization,
+    shared_rod_pair,
     verdict_to_json,
 )
 from rodrigidity.analysis import minimal_report_to_json
@@ -351,34 +352,44 @@ class TestMinimalRigidity:
         report = decide_minimal_rigidity(fig2, "cross-validated", seed=5)
         assert report.deletion_checks == (("agree", None), None, None, None)
         assert decide_minimal_rigidity(fig2).deletion_checks is None
-        # every deletion still doubles a rod, so sampling refuses each one
-        reason = "rods 0 and 1 share points 0 and 1"
+        # every deletion still doubles a rod, so sampling refuses each one;
+        # each reason names the two rods left, in the input's numbering
+        reasons = [f"rods {a} and {b} share points 0 and 1" for a, b in ((1, 2), (0, 2), (0, 1))]
         report = decide_minimal_rigidity(two_point_three_lines, "cross-validated")
-        assert report.base.skip_reason == reason and report.removable == (0, 1, 2)
-        assert report.deletion_checks == (("algebraic-skipped", reason),) * 3
+        assert report.base.skip_reason == reasons[2] and report.removable == (0, 1, 2)
+        assert report.deletion_checks == tuple(("algebraic-skipped", r) for r in reasons)
         doc = minimal_report_to_json(report)
         assert doc["deletion_cross_validation"] == [
-            {"agreement": "algebraic-skipped", "skip_reason": reason}] * 3
+            {"agreement": "algebraic-skipped", "skip_reason": r} for r in reasons]
         assert "deletion_cross_validation" not in minimal_report_to_json(
             decide_minimal_rigidity(two_point_three_lines))
 
     def test_cross_validation_draws_what_redeciding_draws(self):
         # each deletion is sampled with the seeds, and to the same verdict,
-        # that deciding the deletion geometry on its own would use
+        # that deciding the deletion geometry on its own would use; a shared
+        # pair is named by the input's rod numbers
         rng = random.Random(7)
-        checked = 0
+        checked = renumbered = 0
         for _ in range(40):
             g = random_geometry(rng, max_points=8, max_lines=6)
             report = decide_minimal_rigidity(g, "cross-validated", seed=11)
             for l, check in enumerate(report.deletion_checks or ()):
-                verdict = decide_rod_rigidity(remove_line(g, l), "cross-validated", seed=11)
+                deletion = remove_line(g, l)
+                verdict = decide_rod_rigidity(deletion, "cross-validated", seed=11)
                 if check is None:
                     assert not verdict.connected
                 else:
-                    assert check == (verdict.agreement, verdict.skip_reason)
+                    reason, pair = verdict.skip_reason, shared_rod_pair(deletion)
+                    if pair is not None:
+                        rods = [r for r in range(g.num_lines) if r != l]
+                        r1, r2, p, q = rods[pair[0]], rods[pair[1]], pair[2], pair[3]
+                        assert {p, q} <= set(g.lines[r1]) & set(g.lines[r2])
+                        reason = f"rods {r1} and {r2} share points {p} and {q}"
+                        renumbered += reason != verdict.skip_reason
+                    assert check == (verdict.agreement, reason)
                     checked += 1
                 assert verdict.is_rigid == report.deletion_rigid[l]
-        assert checked
+        assert checked and renumbered
 
     def test_report_json(self, fig2):
         doc = minimal_report_to_json(decide_minimal_rigidity(fig2))

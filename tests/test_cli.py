@@ -214,23 +214,39 @@ class TestMinimal:
     def test_refused_deletions_are_reported(self, tmp_path, capsys):
         path = tmp_path / "tripled.geo"
         path.write_text("points: 2\nline: 0 1\nline: 0 1\nline: 0 1\n")
-        reason = "rods 0 and 1 share points 0 and 1"
+        # each deletion's reason names the two rods left, in the input's numbering
+        reasons = [f"rods {a} and {b} share points 0 and 1" for a, b in ((1, 2), (0, 2), (0, 1))]
         assert main(["minimal", str(path), "--cross-validate"]) == 0
         assert capsys.readouterr().out == (
             f"rigid but not minimally rigid (removable rods: 0 1 2); cross-validation: "
-            f"skipped ({reason}); deleting rods 0 1 2: cross-validation skipped ({reason})\n"
+            f"skipped ({reasons[2]})"
+            + "".join(f"; deleting rod {l}: cross-validation skipped ({r})"
+                      for l, r in enumerate(reasons))
+            + "\n"
         )
         assert main(["minimal", str(path), "--cross-validate", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["skip_reason"] == reason
+        assert doc["skip_reason"] == reasons[2]
         assert doc["deletion_cross_validation"] == [
-            {"agreement": "algebraic-skipped", "skip_reason": reason}] * 3
+            {"agreement": "algebraic-skipped", "skip_reason": r} for r in reasons]
         # without --cross-validate nothing was sampled, so nothing is reported
         assert main(["minimal", str(path)]) == 0
         assert capsys.readouterr().out == "rigid but not minimally rigid (removable rods: 0 1 2)\n"
         assert main(["minimal", str(path), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert "deletion_cross_validation" not in doc and "skip_reason" not in doc
+
+    def test_refused_deletion_names_input_rods(self, tmp_path, capsys):
+        # deleting rod 1 or 2 leaves rods 0 and 3 through points 0 and 1,
+        # which are rods 0 and 2 of the deletion geometry
+        path = tmp_path / "doubled-triangle.geo"
+        path.write_text(TRIANGLE_TEXT + "line: 0 1\n")
+        assert main(["minimal", str(path), "--cross-validate"]) == 0
+        assert capsys.readouterr().out == (
+            "rigid but not minimally rigid (removable rods: 0 3); cross-validation: skipped "
+            "(rods 0 and 3 share points 0 and 1); deleting rods 1 2: cross-validation "
+            "skipped (rods 0 and 3 share points 0 and 1)\n"
+        )
 
     def test_short_deletion_is_reported(self, fig2_file, monkeypatch, capsys):
         # the base's sample is true; every sample of deleting rod 0, a
@@ -393,6 +409,18 @@ class TestDotAndSvg:
         assert main(["svg", str(geo), "--realization", str(coords)]) == 1
         assert "vertical" in capsys.readouterr().err
         assert main(["svg", str(geo), "--realization", str(coords), "--rotate"]) == 0
+
+    def test_svg_vertical_names_the_flag(self, tmp_path, capsys):
+        geo = tmp_path / "seg.geo"
+        geo.write_text("points: 2\nline: 0 1\n")
+        coords = tmp_path / "v.json"
+        coords.write_text(json.dumps({"coords": [[0, 0], [0, 1]]}))
+        assert main(["svg", str(geo), "--realization", str(coords)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err == (
+            "error: line 0 is vertical, so it has no slope-intercept form; "
+            "pass --rotate to rotate the input first\n")
 
     def test_svg_coincident_points(self, tmp_path, capsys):
         # a line's direction comes from two distinct points, whichever

@@ -12,12 +12,14 @@ from rodrigidity import (
     independent_after,
     new_state,
     play,
+    random_geometry,
     remaining_without_each,
     try_edge,
 )
+from rodrigidity import pebble
 from rodrigidity.pebble import _insert_batch, _undo_batch, verdict_of
 
-from bruteforce import henneberg_graph, laman_independent, laman_rank
+from bruteforce import henneberg_graph, laman_independent, laman_rank, shares_two_points
 from conftest import FIG1_EDGES, K4_EDGES
 
 
@@ -133,6 +135,13 @@ def _held(state):
     return sorted(tuple(sorted((u, w))) for u in range(state.num_vertices) for w in state.out[u])
 
 
+def _one_game_per_group(n, groups):
+    return tuple(
+        play(n, [e for j, group in enumerate(groups) if j != i for e in group]).remaining_pebbles
+        for i in range(len(groups))
+    )
+
+
 class TestLeaveOneOut:
     def test_batch_undo_restores_the_state(self):
         rng = random.Random(11)
@@ -165,15 +174,82 @@ class TestLeaveOneOut:
 
     def test_matches_one_game_per_group(self):
         rng = random.Random(12)
+        cases = []
         for _ in range(40):
             n = rng.randint(2, 9)
-            groups = [[tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 4))]
-                      for _ in range(rng.randint(1, 9))]
-            expected = tuple(
-                play(n, [e for j, group in enumerate(groups) if j != i for e in group]).remaining_pebbles
-                for i in range(len(groups))
-            )
-            assert remaining_without_each(n, groups) == expected
+            cases.append((n, [[tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 4))]
+                              for _ in range(rng.randint(1, 9))]))
+        # empty groups: first, last, in between, and nothing but
+        cases += [(4, [[], [(0, 1), (1, 2)], [], [(0, 2), (2, 3)], [(1, 3)], []]),
+                  (3, [[], []]), (2, [[]])]
+        # one edge in two groups, either way round: deleting one group keeps it
+        cases += [(3, [[(0, 1), (1, 2)], [(0, 2), (0, 1)]]),
+                  (4, [[(0, 1)], [(1, 2), (2, 3)], [(2, 0)], [(1, 0), (1, 3)], [(0, 3)]]),
+                  (4, [[(2, 3), (0, 1)], [(0, 2)], [(3, 2), (1, 2)], [(1, 3)]])]
+        # cone groups of geometries with two rods through the same two points,
+        # whose cones then hold the same edge
+        geometries = (random_geometry(rng, 12, 8) for _ in range(400))
+        shared = 0
+        for g in geometries:
+            cone = build_cone_graph(g)
+            if len(set(map(frozenset, cone.edges))) == len(cone.edges):
+                continue
+            assert shares_two_points(g)
+            cases.append((cone.num_vertices, [[cone.edges[k] for k in indices]
+                                              for indices in cone.cone_edges]))
+            shared += 1
+        assert shared >= 100
+        for n, groups in cases:
+            assert remaining_without_each(n, groups) == _one_game_per_group(n, groups)
+
+    @pytest.mark.parametrize("case", ["golden", "k4-sandwich"])
+    def test_recursion_offers_only_basis_edges(self, case, monkeypatch):
+        # after the forward and the backward game, the recursion offers no
+        # edge that both games rejected, and leaf i holds only edges that the
+        # forward game accepted before group i or the backward game after it
+        if case == "golden":
+            cone = build_cone_graph(_arrangement(30, 0.6, seed=2024))
+            n = cone.num_vertices
+            groups = [[cone.edges[k] for k in indices] for indices in cone.cone_edges]
+        else:
+            # (1, 0) is spanned by the K4 before it and by the K4 after it
+            n, groups = 4, [K4_EDGES, [(1, 0)], K4_EDGES]
+        expected = _one_game_per_group(n, groups)
+        offers, leaves = [], []
+        real_gather, real_remaining = pebble._gather, pebble.PebbleState.remaining_pebbles
+
+        def gather(state, u, v):
+            ok = real_gather(state, u, v)
+            offers.append(((u, v), ok))
+            return ok
+
+        def remaining(state):
+            leaves.append({frozenset(e) for e in _held(state)})
+            return real_remaining(state)
+
+        monkeypatch.setattr(pebble, "_gather", gather)
+        monkeypatch.setattr(pebble.PebbleState, "remaining_pebbles", remaining)
+        assert remaining_without_each(n, groups) == expected and len(leaves) == len(groups)
+        games = iter(offers)
+
+        def accepted_by_game(order):
+            bases = []
+            for group in order:
+                offered = [next(games) for _ in group]
+                assert [e for e, _ in offered] == list(group)
+                bases.append([e for e, ok in offered if ok])
+            return bases
+
+        forward = accepted_by_game(groups)
+        backward = accepted_by_game(reversed(groups))[::-1]
+        recursion = [e for e, _ in games]
+        accepted = {e for basis in forward + backward for e in basis}
+        rejected_by_both = {e for group in groups for e in group} - accepted
+        assert recursion and not rejected_by_both & set(recursion)
+        assert bool(rejected_by_both) == (case == "k4-sandwich")
+        for i, held in enumerate(leaves):
+            basis = forward[:i] + backward[i + 1:]
+            assert held <= {frozenset(e) for b in basis for e in b}
 
     def test_no_groups(self):
         assert remaining_without_each(1, []) == ()
