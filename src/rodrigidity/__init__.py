@@ -32,7 +32,6 @@ from .pebble import (
     PebbleState,
     PebbleVerdict,
     independent_after,
-    new_state,
     play,
     remaining_without_each,
     try_edge,

@@ -34,14 +34,7 @@ from .oracle import (
     sample_realization,
     string_config_rank,
 )
-from .pebble import (
-    PebbleVerdict,
-    new_state,
-    play,
-    remaining_without_each,
-    try_edge,
-    verdict_of,
-)
+from .pebble import PebbleState, PebbleVerdict, play, remaining_without_each, try_edge
 # Not called here, but perfbench/tracing.py wraps these names in this module.
 from .oracle import is_string_config_rigid  # noqa: F401
 from .pebble import independent_after  # noqa: F401
@@ -372,7 +365,9 @@ def canonical_subgraph(geometry: IncidenceGeometry) -> CanonicalSubgraph:
     subgeometry is sharply independent.
     """
     host, order, plan = canonical_edge_order(geometry)
-    state = new_state(host.num_vertices)
+    state = PebbleState(host.num_vertices)
+    accepted: list[tuple[int, int]] = []
+    rejected: list[tuple[int, int]] = []
     n_pts = geometry.num_points
     star_members: list[set[int]] = [set() for _ in range(geometry.num_lines)]
     spokes: set[tuple[int, int]] = set()
@@ -380,17 +375,18 @@ def canonical_subgraph(geometry: IncidenceGeometry) -> CanonicalSubgraph:
         if not try_edge(state, u, v):
             if stage < 6:
                 raise AssertionError(f"unconditional construction edge ({u}, {v}) was rejected")
+            rejected.append((u, v))
             continue
+        accepted.append((u, v))
         if u >= n_pts:
             spokes.add((line, v))
         else:
             star_members[line].update((u, v))
     sub, sources = _subgeometry_from_parts(geometry, star_members, spokes)
-    game = verdict_of(state)
     return CanonicalSubgraph(
         cone_graph=host,
-        edges=game.accepted,
-        rejected=game.rejected,
+        edges=tuple(accepted),
+        rejected=tuple(rejected),
         line_order=order,
         subgeometry=sub,
         source_lines=sources,
@@ -465,8 +461,7 @@ def decide_minimal_rigidity(
     deletion_checks = None
     if base.is_rigid:
         cone = build_cone_graph(geometry)
-        groups = [[cone.edges[k] for k in indices] for indices in cone.cone_edges]
-        lefts = remaining_without_each(cone.num_vertices, groups)
+        lefts = remaining_without_each(cone.num_vertices, cone.cones)
         deletion_rigid = tuple(left == 5 for left in lefts)
         if mode == "cross-validated":
             checks: list[Optional[tuple[str, Optional[str]]]] = []

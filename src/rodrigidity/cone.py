@@ -13,6 +13,7 @@ vertex choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Optional
 
 from .geometry import GeometryError, IncidenceGeometry
@@ -28,21 +29,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConeGraph:
-    """Edge list of a cone graph, with per-line bookkeeping.
+    """A cone graph as the list of its cones, one per line.
 
-    Edges are ordered cone by cone in line order; within a cone the spokes
-    (cone vertex, point) come first by point index, then the star edges
-    (inner vertex, point) by point index.  The edge list has exactly
-    2|I| - |L| entries.  When two lines share two or more points the same
-    unordered pair may occur twice in the list (once per owning cone); the
-    pebble game treats the duplicate as dependent, so verdicts are unaffected.
+    cones[l] holds the edges of line l's cone: the spokes (cone vertex,
+    point) first by point index, then the star edges (inner vertex, point)
+    by point index, 2k - 1 edges for a line through k points.  edges lists
+    the cones in turn, 2|I| - |L| edges in all.  When two lines share two or
+    more points the same unordered pair may occur in both cones; the pebble
+    game treats the duplicate as dependent, so verdicts are unaffected.
     """
 
     num_points: int
     line_points: tuple[tuple[int, ...], ...]
     inner_vertex: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    cone_edges: tuple[tuple[int, ...], ...]  # per line: indices into edges
+    cones: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(chain.from_iterable(self.cones))
 
     @property
     def num_lines(self) -> int:
@@ -66,31 +70,20 @@ def build_cone_graph(
     the same rigidity verdict, so the default exists purely for determinism.
     """
     n_pts = geometry.num_points
+    line_points = tuple(tuple(sorted(line)) for line in geometry.lines)
     inner: list[int] = []
-    for i, line in enumerate(geometry.lines):
-        choice = min(line) if inner_choice is None or i not in inner_choice else inner_choice[i]
-        if choice not in line:
-            raise GeometryError(f"inner vertex {choice} is not incident to line {i}")
-        inner.append(choice)
-    edges: list[tuple[int, int]] = []
-    cone_edges: list[tuple[int, ...]] = []
-    for i, line in enumerate(geometry.lines):
-        c = n_pts + i
-        indices = []
-        for p in sorted(line):
-            indices.append(len(edges))
-            edges.append((c, p))
-        for q in sorted(line):
-            if q != inner[i]:
-                indices.append(len(edges))
-                edges.append((inner[i], q))
-        cone_edges.append(tuple(indices))
+    cones: list[tuple[tuple[int, int], ...]] = []
+    for i, pts in enumerate(line_points):
+        r = pts[0] if inner_choice is None or i not in inner_choice else inner_choice[i]
+        if r not in pts:
+            raise GeometryError(f"inner vertex {r} is not incident to line {i}")
+        inner.append(r)
+        cones.append(tuple([(n_pts + i, p) for p in pts] + [(r, q) for q in pts if q != r]))
     return ConeGraph(
         num_points=n_pts,
-        line_points=tuple(tuple(sorted(line)) for line in geometry.lines),
+        line_points=line_points,
         inner_vertex=tuple(inner),
-        edges=tuple(edges),
-        cone_edges=tuple(cone_edges),
+        cones=tuple(cones),
     )
 
 
@@ -137,15 +130,15 @@ def cone_graph_to_dot(graph: ConeGraph, point_names: Optional[tuple[str, ...]] =
     out = ["graph cone {", "  node [shape=circle];"]
     for p in range(graph.num_points):
         label = point_names[p] if point_names and point_names[p] else f"p{p}"
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         out.append(f'  v{p} [label="{label}"];')
     for i in range(graph.num_lines):
         color = _DOT_PALETTE[i % len(_DOT_PALETTE)]
         c = graph.cone_vertex(i)
         out.append(f'  v{c} [label="c{i}" shape=square color="{color}"];')
-    for i, indices in enumerate(graph.cone_edges):
+    for i, cone in enumerate(graph.cones):
         color = _DOT_PALETTE[i % len(_DOT_PALETTE)]
-        for k in indices:
-            u, v = graph.edges[k]
+        for u, v in cone:
             out.append(f'  v{u} -- v{v} [color="{color}"];')
     out.append("}")
     return "\n".join(out) + "\n"

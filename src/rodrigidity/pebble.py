@@ -13,6 +13,11 @@ tree parent per vertex, allocated once: a search takes a new stamp, marks the
 root and the blocked endpoint with it, and a vertex counts as visited when its
 mark equals the stamp, so nothing is cleared between searches.
 
+The state holds pebbles and orientations only: the accepted edges are the
+out-edges, and nothing else records them.  Whoever needs the accepted and
+rejected edges in offer order (play, canonical_subgraph) keeps them from
+try_edge's answers.
+
 Three pebbles always remain (the trivial planar motions).  Exactly three
 remaining means the input graph is rigid; any rejection means it is dependent.
 
@@ -32,7 +37,6 @@ from typing import Iterable, Sequence
 __all__ = [
     "PebbleState",
     "PebbleVerdict",
-    "new_state",
     "try_edge",
     "independent_after",
     "play",
@@ -40,15 +44,15 @@ __all__ = [
 ]
 
 class PebbleState:
-    """Mutable game state: pebble counts plus the orientation of accepted edges.
+    """Mutable game state: pebble counts plus the orientation of accepted
+    edges, the only record of which edges the state holds.
 
     Invariant: pebbles[v] + outdegree(v) == 2 for every vertex, hence the
-    total pebble count is 2|V| - |accepted|.  _seen, _parent and _stamp are
-    the searches' reusable visit marks (see _gather).
+    total pebble count is 2|V| minus the number of held edges.  _seen,
+    _parent and _stamp are the searches' reusable visit marks (see _gather).
     """
 
-    __slots__ = ("num_vertices", "pebbles", "out", "accepted", "rejected",
-                 "_seen", "_parent", "_stamp")
+    __slots__ = ("num_vertices", "pebbles", "out", "_seen", "_parent", "_stamp")
 
     def __init__(self, num_vertices: int):
         if num_vertices < 2:
@@ -56,8 +60,6 @@ class PebbleState:
         self.num_vertices = num_vertices
         self.pebbles = [2] * num_vertices
         self.out: list[list[int]] = [[] for _ in range(num_vertices)]
-        self.accepted: list[tuple[int, int]] = []
-        self.rejected: list[tuple[int, int]] = []
         self._fresh_marks()
 
     def _fresh_marks(self) -> None:
@@ -70,17 +72,11 @@ class PebbleState:
         dup.num_vertices = self.num_vertices
         dup.pebbles = self.pebbles[:]
         dup.out = [adj[:] for adj in self.out]
-        dup.accepted = self.accepted[:]
-        dup.rejected = self.rejected[:]
         dup._fresh_marks()
         return dup
 
     def remaining_pebbles(self) -> int:
         return sum(self.pebbles)
-
-
-def new_state(num_vertices: int) -> PebbleState:
-    return PebbleState(num_vertices)
 
 
 def _check_edge(num_vertices: int, u: int, v: int) -> None:
@@ -151,17 +147,13 @@ def try_edge(state: PebbleState, u: int, v: int) -> bool:
     valid (searches may have reoriented edges and moved pebbles)."""
     _check_edge(state.num_vertices, u, v)
     if not _gather(state, u, v):
-        state.rejected.append((u, v))
         return False
     _orient(state, u, v)
-    state.accepted.append((u, v))
     return True
 
 
 def _insert_batch(state: PebbleState, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Offer every edge and return those accepted.  Nothing is logged in
-    state.accepted or state.rejected, so the pebble count alone says how many
-    edges the state holds."""
+    """Offer every edge and return those accepted."""
     kept = []
     for edge in edges:
         u, v = edge
@@ -194,7 +186,7 @@ def _group_bases(
 ) -> list[list[tuple[int, int]]]:
     """One game over the groups in the given order: the edges it accepts
     from each group."""
-    state = new_state(num_vertices)
+    state = PebbleState(num_vertices)
     return [_insert_batch(state, group) for group in groups]
 
 
@@ -226,7 +218,7 @@ def remaining_without_each(
         return ()
     forward = _group_bases(num_vertices, groups)
     backward = _group_bases(num_vertices, reversed(groups))[::-1]
-    state = new_state(num_vertices)
+    state = PebbleState(num_vertices)
     remaining = [0] * len(groups)
 
     def solve(lo: int, hi: int) -> None:
@@ -275,18 +267,16 @@ def play(num_vertices: int, edges: Iterable[tuple[int, int]]) -> PebbleVerdict:
     """Run the game over the edges in the given order.
 
     The accepted set depends on the order; its size (the rank) does not."""
-    state = new_state(num_vertices)
+    state = PebbleState(num_vertices)
+    accepted: list[tuple[int, int]] = []
+    rejected: list[tuple[int, int]] = []
     for u, v in edges:
-        try_edge(state, u, v)
-    return verdict_of(state)
-
-
-def verdict_of(state: PebbleState) -> PebbleVerdict:
+        (accepted if try_edge(state, u, v) else rejected).append((u, v))
     remaining = state.remaining_pebbles()
     return PebbleVerdict(
-        num_vertices=state.num_vertices,
-        accepted=tuple(state.accepted),
-        rejected=tuple(state.rejected),
+        num_vertices=num_vertices,
+        accepted=tuple(accepted),
+        rejected=tuple(rejected),
         remaining_pebbles=remaining,
-        classification=_classify(remaining, bool(state.rejected)),
+        classification=_classify(remaining, bool(rejected)),
     )

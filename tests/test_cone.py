@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -50,12 +51,15 @@ class TestConeGraph:
             build_cone_graph(fig2, {0: 1})  # point 1 is not on line 0
 
     def test_cone_edge_bookkeeping(self, fig2):
-        g = build_cone_graph(fig2)
-        for line, indices in enumerate(g.cone_edges):
-            k = len(g.line_points[line])
-            assert len(indices) == 2 * k - 1
-            spokes = [g.edges[i] for i in indices[:k]]
-            assert all(u == g.cone_vertex(line) for u, _ in spokes)
+        rng = random.Random(2)
+        draws = [random_geometry(rng, max_points=10, max_lines=6) for _ in range(60)]
+        for s in [fig2] + draws:
+            g = build_cone_graph(s)
+            assert g.edges == tuple(e for cone in g.cones for e in cone)
+            for line, cone in enumerate(g.cones):
+                k = len(g.line_points[line])
+                assert len(cone) == 2 * k - 1
+                assert all(u == g.cone_vertex(line) for u, _ in cone[:k])
 
 
 class TestReassignInnerVertex:
@@ -132,3 +136,19 @@ def test_dot_export(fig2):
     assert dot.startswith("graph cone {")
     assert dot.count("shape=square") == 4
     assert dot.count(" -- ") == 20
+
+
+def test_dot_export_golden(fig2):
+    # sha256 of `rodrig dot` on the running example, fixed when the cone
+    # graph kept a flat edge list with per-cone indices into it; pins the
+    # cone-by-cone edge order of the file
+    dot = cone_graph_to_dot(build_cone_graph(fig2), fig2.point_names)
+    digest = hashlib.sha256(dot.encode()).hexdigest()
+    assert digest == "0b69b147e4892691d5b2e31c191d4339094faec84acb24b4c3cb75acc5fabfdd"
+
+
+def test_dot_labels_are_escaped(triangle_rods):
+    dot = cone_graph_to_dot(build_cone_graph(triangle_rods), ('a"b', "c\\", ""))
+    assert 'v0 [label="a\\"b"];' in dot
+    assert 'v1 [label="c\\\\"];' in dot
+    assert 'v2 [label="p2"];' in dot

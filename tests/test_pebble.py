@@ -10,14 +10,13 @@ from rodrigidity import (
     build_cone_graph,
     canonical_subgraph,
     independent_after,
-    new_state,
     play,
     random_geometry,
     remaining_without_each,
     try_edge,
 )
 from rodrigidity import pebble
-from rodrigidity.pebble import _insert_batch, _undo_batch, verdict_of
+from rodrigidity.pebble import PebbleState, _insert_batch, _undo_batch
 
 from bruteforce import henneberg_graph, laman_independent, laman_rank, shares_two_points
 from conftest import FIG1_EDGES, K4_EDGES
@@ -68,7 +67,7 @@ class TestPlay:
 
     def test_needs_two_vertices(self):
         with pytest.raises(ValueError):
-            new_state(1)
+            PebbleState(1)
 
     def test_single_bar(self):
         assert play(2, [(0, 1)]).classification == "minimally-rigid"
@@ -76,18 +75,18 @@ class TestPlay:
 
 class TestTryEdge:
     def test_first_edge_always_accepted(self):
-        state = new_state(6)
+        state = PebbleState(6)
         assert try_edge(state, 2, 5)
         assert state.remaining_pebbles() == 2 * 6 - 1
 
     def test_sixth_k4_edge_rejected(self):
-        state = new_state(4)
+        state = PebbleState(4)
         for u, v in K4_EDGES[:5]:
             assert try_edge(state, u, v)
         assert not try_edge(state, *K4_EDGES[5])
 
     def test_fresh_endpoint_into_saturated_blob(self):
-        state = new_state(5)
+        state = PebbleState(5)
         for u, v in K4_EDGES:
             try_edge(state, u, v)
         assert try_edge(state, 3, 4)
@@ -96,24 +95,25 @@ class TestTryEdge:
         rng = random.Random(3)
         for _ in range(30):
             n = rng.randint(2, 8)
-            state = new_state(n)
+            state = PebbleState(n)
+            accepted = 0
             for _ in range(rng.randint(1, 16)):
                 u, v = rng.sample(range(n), 2)
-                try_edge(state, u, v)
+                accepted += try_edge(state, u, v)
                 for w in range(n):
                     assert state.pebbles[w] + len(state.out[w]) == 2
-            assert state.remaining_pebbles() == 2 * n - len(state.accepted)
+            assert state.remaining_pebbles() == 2 * n - accepted
 
 
 class TestIndependentAfter:
     def test_probe_sixth_k4_edge(self):
-        state = new_state(4)
+        state = PebbleState(4)
         for u, v in K4_EDGES[:5]:
             try_edge(state, u, v)
         assert not independent_after(state, *K4_EDGES[5])
 
     def test_probe_fresh_endpoint(self):
-        state = new_state(5)
+        state = PebbleState(5)
         for u, v in K4_EDGES:
             try_edge(state, u, v)
         assert independent_after(state, 0, 4)
@@ -124,11 +124,14 @@ class TestIndependentAfter:
             n = rng.randint(3, 8)
             edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(3, 18))]
             direct = play(n, edges)
-            state = new_state(n)
+            state = PebbleState(n)
+            accepted = []
             for u, v in edges:
                 probe = independent_after(state, u, v)
                 assert try_edge(state, u, v) == probe
-            assert verdict_of(state).accepted == direct.accepted
+                if probe:
+                    accepted.append((u, v))
+            assert tuple(accepted) == direct.accepted
 
 
 def _held(state):
@@ -147,10 +150,10 @@ class TestLeaveOneOut:
         rng = random.Random(11)
         for _ in range(60):
             n = rng.randint(3, 9)
-            state = new_state(n)
+            state = PebbleState(n)
             for _ in range(rng.randint(0, 10)):
                 try_edge(state, *rng.sample(range(n), 2))
-            before, held, logged = state.remaining_pebbles(), _held(state), len(state.accepted)
+            before, held = state.remaining_pebbles(), _held(state)
             outer = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 10))]
             inner = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 10))]
             kept_outer = _insert_batch(state, outer)
@@ -162,10 +165,10 @@ class TestLeaveOneOut:
             for w in range(n):
                 assert state.pebbles[w] + len(state.out[w]) == 2
             assert state.remaining_pebbles() == before
-            assert _held(state) == held and len(state.accepted) == logged
+            assert _held(state) == held
 
     def test_rejected_parallel_copy_keeps_the_held_edge(self):
-        state = new_state(3)
+        state = PebbleState(3)
         try_edge(state, 0, 1)
         kept = _insert_batch(state, [(1, 0), (1, 2)])
         assert kept == [(1, 2)]
@@ -195,8 +198,7 @@ class TestLeaveOneOut:
             if len(set(map(frozenset, cone.edges))) == len(cone.edges):
                 continue
             assert shares_two_points(g)
-            cases.append((cone.num_vertices, [[cone.edges[k] for k in indices]
-                                              for indices in cone.cone_edges]))
+            cases.append((cone.num_vertices, cone.cones))
             shared += 1
         assert shared >= 100
         for n, groups in cases:
@@ -210,7 +212,7 @@ class TestLeaveOneOut:
         if case == "golden":
             cone = build_cone_graph(_arrangement(30, 0.6, seed=2024))
             n = cone.num_vertices
-            groups = [[cone.edges[k] for k in indices] for indices in cone.cone_edges]
+            groups = cone.cones
         else:
             # (1, 0) is spanned by the K4 before it and by the K4 after it
             n, groups = 4, [K4_EDGES, [(1, 0)], K4_EDGES]
@@ -360,21 +362,22 @@ class TestCopy:
             shared = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 12))]
             first = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 12))]
             second = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 12))]
-            state = new_state(n)
+            state = PebbleState(n)
             for u, v in shared:
                 try_edge(state, u, v)
             dup = state.copy()
+            first_answers, second_answers = [], []
             for k in range(max(len(first), len(second))):
                 if k < len(first):
-                    try_edge(state, *first[k])
+                    first_answers.append(try_edge(state, *first[k]))
                 if k < len(second):
-                    try_edge(dup, *second[k])
-            for game, tail in ((state, first), (dup, second)):
-                fresh = new_state(n)
-                for u, v in shared + tail:
+                    second_answers.append(try_edge(dup, *second[k]))
+            for game, tail, answers in ((state, first, first_answers), (dup, second, second_answers)):
+                fresh = PebbleState(n)
+                for u, v in shared:
                     try_edge(fresh, u, v)
+                assert [try_edge(fresh, u, v) for u, v in tail] == answers
                 assert (game.pebbles, game.out) == (fresh.pebbles, fresh.out)
-                assert (game.accepted, game.rejected) == (fresh.accepted, fresh.rejected)
 
 
 def _arrangement(num_rods: int, share: float, seed: int) -> IncidenceGeometry:
@@ -410,13 +413,12 @@ def test_golden_arrangement_answers(question):
         answer = (game.accepted, game.rejected)
     elif question == "state":
         # the searches visit in a fixed order, so the orientation is pinned too
-        state = new_state(cone.num_vertices)
+        state = PebbleState(cone.num_vertices)
         for u, v in cone.edges:
             try_edge(state, u, v)
         answer = (state.pebbles, state.out)
     elif question == "leave_one_out":
-        groups = [[cone.edges[k] for k in indices] for indices in cone.cone_edges]
-        answer = remaining_without_each(cone.num_vertices, groups)
+        answer = remaining_without_each(cone.num_vertices, cone.cones)
     else:
         c = canonical_subgraph(g)
         answer = (c.edges, c.rejected, c.line_order, c.subgeometry.lines, c.source_lines)
