@@ -48,7 +48,9 @@ class IncidenceGeometry:
     Every line must contain at least two distinct points: a rod through fewer
     than two points constrains nothing and only produces degenerate cones
     downstream, so such input is rejected outright.  Points on no line are
-    legal; is_connected counts each as a component of its own.
+    legal; is_connected counts each as a component of its own.  An empty
+    point name means no name, so names that are all empty are stored as None,
+    which is how the text format (it writes no empty name) reads them back.
     """
 
     num_points: int
@@ -69,8 +71,11 @@ class IncidenceGeometry:
                     raise GeometryError(
                         f"line {idx} references point {p} but only {self.num_points} points exist"
                     )
-        if self.point_names is not None and len(self.point_names) != self.num_points:
-            raise GeometryError("point_names length does not match num_points")
+        if self.point_names is not None:
+            if len(self.point_names) != self.num_points:
+                raise GeometryError("point_names length does not match num_points")
+            if not any(self.point_names):  # an empty name is no name
+                object.__setattr__(self, "point_names", None)
 
     @property
     def num_lines(self) -> int:
@@ -224,11 +229,21 @@ def parse_geometry(text: str) -> IncidenceGeometry:
 
 
 def serialize_geometry(geometry: IncidenceGeometry) -> str:
+    """The text format of the geometry, which parse_geometry reads back as
+    an equal geometry.  A name that parsing would change is refused with a
+    GeometryError naming its point: surrounding whitespace is stripped, '#'
+    starts a comment and a line break starts a statement."""
     out = [f"points: {geometry.num_points}"]
     if geometry.point_names is not None:
         for i, name in enumerate(geometry.point_names):
-            if name:
-                out.append(f"point {i} {name}")
+            if not name:
+                continue
+            if name != name.strip() or "#" in name or name.splitlines() != [name]:
+                raise GeometryError(
+                    f"point {i} name {name!r} cannot be written in the text format: "
+                    "it has surrounding whitespace, a '#' or a line break"
+                )
+            out.append(f"point {i} {name}")
     for line in geometry.lines:
         out.append("line: " + " ".join(str(p) for p in line))
     return "\n".join(out) + "\n"

@@ -23,9 +23,15 @@ remaining means the input graph is rigid; any rejection means it is dependent.
 
 remaining_without_each answers a leave-one-out question over groups of edges
 in three games.  A forward game in group order keeps a basis of every prefix
-of the groups, and a backward game in reverse order a basis of every suffix.
-A divide and conquer over the groups then offers only those basis edges, so
-an edge that both games reject is never offered again.
+of the groups, and a backward game in reverse order a basis of every suffix;
+each is played only as far as the third game asks.  That one, a divide and
+conquer over the groups, offers only those basis edges, so an edge that both
+games reject is never offered again.  It stops at a rank floor: edges on s
+vertices have rank at most 2s - 3, so once a range's state holds that many
+its insertion ends, and when every group of the range also grows rigidly
+(Henneberg type I steps from its first edge, which every cone does) and
+meets that rigid support in two vertices, each deletion in the range is
+rigid on the vertices it touches and its count follows without a game.
 """
 
 from __future__ import annotations
@@ -152,14 +158,22 @@ def try_edge(state: PebbleState, u: int, v: int) -> bool:
     return True
 
 
-def _insert_batch(state: PebbleState, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Offer every edge and return those accepted."""
-    kept = []
+def _insert_batch(
+    state: PebbleState, edges: Iterable[tuple[int, int]], room: int
+) -> list[tuple[int, int]]:
+    """Offer the edges in turn until room of them are accepted, and return
+    those accepted.  With no room nothing is offered, and edges is not
+    iterated at all."""
+    kept: list[tuple[int, int]] = []
+    if room <= 0:
+        return kept
     for edge in edges:
         u, v = edge
         if _gather(state, u, v):
             _orient(state, u, v)
             kept.append(edge)
+            if len(kept) == room:
+                break
     return kept
 
 
@@ -181,13 +195,49 @@ def _undo_batch(state: PebbleState, kept: Iterable[tuple[int, int]]) -> None:
             pebbles[v] += 1
 
 
-def _group_bases(
-    num_vertices: int, groups: Iterable[Sequence[tuple[int, int]]]
-) -> list[list[tuple[int, int]]]:
-    """One game over the groups in the given order: the edges it accepts
-    from each group."""
-    state = PebbleState(num_vertices)
-    return [_insert_batch(state, group) for group in groups]
+class _LazyGame:
+    """One game over the groups in the given order, played only as far as
+    its caller asks."""
+
+    __slots__ = ("_state", "_groups", "_bases")
+
+    def __init__(self, num_vertices: int, groups: Sequence[Sequence[tuple[int, int]]]):
+        self._state = PebbleState(num_vertices)
+        self._groups = groups
+        self._bases: list[list[tuple[int, int]]] = []  # accepted from each group offered so far
+
+    def basis(self, k: int) -> list[tuple[int, int]]:
+        """The edges the game accepts from its k-th group, offering the
+        groups up to it first if it has not yet."""
+        while len(self._bases) <= k:
+            group = self._groups[len(self._bases)]
+            self._bases.append(_insert_batch(self._state, group, len(group)))
+        return self._bases[k]
+
+
+def _grows_rigidly(group: Sequence[tuple[int, int]]) -> bool:
+    """Whether the group grows from its first edge to every vertex it
+    touches by adding, one at a time, a vertex with edges to two grown
+    vertices (Henneberg type I steps), which certifies that it is rigid on
+    its vertices.  A cone grows from its first spoke to its inner vertex and
+    then to each other point."""
+    if not group:
+        return False
+    nbrs: dict[int, set[int]] = {}
+    for u, v in group:
+        nbrs.setdefault(u, set()).add(v)
+        nbrs.setdefault(v, set()).add(u)
+    grown = set(group[0])
+    links = dict.fromkeys(nbrs, 0)  # grown neighbours of each vertex not yet grown
+    frontier = list(grown)
+    while frontier:
+        for w in nbrs[frontier.pop()]:
+            if w not in grown:
+                links[w] += 1
+                if links[w] == 2:
+                    grown.add(w)
+                    frontier.append(w)
+    return len(grown) == len(nbrs)
 
 
 def remaining_without_each(
@@ -196,44 +246,85 @@ def remaining_without_each(
     """For each edge group g, the pebbles left by a game over every edge
     outside g.
 
-    Two games come first: a forward game over the groups in order, which
-    accepts F_j from group j, and a backward game in reverse order, which
-    accepts R_j.  The accepted edges of a game always span every edge it has
-    seen, so F_<i (the F_j of every j < i) spans each edge of a group before
-    i, and R_>i spans each edge of a group after i.  Hence F_<i and R_>i
-    together span exactly the edges outside group i: both sets have the same
-    rank, and the pebble count depends only on the rank of what a game holds
-    (2|V| - |accepted|), not on the order or the orientation.
+    Two lazy games supply the edges: a forward game over the groups in
+    order, which accepts F_j from group j, and a backward game in reverse
+    order, which accepts R_j.  The accepted edges of a game always span
+    every edge it has seen, so F_<i (the F_j of every j < i) spans each edge
+    of a group before i, and R_>i spans each edge of a group after i.  Hence
+    F_<i and R_>i together span exactly the edges outside group i: both sets
+    have the same rank, and the pebble count depends only on the rank of
+    what a game holds (2|V| - |accepted|), not on the order or the
+    orientation.  Each game offers a group only when the recursion first
+    asks for what it accepted there.
 
-    Then divide and conquer over the groups: for a range [lo, hi) split at
-    mid, R of the groups [mid, hi) is inserted while [lo, mid) is solved,
-    then removed again, and F of the groups [lo, mid) is inserted while
-    [mid, hi) is solved.  Leaf i then holds exactly F_<i and R_>i.  Each
-    basis edge is offered O(log L) times for L groups, and an edge that both
-    games reject is offered by the games alone."""
+    Divide and conquer over the groups: for a range [lo, hi) split at mid, R
+    of the groups [mid, hi) is inserted while [lo, mid) is solved, then
+    removed again, and F of the groups [lo, mid) is inserted while [mid, hi)
+    is solved.  A range's state spans every edge outside it, so a reached
+    leaf i holds a basis of the edges outside group i.
+
+    Edges on s >= 2 vertices have rank at most 2s - 3, so the state of a
+    range [a, b) never holds more than 2s - 3 edges, s counting the vertices
+    that the groups outside [a, b) touch (the support): its pebbles never
+    fall below the rank floor 2|V| - (2s - 3).  An insertion stops at the
+    floor, as every later edge of the batch would be rejected.  A state at
+    its floor is rigid on its support.  When moreover each group of the
+    range grows rigidly (_grows_rigidly) and has two vertices in the
+    support, the edges outside any one of its groups are rigid on the
+    vertices they touch, since a rigid body sharing two vertices with
+    another joins it.  Then leaf i gets the floor of its own support, all
+    touched vertices except those only group i touches, and the range is
+    not split further."""
     for group in groups:
         for u, v in group:
             _check_edge(num_vertices, u, v)
     if not groups:
         return ()
-    forward = _group_bases(num_vertices, groups)
-    backward = _group_bases(num_vertices, reversed(groups))[::-1]
+    count = len(groups)
+    forward = _LazyGame(num_vertices, groups)
+    backward = _LazyGame(num_vertices, groups[::-1])
     state = PebbleState(num_vertices)
-    remaining = [0] * len(groups)
+    remaining = [0] * count
+    touches = [tuple(set(chain.from_iterable(group))) for group in groups]
+    first, last = [count] * num_vertices, [-1] * num_vertices  # groups touching each vertex
+    for j, vertices in enumerate(touches):
+        for v in vertices:
+            first[v] = min(first[v], j)
+            last[v] = j
+    touched = num_vertices - last.count(-1)
+    rigid = [_grows_rigidly(group) for group in groups]
 
-    def solve(lo: int, hi: int) -> None:
+    def full_rank(a: int, b: int) -> int:
+        """The rank of all edges on the vertices that groups outside [a, b) touch."""
+        inner = sum(first[v] == j and last[v] < b for j in range(a, b) for v in touches[j])
+        return max(0, 2 * (touched - inner) - 3)
+
+    def settled(a: int, b: int, held: int) -> bool:
+        """Whether the leaves of [a, b) follow from their rank floors."""
+        return held == full_rank(a, b) and all(
+            rigid[j] and sum(first[v] < a or last[v] >= b for v in touches[j]) >= 2
+            for j in range(a, b)
+        )
+
+    def solve(lo: int, hi: int, held: int) -> None:
         if hi - lo == 1:
             remaining[lo] = state.remaining_pebbles()
             return
+        if settled(lo, hi, held):
+            for i in range(lo, hi):
+                remaining[i] = 2 * num_vertices - full_rank(i, i + 1)
+            return
         mid = (lo + hi) // 2
-        kept = _insert_batch(state, chain.from_iterable(backward[mid:hi]))
-        solve(lo, mid)
+        batch = (e for j in range(mid, hi) for e in backward.basis(count - 1 - j))
+        kept = _insert_batch(state, batch, full_rank(lo, mid) - held)
+        solve(lo, mid, held + len(kept))
         _undo_batch(state, kept)
-        kept = _insert_batch(state, chain.from_iterable(forward[lo:mid]))
-        solve(mid, hi)
+        batch = (e for j in range(lo, mid) for e in forward.basis(j))
+        kept = _insert_batch(state, batch, full_rank(mid, hi) - held)
+        solve(mid, hi, held + len(kept))
         _undo_batch(state, kept)
 
-    solve(0, len(groups))
+    solve(0, count, 0)
     return tuple(remaining)
 
 

@@ -103,6 +103,26 @@ class TestParsing:
         g = parse_geometry(FIG2_TEXT)
         assert parse_geometry(serialize_geometry(g)) == g
 
+    def test_names_the_text_format_cannot_hold(self):
+        # these once came back as four lines and the names ('a', 'b', '')
+        g = geometry_from_json({"points": 3, "lines": [[0, 1], [1, 2], [0, 2]],
+                                "names": ["a\nline: 0 1", "b#c", ""]})
+        with pytest.raises(GeometryError, match="point 0 name"):
+            serialize_geometry(g)
+        for name in ("b#c", " x", "y ", "a\rb", "a\x0bb", "a\x85b", "a\u2028b"):
+            with pytest.raises(GeometryError, match="point 1 name"):
+                serialize_geometry(IncidenceGeometry(2, ((0, 1),), ("ok", name)))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.text(), min_size=3, max_size=3))
+    def test_text_names_refused_or_kept(self, names):
+        g = IncidenceGeometry(3, ((0, 1), (1, 2), (0, 2)), tuple(names))
+        try:
+            text = serialize_geometry(g)
+        except GeometryError:
+            return
+        assert parse_geometry(text) == g
+
     @settings(max_examples=60)
     @given(geometries())
     def test_json_round_trip(self, g):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from rodrigidity import (
+    GeometryError,
     IncidenceGeometry,
     build_cone_graph,
     canonical_subgraph,
@@ -156,10 +157,14 @@ class TestLeaveOneOut:
             before, held = state.remaining_pebbles(), _held(state)
             outer = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 10))]
             inner = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 10))]
-            kept_outer = _insert_batch(state, outer)
+            kept_outer = _insert_batch(state, outer, len(outer))
             middle, held_middle = state.remaining_pebbles(), _held(state)
-            # the inner batch's searches may reverse edges of the outer batch
-            _undo_batch(state, _insert_batch(state, inner))
+            # the inner batch's searches may reverse edges of the outer batch,
+            # and it may stop early, once room edges are accepted
+            room = rng.randint(0, len(inner))
+            kept_inner = _insert_batch(state, inner, room)
+            assert len(kept_inner) <= room
+            _undo_batch(state, kept_inner)
             assert state.remaining_pebbles() == middle and _held(state) == held_middle
             _undo_batch(state, kept_outer)
             for w in range(n):
@@ -170,8 +175,10 @@ class TestLeaveOneOut:
     def test_rejected_parallel_copy_keeps_the_held_edge(self):
         state = PebbleState(3)
         try_edge(state, 0, 1)
-        kept = _insert_batch(state, [(1, 0), (1, 2)])
+        kept = _insert_batch(state, [(1, 0), (1, 2)], 2)
         assert kept == [(1, 2)]
+        # with no room the batch is not even iterated
+        assert _insert_batch(state, iter(lambda: pytest.fail("iterated"), None), 0) == []
         _undo_batch(state, kept)
         assert _held(state) == [(0, 1)] and state.remaining_pebbles() == 5
 
@@ -201,57 +208,110 @@ class TestLeaveOneOut:
             cases.append((cone.num_vertices, cone.cones))
             shared += 1
         assert shared >= 100
+        # rods through exactly two points, whose cones are triangles
+        for num_points, lines in [(3, ((0, 1), (1, 2), (0, 2))),
+                                  (4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+                                  (4, ((0, 1, 2), (2, 3), (0, 3), (1, 3))),
+                                  (4, ((0, 1), (1, 2), (2, 3), (0, 3)))]:
+            cone = build_cone_graph(IncidenceGeometry(num_points, lines))
+            cases.append((cone.num_vertices, cone.cones))
         for n, groups in cases:
             assert remaining_without_each(n, groups) == _one_game_per_group(n, groups)
+        # sparse arrangements: the ranges settled from their floors must
+        # still find a flexible deletion of a rigid arrangement
+        flexible_deletions = 0
+        for num_rods in (12, 20, 28, 40):
+            for share in (0.1, 0.2, 0.3):
+                for seed in range(3):
+                    try:
+                        cone = build_cone_graph(_arrangement(num_rods, share, seed))
+                    except GeometryError:  # a rod met fewer than two others
+                        continue
+                    n, groups = cone.num_vertices, cone.cones
+                    expected = _one_game_per_group(n, groups)
+                    assert remaining_without_each(n, groups) == expected
+                    # every point lies on two rods, so a deletion frees only
+                    # the cone vertex: 5 pebbles when the rest stays rigid
+                    flexible_deletions += play(n, cone.edges).is_rigid and max(expected) > 5
+        assert flexible_deletions
 
-    @pytest.mark.parametrize("case", ["golden", "k4-sandwich"])
+    @pytest.mark.parametrize("case", ["golden", "k4-sandwich", "paths"])
     def test_recursion_offers_only_basis_edges(self, case, monkeypatch):
-        # after the forward and the backward game, the recursion offers no
-        # edge that both games rejected, and leaf i holds only edges that the
-        # forward game accepted before group i or the backward game after it
+        # the forward and the backward game each offer a prefix of their
+        # group order, the recursion offers only edges that one of them
+        # accepted, and a leaf it reaches for group i holds only edges that
+        # the forward game accepted before group i or the backward game after
         if case == "golden":
             cone = build_cone_graph(_arrangement(30, 0.6, seed=2024))
             n = cone.num_vertices
             groups = cone.cones
-        else:
+        elif case == "k4-sandwich":
             # (1, 0) is spanned by the K4 before it and by the K4 after it
             n, groups = 4, [K4_EDGES, [(1, 0)], K4_EDGES]
+        else:
+            # no path grows rigidly, so no range is settled from its floor;
+            # the answers are (4, 3, 3, 4, 5)
+            n, groups = 5, [[(0, 1), (1, 2)], [(1, 2), (2, 3)], [(2, 3), (3, 4)],
+                            [(3, 4), (4, 0)], [(0, 2), (2, 4)]]
         expected = _one_game_per_group(n, groups)
-        offers, leaves = [], []
-        real_gather, real_remaining = pebble._gather, pebble.PebbleState.remaining_pebbles
+        states, offers, leaves = [], {}, []
+        real_init, real_gather = pebble.PebbleState.__init__, pebble._gather
+        real_remaining = pebble.PebbleState.remaining_pebbles
+
+        def init(state, num_vertices):
+            real_init(state, num_vertices)
+            states.append(state)
+            offers[id(state)] = []
 
         def gather(state, u, v):
             ok = real_gather(state, u, v)
-            offers.append(((u, v), ok))
+            offers[id(state)].append(((u, v), ok))
             return ok
 
         def remaining(state):
             leaves.append({frozenset(e) for e in _held(state)})
             return real_remaining(state)
 
+        monkeypatch.setattr(pebble.PebbleState, "__init__", init)
         monkeypatch.setattr(pebble, "_gather", gather)
         monkeypatch.setattr(pebble.PebbleState, "remaining_pebbles", remaining)
-        assert remaining_without_each(n, groups) == expected and len(leaves) == len(groups)
-        games = iter(offers)
+        assert remaining_without_each(n, groups) == expected
+        # the forward game, the backward game and the recursion: no replay
+        forward_state, backward_state, recursion_state = states
 
-        def accepted_by_game(order):
-            bases = []
+        def bases(state, order):
+            """What the game accepted from each group it offered."""
+            played, rest = [], offers[id(state)]
             for group in order:
-                offered = [next(games) for _ in group]
+                if not rest:
+                    break
+                offered, rest = rest[:len(group)], rest[len(group):]
                 assert [e for e, _ in offered] == list(group)
-                bases.append([e for e, ok in offered if ok])
-            return bases
+                played.append([e for e, ok in offered if ok])
+            assert not rest
+            return played
 
-        forward = accepted_by_game(groups)
-        backward = accepted_by_game(reversed(groups))[::-1]
-        recursion = [e for e, _ in games]
+        forward = bases(forward_state, groups)
+        backward = bases(backward_state, groups[::-1])
+        backward = [[]] * (len(groups) - len(backward)) + backward[::-1]
+        recursion = [e for e, _ in offers[id(recursion_state)]]
         accepted = {e for basis in forward + backward for e in basis}
-        rejected_by_both = {e for group in groups for e in group} - accepted
-        assert recursion and not rejected_by_both & set(recursion)
-        assert bool(rejected_by_both) == (case == "k4-sandwich")
-        for i, held in enumerate(leaves):
-            basis = forward[:i] + backward[i + 1:]
-            assert held <= {frozenset(e) for b in basis for e in b}
+        rejected_by_both = (
+            {e for state in (forward_state, backward_state) for e, _ in offers[id(state)]} - accepted
+        )
+        assert recursion and set(recursion) <= accepted
+        if case == "k4-sandwich":
+            assert rejected_by_both
+        # leaves come in group order; a settled range answers without one
+        unanswered = iter(range(len(groups)))
+        for held in leaves:
+            assert any(held <= {frozenset(e) for b in forward[:i] + backward[i + 1:] for e in b}
+                       for i in unanswered)
+        if case == "paths":
+            assert len(leaves) == len(groups)
+        if case == "golden":
+            # 1014 cone edges; the games played in full offered 5382
+            assert sum(map(len, offers.values())) < 2 * len(cone.edges)
 
     def test_no_groups(self):
         assert remaining_without_each(1, []) == ()
