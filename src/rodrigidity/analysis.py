@@ -34,10 +34,10 @@ from .oracle import (
     sample_realization,
     string_config_rank,
 )
-from .pebble import PebbleState, PebbleVerdict, play, remaining_without_each, try_edge
+from .pebble import PebbleVerdict, _Game, play, remaining_without_each
 # Not called here, but perfbench/tracing.py wraps these names in this module.
 from .oracle import is_string_config_rigid  # noqa: F401
-from .pebble import independent_after  # noqa: F401
+from .pebble import independent_after, try_edge  # noqa: F401
 
 __all__ = [
     "DEFAULT_SEED",
@@ -365,14 +365,14 @@ def canonical_subgraph(geometry: IncidenceGeometry) -> CanonicalSubgraph:
     subgeometry is sharply independent.
     """
     host, order, plan = canonical_edge_order(geometry)
-    state = PebbleState(host.num_vertices)
+    game = _Game(host.num_vertices)
     accepted: list[tuple[int, int]] = []
     rejected: list[tuple[int, int]] = []
     n_pts = geometry.num_points
     star_members: list[set[int]] = [set() for _ in range(geometry.num_lines)]
     spokes: set[tuple[int, int]] = set()
     for stage, line, u, v in plan:
-        if not try_edge(state, u, v):
+        if not game.offer(u, v):
             if stage < 6:
                 raise AssertionError(f"unconditional construction edge ({u}, {v}) was rejected")
             rejected.append((u, v))
@@ -382,6 +382,7 @@ def canonical_subgraph(geometry: IncidenceGeometry) -> CanonicalSubgraph:
             spokes.add((line, v))
         else:
             star_members[line].update((u, v))
+    del game  # the heap peaks while the subgeometry is built
     sub, sources = _subgeometry_from_parts(geometry, star_members, spokes)
     return CanonicalSubgraph(
         cone_graph=host,
@@ -401,7 +402,6 @@ def _subgeometry_from_parts(
     """Assemble a subgeometry of the cone incidence geometry from star sets
     (per original line) and accepted spokes, with source-line indices."""
     n_pts, n_lines = geometry.num_points, geometry.num_lines
-    cone = build_cone_incidence(geometry)
     lines: list[tuple[int, ...]] = []
     sources: list[int] = []
     for l in range(n_lines):
@@ -409,7 +409,9 @@ def _subgeometry_from_parts(
         if len(members) >= 2:
             lines.append(tuple(sorted(members)))
             sources.append(l)
-    for k, (l, p) in enumerate(cone.spoke_of):
+    # spoke k of the cone incidence geometry, line-major with points ascending
+    incidences = ((l, p) for l, line in enumerate(geometry.lines) for p in sorted(line))
+    for k, (l, p) in enumerate(incidences):
         if (l, p) in spokes:
             lines.append((p, n_pts + l))
             sources.append(n_lines + k)

@@ -16,7 +16,19 @@ mark equals the stamp, so nothing is cleared between searches.
 The state holds pebbles and orientations only: the accepted edges are the
 out-edges, and nothing else records them.  Whoever needs the accepted and
 rejected edges in offer order (play, canonical_subgraph) keeps them from
-try_edge's answers.
+the game's answers.
+
+play and canonical_subgraph offer their edges to a game that also keeps a
+block: one vertex set on which the held edges are rigid.  It starts at the
+first accepted edge and grows by Henneberg type I steps, a vertex with two
+held edges into the block joining it (which can let its held neighbours
+join in turn), and by the reach set of a rejected edge's last dry search,
+which spans 2|R| - 3 held edges and so is rigid, when that set meets the
+block in two vertices.  An edge with both ends in the block lies in the span
+of the held edges, since they already fix the distance between its ends, so
+it is rejected without a search.  The accepted edges are the greedy basis
+of the offer order, which is unique, so the answers are those of a game that
+searches for every edge; only the orientations may differ.
 
 Three pebbles always remain (the trivial planar motions).  Exactly three
 remaining means the input graph is rigid; any rejection means it is dependent.
@@ -156,6 +168,88 @@ def try_edge(state: PebbleState, u: int, v: int) -> bool:
         return False
     _orient(state, u, v)
     return True
+
+
+class _Game:
+    """A game over edges offered one at a time that keeps one growing vertex
+    set, the block, on which its held edges are rigid.  An edge with both
+    ends in the block is dependent and is rejected without a search.
+
+    A held edge with an end in the block counts at once toward the other
+    end's links; one with both ends outside is kept in _nbrs until one of
+    its ends joins."""
+
+    __slots__ = ("state", "_started", "_in_block", "_links", "_nbrs")
+
+    def __init__(self, num_vertices: int):
+        self.state = PebbleState(num_vertices)
+        self._started = False  # whether an edge was accepted, which starts the block
+        self._in_block = [False] * num_vertices
+        self._links = [0] * num_vertices  # held edges into the block, outside it
+        self._nbrs: list[list[int]] = [[] for _ in range(num_vertices)]  # held, kept outside
+
+    def offer(self, u: int, v: int) -> bool:
+        """Offer edge (u, v); the answer is try_edge's on a state that held
+        the same edges."""
+        state, in_block = self.state, self._in_block
+        _check_edge(state.num_vertices, u, v)
+        if in_block[u] and in_block[v]:
+            return False
+        if not _gather(state, u, v):
+            self._merge_reach(u, v)
+            return False
+        _orient(state, u, v)
+        if in_block[u] or in_block[v]:
+            outside = v if in_block[u] else u
+            self._links[outside] += 1
+            if self._links[outside] == 2:
+                in_block[outside] = True
+                self._grow([outside])
+        elif self._started:
+            self._nbrs[u].append(v)
+            self._nbrs[v].append(u)
+        else:
+            self._started = in_block[u] = in_block[v] = True
+        return True
+
+    def _grow(self, joined: list[int]) -> None:
+        """Henneberg steps after the vertices joined entered the block: a
+        vertex with two held edges into the block joins it, and so on."""
+        in_block, links, nbrs = self._in_block, self._links, self._nbrs
+        while joined:
+            for y in nbrs[joined.pop()]:
+                if not in_block[y]:
+                    links[y] += 1
+                    if links[y] == 2:
+                        in_block[y] = True
+                        joined.append(y)
+
+    def _merge_reach(self, u: int, v: int) -> None:
+        """After a failed gather for (u, v): the last dry search marked its
+        root, the blocked endpoint and everything reachable from the root
+        with the current stamp.  The blocked endpoint holds two pebbles, the
+        root one and every other vertex none, and only the blocked endpoint
+        can have out-edges leaving the set, so its vertices R span 2|R| - 3
+        held edges and are rigid.  They join a block that they meet in two
+        vertices.  The walk re-marks them with -stamp, which no search
+        takes."""
+        out, seen, stamp = self.state.out, self.state._seen, self.state._stamp
+        reach = []
+        for root in (u, v):
+            if seen[root] == stamp:
+                seen[root] = -stamp
+                reach.append(root)
+        for x in reach:  # grows while it is walked
+            for w in out[x]:
+                if seen[w] == stamp:
+                    seen[w] = -stamp
+                    reach.append(w)
+        in_block = self._in_block
+        if sum(in_block[x] for x in reach) >= 2:
+            joined = [x for x in reach if not in_block[x]]
+            for x in joined:
+                in_block[x] = True
+            self._grow(joined)
 
 
 def _insert_batch(
@@ -358,12 +452,12 @@ def play(num_vertices: int, edges: Iterable[tuple[int, int]]) -> PebbleVerdict:
     """Run the game over the edges in the given order.
 
     The accepted set depends on the order; its size (the rank) does not."""
-    state = PebbleState(num_vertices)
+    game = _Game(num_vertices)
     accepted: list[tuple[int, int]] = []
     rejected: list[tuple[int, int]] = []
     for u, v in edges:
-        (accepted if try_edge(state, u, v) else rejected).append((u, v))
-    remaining = state.remaining_pebbles()
+        (accepted if game.offer(u, v) else rejected).append((u, v))
+    remaining = game.state.remaining_pebbles()
     return PebbleVerdict(
         num_vertices=num_vertices,
         accepted=tuple(accepted),

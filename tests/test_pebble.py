@@ -4,11 +4,14 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rodrigidity import (
     GeometryError,
     IncidenceGeometry,
     build_cone_graph,
+    canonical_edge_order,
     canonical_subgraph,
     independent_after,
     play,
@@ -72,6 +75,113 @@ class TestPlay:
 
     def test_single_bar(self):
         assert play(2, [(0, 1)]).classification == "minimally-rigid"
+
+
+def _reference_play(n, edges):
+    """play without the rigid block: every edge is searched."""
+    state = PebbleState(n)
+    answers = [try_edge(state, u, v) for u, v in edges]
+    accepted = tuple(e for e, ok in zip(edges, answers) if ok)
+    rejected = tuple(e for e, ok in zip(edges, answers) if not ok)
+    return accepted, rejected, state.remaining_pebbles()
+
+
+def _reference_canonical(geometry):
+    """canonical_subgraph's staged plan replayed with try_edge."""
+    host, _, plan = canonical_edge_order(geometry)
+    accepted, rejected, _ = _reference_play(host.num_vertices, [(u, v) for _, _, u, v in plan])
+    return accepted, rejected
+
+
+def _counting_gathers(monkeypatch):
+    """Count the searches from here on: gathers[0] dry, gathers[1] not."""
+    gathers = [0, 0]
+    real_gather = pebble._gather
+
+    def gather(state, u, v):
+        ok = real_gather(state, u, v)
+        gathers[ok] += 1
+        return ok
+
+    monkeypatch.setattr(pebble, "_gather", gather)
+    return gathers
+
+
+edge_lists = st.integers(2, 9).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .filter(lambda e: e[0] != e[1]), max_size=30),
+    )
+)
+
+
+class TestRigidBlock:
+    """play and canonical_subgraph reject an edge inside their rigid block
+    without a search; they must answer exactly as a game that searches for
+    every edge."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists)
+    def test_play_matches_searching_every_edge(self, case):
+        n, edges = case
+        # a duplicate in both orientations, after the edges it copies
+        edges = edges + [(v, u) for u, v in edges[::3]]
+        v = play(n, edges)
+        assert (v.accepted, v.rejected, v.remaining_pebbles) == _reference_play(n, edges)
+
+    def test_cone_graphs_and_canonical_subgraphs_match(self):
+        geometries = [random_geometry(random.Random(seed)) for seed in range(500)]
+        geometries += [_arrangement(m, 0.6, seed=m) for m in range(10, 41)]
+        for g in geometries:
+            cone = build_cone_graph(g)
+            v = play(cone.num_vertices, cone.edges)
+            assert (v.accepted, v.rejected, v.remaining_pebbles) == _reference_play(
+                cone.num_vertices, cone.edges)
+            c = canonical_subgraph(g)
+            assert (c.edges, c.rejected) == _reference_canonical(g)
+
+    def test_block_grows_by_a_reach_set(self, monkeypatch):
+        # triangles 0 1 2 (the block) and 3 4 5 joined by three bars: a
+        # rigid prism, yet no vertex outside the block has two edges into
+        # it.  (0, 4) is searched, and its reach set, the whole prism, joins
+        # the block, so (1, 3) and (2, 3) are rejected without a search.
+        prism = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)]
+        edges = prism + [(0, 4), (1, 3), (2, 3)]
+        gathers = _counting_gathers(monkeypatch)
+        v = play(6, edges)
+        assert v.rejected == ((0, 4), (1, 3), (2, 3)) and v.remaining_pebbles == 3
+        assert gathers == [1, len(prism)]
+        assert (v.accepted, v.rejected, v.remaining_pebbles) == _reference_play(6, edges)
+
+    def test_redundant_edge_outside_the_block_is_searched(self, monkeypatch):
+        # a triangle (the block) and a K4 sharing vertex 2 with it: the K4's
+        # reach set meets the block in one vertex and does not join it, so
+        # its sixth edge and a duplicate inside it are each searched, and
+        # the bar (0, 3) across the hinge is accepted
+        k4 = [(3, 4), (3, 5), (4, 5), (2, 3), (2, 4), (2, 5)]
+        edges = [(0, 1), (1, 2), (0, 2)] + k4 + [(4, 3), (0, 3)]
+        gathers = _counting_gathers(monkeypatch)
+        v = play(6, edges)
+        assert v.rejected == ((2, 5), (4, 3)) and v.remaining_pebbles == 3
+        assert gathers == [2, 9]
+        assert (v.accepted, v.rejected, v.remaining_pebbles) == _reference_play(6, edges)
+
+    def test_golden_arrangement_searches_only_accepted_edges(self, monkeypatch):
+        cone = build_cone_graph(_arrangement(30, 0.6, seed=2024))
+        gathers = _counting_gathers(monkeypatch)
+        v = play(cone.num_vertices, cone.edges)
+        # 1014 edges, 435 of them rejected inside the block
+        assert len(v.accepted) == 579 and len(v.rejected) == 435
+        assert gathers == [0, 579]
+
+    def test_bad_edges_inside_the_block_still_raise(self):
+        triangle = [(0, 1), (1, 2), (0, 2)]
+        with pytest.raises(ValueError, match="self-loop at vertex 1"):
+            play(3, triangle + [(1, 1)])
+        # -1 would index vertex 2, which is in the block
+        with pytest.raises(ValueError, match=r"edge \(0, -1\) out of range"):
+            play(3, triangle + [(0, -1)])
 
 
 class TestTryEdge:
