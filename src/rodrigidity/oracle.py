@@ -17,9 +17,12 @@ with the generic rank the pebble game predicts: a sample that reaches it
 certifies the count, one above it is a defect, and only one below it calls
 for another seed.
 
-Rank, kernel and sampling share one sparse exact elimination.  Every
-concurrence row has three nonzeros, so rows are kept as {column: value}
-dicts and reduced one at a time against the pivot rows found so far.
+Rank and kernel share one sparse exact elimination.  Every concurrence row
+has three nonzeros, so rows are kept as {column: value} dicts and reduced
+one at a time against the pivot rows found so far.  Sampling works in
+intercept space: once the slopes are drawn, a point on two rods is their
+intersection, so only the rows that a third or further rod through a point
+puts on the intercepts are eliminated, and a rod arrangement needs none.
 
 The concurrence matrix of a realization has one row per incidence over the
 unknowns (h_1..h_L, x_1, y_1, .., x_P, y_P); its kernel is the space of
@@ -202,12 +205,12 @@ class LinearRealization:
 
 # --- exact linear algebra ----------------------------------------------------
 #
-# One sparse elimination serves rank, kernel and sampling.  Rows are
-# {column: value} dicts holding only nonzeros.  Each row is reduced at its
-# leading (smallest) column by that column's pivot row until the leading
-# column has no pivot; the row is then scaled to a leading 1 and becomes that
-# column's pivot row.  Over Z_p every entry is reduced with an inline `% p`;
-# over Q the same loop runs on Fractions.
+# One sparse elimination serves rank, kernel and the intercept rows of
+# sampling.  Rows are {column: value} dicts holding only nonzeros.  Each row
+# is reduced at its leading (smallest) column by that column's pivot row
+# until the leading column has no pivot; the row is then scaled to a leading
+# 1 and becomes that column's pivot row.  Over Z_p every entry is reduced
+# with an inline `% p`; over Q the same loop runs on Fractions.
 
 
 def _inv(a, p: int):
@@ -346,43 +349,64 @@ def sample_realization(
     seed: int,
     field: Optional[Field] = None,
 ) -> Union[LinearRealization, Infeasible]:
-    """Random exact realization: draw slopes, then solve for the rest.
+    """Random exact realization: draw slopes, then intercepts, then points.
 
-    Slopes are drawn uniformly from the field's units; the intercepts and
-    point coordinates come from a random element of the kernel of the
-    concurrence matrix for those slopes, which solves every incidence
-    constraint at once (a point on two lines lands on their intersection, a
-    point on one line gets a free abscissa, an isolated point is free).  At
-    most _DRAWS slope vectors are drawn; if every one gives a non-proper
-    realization, the incidences force a coincidence for generic slopes and
-    Infeasible is returned.  Two rods through the same two points force one
-    for every pair of distinct slopes, so such a geometry is refused before
-    any draw.
+    Slopes are drawn uniformly from the field's units.  Given slopes that
+    differ at every point, a point on rods l0, l1, ... is the intersection
+    of l0 and l1, x = (h_l1 - h_l0)/(f_l0 - f_l1), so each further rod li
+    through it is one linear row over the intercepts,
+    t*h_l1 - (t+1)*h_l0 + h_li = 0 with t = (f_li - f_l0)/(f_l0 - f_l1).
+    Only those rows are eliminated (an arrangement has none, so a draw costs
+    O(P)); the free intercepts are random units, and every point is then
+    placed directly: at its first two rods' intersection, at a random
+    abscissa on its only rod, or anywhere if it is on none.  These are
+    exactly the kernel elements of the concurrence matrix for those slopes,
+    so the sample is a random parallel redrawing.  At most _DRAWS slope
+    vectors are drawn, one that gives two rods through a common point the
+    same slope included; if none gives a proper realization, the incidences
+    force a coincidence for generic slopes and Infeasible is returned.  Two
+    rods through the same two points force one for every pair of distinct
+    slopes, so such a geometry is refused before any draw.
     """
     pair = shared_rod_pair(geometry)
     if pair is not None:
         return Infeasible.shared(*pair)
     field = field or DEFAULT_FIELD
+    p = field.p
+    one = field.one
     rng = random.Random(seed)
-    incidences = geometry.incidences()
-    ncols = geometry.num_lines + 2 * geometry.num_points
     L = geometry.num_lines
+    rods_at = geometry.point_line_map()
     for _ in range(_DRAWS):
-        slopes = tuple(field.random_unit(rng) for _ in range(L))
-        matrix = ConcurrenceMatrix(field, L, geometry.num_points, incidences, slopes)
-        pivots = _eliminate(matrix.sparse_rows(), field)
-        # one random unit per free column, in increasing column order
-        vector = [None if c in pivots else field.random_unit(rng) for c in range(ncols)]
-        _back_substitute(pivots, vector, field)
-        candidate = LinearRealization(
-            field=field,
-            slopes=slopes,
-            intercepts=tuple(vector[:L]),
-            xs=tuple(vector[L + 2 * j] for j in range(geometry.num_points)),
-            ys=tuple(vector[L + 2 * j + 1] for j in range(geometry.num_points)),
-        )
-        if not candidate.satisfies(geometry):  # kernel guarantees this; keep as a hard check
-            raise AssertionError("kernel element violates an incidence")
+        f = tuple(field.random_unit(rng) for _ in range(L))
+        if any(len({f[l] for l in rods}) < len(rods) for rods in rods_at):
+            continue  # rods through a common point must not be parallel
+        # 1/(f_l0 - f_l1) for each point on two or more rods
+        inv = [_inv(f[rods[0]] - f[rods[1]], p) if len(rods) > 1 else None
+               for rods in rods_at]
+        rows = []
+        for j, rods in enumerate(rods_at):
+            for li in rods[2:]:
+                t = (f[li] - f[rods[0]]) * inv[j]
+                rows.append({rods[1]: t, rods[0]: -t - one, li: one})
+        pivots = _eliminate(rows, field)
+        # one random unit per free intercept, in increasing column order
+        h = [None if c in pivots else field.random_unit(rng) for c in range(L)]
+        _back_substitute(pivots, h, field)
+        xs, ys = [], []
+        for j, rods in enumerate(rods_at):
+            if not rods:
+                xs.append(field.random_unit(rng))
+                ys.append(field.random_unit(rng))
+                continue
+            l0 = rods[0]
+            x = (h[rods[1]] - h[l0]) * inv[j] if len(rods) > 1 else field.random_unit(rng)
+            y = -f[l0] * x - h[l0]
+            xs.append(x % p if p else x)
+            ys.append(y % p if p else y)
+        candidate = LinearRealization(field, f, tuple(h), tuple(xs), tuple(ys))
+        if not candidate.satisfies(geometry):  # the construction guarantees this; keep as a hard check
+            raise AssertionError("sampled realization violates an incidence")
         if candidate.is_proper():
             return candidate
     return Infeasible(f"all {_DRAWS} sampled realizations collapsed distinct points")

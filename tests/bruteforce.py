@@ -2,11 +2,14 @@
 
 Everything here is deliberately naive: subset enumeration for sparsity
 counts and sharp independence, cofactor expansion for determinants, dense
-concurrence rows with dense Gauss-Jordan elimination for rank and kernel,
-and queue-based traversal for connectivity.  None of it shares code with the
-package under test, except the per-deletion reference for minimal rigidity,
-which decides every deletion with its own full game, and the column layout
-of ConcurrenceMatrix, which dense_rows and apply read.
+concurrence rows with dense Gauss-Jordan elimination for rank and kernel
+and for the full-kernel sampler, and queue-based traversal for
+connectivity.  None of it shares code with the package under test, except
+the per-deletion reference for minimal rigidity, which decides every
+deletion with its own full game, the column layout of ConcurrenceMatrix,
+which dense_rows and apply read, and the fields, realization type and
+shared-pair refusal, which the full-kernel sampler returns as the package
+does.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from rodrigidity import IncidenceGeometry, decide_rod_rigidity, remove_line
-from rodrigidity.oracle import ConcurrenceMatrix
+from rodrigidity import IncidenceGeometry, decide_rod_rigidity, remove_line, shared_rod_pair
+from rodrigidity.oracle import _DRAWS, ConcurrenceMatrix, Infeasible, LinearRealization
 
 from paper_claims import BudgetExceededError, normalized_subset
 
@@ -162,6 +165,38 @@ def apply(matrix: ConcurrenceMatrix, vector: Sequence) -> list:
         val = vector[l] + matrix.slopes[l] * vector[matrix.column_of_x(j)] + vector[matrix.column_of_y(j)]
         out.append(val % p if p else val)
     return out
+
+
+def full_kernel_sample(geometry: IncidenceGeometry, seed: int, field):
+    """The sampler that sample_realization replaced: per draw of slopes, a
+    random element of the kernel of the whole concurrence matrix, one random
+    unit per free column in increasing column order, the pivot columns read
+    off the dense RREF.  Same refusals, same draw order for the slopes."""
+    pair = shared_rod_pair(geometry)
+    if pair is not None:
+        return Infeasible.shared(*pair)
+    p = field.p or None
+    rng = random.Random(seed)
+    L, P = geometry.num_lines, geometry.num_points
+    incidences = geometry.incidences()
+    ncols = L + 2 * P
+    for _ in range(_DRAWS):
+        slopes = tuple(field.random_unit(rng) for _ in range(L))
+        rows = dense_rows(ConcurrenceMatrix(field, L, P, incidences, slopes))
+        m, pivots = dense_rref(rows, p)
+        vector = [None if c in pivots else field.random_unit(rng) for c in range(ncols)]
+        for r, pc in enumerate(pivots):
+            s = field.zero
+            for c in range(ncols):
+                if c not in pivots:
+                    s += m[r][c] * vector[c]
+            vector[pc] = -s if p is None else -s % p
+        candidate = LinearRealization(field, slopes, tuple(vector[:L]),
+                                      tuple(vector[L::2]), tuple(vector[L + 1::2]))
+        assert candidate.satisfies(geometry)
+        if candidate.is_proper():
+            return candidate
+    return Infeasible(f"all {_DRAWS} sampled realizations collapsed distinct points")
 
 
 def is_sharply_independent(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,24 @@ PAPPUS_LINES = ((0, 1, 2), (3, 4, 5), (0, 6, 4), (3, 6, 1), (0, 7, 5), (3, 7, 2)
 @pytest.fixture
 def pappus() -> IncidenceGeometry:
     return IncidenceGeometry(9, PAPPUS_LINES)
+
+
+def concurrent_geometry(rng, num_rods: int, num_points: int) -> IncidenceGeometry:
+    """Points on 2..4 random rods each, no two rods through two common
+    points; a rod through fewer than two points is dropped, which can leave
+    a point on one rod or on none."""
+    meeting: set = set()
+    points: list = []
+    while len(points) < num_points:
+        rods = sorted(rng.sample(range(num_rods), rng.randint(2, 4)))
+        pairs = set(combinations(rods, 2))
+        if not pairs & meeting:
+            meeting |= pairs
+            points.append(rods)
+        elif len(meeting) == num_rods * (num_rods - 1) // 2:
+            break
+    lines = ([j for j, rods in enumerate(points) if l in rods] for l in range(num_rods))
+    return IncidenceGeometry(len(points), tuple(ln for ln in lines if len(ln) > 1))
 
 
 def sparse_rank(rows, field) -> int:

@@ -1,11 +1,14 @@
-"""The sparse exact elimination against a dense reference, and pinned samples.
+"""The sparse exact elimination and the sampler against dense references,
+and pinned samples.
 
 `_eliminate` (read as a rank), `matrix_kernel` and `rank_of` must agree
 with plain dense Gauss-Jordan elimination (tests/bruteforce.py) over both
 default primes, a tiny prime where cancellations are frequent, and the
-rationals.  The golden digests pin `sample_realization` and `realize_cone`
-exactly: any change in pivot set, free columns, random draw order or the
-type of a value changes them.
+rationals.  The intercept-space sampler must give the cone ranks and the
+refusals of the full-kernel sampler it replaced, kept in tests/bruteforce.py.
+The golden digests pin `sample_realization`, `realize_cone` and that
+reference exactly: any change in pivot set, free columns, random draw order
+or the type of a value changes them.
 """
 
 from __future__ import annotations
@@ -24,17 +27,20 @@ from rodrigidity import (
     MERSENNE_PRIME,
     PrimeField,
     RATIONALS,
+    Infeasible,
     build_cone_incidence,
     matrix_kernel,
     rank_of,
     realize_cone,
     sample_realization,
+    string_config_rank,
 )
 from rodrigidity.analysis import random_geometry
 from rodrigidity.oracle import ConcurrenceMatrix
 
-from bruteforce import apply, dense_kernel, dense_rank, dense_rows
-from conftest import sparse_rank
+from bruteforce import (apply, dense_kernel, dense_rank, dense_rows, full_kernel_sample,
+                        shares_two_points)
+from conftest import concurrent_geometry, sparse_rank
 
 FIELDS = [
     (DEFAULT_FIELD, MERSENNE_PRIME),
@@ -106,8 +112,62 @@ def test_cone_concurrence_matrices_match_dense_reference(field, p, seed):
 
 
 # sha256 of repr(sample_realization(geometry, seed, field)), fixed from the
-# dense-elimination implementation this one replaced.
+# intercept-space sampler: slopes, then the free intercepts in increasing
+# column order, then one abscissa per point on one rod.
 GOLDEN = {
+    ("fig2", "zp", 0): "0ff3adfeceb69a11d9c310c040f9a3949e761ad2e5cb6698664a755d856a3287",
+    ("fig2", "zp", 1): "640293c03917558d25138b48aeca6a5dafb2224da6e2ef8530de05c4cb37bcc3",
+    ("fig2", "zp", 42): "2071bf5c51730df5995e420b1731cb7ae734d0f30b8552e49d6d355adb77cbb8",
+    ("fig2", "rational", 0): "557d41b5b6c7169107690e30ca4c1e43d9c0691894120722c1ef915605bde12b",
+    ("fig2", "rational", 1): "db0348d2b99b74b59e1f99d5bb4625867eb70694fbc60438ec039c12ddc6735e",
+    ("fig2", "rational", 42): "2c10485b6909be028e2714a0091b97e2833589e313ce44e8ca3386cfe7a5c61a",
+    ("triangle_rods", "zp", 0): "5be7815654c0270553215222c148111f136f8e0d5c009aef7598b6fb45ca73ae",
+    ("triangle_rods", "zp", 1): "0551cee8f95c9a2685e140e7e0827c02081cf27cbc955a66b118482ad99f0d7d",
+    ("triangle_rods", "zp", 42): "14824c73ae41e71f438cc74992293deff735787bc3bd9a9b2895a9ce42f38058",
+    ("triangle_rods", "rational", 0): "5897266a0331c2e86650a1254964e837837ec83dfb4feaf39427d685e43fe609",
+    ("triangle_rods", "rational", 1): "281f5912ae4bb5dcae7e50644cb825a6bd7daf4885b374bf89a6ee4d5a6b311d",
+    ("triangle_rods", "rational", 42): "d238762b6a19a5b2d0978d7f54ee2c1b5ee46b1e7d437f0617e04c17961ec182",
+}
+
+
+@pytest.mark.parametrize("geometry,field_name,seed", sorted(GOLDEN))
+def test_golden_realizations(request, geometry, field_name, seed):
+    field = DEFAULT_FIELD if field_name == "zp" else RATIONALS
+    rho = sample_realization(request.getfixturevalue(geometry), seed, field=field)
+    digest = hashlib.sha256(repr(rho).encode()).hexdigest()
+    assert digest == GOLDEN[(geometry, field_name, seed)]
+
+
+# sha256 of repr(realize_cone(cone, sample_realization(geometry, seed, field),
+# seed)), fixed from the intercept-space sampler.
+CONE_GOLDEN = {
+    ("fig2", "zp", 0): "68f3bca6eae59510beaf9ff751edbf1efd419d74e5659167f9d1ae808efc954d",
+    ("fig2", "zp", 1): "e2600c27859cb6c2ec9c36efe180a45fc672c2334f6d08d9909bc02c0e304421",
+    ("fig2", "zp", 42): "3bf03cc562c9b7299cf4944824a3d96c8c8b7f7fe47b2a69281cd9951c4d2798",
+    ("fig2", "rational", 0): "d8ce136c818d25b486887293698c84762590ad7866c53c70804749ff7ade1e6b",
+    ("fig2", "rational", 1): "2761cb16431f88732b4dcbe393379cc1e3bd1b8bb12d14f276d59353f3bc8e17",
+    ("fig2", "rational", 42): "8a9417d2790ee413a59a2db1e35602563aae447f6558b63d45f75dfb0441796e",
+    ("triangle_rods", "zp", 0): "ea47f1a55a10c530d5b3a76cf2f63c83cb200a4b09dd4f4887886a6b2a9aa0f6",
+    ("triangle_rods", "zp", 1): "4200868e58e59524041cb249a5f25a11efeca9ee6e3aa0035aef0df3af83c2fa",
+    ("triangle_rods", "zp", 42): "b1afd8b3dd01270b3de38756dad959cceb6ae98fa38a14593e9b5f0283b934f5",
+    ("triangle_rods", "rational", 0): "2acfc27d870dd1f361b42e8a09453ad05b648310e58432a712058c01eda5f331",
+    ("triangle_rods", "rational", 1): "20687d805e24d66c8735947471d6c742f5ed3808b6f67c3c7eb834afccdc16c1",
+    ("triangle_rods", "rational", 42): "d7ceb80e4c185ef28b78712dfb4868d392a21df63c12c31464c3dd559d6d4838",
+}
+
+
+@pytest.mark.parametrize("geometry,field_name,seed", sorted(CONE_GOLDEN))
+def test_golden_cone_extensions(request, geometry, field_name, seed):
+    field = DEFAULT_FIELD if field_name == "zp" else RATIONALS
+    g = request.getfixturevalue(geometry)
+    extended = realize_cone(build_cone_incidence(g), sample_realization(g, seed, field=field), seed)
+    digest = hashlib.sha256(repr(extended).encode()).hexdigest()
+    assert digest == CONE_GOLDEN[(geometry, field_name, seed)]
+
+
+# sha256 of repr(full_kernel_sample(geometry, seed, field)): the digests the
+# full-kernel sampler gave while it was the package's sample_realization.
+REFERENCE_GOLDEN = {
     ("fig2", "zp", 0): "2459059d36ffecbebeb4cbd836c13681408254633447711a109120d75f3184e9",
     ("fig2", "zp", 1): "7284b4b4e78bc9f7cd654c8bf600bf9281d6285f21a4daf5d5ca7cfe7ee8be60",
     ("fig2", "zp", 42): "1d9bcb9cfc09904cb4cf26c0568f18aaa2e3457c46496c1a288c65b091dc704c",
@@ -123,40 +183,45 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("geometry,field_name,seed", sorted(GOLDEN))
-def test_golden_realizations(request, geometry, field_name, seed):
+@pytest.mark.parametrize("geometry,field_name,seed", sorted(REFERENCE_GOLDEN))
+def test_full_kernel_reference_is_the_replaced_sampler(request, geometry, field_name, seed):
     field = DEFAULT_FIELD if field_name == "zp" else RATIONALS
-    rho = sample_realization(request.getfixturevalue(geometry), seed, field=field)
+    rho = full_kernel_sample(request.getfixturevalue(geometry), seed, field)
     digest = hashlib.sha256(repr(rho).encode()).hexdigest()
-    assert digest == GOLDEN[(geometry, field_name, seed)]
+    assert digest == REFERENCE_GOLDEN[(geometry, field_name, seed)]
 
 
-# sha256 of repr(realize_cone(cone, sample_realization(geometry, seed, field),
-# seed)), fixed from the implementation that did its arithmetic through
-# per-field methods.
-CONE_GOLDEN = {
-    ("fig2", "zp", 0): "2e5ffeda134ab1b9cf0452cb1fea9f480dd51ae35acc5cf996e5b10431d5c513",
-    ("fig2", "zp", 1): "16f4d66ab924ad902d88f20cf53f9bcf19c512f94bdacd1bd14cde166f58cd8e",
-    ("fig2", "zp", 42): "2af073724459ef032b316f31502b74114dce9720735891c14ae50c2fe3252bd9",
-    ("fig2", "rational", 0): "e6a3884454518bdbbe1ec8b81c6c7f72faca75feb878ebcf8afb850c051b81b0",
-    ("fig2", "rational", 1): "073c7ab0a239ac09c31f9f408a0819c32cb27854a7671eb5ef4b4a23bccc58be",
-    ("fig2", "rational", 42): "c96f5d87cdc0b8ec87f98bd9896579ffc797caeddf79ffda016f2d85d14bd6f1",
-    ("triangle_rods", "zp", 0): "cf8064fbd1a99f80287699d33bde00451d2a38ebdca11807bb4bf1312a7192e2",
-    ("triangle_rods", "zp", 1): "0a4219078b3ade9660d49a5fb7f12f8dea06069465113d03228fe7bea69aade9",
-    ("triangle_rods", "zp", 42): "beeb83b8124fd626edd8984abd053483c8c26c405a9d4270a836c4160c7094f5",
-    ("triangle_rods", "rational", 0): "ddb78e386f9f628ccec1017f7e818a820d30ace4af1f31d756a036875978b871",
-    ("triangle_rods", "rational", 1): "61a68c7cd61a13daf28ee5aef5cbb86760dcb09df3230c6176aae5643bee7d1b",
-    ("triangle_rods", "rational", 42): "de6f734e72174244f53edaff3508eb03879d86f5065731cd13c4fbfe9cf45cfe",
-}
+def _cone_rank(geometry, rho, seed):
+    cone = build_cone_incidence(geometry)
+    return string_config_rank(cone, realize_cone(cone, rho, seed))
 
 
-@pytest.mark.parametrize("geometry,field_name,seed", sorted(CONE_GOLDEN))
-def test_golden_cone_extensions(request, geometry, field_name, seed):
-    field = DEFAULT_FIELD if field_name == "zp" else RATIONALS
-    g = request.getfixturevalue(geometry)
-    extended = realize_cone(build_cone_incidence(g), sample_realization(g, seed, field=field), seed)
-    digest = hashlib.sha256(repr(extended).encode()).hexdigest()
-    assert digest == CONE_GOLDEN[(geometry, field_name, seed)]
+@pytest.mark.parametrize("field,count", [(DEFAULT_FIELD, 40), (RATIONALS, 10)],
+                         ids=["mersenne", "rational"])
+def test_intercept_sampler_matches_full_kernel_sampler(pappus, field, count):
+    # Random geometries until `count` of them have no shared rod pair, as
+    # many with points on three or four rods, and Pappus: the refusals must
+    # be equal, and so must the cone ranks of every proper sample.
+    rng = random.Random(3)
+    corpus, unshared = [pappus], 0
+    while unshared < count:
+        g = random_geometry(rng, 12, 8)
+        unshared += not shares_two_points(g)
+        corpus.append(g)
+    corpus += [concurrent_geometry(rng, 8, 12) for _ in range(count)]
+    on_three = 0
+    for seed, g in enumerate(corpus):
+        rho, ref = sample_realization(g, seed, field=field), full_kernel_sample(g, seed, field)
+        assert isinstance(rho, Infeasible) == isinstance(ref, Infeasible)
+        if isinstance(rho, Infeasible):
+            assert rho == ref
+            continue
+        assert rho.satisfies(g) and rho.is_proper() and ref.is_proper()
+        assert _cone_rank(g, rho, seed) == _cone_rank(g, ref, seed)
+        on_three += any(len(rods) > 2 for rods in g.point_line_map())
+    assert sample_realization(pappus, 0, field=field) == Infeasible(
+        "all 32 sampled realizations collapsed distinct points")
+    assert on_three > count // 2
 
 
 def test_integer_rows_over_rationals_give_fraction_kernels():

@@ -36,7 +36,7 @@ from rodrigidity import oracle
 from rodrigidity.analysis import random_geometry
 
 from bruteforce import apply, dense_rows, is_sharply_independent, minor_rank, shares_two_points
-from conftest import FIG2_COORDS, JSON_VALUES, sparse_rank, with_examples
+from conftest import FIG2_COORDS, JSON_VALUES, concurrent_geometry, sparse_rank, with_examples
 from paper_claims import (
     BudgetExceededError,
     is_regular,
@@ -150,6 +150,30 @@ class TestSampling:
 
     def test_deterministic_in_seed(self, fig2):
         assert sample_realization(fig2, seed=9) == sample_realization(fig2, seed=9)
+
+    @pytest.mark.parametrize("name", ["triangle_rods", "hinge", "fig2", "pappus"])
+    def test_one_slope_field_redraws_until_refused(self, request, name, monkeypatch):
+        # Every unit of Z_2 is 1, so rods through a common point always get
+        # the same slope: all draws are redrawn, none reaches an elimination.
+        eliminations = []
+        real = oracle._eliminate
+        monkeypatch.setattr(oracle, "_eliminate",
+                            lambda rows, field: eliminations.append(field) or real(rows, field))
+        rho = sample_realization(request.getfixturevalue(name), seed=11, field=PrimeField(2))
+        assert rho == Infeasible("all 32 sampled realizations collapsed distinct points")
+        assert not eliminations
+
+    @pytest.mark.parametrize("p", [7, 101])
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_small_fields_refuse_or_realize(self, p, seed, concurrent):
+        # Equal slopes and cancellations are common here; a sample is still
+        # a proper realization, or the geometry is refused.
+        rng = random.Random(seed)
+        g = concurrent_geometry(rng, 6, 8) if concurrent else random_geometry(rng, 8, 6)
+        rho = sample_realization(g, seed, field=PrimeField(p))
+        if not isinstance(rho, Infeasible):
+            assert rho.satisfies(g) and rho.is_proper()
 
 
 class TestRank:
