@@ -17,12 +17,14 @@ with the generic rank the pebble game predicts: a sample that reaches it
 certifies the count, one above it is a defect, and only one below it calls
 for another seed.
 
-Rank and kernel share one sparse exact elimination.  Every concurrence row
-has three nonzeros, so rows are kept as {column: value} dicts and reduced
-one at a time against the pivot rows found so far.  Sampling works in
-intercept space: once the slopes are drawn, a point on two rods is their
-intersection, so only the rows that a third or further rod through a point
-puts on the intercepts are eliminated, and a rod arrangement needs none.
+Rank and kernel share one sparse exact elimination.  Rows are kept as
+{column: value} dicts and reduced one at a time against the pivot rows
+found so far.  Rank and sampling both work in intercept space: a point's
+coordinates occur only in its own rows, so they are eliminated by hand and
+only the rows that a third or further rod through a point puts on the
+intercepts are reduced (a rod arrangement sampled with distinct slopes has
+none).  For a proper realization of two or more points the rank is at most
+the maximum below, so its reduction stops there.
 
 The concurrence matrix of a realization has one row per incidence over the
 unknowns (h_1..h_L, x_1, y_1, .., x_P, y_P); its kernel is the space of
@@ -37,7 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .cone import ConeIncidenceGeometry
 from .geometry import IncidenceGeometry, _json_list, shared_rod_pair
@@ -205,9 +207,9 @@ class LinearRealization:
 
 # --- exact linear algebra ----------------------------------------------------
 #
-# One sparse elimination serves rank, kernel and the intercept rows of
-# sampling.  Rows are {column: value} dicts holding only nonzeros.  Each row
-# is reduced at its leading (smallest) column by that column's pivot row
+# One sparse elimination serves the kernel and the intercept rows of rank
+# and sampling.  Rows are {column: value} dicts holding only nonzeros.  Each
+# row is reduced at its leading (smallest) column by that column's pivot row
 # until the leading column has no pivot; the row is then scaled to a leading
 # 1 and becomes that column's pivot row.  Over Z_p every entry is reduced
 # with an inline `% p`; over Q the same loop runs on Fractions.
@@ -218,14 +220,18 @@ def _inv(a, p: int):
     return pow(a, -1, p) if p else 1 / Fraction(a)
 
 
-def _eliminate(rows: Iterable[dict], field: Field) -> dict[int, dict]:
+def _eliminate(rows: Iterable[dict], field: Field,
+               limit: Optional[int] = None) -> dict[int, dict]:
     """Pivot rows of a row echelon form, keyed by their leading column.
 
     The leading columns are those of the reduced row echelon form whatever
-    the row order, so the free columns depend only on the row space.
+    the row order, so the free columns depend only on the row space.  Given
+    a limit, no further row is read once that many pivots are held.
     """
     p = field.p
     pivots: dict[int, dict] = {}
+    if limit is not None and limit <= 0:
+        return pivots
     for row in rows:
         if p:
             row = {c: v % p for c, v in row.items() if v % p}
@@ -240,6 +246,8 @@ def _eliminate(rows: Iterable[dict], field: Field) -> dict[int, dict]:
                     pivots[lead] = {c: v * inv % p for c, v in row.items()}
                 else:
                     pivots[lead] = {c: v * inv for c, v in row.items()}
+                if len(pivots) == limit:
+                    return pivots
                 break
             a = row[lead]
             for c, v in prow.items():
@@ -305,12 +313,6 @@ class ConcurrenceMatrix:
     def column_of_y(self, j: int) -> int:
         return self.num_lines + 2 * j + 1
 
-    def sparse_rows(self) -> Iterator[dict]:
-        """The rows as {column: value} dicts, three entries each."""
-        one = self.field.one
-        for p, l in self.incidences:
-            yield {l: one, self.column_of_x(p): self.slopes[l], self.column_of_y(p): one}
-
 
 def build_concurrence_matrix(geometry: IncidenceGeometry,
                              realization: LinearRealization) -> ConcurrenceMatrix:
@@ -325,20 +327,76 @@ def build_concurrence_matrix(geometry: IncidenceGeometry,
     )
 
 
-def rank_of(matrix: ConcurrenceMatrix) -> int:
+def _intercept_rows(rods_at: Sequence[Sequence[int]], slopes: Sequence,
+                    field: Field) -> tuple[list[dict], list, int]:
+    """The concurrence rows with every point's coordinates eliminated.
+
+    Columns x_j and y_j occur only in the rows of point j, so they are
+    eliminated by hand.  A point on no rod has no rows.  If every rod
+    l0, l1, ... through point j has the slope of l0, the row of l0 pivots on
+    y_j and each further rod li leaves the intercept row h_li - h_l0.
+    Otherwise, with l1 the first rod of another slope, the rows of l0 and l1
+    pivot on x_j and y_j, and each further rod li leaves the row
+    t*h_l1 - (t+1)*h_l0 + h_li with t = (f_li - f_l0)/(f_l0 - f_l1): li
+    passes through the intersection of l0 and l1.  This is an exact Schur
+    complement for any slopes, so the rank of the concurrence matrix is the
+    number of those coordinate pivots plus the rank of the intercept rows.
+    Slopes must be reduced (over Z_p, values in [0, p)) so that equal slopes
+    compare equal, and no rod may be listed twice at a point.
+
+    Returns (rows, meets, pivots): the intercept rows, point by point; for
+    each point (l1, 1/(f_l0 - f_l1)), or None if its rods share one slope;
+    and the number of coordinate pivots.
+    """
+    p, one = field.p, field.one
+    rows: list[dict] = []
+    meets: list = []
+    pivots = 0
+    for rods in rods_at:
+        if not rods:
+            meets.append(None)
+            continue
+        l0 = rods[0]
+        f0 = slopes[l0]
+        l1 = next((l for l in rods if slopes[l] != f0), None)
+        if l1 is None:
+            pivots += 1
+            meets.append(None)
+            rows += ({l0: -one, li: one} for li in rods[1:])
+            continue
+        pivots += 2
+        inv = _inv(f0 - slopes[l1], p)
+        meets.append((l1, inv))
+        for li in rods[1:]:
+            if li != l1:
+                t = (slopes[li] - f0) * inv
+                rows.append({l1: t, l0: -t - one, li: one})
+    return rows, meets, pivots
+
+
+def rank_of(matrix: ConcurrenceMatrix, at_most: Optional[int] = None) -> int:
     """Exact rank of the concurrence matrix in its field.
 
     The rank never exceeds the generic rank for these incidences, so full
     rank proves rigidity; a deficit may be an unlucky draw of slopes (at most
     degree/p likely over Z_p, by Schwartz-Zippel), so cross-validation draws
-    another seed only when a sample falls below the predicted rank.  Columns
-    are eliminated from the last one down, so the coordinates of each point
-    (cone points first) are pivoted out before the intercepts, which keeps
-    the fill-in low.
+    another seed only when a sample falls below the predicted rank.  The
+    point coordinates are eliminated by hand (`_intercept_rows`) and only the
+    intercept rows are reduced, with the intercept columns in reverse order,
+    so the spokes' intercepts (the last lines of a cone geometry) are
+    pivoted before the rods'.  Given at_most, the reduction stops once the
+    rank reaches it: the answer is exact whenever the rank is at most
+    at_most, so pass only a proven upper bound, never a predicted rank.
     """
-    last = matrix.shape[1] - 1
-    rows = ({last - c: v for c, v in row.items()} for row in matrix.sparse_rows())
-    return len(_eliminate(rows, matrix.field))
+    p = matrix.field.p
+    last = matrix.num_lines - 1
+    slopes = [v % p for v in reversed(matrix.slopes)] if p else matrix.slopes[::-1]
+    rods_at: list[list[int]] = [[] for _ in range(matrix.num_points)]
+    for j, l in dict.fromkeys(matrix.incidences):  # a repeated row adds nothing
+        rods_at[j].append(last - l)
+    rows, _, rank = _intercept_rows(rods_at, slopes, matrix.field)
+    limit = None if at_most is None else at_most - rank
+    return rank + len(_eliminate(rows, matrix.field, limit))
 
 
 # --- realization construction ------------------------------------------------
@@ -355,7 +413,8 @@ def sample_realization(
     differ at every point, a point on rods l0, l1, ... is the intersection
     of l0 and l1, x = (h_l1 - h_l0)/(f_l0 - f_l1), so each further rod li
     through it is one linear row over the intercepts,
-    t*h_l1 - (t+1)*h_l0 + h_li = 0 with t = (f_li - f_l0)/(f_l0 - f_l1).
+    t*h_l1 - (t+1)*h_l0 + h_li = 0 with t = (f_li - f_l0)/(f_l0 - f_l1)
+    (`_intercept_rows`, which rank_of shares).
     Only those rows are eliminated (an arrangement has none, so a draw costs
     O(P)); the free intercepts are random units, and every point is then
     placed directly: at its first two rods' intersection, at a random
@@ -373,7 +432,6 @@ def sample_realization(
         return Infeasible.shared(*pair)
     field = field or DEFAULT_FIELD
     p = field.p
-    one = field.one
     rng = random.Random(seed)
     L = geometry.num_lines
     rods_at = geometry.point_line_map()
@@ -381,14 +439,7 @@ def sample_realization(
         f = tuple(field.random_unit(rng) for _ in range(L))
         if any(len({f[l] for l in rods}) < len(rods) for rods in rods_at):
             continue  # rods through a common point must not be parallel
-        # 1/(f_l0 - f_l1) for each point on two or more rods
-        inv = [_inv(f[rods[0]] - f[rods[1]], p) if len(rods) > 1 else None
-               for rods in rods_at]
-        rows = []
-        for j, rods in enumerate(rods_at):
-            for li in rods[2:]:
-                t = (f[li] - f[rods[0]]) * inv[j]
-                rows.append({rods[1]: t, rods[0]: -t - one, li: one})
+        rows, meets, _ = _intercept_rows(rods_at, f, field)
         pivots = _eliminate(rows, field)
         # one random unit per free intercept, in increasing column order
         h = [None if c in pivots else field.random_unit(rng) for c in range(L)]
@@ -400,7 +451,11 @@ def sample_realization(
                 ys.append(field.random_unit(rng))
                 continue
             l0 = rods[0]
-            x = (h[rods[1]] - h[l0]) * inv[j] if len(rods) > 1 else field.random_unit(rng)
+            if meets[j] is None:  # on one rod
+                x = field.random_unit(rng)
+            else:
+                l1, inv = meets[j]
+                x = (h[l1] - h[l0]) * inv
             y = -f[l0] * x - h[l0]
             xs.append(x % p if p else x)
             ys.append(y % p if p else y)
@@ -538,7 +593,11 @@ def string_config_rank(cone: ConeIncidenceGeometry,
         raise OracleError("non-proper realization refused")
     g = cone.geometry
     matrix = build_concurrence_matrix(g, realization)
-    return rank_of(matrix), max(0, g.num_lines + 2 * g.num_points - 3)
+    max_rank = max(0, g.num_lines + 2 * g.num_points - 3)
+    # Two or more distinct points: the translations and the dilation are
+    # independent kernel vectors, so the rank cannot pass max_rank and the
+    # reduction may stop there.
+    return rank_of(matrix, max_rank if g.num_points >= 2 else None), max_rank
 
 
 def is_string_config_rigid(cone: ConeIncidenceGeometry, realization: LinearRealization) -> bool:

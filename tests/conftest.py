@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -91,6 +92,17 @@ def concurrent_geometry(rng, num_rods: int, num_points: int) -> IncidenceGeometr
             break
     lines = ([j for j, rods in enumerate(points) if l in rods] for l in range(num_rods))
     return IncidenceGeometry(len(points), tuple(ln for ln in lines if len(ln) > 1))
+
+
+def arrangement(num_rods: int, share: float, seed: int) -> IncidenceGeometry:
+    """A seeded fraction of the rod pairs, each pair meeting in its own point."""
+    pairs = [(i, j) for i in range(num_rods) for j in range(i + 1, num_rods)]
+    chosen = sorted(random.Random(seed).sample(pairs, round(share * len(pairs))))
+    lines: list[list[int]] = [[] for _ in range(num_rods)]
+    for p, (i, j) in enumerate(chosen):
+        lines[i].append(p)
+        lines[j].append(p)
+    return IncidenceGeometry(len(chosen), tuple(tuple(l) for l in lines))
 
 
 def sparse_rank(rows, field) -> int:

@@ -325,7 +325,8 @@ class TestOracleCommand:
         calls = []
         real = oracle.rank_of
         for module in (oracle, cli):
-            monkeypatch.setattr(module, "rank_of", lambda m: calls.append(m) or real(m))
+            monkeypatch.setattr(module, "rank_of",
+                                lambda m, *rest: calls.append(m) or real(m, *rest))
         assert main(["oracle", fig2_file, "--format", "json"]) == 0
         assert len(calls) == 1
         assert json.loads(capsys.readouterr().out) == {"max_rank": 35, "rank": 35, "rigid": True}

@@ -4,8 +4,11 @@ and pinned samples.
 `_eliminate` (read as a rank), `matrix_kernel` and `rank_of` must agree
 with plain dense Gauss-Jordan elimination (tests/bruteforce.py) over both
 default primes, a tiny prime where cancellations are frequent, and the
-rationals.  The intercept-space sampler must give the cone ranks and the
-refusals of the full-kernel sampler it replaced, kept in tests/bruteforce.py.
+rationals.  `rank_of` eliminates the point coordinates by hand, so each kind
+of point is checked against the dense rank too, and stopping at the maximum
+rank must never change a rank.  The intercept-space sampler must give the
+cone ranks and the refusals of the full-kernel sampler it replaced, kept in
+tests/bruteforce.py.
 The golden digests pin `sample_realization`, `realize_cone` and that
 reference exactly: any change in pivot set, free columns, random draw order
 or the type of a value changes them.
@@ -25,6 +28,7 @@ from rodrigidity import (
     ALTERNATE_PRIME,
     DEFAULT_FIELD,
     MERSENNE_PRIME,
+    IncidenceGeometry,
     PrimeField,
     RATIONALS,
     Infeasible,
@@ -35,12 +39,13 @@ from rodrigidity import (
     sample_realization,
     string_config_rank,
 )
+from rodrigidity import oracle
 from rodrigidity.analysis import random_geometry
-from rodrigidity.oracle import ConcurrenceMatrix
+from rodrigidity.oracle import ConcurrenceMatrix, _intercept_rows, build_concurrence_matrix
 
 from bruteforce import (apply, dense_kernel, dense_rank, dense_rows, full_kernel_sample,
                         shares_two_points)
-from conftest import concurrent_geometry, sparse_rank
+from conftest import arrangement, concurrent_geometry, sparse_rank
 
 FIELDS = [
     (DEFAULT_FIELD, MERSENNE_PRIME),
@@ -109,6 +114,105 @@ def test_cone_concurrence_matrices_match_dense_reference(field, p, seed):
     zero = field.zero
     for vec in kernel:
         assert all(v == zero for v in apply(matrix, vec))
+
+
+def test_intercept_rows_pivot_each_point_by_its_slopes():
+    # Point 0 is on no rod, point 1 on one, point 2 on three rods of one
+    # slope, and point 3 on rods of slopes 1, 1, 5, 1: l1 is the third rod,
+    # and the ties with l0 leave h_li - h_l0 (t = 0).
+    rods_at = [[], [0], [1, 2, 3], [4, 5, 6, 7]]
+    slopes = [3, 2, 2, 2, 1, 1, 5, 1]
+    for field, _ in FIELDS:
+        one = field.one
+        rows, meets, pivots = _intercept_rows(rods_at, [v * one for v in slopes], field)
+        assert pivots == 0 + 1 + 1 + 2
+        assert meets[:3] == [None, None, None] and meets[3][0] == 6
+        assert [{c: v for c, v in row.items() if v} for row in rows] == [
+            {1: -one, 2: one}, {1: -one, 3: one}, {4: -one, 5: one}, {4: -one, 7: one}]
+
+
+# (lines, slopes) with each kind of point the rank eliminates by hand.  Over
+# p = 7 the slopes 2 and 9 tie, so "tie mod 7" has l1 = rod 2 there and
+# l1 = rod 1 elsewhere.
+RANK_BRANCHES = {
+    "point on no rod": (((0, 1), (1, 2)), (3, 5)),
+    "points on one rod": (((0, 1, 2, 3),), (4,)),
+    "rods of one slope": (((0, 1), (0, 2), (0, 3), (1, 2)), (2, 2, 2, 6)),
+    "rods of slope zero": (((0, 1), (0, 2), (0, 3), (2, 3)), (0, 0, 0, 1)),
+    "tie with l0": (((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)), (3, 1, 3, 4, 0, 3)),
+    "tie mod 7": (((0, 1, 4), (0, 2, 4), (0, 3, 4), (1, 2, 3)), (2, 9, 5, 1)),
+    "tie with l1": (((0, 1), (0, 2), (0, 3), (1, 2)), (1, 2, 2, 3)),
+    "repeated row": (((0, 1, 1), (0, 2), (1, 2)), (1, 1, 3)),
+}
+
+
+@pytest.mark.parametrize("field,p", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("case", sorted(RANK_BRANCHES))
+def test_rank_branches_match_dense_reference(field, p, case):
+    lines, slopes = RANK_BRANCHES[case]
+    num_points = 1 + max(j for line in lines for j in line)
+    incidences = tuple((j, i) for i, line in enumerate(lines) for j in line)
+    matrix = ConcurrenceMatrix(field, len(lines), num_points, incidences,
+                               tuple(v * field.one for v in slopes))
+    rank = dense_rank(dense_rows(matrix), p)
+    assert rank_of(matrix) == rank_of(matrix, rank) == rank_of(matrix, rank + 1) == rank
+
+
+def _chain(num_rods: int) -> IncidenceGeometry:
+    return IncidenceGeometry(num_rods + 1, tuple((i, i + 1) for i in range(num_rods)))
+
+
+def _proper_cone_samples(geometry, seeds, field):
+    """(cone, extended realization) for each seed that samples properly."""
+    cone = build_cone_incidence(geometry)
+    for seed in seeds:
+        rho = sample_realization(geometry, seed, field=field)
+        if not isinstance(rho, Infeasible):
+            yield cone, realize_cone(cone, rho, seed)
+
+
+@pytest.mark.parametrize("field", [DEFAULT_FIELD, RATIONALS], ids=["mersenne", "rational"])
+def test_the_bound_never_changes_a_rank(fig2, hinge, field):
+    # string_config_rank stops at the maximum rank; the unbounded rank of the
+    # same matrix must be the same number, rigid or flexible.
+    cases = [(fig2, True), (arrangement(8, 0.6, seed=1), True),
+             (arrangement(12, 0.6, seed=2), True), (hinge, False), (_chain(5), False)]
+    rng = random.Random(17)
+    cases += [(random_geometry(rng, 8, 6), None) for _ in range(12)]
+    verdicts = set()
+    for geometry, rigid in cases:
+        for cone, extended in _proper_cone_samples(geometry, range(2), field):
+            rank, max_rank = string_config_rank(cone, extended)
+            assert rank == rank_of(build_concurrence_matrix(cone.geometry, extended))
+            assert rigid is None or (rank == max_rank) == rigid
+            verdicts.add(rank == max_rank)
+    assert verdicts == {True, False}
+
+
+def test_early_stop_leaves_intercept_rows_unread(monkeypatch):
+    # On the rigid 30-rod arrangement (261 points; its cone geometry has 552
+    # lines and 291 points) the reduction reaches the maximum rank before
+    # its last intercept row: 632 of 984 rows are read for seed 0.
+    g = arrangement(30, 0.6, seed=2024)
+    cone, extended = next(_proper_cone_samples(g, [0], DEFAULT_FIELD))
+    real, reads = oracle._eliminate, []
+
+    def counting(rows, field, limit=None):
+        read = [0]
+
+        def counted():
+            for row in rows:
+                read[0] += 1
+                yield row
+        pivots = real(counted(), field, limit)
+        reads.append((read[0], len(rows)))
+        return pivots
+
+    monkeypatch.setattr(oracle, "_eliminate", counting)
+    rank, max_rank = string_config_rank(cone, extended)
+    assert rank == max_rank
+    (read, total), = reads
+    assert read < total
 
 
 # sha256 of repr(sample_realization(geometry, seed, field)), fixed from the

@@ -23,7 +23,7 @@ from rodrigidity import pebble
 from rodrigidity.pebble import PebbleState, _insert_batch, _undo_batch
 
 from bruteforce import henneberg_graph, laman_independent, laman_rank, shares_two_points
-from conftest import FIG1_EDGES, K4_EDGES
+from conftest import FIG1_EDGES, K4_EDGES, arrangement
 
 
 def relabel(edges, mapping):
@@ -132,7 +132,7 @@ class TestRigidBlock:
 
     def test_cone_graphs_and_canonical_subgraphs_match(self):
         geometries = [random_geometry(random.Random(seed)) for seed in range(500)]
-        geometries += [_arrangement(m, 0.6, seed=m) for m in range(10, 41)]
+        geometries += [arrangement(m, 0.6, seed=m) for m in range(10, 41)]
         for g in geometries:
             cone = build_cone_graph(g)
             v = play(cone.num_vertices, cone.edges)
@@ -168,7 +168,7 @@ class TestRigidBlock:
         assert (v.accepted, v.rejected, v.remaining_pebbles) == _reference_play(6, edges)
 
     def test_golden_arrangement_searches_only_accepted_edges(self, monkeypatch):
-        cone = build_cone_graph(_arrangement(30, 0.6, seed=2024))
+        cone = build_cone_graph(arrangement(30, 0.6, seed=2024))
         gathers = _counting_gathers(monkeypatch)
         v = play(cone.num_vertices, cone.edges)
         # 1014 edges, 435 of them rejected inside the block
@@ -334,7 +334,7 @@ class TestLeaveOneOut:
             for share in (0.1, 0.2, 0.3):
                 for seed in range(3):
                     try:
-                        cone = build_cone_graph(_arrangement(num_rods, share, seed))
+                        cone = build_cone_graph(arrangement(num_rods, share, seed))
                     except GeometryError:  # a rod met fewer than two others
                         continue
                     n, groups = cone.num_vertices, cone.cones
@@ -352,7 +352,7 @@ class TestLeaveOneOut:
         # accepted, and a leaf it reaches for group i holds only edges that
         # the forward game accepted before group i or the backward game after
         if case == "golden":
-            cone = build_cone_graph(_arrangement(30, 0.6, seed=2024))
+            cone = build_cone_graph(arrangement(30, 0.6, seed=2024))
             n = cone.num_vertices
             groups = cone.cones
         elif case == "k4-sandwich":
@@ -550,17 +550,6 @@ class TestCopy:
                 assert (game.pebbles, game.out) == (fresh.pebbles, fresh.out)
 
 
-def _arrangement(num_rods: int, share: float, seed: int) -> IncidenceGeometry:
-    """A seeded fraction of the rod pairs, each pair meeting in its own point."""
-    pairs = [(i, j) for i in range(num_rods) for j in range(i + 1, num_rods)]
-    chosen = sorted(random.Random(seed).sample(pairs, round(share * len(pairs))))
-    lines: list[list[int]] = [[] for _ in range(num_rods)]
-    for p, (i, j) in enumerate(chosen):
-        lines[i].append(p)
-        lines[j].append(p)
-    return IncidenceGeometry(len(chosen), tuple(tuple(l) for l in lines))
-
-
 # sha256 of repr of each answer on a 30-rod arrangement (261 points, 291 cone
 # vertices, 1014 edges), fixed from the search that kept its visit marks in a
 # fresh dict per search.  The arrangement is rigid and stays rigid without any
@@ -576,7 +565,7 @@ ARRANGEMENT_GOLDEN = {
 
 @pytest.mark.parametrize("question", sorted(ARRANGEMENT_GOLDEN))
 def test_golden_arrangement_answers(question):
-    g = _arrangement(30, 0.6, seed=2024)
+    g = arrangement(30, 0.6, seed=2024)
     cone = build_cone_graph(g)
     if question == "play":
         game = play(cone.num_vertices, cone.edges)
