@@ -24,7 +24,9 @@ coordinates occur only in its own rows, so they are eliminated by hand and
 only the rows that a third or further rod through a point puts on the
 intercepts are reduced (a rod arrangement sampled with distinct slopes has
 none).  For a proper realization of two or more points the rank is at most
-the maximum below, so its reduction stops there.
+the maximum below, so its reduction stops there.  The inverses a pass needs
+(one per point in sampling and rank, one per spoke in the cone extension)
+are taken together with one modular inversion (`_inv_all`).
 
 The concurrence matrix of a realization has one row per incidence over the
 unknowns (h_1..h_L, x_1, y_1, .., x_P, y_P); its kernel is the space of
@@ -191,13 +193,31 @@ class LinearRealization:
         return len(self.xs)
 
     def satisfies(self, geometry: IncidenceGeometry) -> bool:
-        if geometry.num_points != self.num_points or geometry.num_lines != self.num_lines:
+        """Every incidence holds: f_l*x_j + y_j + h_l = 0 for each point j on
+        each line l.  Over Q the identity is tested with every denominator
+        cleared, in integers."""
+        if (geometry.num_points != self.num_points or len(self.ys) != self.num_points
+                or geometry.num_lines != self.num_lines
+                or len(self.intercepts) != self.num_lines):
             return False
         p = self.field.p
-        for j, l in geometry.incidences():
-            r = self.slopes[l] * self.xs[j] + self.ys[j] + self.intercepts[l]
-            if (r % p if p else r) != 0:
-                return False
+        xs, ys = self.xs, self.ys
+        if p:
+            for f, h, line in zip(self.slopes, self.intercepts, geometry.lines):
+                for j in line:
+                    if (f * xs[j] + ys[j] + h) % p:
+                        return False
+            return True
+        # (a/b)(c/d) + e/g + u/w = 0  <=>  a*w*(c*g) + b*w*(e*d) + u*b*(d*g) = 0
+        terms = [(x.numerator * y.denominator, y.numerator * x.denominator,
+                  x.denominator * y.denominator) for x, y in zip(xs, ys)]
+        for f, h, line in zip(self.slopes, self.intercepts, geometry.lines):
+            a, b, u, w = f.numerator, f.denominator, h.numerator, h.denominator
+            aw, bw, ub = a * w, b * w, u * b
+            for j in line:
+                cg, ed, dg = terms[j]
+                if aw * cg + bw * ed + ub * dg:
+                    return False
         return True
 
     def is_proper(self) -> bool:
@@ -212,12 +232,36 @@ class LinearRealization:
 # row is reduced at its leading (smallest) column by that column's pivot row
 # until the leading column has no pivot; the row is then scaled to a leading
 # 1 and becomes that column's pivot row.  Over Z_p every entry is reduced
-# with an inline `% p`; over Q the same loop runs on Fractions.
+# with an inline `% p`; over Q the same loop runs on Fractions.  A row that
+# already leads with 1 becomes a pivot row as it stands.  Over Z_p the
+# inverses a pass needs are batched by Montgomery's trick (`_inv_all`): one
+# modular inversion of their product, then three products per value.
 
 
 def _inv(a, p: int):
     """1/a in Z_p, or in Q when p is 0 (a Fraction even for an int a)."""
     return pow(a, -1, p) if p else 1 / Fraction(a)
+
+
+def _inv_all(values: Sequence, p: int) -> list:
+    """[_inv(a, p) for a in values], with a single `_inv` call over Z_p.
+
+    The product of all values is inverted once and the inverse is walked
+    back through the prefix products.  A zero among the values makes the
+    product zero, whose inversion raises as `pow(0, -1, p)` does.
+    """
+    if not p or len(values) < 2:
+        return [_inv(a, p) for a in values]
+    prefix, acc = [], 1
+    for a in values:
+        prefix.append(acc)
+        acc = acc * a % p
+    inv = _inv(acc, p)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % p
+        inv = inv * values[i] % p
+    return out
 
 
 def _eliminate(rows: Iterable[dict], field: Field,
@@ -235,17 +279,19 @@ def _eliminate(rows: Iterable[dict], field: Field,
     for row in rows:
         if p:
             row = {c: v % p for c, v in row.items() if v % p}
-        else:
-            row = {c: v for c, v in row.items() if v}
+        else:  # Fractions throughout, so a row kept as it stands has their type
+            row = {c: v if type(v) is Fraction else Fraction(v) for c, v in row.items() if v}
         while row:
             lead = min(row)
             prow = pivots.get(lead)
             if prow is None:
-                inv = _inv(row[lead], p)
-                if p:
-                    pivots[lead] = {c: v * inv % p for c, v in row.items()}
-                else:
-                    pivots[lead] = {c: v * inv for c, v in row.items()}
+                if row[lead] != 1:
+                    inv = _inv(row[lead], p)
+                    if p:
+                        row = {c: v * inv % p for c, v in row.items()}
+                    else:
+                        row = {c: v * inv for c, v in row.items()}
+                pivots[lead] = row
                 if len(pivots) == limit:
                     return pivots
                 break
@@ -346,26 +392,29 @@ def _intercept_rows(rods_at: Sequence[Sequence[int]], slopes: Sequence,
 
     Returns (rows, meets, pivots): the intercept rows, point by point; for
     each point (l1, 1/(f_l0 - f_l1)), or None if its rods share one slope;
-    and the number of coordinate pivots.
+    and the number of coordinate pivots.  The inverses are taken in one
+    batch once every point's l1 is known.
     """
     p, one = field.p, field.one
+    seconds = []  # each point's l1, or None if its rods (if any) share one slope
+    for rods in rods_at:
+        f0 = slopes[rods[0]] if rods else None
+        seconds.append(next((l for l in rods if slopes[l] != f0), None))
+    invs = iter(_inv_all([slopes[rods[0]] - slopes[l1]
+                          for rods, l1 in zip(rods_at, seconds) if l1 is not None], p))
     rows: list[dict] = []
     meets: list = []
     pivots = 0
-    for rods in rods_at:
-        if not rods:
-            meets.append(None)
-            continue
-        l0 = rods[0]
-        f0 = slopes[l0]
-        l1 = next((l for l in rods if slopes[l] != f0), None)
+    for rods, l1 in zip(rods_at, seconds):
         if l1 is None:
-            pivots += 1
             meets.append(None)
-            rows += ({l0: -one, li: one} for li in rods[1:])
+            if rods:
+                pivots += 1
+                rows += ({rods[0]: -one, li: one} for li in rods[1:])
             continue
         pivots += 2
-        inv = _inv(f0 - slopes[l1], p)
+        l0, inv = rods[0], next(invs)
+        f0 = slopes[l0]
         meets.append((l1, inv))
         for li in rods[1:]:
             if li != l1:
@@ -569,9 +618,10 @@ def realize_cone(
         xs.append(cx)
         ys.append(cy)
     slopes, intercepts = list(realization.slopes), list(realization.intercepts)
-    for line_idx, j in cone.spoke_of:
-        c = cone.cone_point(line_idx)
-        fx = (ys[j] - ys[c]) * _inv(xs[c] - xs[j], p)
+    spokes = [(cone.cone_point(line_idx), j) for line_idx, j in cone.spoke_of]
+    invs = _inv_all([xs[c] - xs[j] for c, j in spokes], p)
+    for (c, j), inv in zip(spokes, invs):
+        fx = (ys[j] - ys[c]) * inv
         hx = -fx * xs[j] - ys[j]
         slopes.append(fx % p if p else fx)
         intercepts.append(hx % p if p else hx)

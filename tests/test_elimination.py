@@ -33,6 +33,7 @@ from rodrigidity import (
     RATIONALS,
     Infeasible,
     build_cone_incidence,
+    decide_rod_rigidity,
     matrix_kernel,
     rank_of,
     realize_cone,
@@ -213,6 +214,64 @@ def test_early_stop_leaves_intercept_rows_unread(monkeypatch):
     assert rank == max_rank
     (read, total), = reads
     assert read < total
+
+
+@pytest.mark.parametrize("p", [MERSENNE_PRIME, 7], ids=["mersenne", "p7"])
+@pytest.mark.parametrize("length", [0, 1, 50])
+def test_batched_inverses_match_one_at_a_time(monkeypatch, p, length):
+    # Unreduced and negative values too: slope differences are not reduced.
+    rng = random.Random(length)
+    values = [rng.randrange(1, p) + rng.choice((-p, 0, p)) for _ in range(length)]
+    expected = [oracle._inv(a, p) for a in values]
+    real, calls = oracle._inv, []
+    monkeypatch.setattr(oracle, "_inv", lambda a, p: calls.append(a) or real(a, p))
+    assert oracle._inv_all(values, p) == expected
+    assert len(calls) == min(length, 1)
+
+
+@pytest.mark.parametrize("p", [MERSENNE_PRIME, 7], ids=["mersenne", "p7"])
+def test_batched_inverse_of_zero_raises_as_pow_does(p):
+    with pytest.raises(ValueError) as single:
+        pow(0, -1, p)
+    for values in ([0], [3, 0, 5], [2, 3, p], [p, 4]):
+        with pytest.raises(ValueError) as batched:
+            oracle._inv_all(values, p)
+        assert str(batched.value) == str(single.value)
+
+
+def test_batched_inverses_over_rationals_are_fractions():
+    values = [3, -2, Fraction(5, 7), Fraction(-1, 9), 1]
+    inverses = oracle._inv_all(values, 0)
+    assert inverses == [oracle._inv(a, 0) for a in values]
+    assert all(type(v) is Fraction for v in inverses)
+    with pytest.raises(ZeroDivisionError):
+        oracle._inv_all([2, 0], 0)
+
+
+@pytest.mark.parametrize("field,p", FIELDS, ids=FIELD_IDS)
+def test_rows_leading_with_one_are_kept_as_pivots(field, p):
+    # Over Q an int row becomes Fractions whether or not it needs scaling.
+    rows = [{0: 1, 2: 4}, {1: 3, 2: 1}, {0: 1, 1: 1, 2: 1}]
+    pivots = oracle._eliminate(rows, field)
+    unit = Fraction(1) if p is None else 1
+    third = Fraction(1, 3) if p is None else pow(3, -1, p)
+    assert pivots[0] == {0: unit, 2: 4 * unit}
+    assert pivots[1] == {1: unit, 2: third}
+    assert pivots[2] == {2: unit}
+    want = Fraction if p is None else int
+    assert all(type(v) is want for row in pivots.values() for v in row.values())
+
+
+def test_cross_validated_check_inverts_in_batches(monkeypatch):
+    # A cross-validated check of an m=20 arrangement once made one modular
+    # inversion per point, per spoke and per pivot: 721 in all.
+    g = arrangement(20, 0.6, seed=7)
+    real, calls = oracle._inv, []
+    monkeypatch.setattr(oracle, "_inv", lambda a, p: calls.append(p) or real(a, p))
+    verdict = decide_rod_rigidity(g, "cross-validated")
+    assert verdict.is_rigid and verdict.agreement == "agree"
+    assert calls and set(calls) == {MERSENNE_PRIME}
+    assert len(calls) <= 30
 
 
 # sha256 of repr(sample_realization(geometry, seed, field)), fixed from the

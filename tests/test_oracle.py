@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,47 @@ class TestTrivialRealization:
         assert rho.satisfies(fig2)
         assert len(set(zip(rho.xs, rho.ys))) == 1
         assert not rho.is_proper()
+
+
+class TestSatisfies:
+    """`satisfies` over Q clears denominators; it must answer as the plain
+    Fraction formula f_l*x_j + y_j + h_l == 0 does."""
+
+    @staticmethod
+    def plain(rho, geometry):
+        return all(Fraction(rho.slopes[l]) * rho.xs[j] + rho.ys[j] + rho.intercepts[l] == 0
+                   for j, l in geometry.incidences())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_tiny_move_breaks_an_incidence(self, fig2, seed):
+        rho = sample_realization(fig2, seed, field=RATIONALS)
+        assert rho.satisfies(fig2) and self.plain(rho, fig2)
+        eps = Fraction(1, 10**30)
+        for axis, count in (("xs", fig2.num_points), ("ys", fig2.num_points),
+                            ("slopes", fig2.num_lines), ("intercepts", fig2.num_lines)):
+            for i in range(count):
+                moved = list(getattr(rho, axis))
+                moved[i] += eps
+                other = replace(rho, **{axis: tuple(moved)})
+                assert not other.satisfies(fig2)
+                assert not self.plain(other, fig2)
+
+    def test_int_values_are_rationals_too(self, triangle_rods):
+        # lines y = -x, y = x - 2 and y = 0 through (0, 0), (1, -1), (2, 0)
+        rho = LinearRealization(RATIONALS, (1, -1, 0), (0, 2, 0), (0, 1, 2), (0, -1, 0))
+        assert rho.satisfies(triangle_rods) and self.plain(rho, triangle_rods)
+        mixed = LinearRealization(RATIONALS, (Fraction(1), -1, 0), (0, Fraction(2), 0),
+                                  (0, Fraction(1), 2), (Fraction(0), -1, 0))
+        assert mixed.satisfies(triangle_rods)
+        off = LinearRealization(RATIONALS, (1, -1, 0), (0, 2, 0), (0, 1, 2), (0, -1, 1))
+        assert not off.satisfies(triangle_rods) and not self.plain(off, triangle_rods)
+
+    @pytest.mark.parametrize("field", [DEFAULT_FIELD, RATIONALS], ids=["zp", "rational"])
+    def test_shape_mismatch_is_false(self, fig2, triangle_rods, field):
+        rho = sample_realization(fig2, 0, field=field)
+        assert rho.satisfies(fig2) and not rho.satisfies(triangle_rods)
+        for axis in ("slopes", "intercepts", "xs", "ys"):
+            assert not replace(rho, **{axis: getattr(rho, axis)[:-1]}).satisfies(fig2)
 
 
 class TestSampling:
