@@ -15,35 +15,36 @@ mark equals the stamp, so nothing is cleared between searches.
 
 The state holds pebbles and orientations only: the accepted edges are the
 out-edges, and nothing else records them.  Whoever needs the accepted and
-rejected edges in offer order (play, canonical_subgraph) keeps them from
-the game's answers.
+rejected edges in offer order (play, canonical_subgraph, the bases of
+remaining_without_each) keeps them from the game's answers.
 
-play and canonical_subgraph offer their edges to a game that also keeps a
-block: one vertex set on which the held edges are rigid.  It starts at the
-first accepted edge and grows by Henneberg type I steps, a vertex with two
-held edges into the block joining it (which can let its held neighbours
-join in turn), and by the reach set of a rejected edge's last dry search,
-which spans 2|R| - 3 held edges and so is rigid, when that set meets the
-block in two vertices.  An edge with both ends in the block lies in the span
-of the held edges, since they already fix the distance between its ends, so
-it is rejected without a search.  The accepted edges are the greedy basis
-of the offer order, which is unique, so the answers are those of a game that
+Those three offer their edges to a game that also keeps a block: one
+vertex set on which the held edges are rigid.  It starts at the first
+accepted edge and grows by Henneberg type I steps, a vertex with two held
+edges into the block joining it (which can let its held neighbours join in
+turn), and by the reach set of a rejected edge's last dry search, which
+spans 2|R| - 3 held edges and so is rigid, when that set meets the block in
+two vertices.  An edge with both ends in the block lies in the span of the
+held edges, since they already fix the distance between its ends, so it is
+rejected without a search.  The accepted edges are the greedy basis of the
+offer order, which is unique, so the answers are those of a game that
 searches for every edge; only the orientations may differ.
 
 Three pebbles always remain (the trivial planar motions).  Exactly three
 remaining means the input graph is rigid; any rejection means it is dependent.
 
 remaining_without_each answers a leave-one-out question over groups of edges
-in three games.  A forward game in group order keeps a basis of every prefix
-of the groups, and a backward game in reverse order a basis of every suffix;
-each is played only as far as the third game asks.  That one, a divide and
-conquer over the groups, offers only those basis edges, so an edge that both
-games reject is never offered again.  It stops at a rank floor: edges on s
-vertices have rank at most 2s - 3, so once a range's state holds that many
-its insertion ends, and when every group of the range also grows rigidly
-(Henneberg type I steps from its first edge, which every cone does) and
-meets that rigid support in two vertices, each deletion in the range is
-rigid on the vertices it touches and its count follows without a game.
+in three games.  A forward block game in group order gives a basis of every
+prefix of the groups, and a backward one in reverse order a basis of every
+suffix; each is played in full and dropped before the next game starts.
+The third, a divide and conquer over the groups, offers only those basis
+edges, so an edge that both games reject is never offered again.  It stops
+at a rank floor: edges on s vertices have rank at most 2s - 3, so once a
+range's state holds that many its insertion ends, and when every group of
+the range also grows rigidly (Henneberg type I steps from its first edge,
+which every cone does) and meets that rigid support in two vertices, each
+deletion in the range is rigid on the vertices it touches and its count
+follows without a game.
 """
 
 from __future__ import annotations
@@ -289,26 +290,6 @@ def _undo_batch(state: PebbleState, kept: Iterable[tuple[int, int]]) -> None:
             pebbles[v] += 1
 
 
-class _LazyGame:
-    """One game over the groups in the given order, played only as far as
-    its caller asks."""
-
-    __slots__ = ("_state", "_groups", "_bases")
-
-    def __init__(self, num_vertices: int, groups: Sequence[Sequence[tuple[int, int]]]):
-        self._state = PebbleState(num_vertices)
-        self._groups = groups
-        self._bases: list[list[tuple[int, int]]] = []  # accepted from each group offered so far
-
-    def basis(self, k: int) -> list[tuple[int, int]]:
-        """The edges the game accepts from its k-th group, offering the
-        groups up to it first if it has not yet."""
-        while len(self._bases) <= k:
-            group = self._groups[len(self._bases)]
-            self._bases.append(_insert_batch(self._state, group, len(group)))
-        return self._bases[k]
-
-
 def _grows_rigidly(group: Sequence[tuple[int, int]]) -> bool:
     """Whether the group grows from its first edge to every vertex it
     touches by adding, one at a time, a vertex with edges to two grown
@@ -334,22 +315,33 @@ def _grows_rigidly(group: Sequence[tuple[int, int]]) -> bool:
     return len(grown) == len(nbrs)
 
 
+def _bases(
+    num_vertices: int, groups: Sequence[Sequence[tuple[int, int]]]
+) -> list[list[tuple[int, int]]]:
+    """The edges that a block game over the groups in order accepts from
+    each group.  The game is dropped on return."""
+    game = _Game(num_vertices)
+    return [[e for e in group if game.offer(*e)] for group in groups]
+
+
 def remaining_without_each(
     num_vertices: int, groups: Sequence[Sequence[tuple[int, int]]]
 ) -> tuple[int, ...]:
     """For each edge group g, the pebbles left by a game over every edge
     outside g.
 
-    Two lazy games supply the edges: a forward game over the groups in
-    order, which accepts F_j from group j, and a backward game in reverse
-    order, which accepts R_j.  The accepted edges of a game always span
-    every edge it has seen, so F_<i (the F_j of every j < i) spans each edge
-    of a group before i, and R_>i spans each edge of a group after i.  Hence
-    F_<i and R_>i together span exactly the edges outside group i: both sets
-    have the same rank, and the pebble count depends only on the rank of
-    what a game holds (2|V| - |accepted|), not on the order or the
-    orientation.  Each game offers a group only when the recursion first
-    asks for what it accepted there.
+    Two block games (_Game, as in play) supply the edges: a forward game
+    over the groups in order, which accepts F_j from group j, and a backward
+    game in reverse order, which accepts R_j.  The accepted edges of a game
+    always span every edge it has seen, so F_<i (the F_j of every j < i)
+    spans each edge of a group before i, and R_>i spans each edge of a
+    group after i.  Hence F_<i and R_>i together span exactly the edges
+    outside group i: both sets have the same rank, and the pebble count
+    depends only on the rank of what a game holds (2|V| - |accepted|), not
+    on the order or the orientation.  Each game is played in full and
+    dropped before the next starts, the forward one first, which checks
+    every edge in group order, so only the recursion's state is alive while
+    it runs.
 
     Divide and conquer over the groups: for a range [lo, hi) split at mid, R
     of the groups [mid, hi) is inserted while [lo, mid) is solved, then
@@ -369,14 +361,11 @@ def remaining_without_each(
     another joins it.  Then leaf i gets the floor of its own support, all
     touched vertices except those only group i touches, and the range is
     not split further."""
-    for group in groups:
-        for u, v in group:
-            _check_edge(num_vertices, u, v)
     if not groups:
         return ()
     count = len(groups)
-    forward = _LazyGame(num_vertices, groups)
-    backward = _LazyGame(num_vertices, groups[::-1])
+    forward_bases = _bases(num_vertices, groups)
+    backward_bases = _bases(num_vertices, groups[::-1])[::-1]
     state = PebbleState(num_vertices)
     remaining = [0] * count
     touches = [tuple(set(chain.from_iterable(group))) for group in groups]
@@ -409,11 +398,11 @@ def remaining_without_each(
                 remaining[i] = 2 * num_vertices - full_rank(i, i + 1)
             return
         mid = (lo + hi) // 2
-        batch = (e for j in range(mid, hi) for e in backward.basis(count - 1 - j))
+        batch = (e for j in range(mid, hi) for e in backward_bases[j])
         kept = _insert_batch(state, batch, full_rank(lo, mid) - held)
         solve(lo, mid, held + len(kept))
         _undo_batch(state, kept)
-        batch = (e for j in range(lo, mid) for e in forward.basis(j))
+        batch = (e for j in range(lo, mid) for e in forward_bases[j])
         kept = _insert_batch(state, batch, full_rank(mid, hi) - held)
         solve(mid, hi, held + len(kept))
         _undo_batch(state, kept)

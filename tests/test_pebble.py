@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 
@@ -256,6 +257,34 @@ def _one_game_per_group(n, groups):
     )
 
 
+def _play_bases(n, groups):
+    """The edges play accepts from each group, offering the groups in order.
+    Its accepted edges come in offer order, and an edge once rejected stays
+    spanned, so each accepted edge belongs to the first offer equal to it."""
+    accepted = list(play(n, [e for group in groups for e in group]).accepted)[::-1]
+    bases = []
+    for group in groups:
+        bases.append([])
+        for e in group:
+            if accepted and accepted[-1] == e:
+                bases[-1].append(accepted.pop())
+    assert not accepted
+    return bases
+
+
+def _leave_one_out_case(case):
+    if case == "golden":
+        cone = build_cone_graph(arrangement(30, 0.6, seed=2024))
+        return cone.num_vertices, cone.cones
+    if case == "k4-sandwich":
+        # (1, 0) is spanned by the K4 before it and by the K4 after it
+        return 4, [K4_EDGES, [(1, 0)], K4_EDGES]
+    # no path grows rigidly, so no range is settled from its floor; the
+    # answers are (4, 3, 3, 4, 5)
+    return 5, [[(0, 1), (1, 2)], [(1, 2), (2, 3)], [(2, 3), (3, 4)],
+               [(3, 4), (4, 0)], [(0, 2), (2, 4)]]
+
+
 class TestLeaveOneOut:
     def test_batch_undo_restores_the_state(self):
         rng = random.Random(11)
@@ -347,23 +376,15 @@ class TestLeaveOneOut:
 
     @pytest.mark.parametrize("case", ["golden", "k4-sandwich", "paths"])
     def test_recursion_offers_only_basis_edges(self, case, monkeypatch):
-        # the forward and the backward game each offer a prefix of their
-        # group order, the recursion offers only edges that one of them
-        # accepted, and a leaf it reaches for group i holds only edges that
-        # the forward game accepted before group i or the backward game after
-        if case == "golden":
-            cone = build_cone_graph(arrangement(30, 0.6, seed=2024))
-            n = cone.num_vertices
-            groups = cone.cones
-        elif case == "k4-sandwich":
-            # (1, 0) is spanned by the K4 before it and by the K4 after it
-            n, groups = 4, [K4_EDGES, [(1, 0)], K4_EDGES]
-        else:
-            # no path grows rigidly, so no range is settled from its floor;
-            # the answers are (4, 3, 3, 4, 5)
-            n, groups = 5, [[(0, 1), (1, 2)], [(1, 2), (2, 3)], [(2, 3), (3, 4)],
-                            [(3, 4), (4, 0)], [(0, 2), (2, 4)]]
+        # the forward and the backward game accept what play accepts over
+        # the groups and over the reversed groups, the recursion offers only
+        # edges that one of them accepted, and a leaf it reaches for group i
+        # holds only edges that the forward game accepted before group i or
+        # the backward game after
+        n, groups = _leave_one_out_case(case)
         expected = _one_game_per_group(n, groups)
+        forward = _play_bases(n, groups)
+        backward = _play_bases(n, groups[::-1])[::-1]
         states, offers, leaves = [], {}, []
         real_init, real_gather = pebble.PebbleState.__init__, pebble._gather
         real_remaining = pebble.PebbleState.remaining_pebbles
@@ -388,30 +409,14 @@ class TestLeaveOneOut:
         assert remaining_without_each(n, groups) == expected
         # the forward game, the backward game and the recursion: no replay
         forward_state, backward_state, recursion_state = states
-
-        def bases(state, order):
-            """What the game accepted from each group it offered."""
-            played, rest = [], offers[id(state)]
-            for group in order:
-                if not rest:
-                    break
-                offered, rest = rest[:len(group)], rest[len(group):]
-                assert [e for e, _ in offered] == list(group)
-                played.append([e for e, ok in offered if ok])
-            assert not rest
-            return played
-
-        forward = bases(forward_state, groups)
-        backward = bases(backward_state, groups[::-1])
-        backward = [[]] * (len(groups) - len(backward)) + backward[::-1]
+        for state, bases in ((forward_state, forward), (backward_state, backward[::-1])):
+            # a block game searches once for each edge it accepts
+            assert [e for e, ok in offers[id(state)] if ok] == [e for b in bases for e in b]
         recursion = [e for e, _ in offers[id(recursion_state)]]
         accepted = {e for basis in forward + backward for e in basis}
-        rejected_by_both = (
-            {e for state in (forward_state, backward_state) for e, _ in offers[id(state)]} - accepted
-        )
         assert recursion and set(recursion) <= accepted
         if case == "k4-sandwich":
-            assert rejected_by_both
+            assert {e for group in groups for e in group} - accepted  # rejected by both
         # leaves come in group order; a settled range answers without one
         unanswered = iter(range(len(groups)))
         for held in leaves:
@@ -420,8 +425,29 @@ class TestLeaveOneOut:
         if case == "paths":
             assert len(leaves) == len(groups)
         if case == "golden":
-            # 1014 cone edges; the games played in full offered 5382
-            assert sum(map(len, offers.values())) < 2 * len(cone.edges)
+            # 1014 cone edges and 1991 searches: 579 in the forward game,
+            # 580 in the backward game and 832 in the recursion
+            assert sum(map(len, offers.values())) < 2 * sum(map(len, groups))
+
+    def test_only_the_recursion_state_is_alive(self, monkeypatch):
+        # the forward and the backward game are dropped before the recursion
+        # starts, so each leaf sees one live state: the recursion's own.
+        # PebbleState has no __weakref__ slot, so the live states are counted
+        # among the objects the collector tracks.
+        n, groups = _leave_one_out_case("paths")
+        expected = _one_game_per_group(n, groups)
+        real_remaining = pebble.PebbleState.remaining_pebbles
+        live = []
+
+        def remaining(state):
+            live.append(sum(type(o) is PebbleState for o in gc.get_objects()) - before)
+            return real_remaining(state)
+
+        monkeypatch.setattr(pebble.PebbleState, "remaining_pebbles", remaining)
+        gc.collect()
+        before = sum(type(o) is PebbleState for o in gc.get_objects())
+        assert remaining_without_each(n, groups) == expected
+        assert live == [1] * len(groups)
 
     def test_no_groups(self):
         assert remaining_without_each(1, []) == ()
@@ -429,6 +455,9 @@ class TestLeaveOneOut:
     def test_bad_edge(self):
         with pytest.raises(ValueError, match="self-loop"):
             remaining_without_each(3, [[(0, 1)], [(2, 2)]])
+        # the self-loop's vertex is inside the forward game's block by then
+        with pytest.raises(ValueError, match="self-loop at vertex 1"):
+            remaining_without_each(3, [[(0, 1), (1, 2), (0, 2)], [(1, 1)]])
         with pytest.raises(ValueError, match="out of range"):
             remaining_without_each(3, [[(0, 3)]])
 
