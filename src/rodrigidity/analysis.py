@@ -443,10 +443,11 @@ def decide_minimal_rigidity(
     """Rigid, and no single rod can be deleted without losing rigidity.
 
     The base verdict is decided once.  For a rigid base, one leave-one-out
-    pebble game (remaining_without_each over the cones of the cone graph)
-    answers every deletion: deleting rod l leaves its cone vertex isolated
-    with two pebbles, so the deletion is rigid iff five pebbles remain (the
-    three trivial motions plus those two).  Each deletion keeps all points,
+    pebble game that extends the base's (remaining_without_each over its
+    verdict and the cones of the cone graph) answers every deletion:
+    deleting rod l leaves its cone vertex isolated with two pebbles, so the
+    deletion is rigid iff five pebbles remain (the three trivial motions
+    plus those two).  Each deletion keeps all points,
     so a rod whose removal strands a point yields a flexible configuration:
     the stranded point is a free joint and keeps two more pebbles.
     Cross-validated mode also checks each leave-one-out count, less the two
@@ -463,7 +464,7 @@ def decide_minimal_rigidity(
     deletion_checks = None
     if base.is_rigid:
         cone = build_cone_graph(geometry)
-        lefts = remaining_without_each(cone.num_vertices, cone.cones)
+        lefts = remaining_without_each(base.pebble, cone.cones)
         deletion_rigid = tuple(left == 5 for left in lefts)
         if mode == "cross-validated":
             checks: list[Optional[tuple[str, Optional[str]]]] = []

@@ -210,7 +210,10 @@ def _cmd_dot(args) -> int:
 
 def _load_realization_file(geometry: IncidenceGeometry, path: str, rotate: bool):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise OracleError("bad JSON: nested too deeply") from None
     if isinstance(doc, dict) and "coords" in doc:
         try:
             return realization_from_coords(geometry, doc["coords"], rotate_if_vertical=rotate)

@@ -296,5 +296,9 @@ def load_geometry(path: str) -> IncidenceGeometry:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".json"):
-        return geometry_from_json(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise GeometryError("bad JSON: nested too deeply") from None
+        return geometry_from_json(doc)
     return parse_geometry(text)

@@ -15,33 +15,32 @@ mark equals the stamp, so nothing is cleared between searches.
 
 The state holds pebbles and orientations only: the accepted edges are the
 out-edges, and nothing else records them.  Whoever needs the accepted and
-rejected edges in offer order (play, canonical_subgraph, the bases of
-remaining_without_each) keeps them from the game's answers.
+rejected edges in offer order (play, canonical_subgraph) keeps them from
+the game's answers.
 
-Those three offer their edges to a game that also keeps a block: one
-vertex set on which the held edges are rigid.  It starts at the first
-accepted edge and grows by Henneberg type I steps, a vertex with two held
-edges into the block joining it (which can let its held neighbours join in
-turn), and by the reach set of a rejected edge's last dry search, which
-spans 2|R| - 3 held edges and so is rigid, when that set meets the block in
-two vertices.  An edge with both ends in the block lies in the span of the
-held edges, since they already fix the distance between its ends, so it is
-rejected without a search.  The accepted edges are the greedy basis of the
-offer order, which is unique, so the answers are those of a game that
-searches for every edge; only the orientations may differ.
+Both offer their edges to a game that also keeps a block: one vertex set
+on which the held edges are rigid.  It starts at the first accepted edge
+and grows by Henneberg type I steps, a vertex with two held edges into the
+block joining it (which can let its held neighbours join in turn), and by
+the reach set of a rejected edge's last dry search, which spans 2|R| - 3
+held edges and so is rigid, when that set meets the block in two vertices.
+An edge with both ends in the block lies in the span of the held edges,
+since they already fix the distance between its ends, so it is rejected
+without a search.  The accepted edges are the greedy basis of the offer
+order, which is unique, so the answers are those of a game that searches
+for every edge; only the orientations may differ.
 
 Three pebbles always remain (the trivial planar motions).  Exactly three
 remaining means the input graph is rigid; any rejection means it is dependent.
 
 remaining_without_each answers a leave-one-out question over groups of edges
-in three games.  A forward block game in group order gives a basis of every
-prefix of the groups, and a backward one in reverse order a basis of every
-suffix; each is played in full and dropped before the next game starts.
-The third, a divide and conquer over the groups, offers only those basis
-edges, so an edge that both games reject is never offered again.  It stops
-at a rank floor: edges on s vertices have rank at most 2s - 3, so once a
-range's state holds that many its insertion ends, and when every group of
-the range also grows rigidly (Henneberg type I steps from its first edge,
+by extending play's game over them.  play's accepted edges, split by group,
+are a basis of every prefix of the groups.  A divide and conquer over the
+groups, the only other game, offers those basis edges for the groups before
+a range and the raw edges of the groups after it.  It stops at a rank
+floor: edges on s vertices have rank at most 2s - 3, so once a range's
+state holds that many its insertion ends, and when every group of the
+range also grows rigidly (Henneberg type I steps from its first edge,
 which every cone does) and meets that rigid support in two vertices, each
 deletion in the range is rigid on the vertices it touches and its count
 follows without a game.
@@ -316,45 +315,45 @@ def _grows_rigidly(group: Sequence[tuple[int, int]]) -> bool:
 
 
 def _bases(
-    num_vertices: int, groups: Sequence[Sequence[tuple[int, int]]]
+    forward: PebbleVerdict, groups: Sequence[Sequence[tuple[int, int]]]
 ) -> list[list[tuple[int, int]]]:
-    """The edges that a block game over the groups in order accepts from
-    each group.  The game is dropped on return."""
-    game = _Game(num_vertices)
-    return [[e for e in group if game.offer(*e)] for group in groups]
+    """forward.accepted split by group.  Accepted edges come in offer order,
+    and an edge once rejected stays spanned, so each belongs to the first
+    offer equal to it.  A verdict over another number of edges, or with
+    accepted edges that the groups do not hold in order, raises ValueError."""
+    left = list(forward.accepted)[::-1]
+    bases = [[left.pop() for e in group if left and left[-1] == e] for group in groups]
+    if left or len(forward.accepted) + len(forward.rejected) != sum(map(len, groups)):
+        raise ValueError("the verdict is not that of play over the groups' edges")
+    return bases
 
 
 def remaining_without_each(
-    num_vertices: int, groups: Sequence[Sequence[tuple[int, int]]]
+    forward: PebbleVerdict, groups: Sequence[Sequence[tuple[int, int]]]
 ) -> tuple[int, ...]:
     """For each edge group g, the pebbles left by a game over every edge
-    outside g.
+    outside g.  forward is the verdict of play over the groups' edges in
+    order, whose game accepted F_j from group j (_bases).
 
-    Two block games (_Game, as in play) supply the edges: a forward game
-    over the groups in order, which accepts F_j from group j, and a backward
-    game in reverse order, which accepts R_j.  The accepted edges of a game
-    always span every edge it has seen, so F_<i (the F_j of every j < i)
-    spans each edge of a group before i, and R_>i spans each edge of a
-    group after i.  Hence F_<i and R_>i together span exactly the edges
-    outside group i: both sets have the same rank, and the pebble count
-    depends only on the rank of what a game holds (2|V| - |accepted|), not
-    on the order or the orientation.  Each game is played in full and
-    dropped before the next starts, the forward one first, which checks
-    every edge in group order, so only the recursion's state is alive while
-    it runs.
+    The accepted edges of a game span every edge it has seen, so F_<i (the
+    F_j of every j < i) spans each edge of a group before i, and F_<i with
+    the groups after i spans exactly the edges outside group i.  The pebble
+    count depends only on the rank of what a game holds (2|V| - |accepted|),
+    not on the order or the orientation.
 
-    Divide and conquer over the groups: for a range [lo, hi) split at mid, R
-    of the groups [mid, hi) is inserted while [lo, mid) is solved, then
-    removed again, and F of the groups [lo, mid) is inserted while [mid, hi)
-    is solved.  A range's state spans every edge outside it, so a reached
-    leaf i holds a basis of the edges outside group i.
+    Divide and conquer over the groups: for a range [lo, hi) split at mid,
+    the edges of the groups [mid, hi) are inserted while [lo, mid) is
+    solved, then removed again, and F of the groups [lo, mid) is inserted
+    while [mid, hi) is solved.  A range's state spans every edge outside
+    it, so a reached leaf i holds a basis of the edges outside group i.
 
     Edges on s >= 2 vertices have rank at most 2s - 3, so the state of a
     range [a, b) never holds more than 2s - 3 edges, s counting the vertices
     that the groups outside [a, b) touch (the support): its pebbles never
     fall below the rank floor 2|V| - (2s - 3).  An insertion stops at the
     floor, as every later edge of the batch would be rejected.  A state at
-    its floor is rigid on its support.  When moreover each group of the
+    its floor is rigid on its support, so it spans the groups after the
+    range that the insertion did not reach.  When moreover each group of the
     range grows rigidly (_grows_rigidly) and has two vertices in the
     support, the edges outside any one of its groups are rigid on the
     vertices they touch, since a rigid body sharing two vertices with
@@ -363,9 +362,8 @@ def remaining_without_each(
     not split further."""
     if not groups:
         return ()
-    count = len(groups)
-    forward_bases = _bases(num_vertices, groups)
-    backward_bases = _bases(num_vertices, groups[::-1])[::-1]
+    num_vertices, count = forward.num_vertices, len(groups)
+    forward_bases = _bases(forward, groups)
     state = PebbleState(num_vertices)
     remaining = [0] * count
     touches = [tuple(set(chain.from_iterable(group))) for group in groups]
@@ -398,7 +396,7 @@ def remaining_without_each(
                 remaining[i] = 2 * num_vertices - full_rank(i, i + 1)
             return
         mid = (lo + hi) // 2
-        batch = (e for j in range(mid, hi) for e in backward_bases[j])
+        batch = (e for j in range(mid, hi) for e in groups[j])
         kept = _insert_batch(state, batch, full_rank(lo, mid) - held)
         solve(lo, mid, held + len(kept))
         _undo_batch(state, kept)

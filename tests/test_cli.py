@@ -129,6 +129,16 @@ class TestCheck:
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().err == "error: bad geometry document: expected an integer, got inf\n"
 
+    @pytest.mark.parametrize("argv", [["check", "{nested}"],
+                                      ["svg", "{seg}", "--realization", "{nested}"]],
+                                 ids=["geometry", "realization"])
+    def test_deeply_nested_json_exits_1(self, tmp_path, capsys, argv):
+        (tmp_path / "nested.json").write_text("[" * 100000)
+        (tmp_path / "seg.geo").write_text("points: 2\nline: 0 1\n")
+        paths = {"nested": tmp_path / "nested.json", "seg": tmp_path / "seg.geo"}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        assert capsys.readouterr().err == "error: bad JSON: nested too deeply\n"
+
     def test_undecodable_file_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.geo"
         path.write_bytes(b"\xff\xfe")

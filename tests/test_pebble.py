@@ -14,6 +14,7 @@ from rodrigidity import (
     build_cone_graph,
     canonical_edge_order,
     canonical_subgraph,
+    decide_minimal_rigidity,
     independent_after,
     play,
     random_geometry,
@@ -257,6 +258,11 @@ def _one_game_per_group(n, groups):
     )
 
 
+def _without_each(n, groups):
+    """remaining_without_each extending play over the groups' edges in order."""
+    return remaining_without_each(play(n, [e for group in groups for e in group]), groups)
+
+
 def _play_bases(n, groups):
     """The edges play accepts from each group, offering the groups in order.
     Its accepted edges come in offer order, and an edge once rejected stays
@@ -355,7 +361,7 @@ class TestLeaveOneOut:
             cone = build_cone_graph(IncidenceGeometry(num_points, lines))
             cases.append((cone.num_vertices, cone.cones))
         for n, groups in cases:
-            assert remaining_without_each(n, groups) == _one_game_per_group(n, groups)
+            assert _without_each(n, groups) == _one_game_per_group(n, groups)
         # sparse arrangements: the ranges settled from their floors must
         # still find a flexible deletion of a rigid arrangement
         flexible_deletions = 0
@@ -368,7 +374,7 @@ class TestLeaveOneOut:
                         continue
                     n, groups = cone.num_vertices, cone.cones
                     expected = _one_game_per_group(n, groups)
-                    assert remaining_without_each(n, groups) == expected
+                    assert _without_each(n, groups) == expected
                     # every point lies on two rods, so a deletion frees only
                     # the cone vertex: 5 pebbles when the rest stays rigid
                     flexible_deletions += play(n, cone.edges).is_rigid and max(expected) > 5
@@ -376,28 +382,25 @@ class TestLeaveOneOut:
 
     @pytest.mark.parametrize("case", ["golden", "k4-sandwich", "paths"])
     def test_recursion_offers_only_basis_edges(self, case, monkeypatch):
-        # the forward and the backward game accept what play accepts over
-        # the groups and over the reversed groups, the recursion offers only
-        # edges that one of them accepted, and a leaf it reaches for group i
-        # holds only edges that the forward game accepted before group i or
-        # the backward game after
+        # the recursion extends play's game: it is the one state created,
+        # it offers only edges that play accepted (F) and raw edges of groups
+        # after the first, and a leaf it reaches for group i holds only
+        # edges of F_<i and of the groups after i
         n, groups = _leave_one_out_case(case)
         expected = _one_game_per_group(n, groups)
+        verdict = play(n, [e for group in groups for e in group])
         forward = _play_bases(n, groups)
-        backward = _play_bases(n, groups[::-1])[::-1]
-        states, offers, leaves = [], {}, []
+        states, offers, leaves = [], [], []
         real_init, real_gather = pebble.PebbleState.__init__, pebble._gather
         real_remaining = pebble.PebbleState.remaining_pebbles
 
         def init(state, num_vertices):
             real_init(state, num_vertices)
             states.append(state)
-            offers[id(state)] = []
 
         def gather(state, u, v):
-            ok = real_gather(state, u, v)
-            offers[id(state)].append(((u, v), ok))
-            return ok
+            offers.append((u, v))
+            return real_gather(state, u, v)
 
         def remaining(state):
             leaves.append({frozenset(e) for e in _held(state)})
@@ -406,36 +409,38 @@ class TestLeaveOneOut:
         monkeypatch.setattr(pebble.PebbleState, "__init__", init)
         monkeypatch.setattr(pebble, "_gather", gather)
         monkeypatch.setattr(pebble.PebbleState, "remaining_pebbles", remaining)
-        assert remaining_without_each(n, groups) == expected
-        # the forward game, the backward game and the recursion: no replay
-        forward_state, backward_state, recursion_state = states
-        for state, bases in ((forward_state, forward), (backward_state, backward[::-1])):
-            # a block game searches once for each edge it accepts
-            assert [e for e, ok in offers[id(state)] if ok] == [e for b in bases for e in b]
-        recursion = [e for e, _ in offers[id(recursion_state)]]
-        accepted = {e for basis in forward + backward for e in basis}
-        assert recursion and set(recursion) <= accepted
-        if case == "k4-sandwich":
-            assert {e for group in groups for e in group} - accepted  # rejected by both
+        assert remaining_without_each(verdict, groups) == expected
+        assert len(states) == 1
+        basis = {e for b in forward for e in b}
+        assert offers and set(offers) <= basis | {e for group in groups[1:] for e in group}
         # leaves come in group order; a settled range answers without one
         unanswered = iter(range(len(groups)))
         for held in leaves:
-            assert any(held <= {frozenset(e) for b in forward[:i] + backward[i + 1:] for e in b}
+            assert any(held <= {frozenset(e) for b in forward[:i] + list(groups[i + 1:]) for e in b}
                        for i in unanswered)
         if case == "paths":
             assert len(leaves) == len(groups)
         if case == "golden":
-            # 1014 cone edges and 1991 searches: 579 in the forward game,
-            # 580 in the backward game and 832 in the recursion
-            assert sum(map(len, offers.values())) < 2 * sum(map(len, groups))
+            # 1014 cone edges: play searches 579 times, the recursion 915
+            assert len(offers) == 915
+
+    def test_minimal_rigidity_plays_one_full_game(self, monkeypatch):
+        # the base's game is the one full game: it searches once for each
+        # accepted edge, and the leave-one-out recursion that extends it
+        # searches 915 times
+        gathers = _counting_gathers(monkeypatch)
+        report = decide_minimal_rigidity(arrangement(30, 0.6, seed=2024))
+        assert report.base.is_rigid and len(report.removable) == 30
+        assert sum(gathers) == 579 + 915
 
     def test_only_the_recursion_state_is_alive(self, monkeypatch):
-        # the forward and the backward game are dropped before the recursion
-        # starts, so each leaf sees one live state: the recursion's own.
-        # PebbleState has no __weakref__ slot, so the live states are counted
-        # among the objects the collector tracks.
+        # play's game is dropped before the leave-one-out game starts, so
+        # each leaf sees one live state: the recursion's own.  PebbleState
+        # has no __weakref__ slot, so the live states are counted among the
+        # objects the collector tracks.
         n, groups = _leave_one_out_case("paths")
         expected = _one_game_per_group(n, groups)
+        verdict = play(n, [e for group in groups for e in group])
         real_remaining = pebble.PebbleState.remaining_pebbles
         live = []
 
@@ -446,20 +451,21 @@ class TestLeaveOneOut:
         monkeypatch.setattr(pebble.PebbleState, "remaining_pebbles", remaining)
         gc.collect()
         before = sum(type(o) is PebbleState for o in gc.get_objects())
-        assert remaining_without_each(n, groups) == expected
+        assert remaining_without_each(verdict, groups) == expected
         assert live == [1] * len(groups)
 
     def test_no_groups(self):
-        assert remaining_without_each(1, []) == ()
+        # no groups need no verdict: a geometry without rods plays no game
+        assert remaining_without_each(None, []) == ()
 
-    def test_bad_edge(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            remaining_without_each(3, [[(0, 1)], [(2, 2)]])
-        # the self-loop's vertex is inside the forward game's block by then
-        with pytest.raises(ValueError, match="self-loop at vertex 1"):
-            remaining_without_each(3, [[(0, 1), (1, 2), (0, 2)], [(1, 1)]])
-        with pytest.raises(ValueError, match="out of range"):
-            remaining_without_each(3, [[(0, 3)]])
+    def test_mismatched_verdict(self):
+        groups = [[(0, 1), (1, 2)], [(0, 2), (0, 1)]]
+        for edges in ([(0, 2), (0, 1), (1, 2), (0, 1)],  # accepted edges left over
+                      [(0, 1), (1, 2), (0, 2)],  # an edge short
+                      [(0, 1), (1, 2), (0, 2), (0, 1), (1, 2)]):  # an edge too many
+            with pytest.raises(ValueError, match="not that of play over the groups' edges"):
+                remaining_without_each(play(3, edges), groups)
+        assert remaining_without_each(play(3, [(0, 1), (1, 2), (0, 2), (0, 1)]), groups) == (4, 4)
 
 
 class TestMatroidProperties:
@@ -606,7 +612,7 @@ def test_golden_arrangement_answers(question):
             try_edge(state, u, v)
         answer = (state.pebbles, state.out)
     elif question == "leave_one_out":
-        answer = remaining_without_each(cone.num_vertices, cone.cones)
+        answer = remaining_without_each(play(cone.num_vertices, cone.edges), cone.cones)
     else:
         c = canonical_subgraph(g)
         answer = (c.edges, c.rejected, c.line_order, c.subgeometry.lines, c.source_lines)
