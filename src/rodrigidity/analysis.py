@@ -77,18 +77,24 @@ class OracleDisagreementError(RuntimeError):
 
 @dataclass(frozen=True)
 class RigidityVerdict:
+    """The cone graph's game (None for zero or one entity, which has no
+    internal motion) and the cross-validation outcome; rigidity and the
+    counts follow from the game."""
+
     connected: bool
     pebble: Optional[PebbleVerdict]
-    is_rigid: bool
     agreement: str  # "agree" | "algebraic-skipped"; a disagreement raises
     algebraic: Optional[tuple[tuple[int, int], ...]] = None  # (rank, max_rank) per proper sample
     skip_reason: Optional[str] = None  # why sampling refused the geometry, when it was asked to sample
 
     @property
+    def is_rigid(self) -> bool:
+        # a disconnected cone graph leaves more than three pebbles
+        return self.pebble is None or self.pebble.is_rigid
+
+    @property
     def classification(self) -> str:
-        if self.pebble is not None:
-            return self.pebble.classification
-        return "minimally-rigid" if self.is_rigid else "flexible-independent"
+        return self.pebble.classification if self.pebble is not None else "minimally-rigid"
 
     @property
     def remaining_pebbles(self) -> int:
@@ -150,12 +156,8 @@ def decide_rod_rigidity(
         raise ValueError(f"unknown mode {mode!r}")
     connected = is_connected(geometry)
     cone = build_cone_graph(geometry)
-    if cone.num_vertices >= 2:
-        pebble = play(cone.num_vertices, cone.edges)
-        rigid = connected and pebble.is_rigid
-    else:
-        pebble = None  # zero or one entity: nothing has an internal motion
-        rigid = True
+    # zero or one entity: no game, and nothing has an internal motion
+    pebble = play(cone.num_vertices, cone.edges) if cone.num_vertices >= 2 else None
     agreement = "algebraic-skipped"
     algebraic: Optional[tuple[tuple[int, int], ...]] = None
     skip_reason: Optional[str] = None
@@ -168,7 +170,6 @@ def decide_rod_rigidity(
     return RigidityVerdict(
         connected=connected,
         pebble=pebble,
-        is_rigid=rigid,
         agreement=agreement,
         algebraic=algebraic,
         skip_reason=skip_reason,
@@ -424,13 +425,22 @@ def _subgeometry_from_parts(
 
 @dataclass(frozen=True)
 class MinimalRigidityReport:
+    """The base verdict and, for a rigid base, whether each single-rod
+    deletion stays rigid; the removable rods follow from the deletions."""
+
     base: RigidityVerdict
     deletion_rigid: tuple[bool, ...]
-    removable: tuple[int, ...]
-    minimally_rigid: bool
     # (agreement, skip_reason) per deletion when a rigid base was
     # cross-validated; None for a deletion that disconnects the geometry
     deletion_checks: Optional[tuple[Optional[tuple[str, Optional[str]]], ...]] = None
+
+    @property
+    def removable(self) -> tuple[int, ...]:
+        return tuple(l for l, rigid in enumerate(self.deletion_rigid) if rigid)
+
+    @property
+    def minimally_rigid(self) -> bool:
+        return self.base.is_rigid and not self.removable
 
 
 def decide_minimal_rigidity(
@@ -458,7 +468,8 @@ def decide_minimal_rigidity(
     deletion that disconnects the geometry is flexible and is not sampled.
     Each outcome lands in deletion_checks, with a refusal's reason in the
     input's rod numbers.  A flexible base gets no deletions: its report has
-    empty deletion_rigid and removable and is not minimally rigid."""
+    an empty deletion_rigid, so no removable rod, and is not minimally
+    rigid."""
     base = decide_rod_rigidity(geometry, mode, seed, field=field)
     deletion_rigid: tuple[bool, ...] = ()
     deletion_checks = None
@@ -479,14 +490,7 @@ def decide_minimal_rigidity(
                 )
                 checks.append((agreement, refusal.before_deleting(l).reason if refusal else None))
             deletion_checks = tuple(checks)
-    removable = tuple(l for l, r in enumerate(deletion_rigid) if r)
-    return MinimalRigidityReport(
-        base=base,
-        deletion_rigid=deletion_rigid,
-        removable=removable,
-        minimally_rigid=base.is_rigid and not removable,
-        deletion_checks=deletion_checks,
-    )
+    return MinimalRigidityReport(base, deletion_rigid, deletion_checks)
 
 
 def minimal_report_to_json(report: MinimalRigidityReport) -> dict:
@@ -524,11 +528,19 @@ def random_geometry(
 
 @dataclass(frozen=True)
 class CampaignReport:
-    attempted: int
-    validated: int
+    """Geometries skipped, and those that cross-validated rigid or flexible."""
+
     skipped: int
     rigid: int
     flexible: int
+
+    @property
+    def validated(self) -> int:
+        return self.rigid + self.flexible
+
+    @property
+    def attempted(self) -> int:
+        return self.validated + self.skipped
 
 
 def run_agreement_campaign(
@@ -551,25 +563,23 @@ def run_agreement_campaign(
     """
     rng = random.Random(seed)
     cap = max(50, target * 25)
-    attempted = validated = skipped = rigid = flexible = 0
-    while validated < target:
-        if attempted >= cap:
+    skipped = rigid = flexible = 0
+    while rigid + flexible < target:
+        if rigid + flexible + skipped >= cap:
             raise CampaignError(
-                f"campaign validated only {validated}/{target} geometries in {attempted} attempts"
+                f"campaign validated only {rigid + flexible}/{target} geometries"
+                f" in {cap} attempts"
             )
-        attempted += 1
         geometry = random_geometry(rng, max_points, max_lines)
         sample_seed = rng.randrange(1 << 62)  # drawn before the skip, so no later draw moves
         if shared_rod_pair(geometry) is not None:
             skipped += 1
             continue
         verdict = decide_rod_rigidity(geometry, "cross-validated", seed=sample_seed, field=field)
-        if verdict.agreement == "agree":
-            validated += 1
-            if verdict.is_rigid:
-                rigid += 1
-            else:
-                flexible += 1
-        else:
+        if verdict.agreement != "agree":
             skipped += 1
-    return CampaignReport(attempted, validated, skipped, rigid, flexible)
+        elif verdict.is_rigid:
+            rigid += 1
+        else:
+            flexible += 1
+    return CampaignReport(skipped, rigid, flexible)

@@ -37,11 +37,10 @@ class ConeGraph:
     the cones in turn, 2|I| - |L| edges in all.  When two lines share two or
     more points the same unordered pair may occur in both cones; the pebble
     game treats the duplicate as dependent, so verdicts are unaffected.
+    The lines' points and inner vertices are read off the cones.
     """
 
     num_points: int
-    line_points: tuple[tuple[int, ...], ...]
-    inner_vertex: tuple[int, ...]
     cones: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
@@ -50,7 +49,17 @@ class ConeGraph:
 
     @property
     def num_lines(self) -> int:
-        return len(self.line_points)
+        return len(self.cones)
+
+    @property
+    def line_points(self) -> tuple[tuple[int, ...], ...]:
+        """The points of each line, ascending: the ends of its spokes."""
+        return tuple(tuple(p for _, p in cone[: (len(cone) + 1) // 2]) for cone in self.cones)
+
+    @property
+    def inner_vertex(self) -> tuple[int, ...]:
+        """Each line's inner vertex: the inner end of its last star edge."""
+        return tuple(cone[-1][0] for cone in self.cones)
 
     @property
     def num_vertices(self) -> int:
@@ -70,21 +79,14 @@ def build_cone_graph(
     the same rigidity verdict, so the default exists purely for determinism.
     """
     n_pts = geometry.num_points
-    line_points = tuple(tuple(sorted(line)) for line in geometry.lines)
-    inner: list[int] = []
     cones: list[tuple[tuple[int, int], ...]] = []
-    for i, pts in enumerate(line_points):
+    for i, line in enumerate(geometry.lines):
+        pts = sorted(line)
         r = pts[0] if inner_choice is None or i not in inner_choice else inner_choice[i]
         if r not in pts:
             raise GeometryError(f"inner vertex {r} is not incident to line {i}")
-        inner.append(r)
         cones.append(tuple([(n_pts + i, p) for p in pts] + [(r, q) for q in pts if q != r]))
-    return ConeGraph(
-        num_points=n_pts,
-        line_points=line_points,
-        inner_vertex=tuple(inner),
-        cones=tuple(cones),
-    )
+    return ConeGraph(n_pts, tuple(cones))
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,7 @@ def derive_subgeometry(
     Raises if an edge is not part of any cone of the host graph.
     """
     n_pts = geometry.num_points
+    line_points, inner_vertex = host.line_points, host.inner_vertex
     star_members: list[set[int]] = [set() for _ in range(geometry.num_lines)]
     spokes: set[tuple[int, int]] = set()
     for u, v in edges:
@@ -227,13 +228,13 @@ def derive_subgeometry(
             u, v = v, u  # cone vertex (if any) first
         if u >= n_pts:
             line = u - n_pts
-            if v not in host.line_points[line]:
+            if v not in line_points[line]:
                 raise GeometryError(f"spoke ({u}, {v}) is not an edge of the cone graph")
             spokes.add((line, v))
             continue
         owner = None
         for l in range(geometry.num_lines):
-            if host.inner_vertex[l] in (u, v) and u in host.line_points[l] and v in host.line_points[l]:
+            if inner_vertex[l] in (u, v) and u in line_points[l] and v in line_points[l]:
                 owner = l
                 break
         if owner is None:

@@ -56,8 +56,10 @@ class TestConeGraph:
         for s in [fig2] + draws:
             g = build_cone_graph(s)
             assert g.edges == tuple(e for cone in g.cones for e in cone)
+            assert g.line_points == tuple(tuple(sorted(line)) for line in s.lines)
+            assert g.inner_vertex == tuple(min(line) for line in s.lines)
             for line, cone in enumerate(g.cones):
-                k = len(g.line_points[line])
+                k = len(s.lines[line])
                 assert len(cone) == 2 * k - 1
                 assert all(u == g.cone_vertex(line) for u, _ in cone[:k])
 

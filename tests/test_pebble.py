@@ -133,8 +133,11 @@ class TestRigidBlock:
         assert (v.accepted, v.rejected, v.remaining_pebbles) == _reference_play(n, edges)
 
     def test_cone_graphs_and_canonical_subgraphs_match(self):
+        # the verdict derives its count from the accepted edges; the
+        # reference game sums its pebbles
         geometries = [random_geometry(random.Random(seed)) for seed in range(500)]
         geometries += [arrangement(m, 0.6, seed=m) for m in range(10, 41)]
+        geometries.append(arrangement(30, 0.6, seed=2024))
         for g in geometries:
             cone = build_cone_graph(g)
             v = play(cone.num_vertices, cone.edges)
@@ -466,6 +469,18 @@ class TestLeaveOneOut:
             with pytest.raises(ValueError, match="not that of play over the groups' edges"):
                 remaining_without_each(play(3, edges), groups)
         assert remaining_without_each(play(3, [(0, 1), (1, 2), (0, 2), (0, 1)]), groups) == (4, 4)
+
+    def test_verdict_of_other_edges(self):
+        # the rejected (0, 1) stands in for a self-loop or an edge out of
+        # range that play never saw
+        with pytest.raises(ValueError, match="self-loop at vertex 2"):
+            remaining_without_each(play(3, [(0, 1), (0, 1)]), [[(0, 1)], [(2, 2)]])
+        with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range"):
+            remaining_without_each(play(3, [(0, 1), (0, 1)]), [[(0, 1)], [(0, 3)]])
+        # play accepted (1, 0) first; the groups offer (0, 1) first, and play
+        # never rejects the first edge at an untouched vertex
+        with pytest.raises(ValueError, match="not that of play over the groups' edges"):
+            remaining_without_each(play(2, [(1, 0), (0, 1)]), [[(0, 1)], [(1, 0)]])
 
 
 class TestMatroidProperties:
