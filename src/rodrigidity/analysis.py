@@ -157,7 +157,7 @@ def decide_rod_rigidity(
     connected = is_connected(geometry)
     cone = build_cone_graph(geometry)
     # zero or one entity: no game, and nothing has an internal motion
-    pebble = play(cone.num_vertices, cone.edges) if cone.num_vertices >= 2 else None
+    pebble = play(cone.num_vertices, *cone.cones) if cone.num_vertices >= 2 else None
     agreement = "algebraic-skipped"
     algebraic: Optional[tuple[tuple[int, int], ...]] = None
     skip_reason: Optional[str] = None
@@ -282,8 +282,8 @@ def _line_order(geometry: IncidenceGeometry) -> tuple[int, ...]:
 
     Each point is expanded once, by the first line through it that leaves
     the queue; later lines through it would find every rod there seen.
-    canonical_edge_order has refused a disconnected geometry, so every line
-    is reached.
+    The geometry is connected iff the search reaches every line and expands
+    every point; otherwise it raises GeometryError.
     """
     rods_at = geometry.point_line_map()
     order = [0]
@@ -297,6 +297,8 @@ def _line_order(geometry: IncidenceGeometry) -> tuple[int, ...]:
                 fresh.update(l for l in rods_at[p] if l not in seen)
         seen |= fresh
         order.extend(sorted(fresh))
+    if len(order) < geometry.num_lines or len(expanded) < geometry.num_points:
+        raise GeometryError("the construction requires a connected geometry")
     return tuple(order)
 
 
@@ -313,8 +315,6 @@ def canonical_edge_order(
     conditional stages.  Every edge of the host graph appears exactly once.
     Returns (host graph, line order, plan of (stage, line, u, v) entries).
     """
-    if not is_connected(geometry):
-        raise GeometryError("the construction requires a connected geometry")
     if geometry.num_lines == 0:
         raise GeometryError("the construction requires at least one line")
     order = _line_order(geometry)
@@ -454,7 +454,8 @@ def decide_minimal_rigidity(
 
     The base verdict is decided once.  For a rigid base, one leave-one-out
     pebble game that extends the base's (remaining_without_each over its
-    verdict and the cones of the cone graph) answers every deletion:
+    verdict, which played the cone graph one cone at a time) answers every
+    deletion:
     deleting rod l leaves its cone vertex isolated with two pebbles, so the
     deletion is rigid iff five pebbles remain (the three trivial motions
     plus those two).  Each deletion keeps all points,
@@ -474,8 +475,8 @@ def decide_minimal_rigidity(
     deletion_rigid: tuple[bool, ...] = ()
     deletion_checks = None
     if base.is_rigid:
-        cone = build_cone_graph(geometry)
-        lefts = remaining_without_each(base.pebble, cone.cones)
+        # a rigid base with no game has at most one entity, so no rod
+        lefts = remaining_without_each(base.pebble) if base.pebble is not None else ()
         deletion_rigid = tuple(left == 5 for left in lefts)
         if mode == "cross-validated":
             checks: list[Optional[tuple[str, Optional[str]]]] = []

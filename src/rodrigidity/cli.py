@@ -329,9 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, field=True):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    def common(p, seed=True, fmt=True, field=True):
+        """The shared options that the command reads."""
+        if seed:
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if fmt:
+            p.add_argument("--format", choices=("text", "json"), default="text")
         if field:
             p.add_argument("--field", choices=tuple(FIELDS), default="zp")
 
@@ -350,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("canon", help="canonical maximally independent subgraph")
     p.add_argument("path")
-    common(p, field=False)
+    common(p, seed=False, field=False)
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("oracle", help="algebraic-only verdict from an exact realization")
@@ -378,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--max-points", type=int, default=10)
     p.add_argument("--max-lines", type=int, default=6)
-    common(p)
+    common(p, fmt=False)
     p.set_defaults(func=_cmd_fuzz)
 
     return parser

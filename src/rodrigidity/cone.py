@@ -13,7 +13,6 @@ vertex choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping, Optional
 
 from .geometry import GeometryError, IncidenceGeometry
@@ -33,19 +32,15 @@ class ConeGraph:
 
     cones[l] holds the edges of line l's cone: the spokes (cone vertex,
     point) first by point index, then the star edges (inner vertex, point)
-    by point index, 2k - 1 edges for a line through k points.  edges lists
-    the cones in turn, 2|I| - |L| edges in all.  When two lines share two or
-    more points the same unordered pair may occur in both cones; the pebble
-    game treats the duplicate as dependent, so verdicts are unaffected.
+    by point index, 2k - 1 edges for a line through k points, so 2|I| - |L|
+    edges in all.  When two lines share two or more points the same
+    unordered pair may occur in both cones; the pebble game treats the
+    duplicate as dependent, so verdicts are unaffected.
     The lines' points and inner vertices are read off the cones.
     """
 
     num_points: int
     cones: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(chain.from_iterable(self.cones))
 
     @property
     def num_lines(self) -> int:

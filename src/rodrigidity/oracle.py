@@ -646,8 +646,9 @@ def string_config_rank(cone: ConeIncidenceGeometry,
     max_rank = max(0, g.num_lines + 2 * g.num_points - 3)
     # Two or more distinct points: the translations and the dilation are
     # independent kernel vectors, so the rank cannot pass max_rank and the
-    # reduction may stop there.
-    return rank_of(matrix, max_rank if g.num_points >= 2 else None), max_rank
+    # reduction may stop there.  Fewer points carry no line, hence no row,
+    # and their rank is the clamped maximum 0.
+    return rank_of(matrix, max_rank), max_rank
 
 
 def is_string_config_rigid(cone: ConeIncidenceGeometry, realization: LinearRealization) -> bool:

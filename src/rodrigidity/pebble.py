@@ -33,9 +33,11 @@ for every edge; only the orientations may differ.
 Three pebbles always remain (the trivial planar motions).  Exactly three
 remaining means the input graph is rigid; any rejection means it is dependent.
 
-remaining_without_each answers a leave-one-out question over groups of edges
-by extending play's game over them.  play's accepted edges, split by group,
-are a basis of every prefix of the groups.  A divide and conquer over the
+remaining_without_each answers a leave-one-out question over the groups of
+edges that play offered, by extending play's game over them.  The verdict
+counts each group's accepted and rejected edges, so it alone holds the
+groups, and play's accepted edges, split by group, are a basis of every
+prefix of the groups.  A divide and conquer over the
 groups, the only other game, offers those basis edges for the groups before
 a range and the raw edges of the groups after it.  It stops at a rank
 floor: edges on s vertices have rank at most 2s - 3, so once a range's
@@ -314,53 +316,11 @@ def _grows_rigidly(group: Sequence[tuple[int, int]]) -> bool:
     return len(grown) == len(nbrs)
 
 
-def _bases(
-    forward: PebbleVerdict, groups: Sequence[Sequence[tuple[int, int]]]
-) -> list[list[tuple[int, int]]]:
-    """forward.accepted split by group.
-
-    The groups' edges are walked against the accepted and the rejected
-    edges together.  An edge equal to the next accepted edge is accepted:
-    an edge once rejected stays spanned, so play never rejects an edge equal
-    to one that it accepts later.  Otherwise it must be the next rejected edge, with
-    both ends on earlier accepted edges, since play never rejects an edge at
-    a vertex that no held edge touches.  A self-loop, a vertex out of range,
-    an edge that is neither, or verdict edges left over raise ValueError."""
-    n = forward.num_vertices
-    accepted, rejected = forward.accepted, forward.rejected
-    num_accepted, num_rejected = len(accepted), len(rejected)
-    touched = [False] * n
-    a = r = 0
-    bases: list[list[tuple[int, int]]] = []
-    for group in groups:
-        basis: list[tuple[int, int]] = []
-        for e in group:
-            u, v = e
-            # _check_edge inline: a call per edge costs about 5% of minimal
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            if a < num_accepted and accepted[a] == e:
-                a += 1
-                basis.append(e)
-                touched[u] = touched[v] = True
-            elif r < num_rejected and rejected[r] == e and touched[u] and touched[v]:
-                r += 1
-            else:
-                raise ValueError("the verdict is not that of play over the groups' edges")
-        bases.append(basis)
-    if a < num_accepted or r < num_rejected:
-        raise ValueError("the verdict is not that of play over the groups' edges")
-    return bases
-
-
-def remaining_without_each(
-    forward: PebbleVerdict, groups: Sequence[Sequence[tuple[int, int]]]
-) -> tuple[int, ...]:
-    """For each edge group g, the pebbles left by a game over every edge
-    outside g.  forward is the verdict of play over the groups' edges in
-    order, whose game accepted F_j from group j (_bases).
+def remaining_without_each(forward: PebbleVerdict) -> tuple[int, ...]:
+    """For each edge group g that play offered to forward's game, the
+    pebbles left by a game over every edge outside g.  The game accepted
+    F_j, the accepted slice of group j, and group j's edges are F_j followed
+    by its rejected slice: the group's edges, the accepted ones first.
 
     The accepted edges of a game span every edge it has seen, so F_<i (the
     F_j of every j < i) spans each edge of a group before i, and F_<i with
@@ -387,10 +347,25 @@ def remaining_without_each(
     another joins it.  Then leaf i gets the floor of its own support, all
     touched vertices except those only group i touches, and the range is
     not split further."""
+    num_vertices, accepted, rejected = forward.num_vertices, forward.accepted, forward.rejected
+    forward_bases: list[tuple[tuple[int, int], ...]] = []
+    groups: list[tuple[tuple[int, int], ...]] = []
+    a = r = 0
+    for took, left in forward.group_sizes:
+        forward_bases.append(accepted[a:a + took])
+        groups.append(forward_bases[-1] + rejected[r:r + left])
+        a, r = a + took, r + left
+    if (a, r) != (len(accepted), len(rejected)) or any(min(s) < 0 for s in forward.group_sizes):
+        raise ValueError("the verdict's group sizes do not add up to its edges")
+    for u, v in chain(accepted, rejected):
+        # _check_edge inline: a call per edge costs about 5% of minimal
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+            raise ValueError(f"edge ({u}, {v}) out of range")
     if not groups:
         return ()
-    num_vertices, count = forward.num_vertices, len(groups)
-    forward_bases = _bases(forward, groups)
+    count = len(groups)
     state = PebbleState(num_vertices)
     remaining = [0] * count
     touches = [tuple(set(chain.from_iterable(group))) for group in groups]
@@ -444,12 +419,15 @@ def independent_after(state: PebbleState, u: int, v: int) -> bool:
 @dataclass(frozen=True)
 class PebbleVerdict:
     """Outcome of a full game: the accepted edges (the maximally independent
-    subgraph) and the rejected ones, in offer order.  The count follows
-    from them: each accepted edge took one of the 2|V| pebbles."""
+    subgraph) and the rejected ones, in offer order, and for each group of
+    edges offered in turn, how many of its edges were accepted and how many
+    rejected.  The count follows from them: each accepted edge took one of
+    the 2|V| pebbles."""
 
     num_vertices: int
     accepted: tuple[tuple[int, int], ...]
     rejected: tuple[tuple[int, int], ...]
+    group_sizes: tuple[tuple[int, int], ...]  # (accepted, rejected) per group
 
     @property
     def remaining_pebbles(self) -> int:
@@ -466,13 +444,19 @@ class PebbleVerdict:
         return "flexible-redundant" if self.rejected else "flexible-independent"
 
 
-def play(num_vertices: int, edges: Iterable[tuple[int, int]]) -> PebbleVerdict:
-    """Run the game over the edges in the given order.
+def play(num_vertices: int, *groups: Iterable[tuple[int, int]]) -> PebbleVerdict:
+    """Run the game over the groups' edges, group by group, in the given
+    order; the verdict records how many edges of each group it accepted
+    and rejected.
 
     The accepted set depends on the order; its size (the rank) does not."""
     game = _Game(num_vertices)
     accepted: list[tuple[int, int]] = []
     rejected: list[tuple[int, int]] = []
-    for u, v in edges:
-        (accepted if game.offer(u, v) else rejected).append((u, v))
-    return PebbleVerdict(num_vertices, tuple(accepted), tuple(rejected))
+    sizes: list[tuple[int, int]] = []
+    for group in groups:
+        a, r = len(accepted), len(rejected)
+        for u, v in group:
+            (accepted if game.offer(u, v) else rejected).append((u, v))
+        sizes.append((len(accepted) - a, len(rejected) - r))
+    return PebbleVerdict(num_vertices, tuple(accepted), tuple(rejected), tuple(sizes))

@@ -201,7 +201,7 @@ def inner_choice_classifications(geometry: IncidenceGeometry) -> set[str]:
     out = set()
     for combo in product(*[sorted(line) for line in geometry.lines]):
         graph = build_cone_graph(geometry, dict(enumerate(combo)))
-        out.add(play(graph.num_vertices, graph.edges).classification)
+        out.add(play(graph.num_vertices, *graph.cones).classification)
     return out
 
 

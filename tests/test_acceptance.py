@@ -87,7 +87,7 @@ def test_criterion_3_running_example_pipeline():
     t0 = time.perf_counter()
     geometry = parse_geometry(FIG2_TEXT)
     cone = build_cone_graph(geometry)
-    game = play(cone.num_vertices, cone.edges)
+    game = play(cone.num_vertices, *cone.cones)
     verdict = decide_rod_rigidity(geometry)
     canon = canonical_subgraph(geometry)
     sub = canon.subgeometry
@@ -96,7 +96,7 @@ def test_criterion_3_running_example_pipeline():
     ok = (
         (geometry.num_points, geometry.num_lines) == (7, 4)
         and cone.num_vertices == 11
-        and len(cone.edges) == 20
+        and sum(map(len, cone.cones)) == 20
         and len(game.accepted) == 19
         and verdict.is_rigid
         and len(canon.edges) == 19
@@ -189,7 +189,7 @@ def test_criterion_6_gluing_properties():
 def test_criterion_7_collinear_counterexample(fig2):
     t0 = time.perf_counter()
     host = build_cone_graph(fig2, {0: 3, 1: 4, 2: 5, 3: 6})
-    depicted = [e for e in host.edges if e != (9, 5)]  # drop the bottom line's spoke
+    depicted = [e for cone in host.cones for e in cone if e != (9, 5)]  # drop the bottom line's spoke
     generically = play(host.num_vertices, depicted)
     sub, sources = derive_subgeometry(fig2, host, depicted)
     sc = build_cone_incidence(fig2)
@@ -232,7 +232,7 @@ def test_criterion_8_pebble_scaling():
         for _ in range(3):
             start = time.perf_counter()
             for _ in range(10):
-                play(graph.num_vertices, graph.edges)
+                play(graph.num_vertices, *graph.cones)
             best = min(best, time.perf_counter() - start)
         timings[n_lines] = best
     ratio = timings[400] / timings[200]

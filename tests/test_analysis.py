@@ -225,8 +225,10 @@ class TestCanonicalSubgraph:
         assert is_regular(sc.geometry, ext, budget=12)
 
     def test_disconnected_rejected(self):
-        with pytest.raises(GeometryError):
-            canonical_subgraph(IncidenceGeometry(4, ((0, 1), (2, 3))))
+        # two separate rods, and a rod beside an isolated point
+        for g in (IncidenceGeometry(4, ((0, 1), (2, 3))), IncidenceGeometry(3, ((0, 1),))):
+            with pytest.raises(GeometryError, match="requires a connected geometry"):
+                canonical_subgraph(g)
 
     def test_incidence_edge_identity_and_rank_consistency(self):
         rng = random.Random(31)
@@ -236,7 +238,7 @@ class TestCanonicalSubgraph:
             sub = canon.subgeometry
             assert sub.num_incidences == sub.num_lines + len(canon.edges)
             cone = build_cone_graph(g)
-            assert len(canon.edges) == len(play(cone.num_vertices, cone.edges).accepted)
+            assert len(canon.edges) == len(play(cone.num_vertices, *cone.cones).accepted)
             assert is_sharply_independent_fast(sub, sub.incidences())
 
     def test_offers_each_edge_once(self, fig2, monkeypatch):
@@ -275,7 +277,7 @@ class TestCanonicalSubgraph:
 class TestDeriveSubgeometry:
     def test_fig5_subgraph(self, fig2):
         host = build_cone_graph(fig2, {0: 3, 1: 4, 2: 5, 3: 6})
-        edges = [e for e in host.edges if e != (9, 5)]
+        edges = [e for cone in host.cones for e in cone if e != (9, 5)]
         sub, sources = derive_subgeometry(fig2, host, edges)
         assert (sub.num_points, sub.num_lines, sub.num_incidences) == (11, 15, 34)
         assert len(sources) == sub.num_lines
@@ -301,6 +303,18 @@ class TestMinimalRigidity:
         report = decide_minimal_rigidity(g)
         assert not report.minimally_rigid
         assert 0 in report.removable and 3 in report.removable
+
+    def test_builds_the_cone_graph_once(self, fig2, monkeypatch):
+        # the base's verdict holds the cones that the deletions need
+        import rodrigidity.analysis as analysis
+
+        builds = []
+        real_build = analysis.build_cone_graph
+        monkeypatch.setattr(analysis, "build_cone_graph",
+                            lambda *a: builds.append(a) or real_build(*a))
+        for mode in ("combinatorial", "cross-validated"):
+            assert decide_minimal_rigidity(fig2, mode, seed=5).minimally_rigid
+        assert len(builds) == 2
 
     def test_undefined_for_flexible_input(self, hinge):
         report = decide_minimal_rigidity(hinge)
@@ -336,7 +350,8 @@ class TestMinimalRigidity:
 
         report = decide_minimal_rigidity(fig2, "cross-validated", seed=5)
         assert report.base.agreement == "agree" and report.minimally_rigid
-        monkeypatch.setattr(analysis, "remaining_without_each", lambda n, groups: (5,) * len(groups))
+        monkeypatch.setattr(analysis, "remaining_without_each",
+                            lambda verdict: (5,) * len(verdict.group_sizes))
         with pytest.raises(OracleDisagreementError, match="deleting rod 0") as info:
             decide_minimal_rigidity(fig2, "cross-validated", seed=5)
         # the planted count calls deleting rod 0 rigid; its samples fall short
@@ -466,7 +481,8 @@ class TestTheoremEightAgreement:
         real_draw, real_play = analysis.random_geometry, analysis.play
         monkeypatch.setattr(analysis, "random_geometry",
                             lambda *a: drawn.append(real_draw(*a)) or drawn[-1])
-        monkeypatch.setattr(analysis, "play", lambda n, edges: games.append(n) or real_play(n, edges))
+        monkeypatch.setattr(analysis, "play",
+                            lambda n, *groups: games.append(n) or real_play(n, *groups))
         report = run_agreement_campaign(target=20, seed=37)
         shared = sum(shared_rod_pair(g) is not None for g in drawn)
         assert len(drawn) == report.attempted

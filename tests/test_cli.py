@@ -212,7 +212,8 @@ class TestMinimal:
         import rodrigidity.analysis as analysis
 
         # a planted leave-one-out count calls every deletion rigid
-        monkeypatch.setattr(analysis, "remaining_without_each", lambda n, groups: (5,) * len(groups))
+        monkeypatch.setattr(analysis, "remaining_without_each",
+                            lambda verdict: (5,) * len(verdict.group_sizes))
         assert main(["minimal", fig2_file, "--cross-validate"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -293,6 +294,27 @@ class TestCanon:
         assert main(["canon", fig2_file, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["edges"]) == 19 and doc["tight"] is True
+
+    @pytest.mark.parametrize("text", ["points: 4\nline: 0 1\nline: 2 3\n",
+                                      "points: 3\nline: 0 1\n"])
+    def test_disconnected_exits_1(self, tmp_path, capsys, text):
+        # two separate rods, and a rod beside an isolated point
+        path = tmp_path / "apart.geo"
+        path.write_text(text)
+        assert main(["canon", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the construction requires a connected geometry\n"
+
+
+@pytest.mark.parametrize("argv", [["canon", "{path}", "--seed", "3"],
+                                  ["fuzz", "--count", "1", "--format", "json"]])
+def test_unread_options_are_usage_errors(fig2_file, capsys, argv):
+    # canon draws nothing, and fuzz prints one text line only
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.format(path=fig2_file) for arg in argv])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestOracleCommand:

@@ -24,19 +24,19 @@ class TestConeGraph:
     def test_running_example_counts(self, fig2):
         g = build_cone_graph(fig2)
         assert g.num_vertices == 11
-        assert len(g.edges) == 2 * fig2.num_incidences - fig2.num_lines == 20
+        assert sum(map(len, g.cones)) == 2 * fig2.num_incidences - fig2.num_lines == 20
 
     def test_single_line_two_points_is_triangle(self):
         g = build_cone_graph(single_line(2))
         assert g.num_vertices == 3
-        assert sorted(tuple(sorted(e)) for e in g.edges) == [(0, 1), (0, 2), (1, 2)]
+        assert sorted(tuple(sorted(e)) for e in g.cones[0]) == [(0, 1), (0, 2), (1, 2)]
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_cone_over_star_is_minimally_rigid(self, k):
         g = build_cone_graph(single_line(k))
         assert g.num_vertices == k + 1
-        assert len(g.edges) == 2 * k - 1 == 2 * (k + 1) - 3
-        assert play(g.num_vertices, g.edges).classification == "minimally-rigid"
+        assert len(g.cones[0]) == 2 * k - 1 == 2 * (k + 1) - 3
+        assert play(g.num_vertices, *g.cones).classification == "minimally-rigid"
 
     def test_counts_on_random_geometries(self):
         rng = random.Random(0)
@@ -44,7 +44,7 @@ class TestConeGraph:
             s = random_geometry(rng, max_points=8, max_lines=5)
             g = build_cone_graph(s)
             assert g.num_vertices == s.num_points + s.num_lines
-            assert len(g.edges) == 2 * s.num_incidences - s.num_lines
+            assert sum(map(len, g.cones)) == 2 * s.num_incidences - s.num_lines
 
     def test_inner_choice_must_be_incident(self, fig2):
         with pytest.raises(GeometryError):
@@ -55,7 +55,6 @@ class TestConeGraph:
         draws = [random_geometry(rng, max_points=10, max_lines=6) for _ in range(60)]
         for s in [fig2] + draws:
             g = build_cone_graph(s)
-            assert g.edges == tuple(e for cone in g.cones for e in cone)
             assert g.line_points == tuple(tuple(sorted(line)) for line in s.lines)
             assert g.inner_vertex == tuple(min(line) for line in s.lines)
             for line, cone in enumerate(g.cones):
@@ -70,22 +69,22 @@ class TestReassignInnerVertex:
     def test_counts_unchanged(self, fig2):
         g = build_cone_graph(fig2)
         g2 = build_cone_graph(fig2, {2: 5})
-        assert len(g2.edges) == 20
+        assert sum(map(len, g2.cones)) == 20
         assert g2.inner_vertex[2] == 5
         assert g2.inner_vertex[:2] == g.inner_vertex[:2]
 
     def test_verdict_unchanged_for_every_choice(self, fig2):
         g = build_cone_graph(fig2)
-        base = play(g.num_vertices, g.edges).classification
+        base = play(g.num_vertices, *g.cones).classification
         for line, pts in enumerate(g.line_points):
             for p in pts:
                 moved = build_cone_graph(fig2, {line: p})
-                assert play(moved.num_vertices, moved.edges).classification == base
+                assert play(moved.num_vertices, *moved.cones).classification == base
 
     def test_two_point_line_swap_is_isomorphic(self):
         g = build_cone_graph(single_line(2))
         swapped = build_cone_graph(single_line(2), {0: 1})
-        as_sets = lambda graph: sorted(tuple(sorted(e)) for e in graph.edges)
+        as_sets = lambda graph: sorted(tuple(sorted(e)) for e in graph.cones[0])
         assert as_sets(g) == as_sets(swapped)
 
     def test_rejects_non_incident(self, fig2):

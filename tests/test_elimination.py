@@ -175,9 +175,11 @@ def _proper_cone_samples(geometry, seeds, field):
 @pytest.mark.parametrize("field", [DEFAULT_FIELD, RATIONALS], ids=["mersenne", "rational"])
 def test_the_bound_never_changes_a_rank(fig2, hinge, field):
     # string_config_rank stops at the maximum rank; the unbounded rank of the
-    # same matrix must be the same number, rigid or flexible.
+    # same matrix must be the same number, rigid or flexible.  Geometries of
+    # no point and of one have no row, and their clamped maximum 0 is the bound.
     cases = [(fig2, True), (arrangement(8, 0.6, seed=1), True),
-             (arrangement(12, 0.6, seed=2), True), (hinge, False), (_chain(5), False)]
+             (arrangement(12, 0.6, seed=2), True), (hinge, False), (_chain(5), False),
+             (IncidenceGeometry(0, ()), True), (IncidenceGeometry(1, ()), True)]
     rng = random.Random(17)
     cases += [(random_geometry(rng, 8, 6), None) for _ in range(12)]
     verdicts = set()

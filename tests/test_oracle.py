@@ -323,7 +323,7 @@ class TestStringConfigRigidity:
         g = sc.geometry
         assert rank_of(m) == g.num_lines + 2 * g.num_points - 4
         cone_graph = build_cone_graph(hinge)
-        assert play(cone_graph.num_vertices, cone_graph.edges).remaining_pebbles == 4
+        assert play(cone_graph.num_vertices, *cone_graph.cones).remaining_pebbles == 4
 
     def test_refuses_non_proper(self, triangle_rods):
         sc = build_cone_incidence(triangle_rods)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from rodrigidity import (
     try_edge,
 )
 from rodrigidity import pebble
-from rodrigidity.pebble import PebbleState, _insert_batch, _undo_batch
+from rodrigidity.pebble import PebbleState, PebbleVerdict, _insert_batch, _undo_batch
 
 from bruteforce import henneberg_graph, laman_independent, laman_rank, shares_two_points
 from conftest import FIG1_EDGES, K4_EDGES, arrangement
@@ -132,6 +133,22 @@ class TestRigidBlock:
         v = play(n, edges)
         assert (v.accepted, v.rejected, v.remaining_pebbles) == _reference_play(n, edges)
 
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists, st.lists(st.integers(0, 30), max_size=6))
+    def test_groups_answer_as_their_edges_in_turn(self, case, cuts):
+        # cut points past the end or repeated make empty groups
+        n, edges = case
+        bounds = [0, *sorted(min(c, len(edges)) for c in cuts), len(edges)]
+        groups = [edges[a:b] for a, b in zip(bounds, bounds[1:])]
+        grouped, flat = play(n, *groups), play(n, edges)
+        assert (grouped.accepted, grouped.rejected) == (flat.accepted, flat.rejected)
+        state = PebbleState(n)
+        answers = [try_edge(state, u, v) for u, v in edges]
+        assert grouped.group_sizes == tuple(
+            (sum(answers[a:b]), b - a - sum(answers[a:b])) for a, b in zip(bounds, bounds[1:]))
+        assert flat.group_sizes == ((len(flat.accepted), len(flat.rejected)),)
+        assert play(n).group_sizes == () and play(n).remaining_pebbles == 2 * n
+
     def test_cone_graphs_and_canonical_subgraphs_match(self):
         # the verdict derives its count from the accepted edges; the
         # reference game sums its pebbles
@@ -140,9 +157,9 @@ class TestRigidBlock:
         geometries.append(arrangement(30, 0.6, seed=2024))
         for g in geometries:
             cone = build_cone_graph(g)
-            v = play(cone.num_vertices, cone.edges)
+            v = play(cone.num_vertices, *cone.cones)
             assert (v.accepted, v.rejected, v.remaining_pebbles) == _reference_play(
-                cone.num_vertices, cone.edges)
+                cone.num_vertices, list(chain.from_iterable(cone.cones)))
             c = canonical_subgraph(g)
             assert (c.edges, c.rejected) == _reference_canonical(g)
 
@@ -175,7 +192,7 @@ class TestRigidBlock:
     def test_golden_arrangement_searches_only_accepted_edges(self, monkeypatch):
         cone = build_cone_graph(arrangement(30, 0.6, seed=2024))
         gathers = _counting_gathers(monkeypatch)
-        v = play(cone.num_vertices, cone.edges)
+        v = play(cone.num_vertices, *cone.cones)
         # 1014 edges, 435 of them rejected inside the block
         assert len(v.accepted) == 579 and len(v.rejected) == 435
         assert gathers == [0, 579]
@@ -262,8 +279,8 @@ def _one_game_per_group(n, groups):
 
 
 def _without_each(n, groups):
-    """remaining_without_each extending play over the groups' edges in order."""
-    return remaining_without_each(play(n, [e for group in groups for e in group]), groups)
+    """remaining_without_each extending play over the groups in order."""
+    return remaining_without_each(play(n, *groups))
 
 
 def _play_bases(n, groups):
@@ -350,7 +367,8 @@ class TestLeaveOneOut:
         shared = 0
         for g in geometries:
             cone = build_cone_graph(g)
-            if len(set(map(frozenset, cone.edges))) == len(cone.edges):
+            edges = list(chain.from_iterable(cone.cones))
+            if len(set(map(frozenset, edges))) == len(edges):
                 continue
             assert shares_two_points(g)
             cases.append((cone.num_vertices, cone.cones))
@@ -380,7 +398,7 @@ class TestLeaveOneOut:
                     assert _without_each(n, groups) == expected
                     # every point lies on two rods, so a deletion frees only
                     # the cone vertex: 5 pebbles when the rest stays rigid
-                    flexible_deletions += play(n, cone.edges).is_rigid and max(expected) > 5
+                    flexible_deletions += play(n, *groups).is_rigid and max(expected) > 5
         assert flexible_deletions
 
     @pytest.mark.parametrize("case", ["golden", "k4-sandwich", "paths"])
@@ -391,7 +409,7 @@ class TestLeaveOneOut:
         # edges of F_<i and of the groups after i
         n, groups = _leave_one_out_case(case)
         expected = _one_game_per_group(n, groups)
-        verdict = play(n, [e for group in groups for e in group])
+        verdict = play(n, *groups)
         forward = _play_bases(n, groups)
         states, offers, leaves = [], [], []
         real_init, real_gather = pebble.PebbleState.__init__, pebble._gather
@@ -412,7 +430,7 @@ class TestLeaveOneOut:
         monkeypatch.setattr(pebble.PebbleState, "__init__", init)
         monkeypatch.setattr(pebble, "_gather", gather)
         monkeypatch.setattr(pebble.PebbleState, "remaining_pebbles", remaining)
-        assert remaining_without_each(verdict, groups) == expected
+        assert remaining_without_each(verdict) == expected
         assert len(states) == 1
         basis = {e for b in forward for e in b}
         assert offers and set(offers) <= basis | {e for group in groups[1:] for e in group}
@@ -443,7 +461,7 @@ class TestLeaveOneOut:
         # objects the collector tracks.
         n, groups = _leave_one_out_case("paths")
         expected = _one_game_per_group(n, groups)
-        verdict = play(n, [e for group in groups for e in group])
+        verdict = play(n, *groups)
         real_remaining = pebble.PebbleState.remaining_pebbles
         live = []
 
@@ -454,33 +472,31 @@ class TestLeaveOneOut:
         monkeypatch.setattr(pebble.PebbleState, "remaining_pebbles", remaining)
         gc.collect()
         before = sum(type(o) is PebbleState for o in gc.get_objects())
-        assert remaining_without_each(verdict, groups) == expected
+        assert remaining_without_each(verdict) == expected
         assert live == [1] * len(groups)
 
     def test_no_groups(self):
-        # no groups need no verdict: a geometry without rods plays no game
-        assert remaining_without_each(None, []) == ()
+        # a game offered no group has no deletion to count
+        assert remaining_without_each(play(2)) == ()
 
-    def test_mismatched_verdict(self):
+    def test_hand_built_verdicts(self):
         groups = [[(0, 1), (1, 2)], [(0, 2), (0, 1)]]
-        for edges in ([(0, 2), (0, 1), (1, 2), (0, 1)],  # accepted edges left over
-                      [(0, 1), (1, 2), (0, 2)],  # an edge short
-                      [(0, 1), (1, 2), (0, 2), (0, 1), (1, 2)]):  # an edge too many
-            with pytest.raises(ValueError, match="not that of play over the groups' edges"):
-                remaining_without_each(play(3, edges), groups)
-        assert remaining_without_each(play(3, [(0, 1), (1, 2), (0, 2), (0, 1)]), groups) == (4, 4)
-
-    def test_verdict_of_other_edges(self):
-        # the rejected (0, 1) stands in for a self-loop or an edge out of
-        # range that play never saw
+        verdict = PebbleVerdict(3, ((0, 1), (1, 2), (0, 2)), ((0, 1),), ((2, 0), (1, 1)))
+        assert play(3, *groups) == verdict
+        assert remaining_without_each(verdict) == (4, 4)
+        for sizes in (((2, 0), (1, 0)),  # a rejected edge in no group
+                      ((2, 0), (2, 1)),  # an accepted edge too many
+                      ((4, 0), (-1, 1))):  # adds up, with a negative count
+            with pytest.raises(ValueError, match="group sizes do not add up"):
+                remaining_without_each(PebbleVerdict(3, verdict.accepted, verdict.rejected, sizes))
+        with pytest.raises(ValueError, match="group sizes do not add up"):
+            remaining_without_each(PebbleVerdict(3, verdict.accepted, (), ()))
         with pytest.raises(ValueError, match="self-loop at vertex 2"):
-            remaining_without_each(play(3, [(0, 1), (0, 1)]), [[(0, 1)], [(2, 2)]])
-        with pytest.raises(ValueError, match=r"edge \(0, 3\) out of range"):
-            remaining_without_each(play(3, [(0, 1), (0, 1)]), [[(0, 1)], [(0, 3)]])
-        # play accepted (1, 0) first; the groups offer (0, 1) first, and play
-        # never rejects the first edge at an untouched vertex
-        with pytest.raises(ValueError, match="not that of play over the groups' edges"):
-            remaining_without_each(play(2, [(1, 0), (0, 1)]), [[(0, 1)], [(1, 0)]])
+            remaining_without_each(PebbleVerdict(3, ((0, 1),), ((2, 2),), ((1, 0), (0, 1))))
+        # -1 would index vertex 2
+        for edge in ((0, -1), (0, 3)):
+            with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) out of range"):
+                remaining_without_each(PebbleVerdict(3, ((0, 1),), (edge,), ((1, 1),)))
 
 
 class TestMatroidProperties:
@@ -618,16 +634,16 @@ def test_golden_arrangement_answers(question):
     g = arrangement(30, 0.6, seed=2024)
     cone = build_cone_graph(g)
     if question == "play":
-        game = play(cone.num_vertices, cone.edges)
+        game = play(cone.num_vertices, *cone.cones)
         answer = (game.accepted, game.rejected)
     elif question == "state":
         # the searches visit in a fixed order, so the orientation is pinned too
         state = PebbleState(cone.num_vertices)
-        for u, v in cone.edges:
+        for u, v in chain.from_iterable(cone.cones):
             try_edge(state, u, v)
         answer = (state.pebbles, state.out)
     elif question == "leave_one_out":
-        answer = remaining_without_each(play(cone.num_vertices, cone.edges), cone.cones)
+        answer = remaining_without_each(play(cone.num_vertices, *cone.cones))
     else:
         c = canonical_subgraph(g)
         answer = (c.edges, c.rejected, c.line_order, c.subgeometry.lines, c.source_lines)
