@@ -479,7 +479,8 @@ class TestLeaveOneOut:
         # a game offered no group has no deletion to count
         assert remaining_without_each(play(2)) == ()
 
-    def test_hand_built_verdicts(self):
+    def test_mismatched_verdict(self):
+        # a hand-built verdict whose group sizes disagree with its edges
         groups = [[(0, 1), (1, 2)], [(0, 2), (0, 1)]]
         verdict = PebbleVerdict(3, ((0, 1), (1, 2), (0, 2)), ((0, 1),), ((2, 0), (1, 1)))
         assert play(3, *groups) == verdict
@@ -491,6 +492,9 @@ class TestLeaveOneOut:
                 remaining_without_each(PebbleVerdict(3, verdict.accepted, verdict.rejected, sizes))
         with pytest.raises(ValueError, match="group sizes do not add up"):
             remaining_without_each(PebbleVerdict(3, verdict.accepted, (), ()))
+
+    def test_verdict_of_other_edges(self):
+        # hand-built verdicts holding a self-loop or an edge out of range, which play refuses
         with pytest.raises(ValueError, match="self-loop at vertex 2"):
             remaining_without_each(PebbleVerdict(3, ((0, 1),), ((2, 2),), ((1, 0), (0, 1))))
         # -1 would index vertex 2
