@@ -366,14 +366,14 @@ def canonical_subgraph(geometry: IncidenceGeometry) -> CanonicalSubgraph:
     subgeometry is sharply independent.
     """
     host, order, plan = canonical_edge_order(geometry)
-    game = _Game(host.num_vertices)
+    offer = _Game(host.num_vertices).offer
     accepted: list[tuple[int, int]] = []
     rejected: list[tuple[int, int]] = []
     n_pts = geometry.num_points
     star_members: list[set[int]] = [set() for _ in range(geometry.num_lines)]
     spokes: set[tuple[int, int]] = set()
     for stage, line, u, v in plan:
-        if not game.offer(u, v):
+        if not offer(u, v):
             if stage < 6:
                 raise AssertionError(f"unconditional construction edge ({u}, {v}) was rejected")
             rejected.append((u, v))
@@ -383,7 +383,7 @@ def canonical_subgraph(geometry: IncidenceGeometry) -> CanonicalSubgraph:
             spokes.add((line, v))
         else:
             star_members[line].update((u, v))
-    del game  # the heap peaks while the subgeometry is built
+    del offer  # frees the game: the heap peaks while the subgeometry is built
     sub, sources = _subgeometry_from_parts(geometry, star_members, spokes)
     return CanonicalSubgraph(
         cone_graph=host,

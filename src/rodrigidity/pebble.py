@@ -13,22 +13,38 @@ tree parent per vertex, allocated once: a search takes a new stamp, marks the
 root and the blocked endpoint with it, and a vertex counts as visited when its
 mark equals the stamp, so nothing is cleared between searches.
 
-The state holds pebbles and orientations only: the accepted edges are the
-out-edges, and nothing else records them.  Whoever needs the accepted and
-rejected edges in offer order (play, canonical_subgraph) keeps them from
-the game's answers.
+The state holds pebbles, orientations and each vertex's count of held
+edges: the accepted edges are the out-edges, and nothing else records them.
+Whoever needs the accepted and rejected edges in offer order (play,
+canonical_subgraph) keeps them from the game's answers.
 
-Both offer their edges to a game that also keeps a block: one vertex set
-on which the held edges are rigid.  It starts at the first accepted edge
-and grows by Henneberg type I steps, a vertex with two held edges into the
-block joining it (which can let its held neighbours join in turn), and by
-the reach set of a rejected edge's last dry search, which spans 2|R| - 3
-held edges and so is rigid, when that set meets the block in two vertices.
-An edge with both ends in the block lies in the span of the held edges,
-since they already fix the distance between its ends, so it is rejected
-without a search.  The accepted edges are the greedy basis of the offer
-order, which is unique, so the answers are those of a game that searches
-for every edge; only the orientations may differ.
+Henneberg shortcut.  Both offer their edges to a game (_Game), and the
+leave-one-out game below inserts its edges, placing most of them with no
+search.  An edge one of whose ends w holds at most one edge, and not one to
+the other end x, is accepted at once, directed w -> x and paid by w.  w's
+out-degree is at most 1, so w has a pebble.  The held edges without w are
+independent, and giving w back with at most two edges to distinct vertices
+is a Henneberg type I step (a 0-extension), which keeps them independent.
+Any orientation of an independent set in which pebbles and out-degree add up
+to two at every vertex is a valid game state (Lee & Streinu 2008), so every
+later answer stays that of a game that searches.  A cone offered in order
+is such steps from its first spoke on, so few of its edges are searched.
+try_edge searches for every edge: it stays the reference.
+
+The game also keeps a block: one vertex set on which the held edges are
+rigid.  It is built at the first rejection, from the first accepted edge by
+Henneberg type I steps over the held edges: a vertex with two held edges
+into the block joins it (which can let its held neighbours join in turn).
+It then grows by those steps as edges are accepted, and by the reach set of
+a rejected edge's last dry search, which spans 2|R| - 3 held edges and so is
+rigid, when that set meets the block in two vertices.  Before the first
+rejection no reach set was merged, and the cascade reaches the same set in
+any order, so building it late changes no block it would have had.  An edge
+with both ends in the block lies in the span of the held edges, since they
+already fix the distance between its ends, so it is rejected without a
+search.  The accepted edges are the greedy basis of the offer order, which
+is unique, so the answers are those of a game that searches for every edge;
+only the orientations may differ.
 
 Three pebbles always remain (the trivial planar motions).  Exactly three
 remaining means the input graph is rigid; any rejection means it is dependent.
@@ -68,11 +84,13 @@ class PebbleState:
     edges, the only record of which edges the state holds.
 
     Invariant: pebbles[v] + outdegree(v) == 2 for every vertex, hence the
-    total pebble count is 2|V| minus the number of held edges.  _seen,
-    _parent and _stamp are the searches' reusable visit marks (see _gather).
+    total pebble count is 2|V| minus the number of held edges, and no
+    out-list holds more than two vertices.  degree[v] counts the held edges
+    at v, in either direction.  _seen, _parent and _stamp are the searches'
+    reusable visit marks (see _gather).
     """
 
-    __slots__ = ("num_vertices", "pebbles", "out", "_seen", "_parent", "_stamp")
+    __slots__ = ("num_vertices", "pebbles", "out", "degree", "_seen", "_parent", "_stamp")
 
     def __init__(self, num_vertices: int):
         if num_vertices < 2:
@@ -80,6 +98,7 @@ class PebbleState:
         self.num_vertices = num_vertices
         self.pebbles = [2] * num_vertices
         self.out: list[list[int]] = [[] for _ in range(num_vertices)]
+        self.degree = [0] * num_vertices
         self._fresh_marks()
 
     def _fresh_marks(self) -> None:
@@ -92,6 +111,7 @@ class PebbleState:
         dup.num_vertices = self.num_vertices
         dup.pebbles = self.pebbles[:]
         dup.out = [adj[:] for adj in self.out]
+        dup.degree = self.degree[:]
         dup._fresh_marks()
         return dup
 
@@ -157,6 +177,8 @@ def _orient(state: PebbleState, u: int, v: int) -> None:
     payer, other = (u, v) if u < v else (v, u)
     state.pebbles[payer] -= 1
     state.out[payer].append(other)
+    state.degree[u] += 1
+    state.degree[v] += 1
 
 
 def try_edge(state: PebbleState, u: int, v: int) -> bool:
@@ -173,46 +195,84 @@ def try_edge(state: PebbleState, u: int, v: int) -> bool:
 
 
 class _Game:
-    """A game over edges offered one at a time that keeps one growing vertex
-    set, the block, on which its held edges are rigid.  An edge with both
-    ends in the block is dependent and is rejected without a search.
+    """A game over edges offered one at a time.  An edge with an end w that
+    holds at most one edge, not to the other end, is a Henneberg step and
+    is accepted without a search (w pays); only the others are searched.
 
-    A held edge with an end in the block counts at once toward the other
-    end's links; one with both ends outside is kept in _nbrs until one of
-    its ends joins."""
+    The game also keeps one vertex set, the block, on which its held edges
+    are rigid, and rejects an edge with both ends in it without a search.
+    The block is built at the first rejection (_start_block); until then
+    the game keeps only the first accepted edge, from which it grows, so a
+    game that rejects nothing keeps no block at all.  After that, a held
+    edge with an end in the block counts at once toward the other end's
+    links; one with both ends outside is kept in _nbrs until one of its
+    ends joins."""
 
-    __slots__ = ("state", "_started", "_in_block", "_links", "_nbrs")
+    __slots__ = ("state", "_first", "_in_block", "_links", "_nbrs")
 
     def __init__(self, num_vertices: int):
         self.state = PebbleState(num_vertices)
-        self._started = False  # whether an edge was accepted, which starts the block
+        self._first: tuple[int, int] | None = None  # the first accepted edge
         self._in_block = [False] * num_vertices
-        self._links = [0] * num_vertices  # held edges into the block, outside it
-        self._nbrs: list[list[int]] = [[] for _ in range(num_vertices)]  # held, kept outside
+        self._links: list[int] | None = None  # held edges into the block, outside it
+        self._nbrs: list[list[int]] = []  # held neighbours, for the block's Henneberg steps
 
     def offer(self, u: int, v: int) -> bool:
         """Offer edge (u, v); the answer is try_edge's on a state that held
         the same edges."""
-        state, in_block = self.state, self._in_block
-        _check_edge(state.num_vertices, u, v)
+        # _check_edge, the Henneberg test and _orient inline: once searches
+        # are rare, a call per edge is most of the game's cost
+        state = self.state
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < state.num_vertices and 0 <= v < state.num_vertices):
+            raise ValueError(f"edge ({u}, {v}) out of range")
+        in_block = self._in_block
         if in_block[u] and in_block[v]:
             return False
-        if not _gather(state, u, v):
+        out, degree = state.out, state.degree
+        if degree[u] < 2 and v not in out[u] and u not in out[v]:
+            payer, other = u, v
+        elif degree[v] < 2 and u not in out[v] and v not in out[u]:
+            payer, other = v, u
+        elif _gather(state, u, v):
+            payer, other = (u, v) if u < v else (v, u)
+        else:
             self._merge_reach(u, v)
             return False
-        _orient(state, u, v)
-        if in_block[u] or in_block[v]:
+        state.pebbles[payer] -= 1
+        out[payer].append(other)
+        degree[u] += 1
+        degree[v] += 1
+        links = self._links
+        if links is None:
+            if self._first is None:
+                self._first = (u, v)
+        elif in_block[u] or in_block[v]:
             outside = v if in_block[u] else u
-            self._links[outside] += 1
-            if self._links[outside] == 2:
+            links[outside] += 1
+            if links[outside] == 2:
                 in_block[outside] = True
                 self._grow([outside])
-        elif self._started:
+        else:
             self._nbrs[u].append(v)
             self._nbrs[v].append(u)
-        else:
-            self._started = in_block[u] = in_block[v] = True
         return True
+
+    def _start_block(self) -> None:
+        """Build the block at the first rejection: the first accepted edge
+        and the Henneberg steps over every held edge from it, as offer would
+        have grown it edge by edge."""
+        out = self.state.out
+        nbrs: list[list[int]] = [[] for _ in out]
+        for x, heads in enumerate(out):
+            for y in heads:
+                nbrs[x].append(y)
+                nbrs[y].append(x)
+        self._nbrs, self._links = nbrs, [0] * len(out)
+        u, v = self._first
+        self._in_block[u] = self._in_block[v] = True
+        self._grow([u, v])
 
     def _grow(self, joined: list[int]) -> None:
         """Henneberg steps after the vertices joined entered the block: a
@@ -234,7 +294,9 @@ class _Game:
         can have out-edges leaving the set, so its vertices R span 2|R| - 3
         held edges and are rigid.  They join a block that they meet in two
         vertices.  The walk re-marks them with -stamp, which no search
-        takes."""
+        takes.  The first rejection builds the block first."""
+        if self._links is None:
+            self._start_block()
         out, seen, stamp = self.state.out, self.state._seen, self.state._stamp
         reach = []
         for root in (u, v):
@@ -259,17 +321,29 @@ def _insert_batch(
 ) -> list[tuple[int, int]]:
     """Offer the edges in turn until room of them are accepted, and return
     those accepted.  With no room nothing is offered, and edges is not
-    iterated at all."""
+    iterated at all.  A Henneberg step is accepted without a search, as in
+    _Game.offer."""
     kept: list[tuple[int, int]] = []
     if room <= 0:
         return kept
+    pebbles, out, degree = state.pebbles, state.out, state.degree
     for edge in edges:
         u, v = edge
-        if _gather(state, u, v):
-            _orient(state, u, v)
-            kept.append(edge)
-            if len(kept) == room:
-                break
+        if degree[u] < 2 and v not in out[u] and u not in out[v]:
+            payer, other = u, v
+        elif degree[v] < 2 and u not in out[v] and v not in out[u]:
+            payer, other = v, u
+        elif _gather(state, u, v):
+            payer, other = (u, v) if u < v else (v, u)
+        else:
+            continue
+        pebbles[payer] -= 1
+        out[payer].append(other)
+        degree[u] += 1
+        degree[v] += 1
+        kept.append(edge)
+        if len(kept) == room:
+            break
     return kept
 
 
@@ -281,7 +355,7 @@ def _undo_batch(state: PebbleState, kept: Iterable[tuple[int, int]]) -> None:
     independent set holds no two parallel edges.  Afterwards the accepted
     edges are those held before the batch, possibly reoriented, which is a
     valid state for every later offer."""
-    out, pebbles = state.out, state.pebbles
+    out, pebbles, degree = state.out, state.pebbles, state.degree
     for u, v in kept:
         if v in out[u]:
             out[u].remove(v)
@@ -289,31 +363,56 @@ def _undo_batch(state: PebbleState, kept: Iterable[tuple[int, int]]) -> None:
         else:
             out[v].remove(u)
             pebbles[v] += 1
+        degree[u] -= 1
+        degree[v] -= 1
 
 
-def _grows_rigidly(group: Sequence[tuple[int, int]]) -> bool:
-    """Whether the group grows from its first edge to every vertex it
-    touches by adding, one at a time, a vertex with edges to two grown
-    vertices (Henneberg type I steps), which certifies that it is rigid on
-    its vertices.  A cone grows from its first spoke to its inner vertex and
-    then to each other point."""
-    if not group:
-        return False
-    nbrs: dict[int, set[int]] = {}
-    for u, v in group:
-        nbrs.setdefault(u, set()).add(v)
-        nbrs.setdefault(v, set()).add(u)
-    grown = set(group[0])
-    links = dict.fromkeys(nbrs, 0)  # grown neighbours of each vertex not yet grown
-    frontier = list(grown)
-    while frontier:
-        for w in nbrs[frontier.pop()]:
-            if w not in grown:
-                links[w] += 1
-                if links[w] == 2:
-                    grown.add(w)
-                    frontier.append(w)
-    return len(grown) == len(nbrs)
+def _rigid_groups(
+    num_vertices: int, groups: Sequence[Sequence[tuple[int, int]]],
+    touches: Sequence[Sequence[int]],
+) -> list[bool]:
+    """For each group, whether it grows from its first edge to every vertex
+    it touches (touches[j] lists group j's vertices once each) by adding,
+    one at a time, a vertex with edges to two grown vertices (Henneberg type
+    I steps), which certifies that it is rigid on its vertices.  A cone
+    grows from its first spoke to its inner vertex and then to each other
+    point.
+
+    The lists are per vertex and shared by the groups: a group fills nbrs
+    and empties it again.  A vertex counts as grown once links reaches 2,
+    and a grown vertex's neighbours are counted once each, under a fresh
+    tick that marks them, so a repeated edge counts once."""
+    nbrs: list[list[int]] = [[] for _ in range(num_vertices)]
+    links = [0] * num_vertices  # grown neighbours of each vertex of the group
+    counted = [0] * num_vertices  # the tick of the last scan that counted each vertex
+    tick = 0
+    rigid = []
+    for group, touched in zip(groups, touches):
+        if not group:
+            rigid.append(False)
+            continue
+        for u, v in group:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        for x in touched:
+            links[x] = 0
+        frontier = list(group[0])
+        for x in frontier:
+            links[x] = 2
+        grown = 2
+        while frontier:
+            tick += 1
+            for w in nbrs[frontier.pop()]:
+                if counted[w] != tick:
+                    counted[w] = tick
+                    links[w] += 1
+                    if links[w] == 2:
+                        grown += 1
+                        frontier.append(w)
+        rigid.append(grown == len(touched))
+        for x in touched:
+            nbrs[x].clear()
+    return rigid
 
 
 def remaining_without_each(forward: PebbleVerdict) -> tuple[int, ...]:
@@ -341,7 +440,7 @@ def remaining_without_each(forward: PebbleVerdict) -> tuple[int, ...]:
     floor, as every later edge of the batch would be rejected.  A state at
     its floor is rigid on its support, so it spans the groups after the
     range that the insertion did not reach.  When moreover each group of the
-    range grows rigidly (_grows_rigidly) and has two vertices in the
+    range grows rigidly (_rigid_groups) and has two vertices in the
     support, the edges outside any one of its groups are rigid on the
     vertices they touch, since a rigid body sharing two vertices with
     another joins it.  Then leaf i gets the floor of its own support, all
@@ -375,7 +474,7 @@ def remaining_without_each(forward: PebbleVerdict) -> tuple[int, ...]:
             first[v] = min(first[v], j)
             last[v] = j
     touched = num_vertices - last.count(-1)
-    rigid = [_grows_rigidly(group) for group in groups]
+    rigid = _rigid_groups(num_vertices, groups, touches)
 
     def full_rank(a: int, b: int) -> int:
         """The rank of all edges on the vertices that groups outside [a, b) touch."""
@@ -449,14 +548,15 @@ def play(num_vertices: int, *groups: Iterable[tuple[int, int]]) -> PebbleVerdict
     order; the verdict records how many edges of each group it accepted
     and rejected.
 
-    The accepted set depends on the order; its size (the rank) does not."""
-    game = _Game(num_vertices)
+    The accepted set depends on the order; its size (the rank) does not.
+    Henneberg steps are accepted without a search (see _Game)."""
+    offer = _Game(num_vertices).offer
     accepted: list[tuple[int, int]] = []
     rejected: list[tuple[int, int]] = []
     sizes: list[tuple[int, int]] = []
     for group in groups:
         a, r = len(accepted), len(rejected)
         for u, v in group:
-            (accepted if game.offer(u, v) else rejected).append((u, v))
+            (accepted if offer(u, v) else rejected).append((u, v))
         sizes.append((len(accepted) - a, len(rejected) - r))
     return PebbleVerdict(num_vertices, tuple(accepted), tuple(rejected), tuple(sizes))

@@ -120,9 +120,9 @@ edge_lists = st.integers(2, 9).flatmap(
 
 
 class TestRigidBlock:
-    """play and canonical_subgraph reject an edge inside their rigid block
-    without a search; they must answer exactly as a game that searches for
-    every edge."""
+    """play and canonical_subgraph accept a Henneberg step and reject an
+    edge inside their rigid block without a search; they must answer exactly
+    as a game that searches for every edge."""
 
     @settings(max_examples=300, deadline=None)
     @given(edge_lists)
@@ -173,7 +173,9 @@ class TestRigidBlock:
         gathers = _counting_gathers(monkeypatch)
         v = play(6, edges)
         assert v.rejected == ((0, 4), (1, 3), (2, 3)) and v.remaining_pebbles == 3
-        assert gathers == [1, len(prism)]
+        # the triangles are Henneberg steps; only the three bars, each
+        # between two vertices that hold two edges, are searched
+        assert gathers == [1, 3]
         assert (v.accepted, v.rejected, v.remaining_pebbles) == _reference_play(6, edges)
 
     def test_redundant_edge_outside_the_block_is_searched(self, monkeypatch):
@@ -186,16 +188,20 @@ class TestRigidBlock:
         gathers = _counting_gathers(monkeypatch)
         v = play(6, edges)
         assert v.rejected == ((2, 5), (4, 3)) and v.remaining_pebbles == 3
-        assert gathers == [2, 9]
+        # the two triangles are Henneberg steps; (2, 3), (2, 4) and (0, 3)
+        # join vertices that hold two edges each, so they are searched
+        assert gathers == [2, 3]
         assert (v.accepted, v.rejected, v.remaining_pebbles) == _reference_play(6, edges)
 
-    def test_golden_arrangement_searches_only_accepted_edges(self, monkeypatch):
+    def test_golden_arrangement_searches_three_edges(self, monkeypatch):
         cone = build_cone_graph(arrangement(30, 0.6, seed=2024))
         gathers = _counting_gathers(monkeypatch)
         v = play(cone.num_vertices, *cone.cones)
-        # 1014 edges, 435 of them rejected inside the block
+        # 1014 edges: 577 of the 579 accepted are Henneberg steps, and the
+        # first rejection, which builds the block, is the only search that
+        # runs dry; the other 434 rejections fall inside the block
         assert len(v.accepted) == 579 and len(v.rejected) == 435
-        assert gathers == [0, 579]
+        assert gathers == [1, 2]
 
     def test_bad_edges_inside_the_block_still_raise(self):
         triangle = [(0, 1), (1, 2), (0, 2)]
@@ -204,6 +210,51 @@ class TestRigidBlock:
         # -1 would index vertex 2, which is in the block
         with pytest.raises(ValueError, match=r"edge \(0, -1\) out of range"):
             play(3, triangle + [(0, -1)])
+
+
+class TestHennebergSteps:
+    """An edge with an end that holds at most one edge, not to the other
+    end, is accepted without a search."""
+
+    @pytest.mark.parametrize("copy", [(0, 1), (1, 0)])
+    @pytest.mark.parametrize("held", [(0, 1), (1, 0)])
+    def test_parallel_copy_is_searched_and_rejected(self, held, copy, monkeypatch):
+        # vertex 0 holds one edge, to 1, directed either way: a copy of it is
+        # no Henneberg step, so it is searched and found dependent
+        edges = [held, (1, 2), copy]
+        gathers = _counting_gathers(monkeypatch)
+        v = play(3, edges)
+        assert v.rejected == (copy,) and gathers == [1, 0]
+        state = PebbleState(3)
+        assert _insert_batch(state, edges, 3) == edges[:2] and gathers == [2, 0]
+        assert state.degree == [1, 2, 1] == _degrees(state)
+
+    def test_trees_grown_in_order_are_never_searched(self, monkeypatch):
+        # each edge brings a new vertex; canon's plan for a chain of rods
+        # does too, or closes a triangle at a vertex that holds one edge
+        rng = random.Random(9)
+        path = [(i, i + 1) for i in range(30)]
+        tree = [(rng.randrange(i), i) for i in range(1, 40)]
+        chain_of_rods = IncidenceGeometry(41, [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(20)])
+        gathers = _counting_gathers(monkeypatch)
+        for n, edges in ((31, path), (40, tree), (40, [(v, u) for u, v in tree])):
+            v = play(n, edges)
+            assert v.accepted == tuple(edges) and not v.rejected
+            state = PebbleState(n)
+            assert _insert_batch(state, edges, len(edges)) == edges
+            assert state.degree == _degrees(state)
+        assert not canonical_subgraph(chain_of_rods).rejected
+        assert gathers == [0, 0]
+
+    def test_block_waits_for_the_first_rejection(self):
+        # a triangle with a path hanging off it: no block until the copy of
+        # (0, 1) is rejected, then the triangle grown from (0, 1)
+        game = pebble._Game(5)
+        for u, v in [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]:
+            assert game.offer(u, v)
+        assert game._links is None and not any(game._in_block)
+        assert not game.offer(1, 0)
+        assert game._in_block == [True, True, True, False, False]
 
 
 class TestTryEdge:
@@ -235,6 +286,7 @@ class TestTryEdge:
                 accepted += try_edge(state, u, v)
                 for w in range(n):
                     assert state.pebbles[w] + len(state.out[w]) == 2
+                assert state.degree == _degrees(state)
             assert state.remaining_pebbles() == 2 * n - accepted
 
 
@@ -269,6 +321,15 @@ class TestIndependentAfter:
 
 def _held(state):
     return sorted(tuple(sorted((u, w))) for u in range(state.num_vertices) for w in state.out[u])
+
+
+def _degrees(state):
+    """The held edges at each vertex, counted from the orientations."""
+    degree = [len(heads) for heads in state.out]
+    for heads in state.out:
+        for w in heads:
+            degree[w] += 1
+    return degree
 
 
 def _one_game_per_group(n, groups):
@@ -319,11 +380,13 @@ class TestLeaveOneOut:
             state = PebbleState(n)
             for _ in range(rng.randint(0, 10)):
                 try_edge(state, *rng.sample(range(n), 2))
-            before, held = state.remaining_pebbles(), _held(state)
+            before, held, degree = state.remaining_pebbles(), _held(state), state.degree[:]
             outer = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 10))]
             inner = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 10))]
             kept_outer = _insert_batch(state, outer, len(outer))
             middle, held_middle = state.remaining_pebbles(), _held(state)
+            degree_middle = state.degree[:]
+            assert degree_middle == _degrees(state)
             # the inner batch's searches may reverse edges of the outer batch,
             # and it may stop early, once room edges are accepted
             room = rng.randint(0, len(inner))
@@ -331,11 +394,12 @@ class TestLeaveOneOut:
             assert len(kept_inner) <= room
             _undo_batch(state, kept_inner)
             assert state.remaining_pebbles() == middle and _held(state) == held_middle
+            assert state.degree == degree_middle
             _undo_batch(state, kept_outer)
             for w in range(n):
                 assert state.pebbles[w] + len(state.out[w]) == 2
             assert state.remaining_pebbles() == before
-            assert _held(state) == held
+            assert _held(state) == held and state.degree == degree
 
     def test_rejected_parallel_copy_keeps_the_held_edge(self):
         state = PebbleState(3)
@@ -412,24 +476,29 @@ class TestLeaveOneOut:
         verdict = play(n, *groups)
         forward = _play_bases(n, groups)
         states, offers, leaves = [], [], []
-        real_init, real_gather = pebble.PebbleState.__init__, pebble._gather
+        real_init, real_insert = pebble.PebbleState.__init__, pebble._insert_batch
         real_remaining = pebble.PebbleState.remaining_pebbles
 
         def init(state, num_vertices):
             real_init(state, num_vertices)
             states.append(state)
 
-        def gather(state, u, v):
-            offers.append((u, v))
-            return real_gather(state, u, v)
+        def insert(state, edges, room):
+            # every edge the batch offers, searched or a Henneberg step
+            def offered():
+                for e in edges:
+                    offers.append(e)
+                    yield e
+            return real_insert(state, offered(), room)
 
         def remaining(state):
             leaves.append({frozenset(e) for e in _held(state)})
             return real_remaining(state)
 
         monkeypatch.setattr(pebble.PebbleState, "__init__", init)
-        monkeypatch.setattr(pebble, "_gather", gather)
+        monkeypatch.setattr(pebble, "_insert_batch", insert)
         monkeypatch.setattr(pebble.PebbleState, "remaining_pebbles", remaining)
+        gathers = _counting_gathers(monkeypatch)
         assert remaining_without_each(verdict) == expected
         assert len(states) == 1
         basis = {e for b in forward for e in b}
@@ -442,17 +511,19 @@ class TestLeaveOneOut:
         if case == "paths":
             assert len(leaves) == len(groups)
         if case == "golden":
-            # 1014 cone edges: play searches 579 times, the recursion 915
+            # of 1014 cone edges the recursion offers 915; 788 are Henneberg
+            # steps, so it searches 127 times (44 accepted, 83 run dry)
             assert len(offers) == 915
+            assert gathers == [83, 44]
 
     def test_minimal_rigidity_plays_one_full_game(self, monkeypatch):
-        # the base's game is the one full game: it searches once for each
-        # accepted edge, and the leave-one-out recursion that extends it
-        # searches 915 times
+        # the base's game is the one full game: it searches 3 times (see
+        # test_golden_arrangement_searches_three_edges), and the
+        # leave-one-out recursion that extends it 127 times
         gathers = _counting_gathers(monkeypatch)
         report = decide_minimal_rigidity(arrangement(30, 0.6, seed=2024))
         assert report.base.is_rigid and len(report.removable) == 30
-        assert sum(gathers) == 579 + 915
+        assert sum(gathers) == 3 + 127
 
     def test_only_the_recursion_state_is_alive(self, monkeypatch):
         # play's game is dropped before the leave-one-out game starts, so
