@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cone import ConeGraph, ConeIncidenceGeometry, build_cone_graph, build_cone_incidence
+from .cone import ConeIncidenceGeometry, build_cone_graph, build_cone_incidence
 from .geometry import (
     GeometryError,
     IncidenceGeometry,
@@ -257,15 +257,15 @@ def _raise_disagreement(geometry, seed, remaining, samples, label, about) -> Non
 class CanonicalSubgraph:
     """Maximally independent subgraph of a cone graph, plus its subgeometry.
 
-    The subgeometry keeps every vertex as a point; its lines are the star of
-    each original line restricted to the accepted star edges (when at least
-    two points survive) followed by one two-point line per accepted spoke.
+    The subgeometry keeps every vertex of the cone graph as a point, so its
+    points count the vertices; its lines are the star of each original line
+    restricted to the accepted star edges (when at least two points survive)
+    followed by one two-point line per accepted spoke.
     source_lines maps each subgeometry line to the corresponding line of the
     cone incidence geometry, so any realization of the cone incidence
     geometry restricts to one of the subgeometry.
     """
 
-    cone_graph: ConeGraph
     edges: tuple[tuple[int, int], ...]
     rejected: tuple[tuple[int, int], ...]
     line_order: tuple[int, ...]
@@ -274,7 +274,7 @@ class CanonicalSubgraph:
 
     @property
     def num_vertices(self) -> int:
-        return self.cone_graph.num_vertices
+        return self.subgeometry.num_points
 
 
 def _line_order(geometry: IncidenceGeometry) -> tuple[int, ...]:
@@ -304,30 +304,29 @@ def _line_order(geometry: IncidenceGeometry) -> tuple[int, ...]:
 
 def canonical_edge_order(
     geometry: IncidenceGeometry,
-) -> tuple[ConeGraph, tuple[int, ...], tuple[tuple[int, int, int, int], ...]]:
-    """The cone graph and staged edge ordering of the canonical construction.
+) -> tuple[tuple[int, ...], tuple[tuple[int, int, int, int], ...]]:
+    """The staged edge ordering of the canonical construction.
 
     Lines are visited in BFS order; the inner vertex of each line is its
     lowest-index already-seen point (lowest point overall for the first
     line).  Within a line: spoke to the inner vertex, spoke to the next seen
     point, spokes to fresh points, star edges to fresh points, then the
     remaining spokes and the remaining star edges, which are the two
-    conditional stages.  Every edge of the host graph appears exactly once.
-    Returns (host graph, line order, plan of (stage, line, u, v) entries).
+    conditional stages.  The plan holds every edge of the cone graph with
+    these inner vertices exactly once: 2|I| - |L| edges in all.
+    Returns (line order, plan of (stage, line, u, v) entries).
     """
     if geometry.num_lines == 0:
         raise GeometryError("the construction requires at least one line")
     order = _line_order(geometry)
     n_pts = geometry.num_points
     seen_points: set[int] = set()
-    inner: dict[int, int] = {}
     plan: list[tuple[int, int, int, int]] = []
     for position, line in enumerate(order):
         pts = sorted(geometry.lines[line])
         c = n_pts + line
         if position == 0:
             p = pts[0]
-            inner[line] = p
             for q in pts:
                 plan.append((1, line, c, q))
             for q in pts[1:]:
@@ -337,7 +336,6 @@ def canonical_edge_order(
         shared = [x for x in pts if x in seen_points]
         fresh = [x for x in pts if x not in seen_points]
         p = shared[0]
-        inner[line] = p
         plan.append((2, line, c, p))
         if len(shared) >= 2:
             plan.append((3, line, c, shared[1]))
@@ -350,8 +348,7 @@ def canonical_edge_order(
         for q in shared[1:]:
             plan.append((7, line, p, q))
         seen_points.update(fresh)
-    host = build_cone_graph(geometry, inner)
-    return host, order, tuple(plan)
+    return order, tuple(plan)
 
 
 def canonical_subgraph(geometry: IncidenceGeometry) -> CanonicalSubgraph:
@@ -365,11 +362,11 @@ def canonical_subgraph(geometry: IncidenceGeometry) -> CanonicalSubgraph:
     set is maximally independent in the cone graph, and the induced
     subgeometry is sharply independent.
     """
-    host, order, plan = canonical_edge_order(geometry)
-    offer = _Game(host.num_vertices).offer
+    order, plan = canonical_edge_order(geometry)
+    n_pts = geometry.num_points
+    offer = _Game(n_pts + geometry.num_lines).offer
     accepted: list[tuple[int, int]] = []
     rejected: list[tuple[int, int]] = []
-    n_pts = geometry.num_points
     star_members: list[set[int]] = [set() for _ in range(geometry.num_lines)]
     spokes: set[tuple[int, int]] = set()
     for stage, line, u, v in plan:
@@ -386,7 +383,6 @@ def canonical_subgraph(geometry: IncidenceGeometry) -> CanonicalSubgraph:
     del offer  # frees the game: the heap peaks while the subgeometry is built
     sub, sources = _subgeometry_from_parts(geometry, star_members, spokes)
     return CanonicalSubgraph(
-        cone_graph=host,
         edges=tuple(accepted),
         rejected=tuple(rejected),
         line_order=order,

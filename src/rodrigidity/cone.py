@@ -2,20 +2,21 @@
 
 The cone graph of a geometry has one vertex per point plus one cone vertex
 per line.  Each line contributes a "cone": spokes from its cone vertex to
-every incident point, plus a star on the incident points rooted at a chosen
-inner vertex.  Point p is vertex p; line l is vertex num_points + l.
+every incident point, plus a star on the incident points rooted at an inner
+vertex, its lowest point.  Point p is vertex p; line l is vertex
+num_points + l.
 
 The cone incidence geometry adds one new point per line (the cone point) and
 one two-point "spoke line" per incidence; it does not depend on any inner
-vertex choice.
+vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
-from .geometry import GeometryError, IncidenceGeometry
+from .geometry import IncidenceGeometry
 
 __all__ = [
     "ConeGraph",
@@ -35,8 +36,8 @@ class ConeGraph:
     by point index, 2k - 1 edges for a line through k points, so 2|I| - |L|
     edges in all.  When two lines share two or more points the same
     unordered pair may occur in both cones; the pebble game treats the
-    duplicate as dependent, so verdicts are unaffected.
-    The lines' points and inner vertices are read off the cones.
+    duplicate as dependent, so verdicts are unaffected.  Any inner vertex
+    on the line gives the same verdict; build_cone_graph takes the lowest.
     """
 
     num_points: int
@@ -47,16 +48,6 @@ class ConeGraph:
         return len(self.cones)
 
     @property
-    def line_points(self) -> tuple[tuple[int, ...], ...]:
-        """The points of each line, ascending: the ends of its spokes."""
-        return tuple(tuple(p for _, p in cone[: (len(cone) + 1) // 2]) for cone in self.cones)
-
-    @property
-    def inner_vertex(self) -> tuple[int, ...]:
-        """Each line's inner vertex: the inner end of its last star edge."""
-        return tuple(cone[-1][0] for cone in self.cones)
-
-    @property
     def num_vertices(self) -> int:
         return self.num_points + self.num_lines
 
@@ -64,23 +55,14 @@ class ConeGraph:
         return self.num_points + line
 
 
-def build_cone_graph(
-    geometry: IncidenceGeometry,
-    inner_choice: Optional[Mapping[int, int]] = None,
-) -> ConeGraph:
-    """Cone graph with the given inner vertices (default: lowest incident point).
-
-    The inner vertex of each line must be incident to it.  Any choice yields
-    the same rigidity verdict, so the default exists purely for determinism.
-    """
+def build_cone_graph(geometry: IncidenceGeometry) -> ConeGraph:
+    """Cone graph whose inner vertex on each line is its lowest point."""
     n_pts = geometry.num_points
     cones: list[tuple[tuple[int, int], ...]] = []
     for i, line in enumerate(geometry.lines):
         pts = sorted(line)
-        r = pts[0] if inner_choice is None or i not in inner_choice else inner_choice[i]
-        if r not in pts:
-            raise GeometryError(f"inner vertex {r} is not incident to line {i}")
-        cones.append(tuple([(n_pts + i, p) for p in pts] + [(r, q) for q in pts if q != r]))
+        r = pts[0]
+        cones.append(tuple([(n_pts + i, p) for p in pts] + [(r, q) for q in pts[1:]]))
     return ConeGraph(n_pts, tuple(cones))
 
 

@@ -48,9 +48,11 @@ class IncidenceGeometry:
     Every line must contain at least two distinct points: a rod through fewer
     than two points constrains nothing and only produces degenerate cones
     downstream, so such input is rejected outright.  Points on no line are
-    legal; is_connected counts each as a component of its own.  An empty
-    point name means no name, so names that are all empty are stored as None,
-    which is how the text format (it writes no empty name) reads them back.
+    legal; is_connected counts each as a component of its own.  Point names
+    are stored as a tuple, as the lines are, so any sequence of names gives
+    an equal, hashable geometry.  An empty point name means no name, so names
+    that are all empty are stored as None, which is how the text format (it
+    writes no empty name) reads them back.
     """
 
     num_points: int
@@ -72,10 +74,11 @@ class IncidenceGeometry:
                         f"line {idx} references point {p} but only {self.num_points} points exist"
                     )
         if self.point_names is not None:
-            if len(self.point_names) != self.num_points:
+            names = tuple(self.point_names)
+            if len(names) != self.num_points:
                 raise GeometryError("point_names length does not match num_points")
-            if not any(self.point_names):  # an empty name is no name
-                object.__setattr__(self, "point_names", None)
+            # an empty name is no name
+            object.__setattr__(self, "point_names", names if any(names) else None)
 
     @property
     def num_lines(self) -> int:
@@ -199,6 +202,8 @@ def parse_geometry(text: str) -> IncidenceGeometry:
                     f"point alias references point {idx} but only {num_points} points exist",
                     line_no,
                 )
+            if idx in names:
+                raise GeometryParseError(f"duplicate alias for point {idx}", line_no)
             names[idx] = parts[2]
         elif stripped.startswith("line:"):
             if num_points is None:

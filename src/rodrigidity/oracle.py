@@ -340,7 +340,8 @@ def matrix_kernel(rows: Sequence[Sequence], field: Field, ncols: int) -> list[li
 class ConcurrenceMatrix:
     """Rows indexed by incidences; columns are (h-block, then x,y per point).
 
-    Row (p, l) has f_l in column x_p, 1 in column y_p, 1 in column h_l.
+    Row (p, l) has 1 in column h_l = l, f_l in column x_p = num_lines + 2p
+    and 1 in column y_p = num_lines + 2p + 1.
     """
 
     field: Field
@@ -352,12 +353,6 @@ class ConcurrenceMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.incidences), self.num_lines + 2 * self.num_points)
-
-    def column_of_x(self, j: int) -> int:
-        return self.num_lines + 2 * j
-
-    def column_of_y(self, j: int) -> int:
-        return self.num_lines + 2 * j + 1
 
 
 def build_concurrence_matrix(geometry: IncidenceGeometry,

@@ -151,8 +151,8 @@ def dense_rows(matrix: ConcurrenceMatrix, subset: Optional[Iterable[int]] = None
         p, l = matrix.incidences[r]
         row = [zero] * ncols
         row[l] = one
-        row[matrix.column_of_x(p)] = matrix.slopes[l]
-        row[matrix.column_of_y(p)] = one
+        row[matrix.num_lines + 2 * p] = matrix.slopes[l]
+        row[matrix.num_lines + 2 * p + 1] = one
         rows.append(row)
     return rows
 
@@ -162,7 +162,8 @@ def apply(matrix: ConcurrenceMatrix, vector: Sequence) -> list:
     p = matrix.field.p
     out = []
     for j, l in matrix.incidences:
-        val = vector[l] + matrix.slopes[l] * vector[matrix.column_of_x(j)] + vector[matrix.column_of_y(j)]
+        x = matrix.num_lines + 2 * j  # y is the column after
+        val = vector[l] + matrix.slopes[l] * vector[x] + vector[x + 1]
         out.append(val % p if p else val)
     return out
 

@@ -23,7 +23,6 @@ from rodrigidity import (
     LinearRealization,
     OracleError,
     build_concurrence_matrix,
-    build_cone_graph,
     play,
     rank_of,
 )
@@ -193,6 +192,19 @@ def check_body_joint_counts(geometry: IncidenceGeometry, line_budget: int = 20) 
     return True
 
 
+def cone_graph_with_inner(geometry: IncidenceGeometry, inner: Sequence[int]) -> ConeGraph:
+    """The cone graph whose inner vertex on line l is inner[l], edges in
+    build_cone_graph's order; inner[l] must be a point of line l."""
+    n_pts = geometry.num_points
+    cones = []
+    for l, (line, r) in enumerate(zip(geometry.lines, inner, strict=True)):
+        pts = sorted(line)
+        if r not in pts:
+            raise GeometryError(f"inner vertex {r} is not incident to line {l}")
+        cones.append(tuple([(n_pts + l, p) for p in pts] + [(r, q) for q in pts if q != r]))
+    return ConeGraph(n_pts, tuple(cones))
+
+
 def inner_choice_classifications(geometry: IncidenceGeometry) -> set[str]:
     """Pebble classifications of the cone graph over all inner-vertex choices.
 
@@ -200,7 +212,7 @@ def inner_choice_classifications(geometry: IncidenceGeometry) -> set[str]:
     verdict.  Exhaustive, so only for small geometries."""
     out = set()
     for combo in product(*[sorted(line) for line in geometry.lines]):
-        graph = build_cone_graph(geometry, dict(enumerate(combo)))
+        graph = cone_graph_with_inner(geometry, combo)
         out.add(play(graph.num_vertices, *graph.cones).classification)
     return out
 
@@ -215,12 +227,14 @@ def derive_subgeometry(
 ) -> tuple[IncidenceGeometry, tuple[int, ...]]:
     """Subgeometry induced by an arbitrary subgraph of a cone graph.
 
-    Star edges are credited to the lowest-index line whose inner vertex they
-    touch (ownership is only ambiguous when two lines share two points).
-    Raises if an edge is not part of any cone of the host graph.
+    Star edges are credited to the lowest-index line whose inner vertex (the
+    inner end of its cone's last edge) they touch; ownership is only
+    ambiguous when two lines share two points.  Raises if an edge is not part
+    of any cone of the host graph.
     """
     n_pts = geometry.num_points
-    line_points, inner_vertex = host.line_points, host.inner_vertex
+    line_points = [set(line) for line in geometry.lines]
+    inner_vertex = [cone[-1][0] for cone in host.cones]
     star_members: list[set[int]] = [set() for _ in range(geometry.num_lines)]
     spokes: set[tuple[int, int]] = set()
     for u, v in edges:

@@ -26,6 +26,7 @@ from rodrigidity import (
 from bruteforce import henneberg_graph, laman_independent
 from conftest import FIG1_EDGES, K4_EDGES, record_criterion
 from paper_claims import (
+    cone_graph_with_inner,
     derive_subgeometry,
     inner_choice_classifications,
     is_sharply_independent_fast,
@@ -188,7 +189,7 @@ def test_criterion_6_gluing_properties():
 
 def test_criterion_7_collinear_counterexample(fig2):
     t0 = time.perf_counter()
-    host = build_cone_graph(fig2, {0: 3, 1: 4, 2: 5, 3: 6})
+    host = cone_graph_with_inner(fig2, [3, 4, 5, 6])
     depicted = [e for cone in host.cones for e in cone if e != (9, 5)]  # drop the bottom line's spoke
     generically = play(host.num_vertices, depicted)
     sub, sources = derive_subgeometry(fig2, host, depicted)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -31,10 +32,11 @@ from rodrigidity import (
 from rodrigidity.analysis import minimal_report_to_json
 
 from bruteforce import deletion_rigid_by_redecide, shares_two_points
-from conftest import plant_rank_shift
+from conftest import arrangement, plant_rank_shift
 from paper_claims import (
     BudgetExceededError,
     check_body_joint_counts,
+    cone_graph_with_inner,
     derive_subgeometry,
     inner_choice_classifications,
     is_regular,
@@ -257,9 +259,24 @@ class TestCanonicalSubgraph:
             canonical_subgraph(random_geometry(rng, max_points=8, max_lines=5))
 
     def test_ordering_replay_matches(self, fig2):
-        host, order, plan = canonical_edge_order(fig2)
-        replay = play(host.num_vertices, [(u, v) for _, _, u, v in plan])
+        _, plan = canonical_edge_order(fig2)
+        replay = play(fig2.num_points + fig2.num_lines, [(u, v) for _, _, u, v in plan])
         assert replay.accepted == canonical_subgraph(fig2).edges
+
+    def test_plan_holds_each_cone_edge_once(self, fig2):
+        # a star edge (u, v) of the plan starts at its line's inner vertex u;
+        # the cone graph with those inner vertices holds the plan's edges,
+        # line by line, each once; the draws include lines sharing two points
+        rng = random.Random(43)
+        draws = [random_geometry(rng, max_points=8, max_lines=6) for _ in range(80)]
+        assert sum(map(shares_two_points, draws)) >= 10
+        for g in [fig2, arrangement(30, 0.6, seed=2024)] + draws:
+            _, plan = canonical_edge_order(g)
+            inner = {line: u for _, line, u, _ in plan if u < g.num_points}
+            cone = cone_graph_with_inner(g, [inner[l] for l in range(g.num_lines)])
+            assert Counter((line, u, v) for _, line, u, v in plan) == Counter(
+                (l, u, v) for l, edges in enumerate(cone.cones) for u, v in edges
+            )
 
     def test_canonical_subgeometry_stays_rigid_when_collinear(self, fig2):
         # the special property of this subgraph: full concurrence rank at a
@@ -276,7 +293,7 @@ class TestCanonicalSubgraph:
 
 class TestDeriveSubgeometry:
     def test_fig5_subgraph(self, fig2):
-        host = build_cone_graph(fig2, {0: 3, 1: 4, 2: 5, 3: 6})
+        host = cone_graph_with_inner(fig2, [3, 4, 5, 6])
         edges = [e for cone in host.cones for e in cone if e != (9, 5)]
         sub, sources = derive_subgeometry(fig2, host, edges)
         assert (sub.num_points, sub.num_lines, sub.num_incidences) == (11, 15, 34)

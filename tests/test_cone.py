@@ -15,6 +15,8 @@ from rodrigidity import (
 )
 from rodrigidity.analysis import random_geometry
 
+from paper_claims import cone_graph_with_inner
+
 
 def single_line(k: int) -> IncidenceGeometry:
     return IncidenceGeometry(k, (tuple(range(k)),))
@@ -46,50 +48,55 @@ class TestConeGraph:
             assert g.num_vertices == s.num_points + s.num_lines
             assert sum(map(len, g.cones)) == 2 * s.num_incidences - s.num_lines
 
-    def test_inner_choice_must_be_incident(self, fig2):
-        with pytest.raises(GeometryError):
-            build_cone_graph(fig2, {0: 1})  # point 1 is not on line 0
-
     def test_cone_edge_bookkeeping(self, fig2):
         rng = random.Random(2)
         draws = [random_geometry(rng, max_points=10, max_lines=6) for _ in range(60)]
         for s in [fig2] + draws:
             g = build_cone_graph(s)
-            assert g.line_points == tuple(tuple(sorted(line)) for line in s.lines)
-            assert g.inner_vertex == tuple(min(line) for line in s.lines)
             for line, cone in enumerate(g.cones):
-                k = len(s.lines[line])
+                pts = sorted(s.lines[line])
+                k = len(pts)
                 assert len(cone) == 2 * k - 1
-                assert all(u == g.cone_vertex(line) for u, _ in cone[:k])
+                assert cone[:k] == tuple((g.cone_vertex(line), p) for p in pts)
+                assert cone[k:] == tuple((pts[0], q) for q in pts[1:])
 
 
 class TestReassignInnerVertex:
-    """Moving one cone's inner vertex: an inner choice for that line alone."""
+    """Moving one cone's inner vertex, the others kept at the lowest point."""
+
+    @staticmethod
+    def lowest(geometry):
+        return [min(line) for line in geometry.lines]
 
     def test_counts_unchanged(self, fig2):
         g = build_cone_graph(fig2)
-        g2 = build_cone_graph(fig2, {2: 5})
+        assert cone_graph_with_inner(fig2, self.lowest(fig2)) == g
+        inner = self.lowest(fig2)
+        inner[2] = 5
+        g2 = cone_graph_with_inner(fig2, inner)
         assert sum(map(len, g2.cones)) == 20
-        assert g2.inner_vertex[2] == 5
-        assert g2.inner_vertex[:2] == g.inner_vertex[:2]
+        assert g2.cones[2][-1][0] == 5
+        assert g2.cones[:2] == g.cones[:2]
 
     def test_verdict_unchanged_for_every_choice(self, fig2):
         g = build_cone_graph(fig2)
         base = play(g.num_vertices, *g.cones).classification
-        for line, pts in enumerate(g.line_points):
+        for line, pts in enumerate(fig2.lines):
             for p in pts:
-                moved = build_cone_graph(fig2, {line: p})
+                inner = self.lowest(fig2)
+                inner[line] = p
+                moved = cone_graph_with_inner(fig2, inner)
                 assert play(moved.num_vertices, *moved.cones).classification == base
 
     def test_two_point_line_swap_is_isomorphic(self):
         g = build_cone_graph(single_line(2))
-        swapped = build_cone_graph(single_line(2), {0: 1})
+        swapped = cone_graph_with_inner(single_line(2), [1])
         as_sets = lambda graph: sorted(tuple(sorted(e)) for e in graph.cones[0])
         assert as_sets(g) == as_sets(swapped)
 
     def test_rejects_non_incident(self, fig2):
         with pytest.raises(GeometryError):
-            build_cone_graph(fig2, {0: 1})
+            cone_graph_with_inner(fig2, [1, 0, 0, 0])  # point 1 is not on line 0
 
 
 class TestConeIncidence:

@@ -82,6 +82,10 @@ class TestParsing:
         with pytest.raises(GeometryParseError, match="header"):
             parse_geometry("line: 0 1\npoints: 2\n")
 
+    def test_duplicate_alias(self):
+        with pytest.raises(GeometryParseError, match="line 3: duplicate alias for point 0"):
+            parse_geometry("points: 2\npoint 0 a\npoint 0 b\nline: 0 1\n")
+
     def test_unknown_statement(self):
         with pytest.raises(GeometryParseError, match="line 2"):
             parse_geometry("points: 2\nrod: 0 1\n")
@@ -93,6 +97,15 @@ class TestParsing:
             IncidenceGeometry(2, ((0, 2),))
         with pytest.raises(GeometryError):
             IncidenceGeometry(3, ((0, 0),))
+
+    def test_names_given_as_a_list(self):
+        listed = IncidenceGeometry(2, [(0, 1)], ["a", "b"])
+        named = IncidenceGeometry(2, ((0, 1),), ("a", "b"))
+        assert listed.point_names == ("a", "b")
+        assert listed == named and hash(listed) == hash(named)
+        assert {listed, named} == {named}
+        assert remove_line(IncidenceGeometry(2, [(0, 1), (0, 1)], ["a", "b"]), 0) == named
+        assert IncidenceGeometry(2, [(0, 1)], ["", ""]).point_names is None
 
     @settings(max_examples=60)
     @given(geometries())

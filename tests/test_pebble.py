@@ -91,8 +91,9 @@ def _reference_play(n, edges):
 
 def _reference_canonical(geometry):
     """canonical_subgraph's staged plan replayed with try_edge."""
-    host, _, plan = canonical_edge_order(geometry)
-    accepted, rejected, _ = _reference_play(host.num_vertices, [(u, v) for _, _, u, v in plan])
+    _, plan = canonical_edge_order(geometry)
+    n = geometry.num_points + geometry.num_lines
+    accepted, rejected, _ = _reference_play(n, [(u, v) for _, _, u, v in plan])
     return accepted, rejected
 
 
