@@ -277,64 +277,48 @@ class CanonicalSubgraph:
         return self.subgeometry.num_points
 
 
-def _line_order(geometry: IncidenceGeometry) -> tuple[int, ...]:
-    """BFS over the line-intersection graph from line 0, neighbors by index.
-
-    Each point is expanded once, by the first line through it that leaves
-    the queue; later lines through it would find every rod there seen.
-    The geometry is connected iff the search reaches every line and expands
-    every point; otherwise it raises GeometryError.
-    """
-    rods_at = geometry.point_line_map()
-    order = [0]
-    seen = {0}
-    expanded: set[int] = set()
-    for current in order:  # the list grows while it is walked: a queue
-        fresh: set[int] = set()
-        for p in geometry.lines[current]:
-            if p not in expanded:
-                expanded.add(p)
-                fresh.update(l for l in rods_at[p] if l not in seen)
-        seen |= fresh
-        order.extend(sorted(fresh))
-    if len(order) < geometry.num_lines or len(expanded) < geometry.num_points:
-        raise GeometryError("the construction requires a connected geometry")
-    return tuple(order)
-
-
 def canonical_edge_order(
     geometry: IncidenceGeometry,
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int, int, int], ...]]:
     """The staged edge ordering of the canonical construction.
 
-    Lines are visited in BFS order; the inner vertex of each line is its
+    Lines are visited in BFS order over the line-intersection graph from
+    line 0: a line's fresh points reach the unqueued lines through them,
+    which join the queue by index.  The inner vertex of each line is its
     lowest-index already-seen point (lowest point overall for the first
-    line).  Within a line: spoke to the inner vertex, spoke to the next seen
-    point, spokes to fresh points, star edges to fresh points, then the
-    remaining spokes and the remaining star edges, which are the two
-    conditional stages.  The plan holds every edge of the cone graph with
-    these inner vertices exactly once: 2|I| - |L| edges in all.
+    line, the only one that meets no seen point).  Within a line: spoke to
+    the inner vertex, spoke to the next seen point, spokes to fresh points,
+    star edges to fresh points, then the remaining spokes and the remaining
+    star edges, which are the two conditional stages.  The plan holds every
+    edge of the cone graph with these inner vertices exactly once:
+    2|I| - |L| edges in all.  The geometry is connected iff the walk queues
+    every line and sees every point; otherwise it raises GeometryError.
     Returns (line order, plan of (stage, line, u, v) entries).
     """
     if geometry.num_lines == 0:
         raise GeometryError("the construction requires at least one line")
-    order = _line_order(geometry)
+    rods_at = geometry.point_line_map()
     n_pts = geometry.num_points
-    seen_points: set[int] = set()
+    order = [0]
+    queued = {0}
+    seen: set[int] = set()
     plan: list[tuple[int, int, int, int]] = []
-    for position, line in enumerate(order):
+    for line in order:  # the list grows while it is walked: a queue
         pts = sorted(geometry.lines[line])
         c = n_pts + line
-        if position == 0:
+        shared = [x for x in pts if x in seen]
+        fresh = [x for x in pts if x not in seen]
+        seen.update(fresh)
+        reached = {l for x in fresh for l in rods_at[x] if l not in queued}
+        queued |= reached
+        order.extend(sorted(reached))
+        if not shared:
             p = pts[0]
             for q in pts:
                 plan.append((1, line, c, q))
             for q in pts[1:]:
                 plan.append((1, line, p, q))
-            seen_points.update(pts)
             continue
-        shared = [x for x in pts if x in seen_points]
-        fresh = [x for x in pts if x not in seen_points]
         p = shared[0]
         plan.append((2, line, c, p))
         if len(shared) >= 2:
@@ -347,8 +331,9 @@ def canonical_edge_order(
             plan.append((6, line, c, q))
         for q in shared[1:]:
             plan.append((7, line, p, q))
-        seen_points.update(fresh)
-    return order, tuple(plan)
+    if len(order) < geometry.num_lines or len(seen) < n_pts:
+        raise GeometryError("the construction requires a connected geometry")
+    return tuple(order), tuple(plan)
 
 
 def canonical_subgraph(geometry: IncidenceGeometry) -> CanonicalSubgraph:

@@ -87,12 +87,8 @@ class ConeIncidenceGeometry:
 def build_cone_incidence(geometry: IncidenceGeometry) -> ConeIncidenceGeometry:
     n_pts = geometry.num_points
     lines: list[tuple[int, ...]] = [tuple(sorted(line)) for line in geometry.lines]
-    spoke_of: list[tuple[int, int]] = []
-    for i, line in enumerate(geometry.lines):
-        c = n_pts + i
-        for p in sorted(line):
-            lines.append((p, c))
-            spoke_of.append((i, p))
+    spoke_of = [(i, p) for i, pts in enumerate(lines) for p in pts]
+    lines += [(p, n_pts + i) for i, p in spoke_of]
     cone_geometry = IncidenceGeometry(n_pts + geometry.num_lines, tuple(lines))
     return ConeIncidenceGeometry(geometry, cone_geometry, tuple(spoke_of))
 

@@ -167,6 +167,18 @@ def remove_line(geometry: IncidenceGeometry, line_index: int) -> IncidenceGeomet
 #   line: 0 2 3
 #
 # Point references in `line:` statements are dense indices into 0..n-1.
+# Counts and indices are ASCII decimal digits with an optional leading '-'.
+
+
+def _decimals(tokens: list[str]) -> tuple[int, ...]:
+    """The integers that tokens of ASCII digits, each after an optional '-',
+    spell; ValueError for anything else, such as '1_0', '+1' or non-ASCII
+    digits.  int places the sign, so one test of all the digits suffices."""
+    values = tuple(map(int, tokens))
+    digits = "".join(tokens).replace("-", "")
+    if digits and not (digits.isascii() and digits.isdigit()):
+        raise ValueError(tokens)
+    return values
 
 
 def parse_geometry(text: str) -> IncidenceGeometry:
@@ -182,7 +194,7 @@ def parse_geometry(text: str) -> IncidenceGeometry:
                 raise GeometryParseError("duplicate points: header", line_no)
             body = stripped[len("points:") :].strip()
             try:
-                num_points = int(body)
+                num_points = _decimals([body])[0]
             except ValueError:
                 raise GeometryParseError(f"bad point count {body!r}", line_no) from None
             if num_points < 0:
@@ -194,7 +206,7 @@ def parse_geometry(text: str) -> IncidenceGeometry:
             if len(parts) != 3:
                 raise GeometryParseError("expected: point <idx> <name>", line_no)
             try:
-                idx = int(parts[1])
+                idx = _decimals([parts[1]])[0]
             except ValueError:
                 raise GeometryParseError(f"bad point index {parts[1]!r}", line_no) from None
             if not 0 <= idx < num_points:
@@ -210,7 +222,7 @@ def parse_geometry(text: str) -> IncidenceGeometry:
                 raise GeometryParseError("line before points: header", line_no)
             body = stripped[len("line:") :].split()
             try:
-                pts = tuple(int(tok) for tok in body)
+                pts = _decimals(body)
             except ValueError:
                 raise GeometryParseError(f"bad point index in line: {stripped!r}", line_no) from None
             if len(pts) < 2:

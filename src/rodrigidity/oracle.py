@@ -588,12 +588,12 @@ def realize_cone(
     geometry = cone.base
     if not realization.satisfies(geometry):
         raise OracleError("realization does not satisfy the geometry")
-    if not realization.is_proper():
+    taken = set(zip(realization.xs, realization.ys))
+    if len(taken) != realization.num_points:
         raise OracleError("cone extension requires a proper realization")
     field = realization.field
     p = field.p
     rng = random.Random(seed)
-    taken = {(x, y) for x, y in zip(realization.xs, realization.ys)}
     xs, ys = list(realization.xs), list(realization.ys)
     for i, line in enumerate(geometry.lines):
         f_i, h_i = realization.slopes[i], realization.intercepts[i]

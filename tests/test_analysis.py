@@ -278,6 +278,23 @@ class TestCanonicalSubgraph:
                 (l, u, v) for l, edges in enumerate(cone.cones) for u, v in edges
             )
 
+    def test_stored_point_order_does_not_matter(self):
+        # the fixtures and random_geometry store sorted lines; a shuffled
+        # copy of each must give the same plan and the same subgraph
+        rng = random.Random(47)
+        draws = [random_geometry(rng, max_points=8, max_lines=6) for _ in range(80)]
+        assert sum(map(shares_two_points, draws)) >= 10
+        moved = 0
+        for g in [arrangement(30, 0.6, seed=2024)] + draws:
+            lines = [list(line) for line in g.lines]
+            for line in lines:
+                rng.shuffle(line)
+            shuffled = IncidenceGeometry(g.num_points, lines)
+            moved += shuffled.lines != g.lines
+            assert canonical_edge_order(shuffled) == canonical_edge_order(g)
+            assert canonical_subgraph(shuffled) == canonical_subgraph(g)
+        assert moved >= 70
+
     def test_canonical_subgeometry_stays_rigid_when_collinear(self, fig2):
         # the special property of this subgraph: full concurrence rank at a
         # realization where each rod's points truly sit on one line

@@ -70,6 +70,27 @@ class TestParsing:
         with pytest.raises(GeometryParseError, match="line 2.*dangling.*9"):
             parse_geometry(text)
 
+    # int() reads each of these forms, so they were once taken as 11, 10,
+    # 0 and 1; the format writes only ASCII digits
+    @pytest.mark.parametrize("token", ["1_0", "+1", "١"])
+    @pytest.mark.parametrize("text,message", [
+        ("points: {}\n", "line 1: bad point count"),
+        ("points: 11\npoint {} a\nline: 0 1\n", "line 2: bad point index"),
+        ("points: 11\nline: 0 {}\n", "line 2: bad point index in line"),
+    ])
+    def test_only_ascii_digits_are_integers(self, token, text, message):
+        with pytest.raises(GeometryParseError, match=message):
+            parse_geometry(text.format(token))
+
+    def test_minus_sign_keeps_its_messages(self):
+        with pytest.raises(GeometryParseError, match="line 1: negative point count"):
+            parse_geometry("points: -1\n")
+        with pytest.raises(GeometryParseError, match="line 2: point alias references point -1"):
+            parse_geometry("points: 3\npoint -1 a\nline: 0 1\n")
+        with pytest.raises(GeometryParseError, match="line 2: dangling reference: point -1 of 3"):
+            parse_geometry("points: 3\nline: -1 0\n")
+        assert parse_geometry("points: 3\nline: -0 2\n").lines == ((0, 2),)
+
     def test_duplicate_incidence(self):
         with pytest.raises(GeometryParseError, match="duplicate"):
             parse_geometry("points: 3\nline: 1 1\n")
