@@ -222,7 +222,15 @@ class LinearRealization:
 
     def is_proper(self) -> bool:
         """Distinct points carry distinct coordinates."""
-        return len({(x, y) for x, y in zip(self.xs, self.ys)}) == self.num_points
+        p = self.field.p
+        return len(set(zip(_keys(self.xs, p), _keys(self.ys, p)))) == self.num_points
+
+
+def _keys(values: Sequence, p: int) -> Sequence:
+    """Set keys for field elements: the values over Z_p; over Q the pairs
+    (numerator, denominator), equal exactly when the normalized Fractions
+    are, which hash without the modular inverse a Fraction's hash takes."""
+    return values if p else [(v.numerator, v.denominator) for v in values]
 
 
 # --- exact linear algebra ----------------------------------------------------
@@ -481,7 +489,8 @@ def sample_realization(
     rods_at = geometry.point_line_map()
     for _ in range(_DRAWS):
         f = tuple(field.random_unit(rng) for _ in range(L))
-        if any(len({f[l] for l in rods}) < len(rods) for rods in rods_at):
+        keys = _keys(f, p)
+        if any(len({keys[l] for l in rods}) < len(rods) for rods in rods_at):
             continue  # rods through a common point must not be parallel
         rows, meets, _ = _intercept_rows(rods_at, f, field)
         pivots = _eliminate(rows, field)
@@ -588,11 +597,11 @@ def realize_cone(
     geometry = cone.base
     if not realization.satisfies(geometry):
         raise OracleError("realization does not satisfy the geometry")
-    taken = set(zip(realization.xs, realization.ys))
-    if len(taken) != realization.num_points:
-        raise OracleError("cone extension requires a proper realization")
     field = realization.field
     p = field.p
+    taken = set(zip(_keys(realization.xs, p), _keys(realization.ys, p)))
+    if len(taken) != realization.num_points:
+        raise OracleError("cone extension requires a proper realization")
     rng = random.Random(seed)
     xs, ys = list(realization.xs), list(realization.ys)
     for i, line in enumerate(geometry.lines):
@@ -601,7 +610,8 @@ def realize_cone(
             if attempt == _DRAWS:
                 raise OracleError(f"could not place the cone point of line {i} off the line")
             cx, cy = field.random_unit(rng), field.random_unit(rng)
-            if (cx, cy) in taken:
+            point = tuple(_keys((cx, cy), p))
+            if point in taken:
                 continue
             r = f_i * cx + cy + h_i
             if (r % p if p else r) == 0:
@@ -609,7 +619,7 @@ def realize_cone(
             if any(cx == xs[j] for j in line):
                 continue  # would make a spoke vertical
             break
-        taken.add((cx, cy))
+        taken.add(point)
         xs.append(cx)
         ys.append(cy)
     slopes, intercepts = list(realization.slopes), list(realization.intercepts)

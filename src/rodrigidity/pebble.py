@@ -6,62 +6,53 @@ the edge away from the vertex that paid.  Pebbles are retrieved by depth-first
 search along directed edges, reversing the path that leads to a free pebble;
 while searching from one endpoint, the other endpoint is blocked.  Accepted
 edges always form a maximally independent subgraph of the edges seen so far,
-so a rejected edge never needs to be retried.
-
-A search allocates no visit set.  Each state keeps one visit mark and one
-tree parent per vertex, allocated once: a search takes a new stamp, marks the
-root and the blocked endpoint with it, and a vertex counts as visited when its
-mark equals the stamp, so nothing is cleared between searches.
+so a rejected edge never needs to be retried.  Three pebbles always remain
+(the trivial planar motions): exactly three means the graph is rigid, and
+any rejection means it is dependent.
 
 The state holds pebbles, orientations and each vertex's count of held
 edges: the accepted edges are the out-edges, and nothing else records them.
-Whoever needs the accepted and rejected edges in offer order (play,
-canonical_subgraph) keeps them from the game's answers.
+A search allocates nothing: each state keeps one visit mark and one tree
+parent per vertex, and a vertex counts as visited when its mark equals the
+search's stamp.  try_edge searches for every edge: it is the reference.
 
-Henneberg shortcut.  Both offer their edges to a game (_Game), and the
-leave-one-out game below inserts its edges, placing most of them with no
-search.  An edge one of whose ends w holds at most one edge, and not one to
-the other end x, is accepted at once, directed w -> x and paid by w.  w's
-out-degree is at most 1, so w has a pebble.  The held edges without w are
-independent, and giving w back with at most two edges to distinct vertices
-is a Henneberg type I step (a 0-extension), which keeps them independent.
-Any orientation of an independent set in which pebbles and out-degree add up
-to two at every vertex is a valid game state (Lee & Streinu 2008), so every
-later answer stays that of a game that searches.  A cone offered in order
-is such steps from its first spoke on, so few of its edges are searched.
-try_edge searches for every edge: it stays the reference.
+There is one game (_Game).  play and canonical_subgraph offer their edges
+to it and keep its answers in offer order; remaining_without_each inserts
+batches of edges into it and undoes them.  It places most edges without a
+search.
 
-The game also keeps a block: one vertex set on which the held edges are
-rigid.  It is built at the first rejection, from the first accepted edge by
-Henneberg type I steps over the held edges: a vertex with two held edges
-into the block joins it (which can let its held neighbours join in turn).
-It then grows by those steps as edges are accepted, and by the reach set of
-a rejected edge's last dry search, which spans 2|R| - 3 held edges and so is
-rigid, when that set meets the block in two vertices.  Before the first
-rejection no reach set was merged, and the cascade reaches the same set in
-any order, so building it late changes no block it would have had.  An edge
-with both ends in the block lies in the span of the held edges, since they
-already fix the distance between its ends, so it is rejected without a
-search.  The accepted edges are the greedy basis of the offer order, which
-is unique, so the answers are those of a game that searches for every edge;
-only the orientations may differ.
+Henneberg shortcut.  An edge one of whose ends w holds at most one edge,
+and not one to the other end x, is accepted at once, directed w -> x and
+paid by w.  w's out-degree is at most 1, so w has a pebble, and giving w
+back to the held edges without it, which are independent, with at most two
+edges to distinct vertices is a Henneberg type I step, which keeps them
+independent.  Any orientation of an independent set in which pebbles and
+out-degree add up to two at every vertex is a valid game state (Lee &
+Streinu 2008), so later answers stay those of a game that searches.  A cone
+offered in order is such steps from its first spoke on.
 
-Three pebbles always remain (the trivial planar motions).  Exactly three
-remaining means the input graph is rigid; any rejection means it is dependent.
+The block is one vertex set on which the held edges are rigid.  It is built
+at the first rejection, from the first accepted edge by Henneberg type I
+steps over the held edges (a vertex with two held edges into the block
+joins it), then grows by those steps as edges are accepted, and by the
+reach set of a rejected edge's last dry search, which spans 2|R| - 3 held
+edges and so is rigid, when that set meets the block in two vertices.
+Before the first rejection no reach set was merged, and the cascade reaches
+the same set in any order, so building it late changes no block it would
+have had.  An edge with both ends in the block lies in the span of the held
+edges, so it is rejected without a search.  The accepted edges are the
+greedy basis of the offer order, which is unique, so the answers are those
+of a game that searches for every edge; only the orientations may differ.
 
-remaining_without_each answers a leave-one-out question over the groups of
-edges that play offered, by extending play's game over them.  The verdict
-counts each group's accepted and rejected edges, so it alone holds the
-groups, and play's accepted edges, split by group, are a basis of every
-prefix of the groups.  A divide and conquer over the
-groups, the only other game, offers those basis edges for the groups before
-a range and the raw edges of the groups after it.  It stops at a rank
-floor: edges on s vertices have rank at most 2s - 3, so once a range's
-state holds that many its insertion ends, and when every group of the
-range also grows rigidly (Henneberg type I steps from its first edge,
-which every cone does) and meets that rigid support in two vertices, each
-deletion in the range is rigid on the vertices it touches and its count
-follows without a game.
+Batches are nested, so a block change made while a batch is open rests
+only on edges held during it: a vertex that joined, a link counted, a held
+neighbour kept, the block built, the first edge taken.  Each is undone with
+the batch's edges.  Nothing is logged while no batch is open.
+
+remaining_without_each extends play's game to every leave-one-out count
+over the groups that play offered, by a divide and conquer whose batches
+are play's accepted edges of the groups before a range and the raw edges of
+the groups after it, and which stops at a rank floor (see there).
 """
 
 from __future__ import annotations
@@ -119,11 +110,12 @@ class PebbleState:
         return sum(self.pebbles)
 
 
-def _check_edge(num_vertices: int, u: int, v: int) -> None:
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
-    if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-        raise ValueError(f"edge ({u}, {v}) out of range")
+def _check_edges(num_vertices: int, edges: Iterable[tuple[int, int]]) -> None:
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+            raise ValueError(f"edge ({u}, {v}) out of range")
 
 
 def _gather(state: PebbleState, u: int, v: int) -> bool:
@@ -171,44 +163,31 @@ def _gather(state: PebbleState, u: int, v: int) -> bool:
     return True
 
 
-def _orient(state: PebbleState, u: int, v: int) -> None:
-    """Accept a gathered edge: the lower-index endpoint pays one pebble and
-    the edge is directed away from it."""
-    payer, other = (u, v) if u < v else (v, u)
-    state.pebbles[payer] -= 1
-    state.out[payer].append(other)
-    state.degree[u] += 1
-    state.degree[v] += 1
-
-
 def try_edge(state: PebbleState, u: int, v: int) -> bool:
     """Offer edge (u, v); accept iff four pebbles can be gathered at u and v.
 
     Accepting consumes one pebble from the lower-index endpoint and directs
     the edge away from it.  A rejected edge leaves the pebble distribution
     valid (searches may have reoriented edges and moved pebbles)."""
-    _check_edge(state.num_vertices, u, v)
+    _check_edges(state.num_vertices, ((u, v),))
     if not _gather(state, u, v):
         return False
-    _orient(state, u, v)
+    payer, other = (u, v) if u < v else (v, u)
+    state.pebbles[payer] -= 1
+    state.out[payer].append(other)
+    state.degree[u] += 1
+    state.degree[v] += 1
     return True
 
 
 class _Game:
-    """A game over edges offered one at a time.  An edge with an end w that
-    holds at most one edge, not to the other end, is a Henneberg step and
-    is accepted without a search (w pays); only the others are searched.
+    """The game over edges that its caller has checked.  Until the block is
+    built it keeps only the first accepted edge; after that, a held edge
+    with an end in the block counts at once toward the other end's links,
+    and one with both ends outside is kept in _nbrs until one of its ends
+    joins.  insert opens a batch and undo takes back the last open one."""
 
-    The game also keeps one vertex set, the block, on which its held edges
-    are rigid, and rejects an edge with both ends in it without a search.
-    The block is built at the first rejection (_start_block); until then
-    the game keeps only the first accepted edge, from which it grows, so a
-    game that rejects nothing keeps no block at all.  After that, a held
-    edge with an end in the block counts at once toward the other end's
-    links; one with both ends outside is kept in _nbrs until one of its
-    ends joins."""
-
-    __slots__ = ("state", "_first", "_in_block", "_links", "_nbrs")
+    __slots__ = ("state", "_first", "_in_block", "_links", "_nbrs", "_log", "_batches")
 
     def __init__(self, num_vertices: int):
         self.state = PebbleState(num_vertices)
@@ -216,20 +195,18 @@ class _Game:
         self._in_block = [False] * num_vertices
         self._links: list[int] | None = None  # held edges into the block, outside it
         self._nbrs: list[list[int]] = []  # held neighbours, for the block's Henneberg steps
+        self._log: list[int] = []  # the vertices that joined the block during open batches
+        self._batches: list[tuple] = []  # the open batches, innermost last
 
     def offer(self, u: int, v: int) -> bool:
         """Offer edge (u, v); the answer is try_edge's on a state that held
         the same edges."""
-        # _check_edge, the Henneberg test and _orient inline: once searches
+        # the Henneberg test and try_edge's orientation inline: once searches
         # are rare, a call per edge is most of the game's cost
-        state = self.state
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < state.num_vertices and 0 <= v < state.num_vertices):
-            raise ValueError(f"edge ({u}, {v}) out of range")
         in_block = self._in_block
         if in_block[u] and in_block[v]:
             return False
+        state = self.state
         out, degree = state.out, state.degree
         if degree[u] < 2 and v not in out[u] and u not in out[v]:
             payer, other = u, v
@@ -252,8 +229,7 @@ class _Game:
             outside = v if in_block[u] else u
             links[outside] += 1
             if links[outside] == 2:
-                in_block[outside] = True
-                self._grow([outside])
+                self._join([outside])
         else:
             self._nbrs[u].append(v)
             self._nbrs[v].append(u)
@@ -270,20 +246,27 @@ class _Game:
                 nbrs[x].append(y)
                 nbrs[y].append(x)
         self._nbrs, self._links = nbrs, [0] * len(out)
-        u, v = self._first
-        self._in_block[u] = self._in_block[v] = True
-        self._grow([u, v])
+        self._join(list(self._first))
 
-    def _grow(self, joined: list[int]) -> None:
-        """Henneberg steps after the vertices joined entered the block: a
-        vertex with two held edges into the block joins it, and so on."""
+    def _join(self, joined: list[int]) -> None:
+        """Add the vertices joined to the block, and then each vertex with
+        two held edges into it (Henneberg steps).  A vertex joins when it is
+        popped, and its neighbours outside the block are counted then; the
+        log records it while a batch is open.  The steps reach the same
+        vertices in any order."""
         in_block, links, nbrs = self._in_block, self._links, self._nbrs
+        log = self._log if self._batches else None
         while joined:
-            for y in nbrs[joined.pop()]:
+            x = joined.pop()
+            if in_block[x]:
+                continue  # pushed again before it was popped
+            in_block[x] = True
+            if log is not None:
+                log.append(x)
+            for y in nbrs[x]:
                 if not in_block[y]:
                     links[y] += 1
                     if links[y] == 2:
-                        in_block[y] = True
                         joined.append(y)
 
     def _merge_reach(self, u: int, v: int) -> None:
@@ -310,109 +293,89 @@ class _Game:
                     reach.append(w)
         in_block = self._in_block
         if sum(in_block[x] for x in reach) >= 2:
-            joined = [x for x in reach if not in_block[x]]
-            for x in joined:
-                in_block[x] = True
-            self._grow(joined)
+            self._join([x for x in reach if not in_block[x]])
+
+    def insert(self, edges: Iterable[tuple[int, int]], room: int) -> int:
+        """Open a batch: offer the edges in turn until room of them are
+        accepted, and return how many were.  With no room edges is not
+        iterated.  Each accepted edge is kept with its end that it links to
+        the block, or -1; offer moves the block only after it accepts."""
+        kept: list[tuple[int, int]] = []
+        linked: list[int] = []
+        self._batches.append((kept, linked, len(self._log), self._first, self._links is None))
+        if room <= 0:
+            return 0
+        offer, in_block = self.offer, self._in_block
+        for edge in edges:
+            u, v = edge
+            outside = u if in_block[v] else v if in_block[u] else -1
+            if offer(u, v):
+                kept.append(edge)
+                linked.append(outside)
+                if len(kept) == room:
+                    break
+        return len(kept)
+
+    def undo(self) -> None:
+        """Take back the last open batch, last change first.  A joined
+        vertex gives back the links it counted, to the neighbours outside
+        the block then and again now, and leaves it.  Each kept edge gives
+        back its link or leaves _nbrs, and leaves the state from whichever
+        end it is oriented out of now, which gets its pebble back: a search
+        may have reversed it, but held edges are never parallel.  A block
+        built in the batch is dropped.  Any orientation of the edges held
+        before is a valid state for every later offer."""
+        kept, linked, mark, first, blockless = self._batches.pop()
+        log, in_block = self._log, self._in_block
+        if not blockless:
+            links, nbrs = self._links, self._nbrs
+            for x in reversed(log[mark:]):
+                for y in nbrs[x]:
+                    if not in_block[y]:
+                        links[y] -= 1
+                in_block[x] = False
+            for (u, v), x in zip(reversed(kept), reversed(linked)):
+                if x < 0:
+                    nbrs[u].pop()
+                    nbrs[v].pop()
+                else:
+                    links[x] -= 1
+        elif self._links is not None:
+            for x in log[mark:]:
+                in_block[x] = False
+            self._links, self._nbrs = None, []
+        del log[mark:]
+        self._first = first
+        out, pebbles, degree = self.state.out, self.state.pebbles, self.state.degree
+        for u, v in kept:
+            if v in out[u]:
+                out[u].remove(v)
+                pebbles[u] += 1
+            else:
+                out[v].remove(u)
+                pebbles[v] += 1
+            degree[u] -= 1
+            degree[v] -= 1
 
 
-def _insert_batch(
-    state: PebbleState, edges: Iterable[tuple[int, int]], room: int
-) -> list[tuple[int, int]]:
-    """Offer the edges in turn until room of them are accepted, and return
-    those accepted.  With no room nothing is offered, and edges is not
-    iterated at all.  A Henneberg step is accepted without a search, as in
-    _Game.offer."""
-    kept: list[tuple[int, int]] = []
-    if room <= 0:
-        return kept
-    pebbles, out, degree = state.pebbles, state.out, state.degree
-    for edge in edges:
-        u, v = edge
-        if degree[u] < 2 and v not in out[u] and u not in out[v]:
-            payer, other = u, v
-        elif degree[v] < 2 and u not in out[v] and v not in out[u]:
-            payer, other = v, u
-        elif _gather(state, u, v):
-            payer, other = (u, v) if u < v else (v, u)
-        else:
-            continue
-        pebbles[payer] -= 1
-        out[payer].append(other)
-        degree[u] += 1
-        degree[v] += 1
-        kept.append(edge)
-        if len(kept) == room:
-            break
-    return kept
-
-
-def _undo_batch(state: PebbleState, kept: Iterable[tuple[int, int]]) -> None:
-    """Remove edges accepted by _insert_batch, each from whichever end it is
-    oriented out of now, and give that end its pebble back.
-
-    Later searches may have reversed a kept edge but never duplicated it: an
-    independent set holds no two parallel edges.  Afterwards the accepted
-    edges are those held before the batch, possibly reoriented, which is a
-    valid state for every later offer."""
-    out, pebbles, degree = state.out, state.pebbles, state.degree
-    for u, v in kept:
-        if v in out[u]:
-            out[u].remove(v)
-            pebbles[u] += 1
-        else:
-            out[v].remove(u)
-            pebbles[v] += 1
-        degree[u] -= 1
-        degree[v] -= 1
-
-
-def _rigid_groups(
-    num_vertices: int, groups: Sequence[Sequence[tuple[int, int]]],
-    touches: Sequence[Sequence[int]],
+def _fans(
+    groups: Sequence[Sequence[tuple[int, int]]], touches: Sequence[Sequence[int]]
 ) -> list[bool]:
-    """For each group, whether it grows from its first edge to every vertex
-    it touches (touches[j] lists group j's vertices once each) by adding,
-    one at a time, a vertex with edges to two grown vertices (Henneberg type
-    I steps), which certifies that it is rigid on its vertices.  A cone
-    grows from its first spoke to its inner vertex and then to each other
-    point.
-
-    The lists are per vertex and shared by the groups: a group fills nbrs
-    and empties it again.  A vertex counts as grown once links reaches 2,
-    and a grown vertex's neighbours are counted once each, under a fresh
-    tick that marks them, so a repeated edge counts once."""
-    nbrs: list[list[int]] = [[] for _ in range(num_vertices)]
-    links = [0] * num_vertices  # grown neighbours of each vertex of the group
-    counted = [0] * num_vertices  # the tick of the last scan that counted each vertex
-    tick = 0
-    rigid = []
+    """For each group, whether every vertex it touches (touches[j] lists
+    group j's vertices once each) besides the ends of its first edge has an
+    edge to each end: such a fan grows from its first edge by Henneberg
+    type I steps, so it is rigid on its vertices.  A cone is a fan from its
+    first spoke.  u + v - w is the other end of an edge (u, v) at w."""
+    fans = []
     for group, touched in zip(groups, touches):
         if not group:
-            rigid.append(False)
+            fans.append(False)
             continue
-        for u, v in group:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        for x in touched:
-            links[x] = 0
-        frontier = list(group[0])
-        for x in frontier:
-            links[x] = 2
-        grown = 2
-        while frontier:
-            tick += 1
-            for w in nbrs[frontier.pop()]:
-                if counted[w] != tick:
-                    counted[w] = tick
-                    links[w] += 1
-                    if links[w] == 2:
-                        grown += 1
-                        frontier.append(w)
-        rigid.append(grown == len(touched))
-        for x in touched:
-            nbrs[x].clear()
-    return rigid
+        u0, v0 = group[0]
+        at_u0 = {u + v - u0 for u, v in group if u == u0 or v == u0}
+        at_v0 = {u + v - v0 for u, v in group if u == v0 or v == v0}
+        fans.append(len(at_u0 & at_v0) + 2 == len(touched))
+    return fans
 
 
 def remaining_without_each(forward: PebbleVerdict) -> tuple[int, ...]:
@@ -440,8 +403,8 @@ def remaining_without_each(forward: PebbleVerdict) -> tuple[int, ...]:
     floor, as every later edge of the batch would be rejected.  A state at
     its floor is rigid on its support, so it spans the groups after the
     range that the insertion did not reach.  When moreover each group of the
-    range grows rigidly (_rigid_groups) and has two vertices in the
-    support, the edges outside any one of its groups are rigid on the
+    range is a fan (_fans), rigid on its vertices, and has two vertices in
+    the support, the edges outside any one of its groups are rigid on the
     vertices they touch, since a rigid body sharing two vertices with
     another joins it.  Then leaf i gets the floor of its own support, all
     touched vertices except those only group i touches, and the range is
@@ -456,25 +419,21 @@ def remaining_without_each(forward: PebbleVerdict) -> tuple[int, ...]:
         a, r = a + took, r + left
     if (a, r) != (len(accepted), len(rejected)) or any(min(s) < 0 for s in forward.group_sizes):
         raise ValueError("the verdict's group sizes do not add up to its edges")
-    for u, v in chain(accepted, rejected):
-        # _check_edge inline: a call per edge costs about 5% of minimal
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-            raise ValueError(f"edge ({u}, {v}) out of range")
+    _check_edges(num_vertices, chain(accepted, rejected))
     if not groups:
         return ()
     count = len(groups)
-    state = PebbleState(num_vertices)
+    game = _Game(num_vertices)
+    state = game.state
     remaining = [0] * count
     touches = [tuple(set(chain.from_iterable(group))) for group in groups]
     first, last = [count] * num_vertices, [-1] * num_vertices  # groups touching each vertex
     for j, vertices in enumerate(touches):
         for v in vertices:
-            first[v] = min(first[v], j)
+            first[v] = j if last[v] < 0 else first[v]
             last[v] = j
     touched = num_vertices - last.count(-1)
-    rigid = _rigid_groups(num_vertices, groups, touches)
+    fan = _fans(groups, touches)
 
     def full_rank(a: int, b: int) -> int:
         """The rank of all edges on the vertices that groups outside [a, b) touch."""
@@ -484,7 +443,7 @@ def remaining_without_each(forward: PebbleVerdict) -> tuple[int, ...]:
     def settled(a: int, b: int, held: int) -> bool:
         """Whether the leaves of [a, b) follow from their rank floors."""
         return held == full_rank(a, b) and all(
-            rigid[j] and sum(first[v] < a or last[v] >= b for v in touches[j]) >= 2
+            fan[j] and sum(first[v] < a or last[v] >= b for v in touches[j]) >= 2
             for j in range(a, b)
         )
 
@@ -498,13 +457,12 @@ def remaining_without_each(forward: PebbleVerdict) -> tuple[int, ...]:
             return
         mid = (lo + hi) // 2
         batch = (e for j in range(mid, hi) for e in groups[j])
-        kept = _insert_batch(state, batch, full_rank(lo, mid) - held)
-        solve(lo, mid, held + len(kept))
-        _undo_batch(state, kept)
+        solve(lo, mid, held + game.insert(batch, full_rank(lo, mid) - held))
+        game.undo()
         batch = (e for j in range(lo, mid) for e in forward_bases[j])
-        kept = _insert_batch(state, batch, full_rank(mid, hi) - held)
-        solve(mid, hi, held + len(kept))
-        _undo_batch(state, kept)
+        solve(mid, hi, held + game.insert(batch, full_rank(mid, hi) - held))
+        if hi < count:  # nothing follows the batches on the right spine
+            game.undo()
 
     solve(0, count, 0)
     return tuple(remaining)
@@ -557,6 +515,11 @@ def play(num_vertices: int, *groups: Iterable[tuple[int, int]]) -> PebbleVerdict
     for group in groups:
         a, r = len(accepted), len(rejected)
         for u, v in group:
+            # _check_edges inline: a call per edge costs more than the checks
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+                raise ValueError(f"edge ({u}, {v}) out of range")
             (accepted if offer(u, v) else rejected).append((u, v))
         sizes.append((len(accepted) - a, len(rejected) - r))
     return PebbleVerdict(num_vertices, tuple(accepted), tuple(rejected), tuple(sizes))

@@ -23,7 +23,7 @@ from rodrigidity import (
     try_edge,
 )
 from rodrigidity import pebble
-from rodrigidity.pebble import PebbleState, PebbleVerdict, _insert_batch, _undo_batch
+from rodrigidity.pebble import PebbleState, PebbleVerdict
 
 from bruteforce import henneberg_graph, laman_independent, laman_rank, shares_two_points
 from conftest import FIG1_EDGES, K4_EDGES, arrangement
@@ -226,9 +226,10 @@ class TestHennebergSteps:
         gathers = _counting_gathers(monkeypatch)
         v = play(3, edges)
         assert v.rejected == (copy,) and gathers == [1, 0]
-        state = PebbleState(3)
-        assert _insert_batch(state, edges, 3) == edges[:2] and gathers == [2, 0]
-        assert state.degree == [1, 2, 1] == _degrees(state)
+        game = pebble._Game(3)
+        assert game.insert(edges, 3) == 2 and gathers == [2, 0]
+        assert _held(game.state) == [(0, 1), (1, 2)]
+        assert game.state.degree == [1, 2, 1] == _degrees(game.state)
 
     def test_trees_grown_in_order_are_never_searched(self, monkeypatch):
         # each edge brings a new vertex; canon's plan for a chain of rods
@@ -241,9 +242,10 @@ class TestHennebergSteps:
         for n, edges in ((31, path), (40, tree), (40, [(v, u) for u, v in tree])):
             v = play(n, edges)
             assert v.accepted == tuple(edges) and not v.rejected
-            state = PebbleState(n)
-            assert _insert_batch(state, edges, len(edges)) == edges
-            assert state.degree == _degrees(state)
+            game = pebble._Game(n)
+            assert game.insert(edges, len(edges)) == len(edges)
+            assert _held(game.state) == sorted(tuple(sorted(e)) for e in edges)
+            assert game.state.degree == _degrees(game.state)
         assert not canonical_subgraph(chain_of_rods).rejected
         assert gathers == [0, 0]
 
@@ -333,6 +335,12 @@ def _degrees(state):
     return degree
 
 
+def _block(game):
+    """A copy of everything the game keeps of its block."""
+    links = None if game._links is None else game._links[:]
+    return game._first, game._in_block[:], links, [adj[:] for adj in game._nbrs]
+
+
 def _one_game_per_group(n, groups):
     return tuple(
         play(n, [e for j, group in enumerate(groups) if j != i for e in group]).remaining_pebbles
@@ -367,7 +375,7 @@ def _leave_one_out_case(case):
     if case == "k4-sandwich":
         # (1, 0) is spanned by the K4 before it and by the K4 after it
         return 4, [K4_EDGES, [(1, 0)], K4_EDGES]
-    # no path grows rigidly, so no range is settled from its floor; the
+    # no path is a fan, so no range is settled from its floor; the
     # answers are (4, 3, 3, 4, 5)
     return 5, [[(0, 1), (1, 2)], [(1, 2), (2, 3)], [(2, 3), (3, 4)],
                [(3, 4), (4, 0)], [(0, 2), (2, 4)]]
@@ -378,39 +386,67 @@ class TestLeaveOneOut:
         rng = random.Random(11)
         for _ in range(60):
             n = rng.randint(3, 9)
-            state = PebbleState(n)
-            for _ in range(rng.randint(0, 10)):
-                try_edge(state, *rng.sample(range(n), 2))
+            game = pebble._Game(n)
+            state = game.state
+            for _ in range(rng.randint(0, 10)):  # the block may start here or in a batch
+                game.offer(*rng.sample(range(n), 2))
             before, held, degree = state.remaining_pebbles(), _held(state), state.degree[:]
+            block = _block(game)
             outer = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 10))]
             inner = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 10))]
-            kept_outer = _insert_batch(state, outer, len(outer))
+            assert game.insert(outer, len(outer)) <= len(outer)
             middle, held_middle = state.remaining_pebbles(), _held(state)
-            degree_middle = state.degree[:]
+            degree_middle, block_middle = state.degree[:], _block(game)
             assert degree_middle == _degrees(state)
             # the inner batch's searches may reverse edges of the outer batch,
             # and it may stop early, once room edges are accepted
             room = rng.randint(0, len(inner))
-            kept_inner = _insert_batch(state, inner, room)
-            assert len(kept_inner) <= room
-            _undo_batch(state, kept_inner)
+            assert game.insert(inner, room) <= room
+            game.undo()
             assert state.remaining_pebbles() == middle and _held(state) == held_middle
-            assert state.degree == degree_middle
-            _undo_batch(state, kept_outer)
+            assert state.degree == degree_middle and _block(game) == block_middle
+            game.undo()
             for w in range(n):
                 assert state.pebbles[w] + len(state.out[w]) == 2
             assert state.remaining_pebbles() == before
             assert _held(state) == held and state.degree == degree
+            assert _block(game) == block and not game._log
 
     def test_rejected_parallel_copy_keeps_the_held_edge(self):
-        state = PebbleState(3)
-        try_edge(state, 0, 1)
-        kept = _insert_batch(state, [(1, 0), (1, 2)], 2)
-        assert kept == [(1, 2)]
+        game = pebble._Game(3)
+        game.offer(0, 1)
+        assert game.insert([(1, 0), (1, 2)], 2) == 1
+        assert _held(game.state) == [(0, 1), (1, 2)]
         # with no room the batch is not even iterated
-        assert _insert_batch(state, iter(lambda: pytest.fail("iterated"), None), 0) == []
-        _undo_batch(state, kept)
-        assert _held(state) == [(0, 1)] and state.remaining_pebbles() == 5
+        assert game.insert(iter(lambda: pytest.fail("iterated"), None), 0) == 0
+        game.undo()
+        game.undo()
+        assert _held(game.state) == [(0, 1)] and game.state.remaining_pebbles() == 5
+        # the rejection built the block, and the undo dropped it
+        assert game._links is None and not any(game._in_block)
+
+    @pytest.mark.parametrize("outer", [
+        # the prism's first triangle, with a copy that builds the block on it
+        [(0, 1), (0, 2), (1, 2), (1, 0)],
+        # the same triangle, no block yet
+        [(0, 1), (0, 2), (1, 2)],
+    ])
+    def test_undo_takes_back_the_block(self, outer):
+        # the inner batch completes a prism on the triangle 0 1 2: the
+        # rejection of (0, 4) merges its reach set into the block, or builds
+        # the block from (0, 1) when there is none, and 3, 4 and 5 join it
+        inner = [(3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5), (0, 4)]
+        game = pebble._Game(6)
+        assert game.insert(outer, len(outer)) == 3
+        block = _block(game)
+        assert game.insert(inner, len(inner)) == 6
+        assert game._in_block == [True] * 6
+        game.undo()
+        assert _block(game) == block and not any(game._in_block[3:])
+        # 3 and 4 hold no edge once the prism is gone: a bar between them is
+        # a Henneberg step, which a block that kept them would reject
+        assert game.offer(3, 4)
+        assert game.offer(4, 5) and game.offer(3, 5) and not game.offer(5, 4)
 
     def test_matches_one_game_per_group(self):
         rng = random.Random(12)
@@ -466,6 +502,48 @@ class TestLeaveOneOut:
                     flexible_deletions += play(n, *groups).is_rigid and max(expected) > 5
         assert flexible_deletions
 
+    def test_random_group_lists_match_one_game_per_group(self, monkeypatch):
+        # every block change of a batch must go when the batch is undone:
+        # fans (an edge, then vertices joined to both its ends) let ranges
+        # settle and the block grow, groups that are not fans (paths, loose
+        # edges) make the recursion descend, and repeated and reversed edges
+        # are rejected inside the block or by a search
+        real_insert = pebble._Game.insert
+        depth = [0]
+
+        def insert(game, edges, room):
+            depth[0] = max(depth[0], len(game._batches) + 1)
+            return real_insert(game, edges, room)
+
+        monkeypatch.setattr(pebble._Game, "insert", insert)
+        rng = random.Random(26)
+        deep = 0
+        for _ in range(600):
+            n = rng.randint(3, 10)
+            groups, offered = [], []
+            for _ in range(rng.randint(1, 12)):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    u, v, *vs = rng.sample(range(n), rng.randint(2, min(n, 6)))
+                    group = [(w, x) if rng.randrange(2) else (x, w) for w in vs for x in (u, v)]
+                    rng.shuffle(group)
+                    group.insert(0, (u, v))
+                elif kind == 1:
+                    vs = rng.sample(range(n), rng.randint(2, min(n, 5)))
+                    group = list(zip(vs, vs[1:]))
+                else:
+                    group = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 4))]
+                for _ in range(rng.randint(0, 2)):
+                    if offered:
+                        u, v = rng.choice(offered)
+                        group.insert(rng.randint(0, len(group)), rng.choice([(u, v), (v, u)]))
+                offered += group
+                groups.append(group)
+            depth[0] = 0
+            assert remaining_without_each(play(n, *groups)) == _one_game_per_group(n, groups)
+            deep += depth[0] >= 3
+        assert deep >= 100
+
     @pytest.mark.parametrize("case", ["golden", "k4-sandwich", "paths"])
     def test_recursion_offers_only_basis_edges(self, case, monkeypatch):
         # the recursion extends play's game: it is the one state created,
@@ -477,27 +555,28 @@ class TestLeaveOneOut:
         verdict = play(n, *groups)
         forward = _play_bases(n, groups)
         states, offers, leaves = [], [], []
-        real_init, real_insert = pebble.PebbleState.__init__, pebble._insert_batch
+        real_init, real_insert = pebble.PebbleState.__init__, pebble._Game.insert
         real_remaining = pebble.PebbleState.remaining_pebbles
 
         def init(state, num_vertices):
             real_init(state, num_vertices)
             states.append(state)
 
-        def insert(state, edges, room):
-            # every edge the batch offers, searched or a Henneberg step
+        def insert(game, edges, room):
+            # every edge the batch offers: searched, a Henneberg step or
+            # rejected inside the block
             def offered():
                 for e in edges:
                     offers.append(e)
                     yield e
-            return real_insert(state, offered(), room)
+            return real_insert(game, offered(), room)
 
         def remaining(state):
             leaves.append({frozenset(e) for e in _held(state)})
             return real_remaining(state)
 
         monkeypatch.setattr(pebble.PebbleState, "__init__", init)
-        monkeypatch.setattr(pebble, "_insert_batch", insert)
+        monkeypatch.setattr(pebble._Game, "insert", insert)
         monkeypatch.setattr(pebble.PebbleState, "remaining_pebbles", remaining)
         gathers = _counting_gathers(monkeypatch)
         assert remaining_without_each(verdict) == expected
@@ -513,18 +592,19 @@ class TestLeaveOneOut:
             assert len(leaves) == len(groups)
         if case == "golden":
             # of 1014 cone edges the recursion offers 915; 788 are Henneberg
-            # steps, so it searches 127 times (44 accepted, 83 run dry)
+            # steps and 81 fall inside the block, so it searches 46 times
+            # (44 accepted, 2 run dry)
             assert len(offers) == 915
-            assert gathers == [83, 44]
+            assert gathers == [2, 44]
 
     def test_minimal_rigidity_plays_one_full_game(self, monkeypatch):
         # the base's game is the one full game: it searches 3 times (see
         # test_golden_arrangement_searches_three_edges), and the
-        # leave-one-out recursion that extends it 127 times
+        # leave-one-out recursion that extends it 46 times
         gathers = _counting_gathers(monkeypatch)
         report = decide_minimal_rigidity(arrangement(30, 0.6, seed=2024))
         assert report.base.is_rigid and len(report.removable) == 30
-        assert sum(gathers) == 3 + 127
+        assert sum(gathers) == 3 + 46
 
     def test_only_the_recursion_state_is_alive(self, monkeypatch):
         # play's game is dropped before the leave-one-out game starts, so
