@@ -492,20 +492,93 @@ def random_geometry(
     max_points: int = 10,
     max_lines: int = 6,
 ) -> IncidenceGeometry:
-    """Random connected test geometry: every line gets 2..4 distinct random
-    points.  Test infrastructure, nothing more."""
-    for _ in range(1000):
+    """The `rodrig fuzz` generator: a random connected geometry whose lines
+    each pass through 2..4 distinct random points, stored sorted.
+
+    Stream contract: the geometries, the CampaignError and the state `rng`
+    is left in are those of drawing, up to 1000 times until connected,
+
         n_pts = rng.randint(2, max_points)
-        n_lines = rng.randint(1, max_lines)
+        lines = [tuple(sorted(rng.sample(range(n_pts), rng.randint(2, min(n_pts, 4)))))
+                 for _ in range(rng.randint(1, max_lines))]
+
+    on CPython 3.10-3.13.  The same draws are taken from `rng.getrandbits`
+    directly: `randint(a, b)` is a + below(b - a + 1), where below(n) draws
+    getrandbits(n.bit_length()) until the value is below n, and
+    `sample(range(n), k)` swaps picks out of a pool when n <= 21 and redraws
+    picks it already holds when n > 21.  Connectivity is decided on the
+    drawn lines, so only the returned geometry is built.
+    """
+    if max_points < 2 or max_lines < 1:
+        # below(n) for n < 1 would draw forever
+        raise ValueError(f"random_geometry needs max_points >= 2 and max_lines >= 1,"
+                         f" got {max_points} and {max_lines}")
+    bits = rng.getrandbits
+    pts_span = max_points - 1
+    pts_width, lines_width = pts_span.bit_length(), max_lines.bit_length()
+    for _ in range(1000):
+        n_pts = bits(pts_width)
+        while n_pts >= pts_span:
+            n_pts = bits(pts_width)
+        n_pts += 2
+        n_lines = bits(lines_width)
+        while n_lines >= max_lines:
+            n_lines = bits(lines_width)
+        n_lines += 1
+        size_span = min(n_pts, 4) - 1  # a line takes 2 + below(size_span) points
+        size_width, width = size_span.bit_length(), n_pts.bit_length()
+        points = list(range(n_pts)) if n_pts <= 21 else None
         lines = []
         for _ in range(n_lines):
-            k = rng.randint(2, min(n_pts, 4))
-            lines.append(tuple(sorted(rng.sample(range(n_pts), k))))
-        geometry = IncidenceGeometry(n_pts, tuple(lines))
-        if is_connected(geometry):
-            return geometry
+            size = bits(size_width)
+            while size >= size_span:
+                size = bits(size_width)
+            line = []
+            if points:  # pick from the pool, refill the gap from its end
+                pool = points[:]
+                for top in range(n_pts, n_pts - size - 2, -1):
+                    top_width = top.bit_length()
+                    j = bits(top_width)
+                    while j >= top:
+                        j = bits(top_width)
+                    line.append(pool[j])
+                    pool[j] = pool[top - 1]
+            else:  # redraw a point the line already holds
+                for _ in range(size + 2):
+                    p = bits(width)
+                    while p >= n_pts or p in line:
+                        p = bits(width)
+                    line.append(p)
+            lines.append(line)
+        if _lines_connected(n_pts, lines):
+            return IncidenceGeometry(n_pts, tuple(tuple(sorted(line)) for line in lines))
     raise CampaignError(f"could not generate a connected geometry in 1000 draws"
                         f" (max_points={max_points}, max_lines={max_lines})")
+
+
+def _lines_connected(num_points: int, lines: Sequence[Sequence[int]]) -> bool:
+    """is_connected of IncidenceGeometry(num_points, lines), for one or more
+    lines of two or more points each, without building it: grow the points
+    reached from the last line, as a bitmask, until no line meets them."""
+    masks = []
+    for line in lines:
+        mask = 0
+        for p in line:
+            mask |= 1 << p
+        masks.append(mask)
+    reach = masks.pop()
+    grown = True
+    while grown:
+        grown = False
+        rest = []
+        for mask in masks:
+            if mask & reach:
+                reach |= mask
+                grown = True
+            else:
+                rest.append(mask)
+        masks = rest
+    return reach == (1 << num_points) - 1
 
 
 @dataclass(frozen=True)

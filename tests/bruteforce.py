@@ -7,9 +7,11 @@ and for the full-kernel sampler, and queue-based traversal for
 connectivity.  None of it shares code with the package under test, except
 the per-deletion reference for minimal rigidity, which decides every
 deletion with its own full game, the column layout of ConcurrenceMatrix,
-which dense_rows and apply read, and the fields, realization type and
+which dense_rows and apply read, the fields, realization type and
 shared-pair refusal, which the full-kernel sampler returns as the package
-does.
+does, and the geometry type and CampaignError, which the reference fuzz
+generator returns and raises as the package does, drawing through
+random's own randint and sample.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from rodrigidity import IncidenceGeometry, decide_rod_rigidity, remove_line, shared_rod_pair
+from rodrigidity import (
+    CampaignError,
+    IncidenceGeometry,
+    decide_rod_rigidity,
+    remove_line,
+    shared_rod_pair,
+)
 from rodrigidity.oracle import _DRAWS, ConcurrenceMatrix, Infeasible, LinearRealization
 
 from paper_claims import BudgetExceededError, normalized_subset
@@ -249,6 +257,33 @@ def bipartite_connected(num_points: int, lines: tuple[tuple[int, ...], ...]) -> 
                 reached.add(other)
                 queue.append(other)
     return len(reached) == total
+
+
+def reference_draw(
+    rng: random.Random, max_points: int, max_lines: int
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """One draw of the `rodrig fuzz` generator, through random's own randint
+    and sample: the number of points and the sorted lines."""
+    n_pts = rng.randint(2, max_points)
+    n_lines = rng.randint(1, max_lines)
+    lines = []
+    for _ in range(n_lines):
+        k = rng.randint(2, min(n_pts, 4))
+        lines.append(tuple(sorted(rng.sample(range(n_pts), k))))
+    return n_pts, tuple(lines)
+
+
+def reference_random_geometry(
+    rng: random.Random, max_points: int = 10, max_lines: int = 6
+) -> IncidenceGeometry:
+    """random_geometry as randint and sample draw it: up to 1000 draws, until
+    the queue oracle finds one connected."""
+    for _ in range(1000):
+        n_pts, lines = reference_draw(rng, max_points, max_lines)
+        if bipartite_connected(n_pts, lines):
+            return IncidenceGeometry(n_pts, lines)
+    raise CampaignError(f"could not generate a connected geometry in 1000 draws"
+                        f" (max_points={max_points}, max_lines={max_lines})")
 
 
 def shares_two_points(geometry: IncidenceGeometry) -> bool:

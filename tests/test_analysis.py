@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from rodrigidity import (
+    CampaignError,
     GeometryError,
     IncidenceGeometry,
     Infeasible,
@@ -31,7 +32,12 @@ from rodrigidity import (
 )
 from rodrigidity.analysis import minimal_report_to_json
 
-from bruteforce import deletion_rigid_by_redecide, shares_two_points
+from bruteforce import (
+    deletion_rigid_by_redecide,
+    reference_draw,
+    reference_random_geometry,
+    shares_two_points,
+)
 from conftest import arrangement, plant_rank_shift
 from paper_claims import (
     BudgetExceededError,
@@ -497,6 +503,55 @@ class TestRandomGeometry:
             assert is_connected(g)
             assert all(len(line) >= 2 for line in g.lines)
             assert g.num_points <= 10 and 1 <= g.num_lines <= 6
+
+    # (21, 5) and (22, 5) straddle the size where sample stops swapping picks
+    # out of a pool; (3000, 1) exhausts its 1000 draws about half the time
+    BOUNDS = [(10, 6), (2, 3), (3, 2), (21, 5), (22, 5), (14, 9), (3000, 1)]
+
+    def test_draws_what_randint_and_sample_draw(self):
+        for seed in range(2000):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for bounds in self.BOUNDS:  # one rng carries on through every bound
+                try:
+                    expected = reference_random_geometry(slow, *bounds)
+                except CampaignError as exc:
+                    with pytest.raises(CampaignError) as raised:
+                        random_geometry(fast, *bounds)
+                    assert str(raised.value) == str(exc)
+                else:
+                    assert random_geometry(fast, *bounds) == expected, (seed, bounds)
+                assert fast.getstate() == slow.getstate(), (seed, bounds)
+
+    def test_line_check_matches_is_connected(self):
+        from rodrigidity import is_connected
+        from rodrigidity.analysis import _lines_connected
+
+        draws = [reference_draw(rng, *bounds)
+                 for bounds in self.BOUNDS
+                 for rng in map(random.Random, range(100))
+                 for _ in range(20)]
+        draws += [(3, ((0, 1),)), (3, ((1, 2),)), (4, ((0, 1), (1, 2))), (4, ((0, 1), (2, 3))),
+                  (5, ((0, 1), (1, 2), (2, 3), (3, 4))), (6, ((0, 1), (1, 2), (2, 3), (3, 4))),
+                  (2, ((0, 1),)), (4, ((3, 1, 0), (2, 0)))]
+        found = Counter()
+        for n, lines in draws:
+            connected = is_connected(IncidenceGeometry(n, lines))
+            assert _lines_connected(n, lines) == connected, (n, lines)
+            found[connected] += 1
+        assert min(found.values()) > 1000
+
+    @pytest.mark.parametrize("max_points,max_lines", [(1, 6), (0, 6), (-3, 6), (10, 0), (10, -1)])
+    def test_bounds_below_the_least_raise(self, max_points, max_lines):
+        class Budget(random.Random):
+            calls = 0
+
+            def getrandbits(self, k):
+                self.calls += 1
+                assert self.calls < 10_000, "random_geometry kept drawing"
+                return super().getrandbits(k)
+
+        with pytest.raises(ValueError, match="max_points >= 2 and max_lines >= 1"):
+            random_geometry(Budget(0), max_points, max_lines)
 
 
 class TestTheoremEightAgreement:
