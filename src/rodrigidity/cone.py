@@ -72,25 +72,21 @@ class ConeIncidenceGeometry:
 
     Points: the base points, then one cone point per base line (cone point of
     line l is base.num_points + l).  Lines: first the |L| collinear classes
-    (the point sets of the base lines, unchanged), then one spoke line
-    {cone point, p} per incidence, line-major with points ascending.
+    (the point sets of the base lines, points ascending), then one spoke line
+    (p, cone point of l) per incidence of point p and line l, line-major with
+    points ascending: spoke k is line base.num_lines + k of geometry.
     """
 
     base: IncidenceGeometry
     geometry: IncidenceGeometry
-    spoke_of: tuple[tuple[int, int], ...]  # spoke k is line base.num_lines + k
-
-    def cone_point(self, line: int) -> int:
-        return self.base.num_points + line
 
 
 def build_cone_incidence(geometry: IncidenceGeometry) -> ConeIncidenceGeometry:
     n_pts = geometry.num_points
     lines: list[tuple[int, ...]] = [tuple(sorted(line)) for line in geometry.lines]
-    spoke_of = [(i, p) for i, pts in enumerate(lines) for p in pts]
-    lines += [(p, n_pts + i) for i, p in spoke_of]
+    lines += [(p, n_pts + i) for i, pts in enumerate(lines) for p in pts]
     cone_geometry = IncidenceGeometry(n_pts + geometry.num_lines, tuple(lines))
-    return ConeIncidenceGeometry(geometry, cone_geometry, tuple(spoke_of))
+    return ConeIncidenceGeometry(geometry, cone_geometry)
 
 
 _DOT_PALETTE = (

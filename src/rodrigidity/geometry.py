@@ -177,7 +177,7 @@ def _decimals(tokens: list[str]) -> tuple[int, ...]:
     values = tuple(map(int, tokens))
     digits = "".join(tokens).replace("-", "")
     if digits and not (digits.isascii() and digits.isdigit()):
-        raise ValueError(tokens)
+        raise ValueError(f"expected an integer, got {' '.join(tokens)!r:.40}")
     return values
 
 

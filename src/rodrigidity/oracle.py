@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .cone import ConeIncidenceGeometry
-from .geometry import IncidenceGeometry, _json_list, shared_rod_pair
+from .geometry import IncidenceGeometry, _decimals, _json_list, shared_rod_pair
 # Not called here, but perfbench/tracing.py wraps this name in this module.
 from .cone import build_cone_incidence  # noqa: F401
 
@@ -623,9 +623,9 @@ def realize_cone(
         xs.append(cx)
         ys.append(cy)
     slopes, intercepts = list(realization.slopes), list(realization.intercepts)
-    spokes = [(cone.cone_point(line_idx), j) for line_idx, j in cone.spoke_of]
-    invs = _inv_all([xs[c] - xs[j] for c, j in spokes], p)
-    for (c, j), inv in zip(spokes, invs):
+    spokes = cone.geometry.lines[geometry.num_lines:]  # (point, cone point) each
+    invs = _inv_all([xs[c] - xs[j] for j, c in spokes], p)
+    for (j, c), inv in zip(spokes, invs):
         fx = (ys[j] - ys[c]) * inv
         hx = -fx * xs[j] - ys[j]
         slopes.append(fx % p if p else fx)
@@ -690,10 +690,13 @@ def realization_to_json(realization: LinearRealization) -> dict:
 
 
 def _json_int(value) -> int:
-    """A JSON integer or a string of one; a float or bool is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    """A JSON integer, or a string that the text format reads as one: ASCII
+    digits after an optional '-'.  A float, bool or other string is refused."""
+    if isinstance(value, str):
+        return _decimals([value])[0]
+    if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r:.40}")
-    return int(value)
+    return value
 
 
 def realization_from_json(doc: dict) -> LinearRealization:

@@ -31,23 +31,21 @@ out-degree add up to two at every vertex is a valid game state (Lee &
 Streinu 2008), so later answers stay those of a game that searches.  A cone
 offered in order is such steps from its first spoke on.
 
-The block is one vertex set on which the held edges are rigid.  It is built
-at the first rejection, from the first accepted edge by Henneberg type I
-steps over the held edges (a vertex with two held edges into the block
-joins it), then grows by those steps as edges are accepted, and by the
-reach set of a rejected edge's last dry search, which spans 2|R| - 3 held
-edges and so is rigid, when that set meets the block in two vertices.
-Before the first rejection no reach set was merged, and the cascade reaches
-the same set in any order, so building it late changes no block it would
-have had.  An edge with both ends in the block lies in the span of the held
-edges, so it is rejected without a search.  The accepted edges are the
-greedy basis of the offer order, which is unique, so the answers are those
-of a game that searches for every edge; only the orientations may differ.
+The block is one vertex set on which the held edges are rigid.  The first
+rejection starts it from the reach set of its last dry search, which spans
+2|R| - 3 held edges and so is rigid (see _Game._merge_reach).  It grows by
+Henneberg type I steps over the held edges (a vertex with two held edges
+into the block joins it) as edges are accepted, and by the reach set of a
+later rejection when that set meets the block in two vertices.  An edge
+with both ends in the block lies in the span of the held edges, so it is
+rejected without a search.  The accepted edges are the greedy basis of the
+offer order, which is unique, so the answers are those of a game that
+searches for every edge; only the orientations may differ.
 
 Batches are nested, so a block change made while a batch is open rests
 only on edges held during it: a vertex that joined, a link counted, a held
-neighbour kept, the block built, the first edge taken.  Each is undone with
-the batch's edges.  Nothing is logged while no batch is open.
+neighbour kept, the block started.  Each is undone with the batch's edges.
+Nothing is logged while no batch is open.
 
 remaining_without_each extends play's game to every leave-one-out count
 over the groups that play offered, by a divide and conquer whose batches
@@ -181,17 +179,17 @@ def try_edge(state: PebbleState, u: int, v: int) -> bool:
 
 
 class _Game:
-    """The game over edges that its caller has checked.  Until the block is
-    built it keeps only the first accepted edge; after that, a held edge
-    with an end in the block counts at once toward the other end's links,
-    and one with both ends outside is kept in _nbrs until one of its ends
-    joins.  insert opens a batch and undo takes back the last open one."""
+    """The game over edges that its caller has checked.  Until the first
+    rejection starts the block it keeps nothing beside the state; after
+    that, a held edge with an end in the block counts at once toward the
+    other end's links, and one with both ends outside is kept in _nbrs until
+    one of its ends joins.  insert opens a batch and undo takes back the
+    last open one."""
 
-    __slots__ = ("state", "_first", "_in_block", "_links", "_nbrs", "_log", "_batches")
+    __slots__ = ("state", "_in_block", "_links", "_nbrs", "_log", "_batches")
 
     def __init__(self, num_vertices: int):
         self.state = PebbleState(num_vertices)
-        self._first: tuple[int, int] | None = None  # the first accepted edge
         self._in_block = [False] * num_vertices
         self._links: list[int] | None = None  # held edges into the block, outside it
         self._nbrs: list[list[int]] = []  # held neighbours, for the block's Henneberg steps
@@ -223,9 +221,8 @@ class _Game:
         degree[v] += 1
         links = self._links
         if links is None:
-            if self._first is None:
-                self._first = (u, v)
-        elif in_block[u] or in_block[v]:
+            return True  # no block yet
+        if in_block[u] or in_block[v]:
             outside = v if in_block[u] else u
             links[outside] += 1
             if links[outside] == 2:
@@ -234,19 +231,6 @@ class _Game:
             self._nbrs[u].append(v)
             self._nbrs[v].append(u)
         return True
-
-    def _start_block(self) -> None:
-        """Build the block at the first rejection: the first accepted edge
-        and the Henneberg steps over every held edge from it, as offer would
-        have grown it edge by edge."""
-        out = self.state.out
-        nbrs: list[list[int]] = [[] for _ in out]
-        for x, heads in enumerate(out):
-            for y in heads:
-                nbrs[x].append(y)
-                nbrs[y].append(x)
-        self._nbrs, self._links = nbrs, [0] * len(out)
-        self._join(list(self._first))
 
     def _join(self, joined: list[int]) -> None:
         """Add the vertices joined to the block, and then each vertex with
@@ -275,11 +259,10 @@ class _Game:
         with the current stamp.  The blocked endpoint holds two pebbles, the
         root one and every other vertex none, and only the blocked endpoint
         can have out-edges leaving the set, so its vertices R span 2|R| - 3
-        held edges and are rigid.  They join a block that they meet in two
-        vertices.  The walk re-marks them with -stamp, which no search
-        takes.  The first rejection builds the block first."""
-        if self._links is None:
-            self._start_block()
+        held edges and are rigid.  The walk re-marks them with -stamp, which
+        no search takes.  At the first rejection they start the block, with
+        _nbrs holding every held edge; later they join a block that they
+        meet in two vertices."""
         out, seen, stamp = self.state.out, self.state._seen, self.state._stamp
         reach = []
         for root in (u, v):
@@ -292,7 +275,15 @@ class _Game:
                     seen[w] = -stamp
                     reach.append(w)
         in_block = self._in_block
-        if sum(in_block[x] for x in reach) >= 2:
+        if self._links is None:
+            nbrs: list[list[int]] = [[] for _ in out]
+            for x, heads in enumerate(out):
+                for y in heads:
+                    nbrs[x].append(y)
+                    nbrs[y].append(x)
+            self._nbrs, self._links = nbrs, [0] * len(out)
+            self._join(reach)
+        elif sum(in_block[x] for x in reach) >= 2:
             self._join([x for x in reach if not in_block[x]])
 
     def insert(self, edges: Iterable[tuple[int, int]], room: int) -> int:
@@ -302,7 +293,7 @@ class _Game:
         the block, or -1; offer moves the block only after it accepts."""
         kept: list[tuple[int, int]] = []
         linked: list[int] = []
-        self._batches.append((kept, linked, len(self._log), self._first, self._links is None))
+        self._batches.append((kept, linked, len(self._log), self._links is None))
         if room <= 0:
             return 0
         offer, in_block = self.offer, self._in_block
@@ -323,9 +314,9 @@ class _Game:
         back its link or leaves _nbrs, and leaves the state from whichever
         end it is oriented out of now, which gets its pebble back: a search
         may have reversed it, but held edges are never parallel.  A block
-        built in the batch is dropped.  Any orientation of the edges held
+        started in the batch is dropped.  Any orientation of the edges held
         before is a valid state for every later offer."""
-        kept, linked, mark, first, blockless = self._batches.pop()
+        kept, linked, mark, blockless = self._batches.pop()
         log, in_block = self._log, self._in_block
         if not blockless:
             links, nbrs = self._links, self._nbrs
@@ -345,7 +336,6 @@ class _Game:
                 in_block[x] = False
             self._links, self._nbrs = None, []
         del log[mark:]
-        self._first = first
         out, pebbles, degree = self.state.out, self.state.pebbles, self.state.degree
         for u, v in kept:
             if v in out[u]:

@@ -117,14 +117,20 @@ class TestConeIncidence:
         assert (g.num_points, g.num_lines, g.num_incidences) == (5, 6, 12)
 
     def test_spoke_structure(self, fig2):
-        sc = build_cone_incidence(fig2)
-        for k, (line, point) in enumerate(sc.spoke_of):
-            spoke = sc.geometry.lines[sc.base.num_lines + k]
-            assert len(spoke) == 2
-            assert set(spoke) == {point, sc.cone_point(line)}
-        for line, pts in enumerate(fig2.lines):
-            on_spokes = sum(1 for l, _ in sc.spoke_of if l == line)
-            assert on_spokes == len(pts)
+        # the collinear classes come first, points ascending; then line
+        # L + k is (p, P + l) for the k-th incidence (line l, point p),
+        # line-major with points ascending, in whatever order the base
+        # lists a line's points
+        rng = random.Random(4)
+        unsorted = IncidenceGeometry(5, [(3, 0, 2), (4, 1), (2, 4, 0)])
+        geometries = [fig2, unsorted]
+        geometries += [random_geometry(rng, max_points=8, max_lines=5) for _ in range(30)]
+        for g in geometries:
+            sc = build_cone_incidence(g)
+            lines, P, L = sc.geometry.lines, g.num_points, g.num_lines
+            assert lines[:L] == tuple(tuple(sorted(line)) for line in g.lines)
+            assert lines[L:] == tuple((p, P + l) for l, line in enumerate(g.lines)
+                                      for p in sorted(line))
 
     def test_counts_on_random_geometries(self):
         rng = random.Random(1)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -276,13 +277,14 @@ class TestRealizeCone:
         assert ext.is_proper()
         assert ext.xs[:7] == rho.xs and ext.ys[:7] == rho.ys
         # cone points sit off their lines, and no spoke is parallel to its base line
-        p = rho.field.p
-        for line in range(fig2.num_lines):
-            c = sc.cone_point(line)
+        p, P, L = rho.field.p, fig2.num_points, fig2.num_lines
+        for line in range(L):
+            c = P + line
             res = rho.slopes[line] * ext.xs[c] + ext.ys[c] + rho.intercepts[line]
             assert res % p != 0
-        for k, (line, _point) in enumerate(sc.spoke_of):
-            assert ext.slopes[sc.base.num_lines + k] != rho.slopes[line]
+        # spoke k is line L + k, (point, cone point of its line)
+        for k, (_point, c) in enumerate(sc.geometry.lines[L:]):
+            assert ext.slopes[L + k] != rho.slopes[c - P]
 
     def test_many_seeds_on_a_single_line(self):
         g = single_line(2)
@@ -291,8 +293,8 @@ class TestRealizeCone:
             rho = sample_realization(g, seed=seed)
             ext = realize_cone(sc, rho, seed=seed)
             assert ext.satisfies(sc.geometry) and ext.is_proper()
-            for k, (line, _point) in enumerate(sc.spoke_of):
-                assert ext.slopes[sc.base.num_lines + k] != rho.slopes[line]
+            for k, (_point, c) in enumerate(sc.geometry.lines[1:]):
+                assert ext.slopes[1 + k] != rho.slopes[c - g.num_points]
 
     def test_requires_proper_input(self, fig2):
         with pytest.raises(OracleError, match="proper"):
@@ -402,6 +404,10 @@ MISTYPED_REALIZATIONS = [
     {"field": "rational", "slopes": ["12"], "intercepts": ["34"],
      "points": [[["1", "2"], ["3", "4"]], [["5", "6"], ["7", "8"]]]},
     {"field": "zp", "p": 7.9, "slopes": [1.5], "intercepts": [True], "points": [[0, 1]]},
+    # int() reads these as 10, 3, 12 and 2**61 - 1
+    {"field": "zp", "p": "7", "slopes": ["1_0"], "intercepts": ["+3"], "points": [["\u0661\u0662", "0"]]},
+    {"field": "zp", "p": "2_305_843_009_213_693_951", "slopes": [], "intercepts": [], "points": []},
+    {"field": "rational", "slopes": [["1_0", "1"]], "intercepts": [[" 3", "1"]], "points": []},
 ]
 
 
@@ -419,6 +425,24 @@ class TestSerialization:
     def test_bad_document(self):
         with pytest.raises(OracleError):
             realization_from_json({"field": "octonion"})
+
+    # the text format reads none of these, and int() all but '-' and ''
+    @pytest.mark.parametrize("text", ["1_0", "+3", "\u0661\u0662", " 3", "3\n", "-", "",
+                                      "2_305_843_009_213_693_951"])
+    def test_integer_strings_the_text_format_refuses_are_refused(self, text):
+        for doc in (
+            {"field": "zp", "p": "7", "slopes": [text], "intercepts": ["0"], "points": []},
+            {"field": "zp", "p": text, "slopes": [], "intercepts": [], "points": []},
+            {"field": "rational", "slopes": [], "intercepts": [],
+             "points": [[["0", "1"], ["1", text]]]},
+        ):
+            with pytest.raises(OracleError, match="bad realization document"):
+                realization_from_json(doc)
+
+    def test_integer_strings_read_as_written(self):
+        doc = {"field": "zp", "p": "7", "slopes": ["-3", "0012"], "intercepts": [-3, 12],
+               "points": []}
+        assert realization_from_json(doc).slopes == realization_from_json(doc).intercepts == (4, 5)
 
     # "0" must not read as the rationals, whose p is 0; 561 is a Carmichael number.
     @pytest.mark.parametrize("p", ["-7", "0", "1", "4", 0, 561, str(MERSENNE_PRIME + 2)])
@@ -441,7 +465,8 @@ class TestSerialization:
     }))
     def test_json_reader_refuses_or_reads_as_written(self, doc):
         # A document is either refused with OracleError or was written as the
-        # format says: integers (or strings of them) over Z_p, [numerator,
+        # format says: integers (or strings of ASCII digits after an optional
+        # '-', as the text format reads them) over Z_p, [numerator,
         # denominator] lists over Q, and one two-element list per point.
         try:
             rho = realization_from_json(doc)
@@ -450,7 +475,9 @@ class TestSerialization:
         assert isinstance(rho, LinearRealization)
 
         def integer(v):
-            return isinstance(v, (int, str)) and not isinstance(v, bool)
+            if isinstance(v, str):
+                return re.fullmatch("-?[0-9]+", v) is not None
+            return isinstance(v, int) and not isinstance(v, bool)
 
         def number(v):
             if doc["field"] == "zp":

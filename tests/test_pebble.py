@@ -180,18 +180,19 @@ class TestRigidBlock:
         assert (v.accepted, v.rejected, v.remaining_pebbles) == _reference_play(6, edges)
 
     def test_redundant_edge_outside_the_block_is_searched(self, monkeypatch):
-        # a triangle (the block) and a K4 sharing vertex 2 with it: the K4's
-        # reach set meets the block in one vertex and does not join it, so
-        # its sixth edge and a duplicate inside it are each searched, and
-        # the bar (0, 3) across the hinge is accepted
+        # a triangle and a K4 sharing vertex 2 with it.  The rejected copy
+        # of (0, 1) starts the block on the triangle; the K4's reach set
+        # meets it in one vertex and does not join it, so its sixth edge
+        # and a duplicate inside it are each searched, and the bar (0, 3)
+        # across the hinge is accepted
         k4 = [(3, 4), (3, 5), (4, 5), (2, 3), (2, 4), (2, 5)]
-        edges = [(0, 1), (1, 2), (0, 2)] + k4 + [(4, 3), (0, 3)]
+        edges = [(0, 1), (1, 2), (0, 2), (1, 0)] + k4 + [(4, 3), (0, 3)]
         gathers = _counting_gathers(monkeypatch)
         v = play(6, edges)
-        assert v.rejected == ((2, 5), (4, 3)) and v.remaining_pebbles == 3
+        assert v.rejected == ((1, 0), (2, 5), (4, 3)) and v.remaining_pebbles == 3
         # the two triangles are Henneberg steps; (2, 3), (2, 4) and (0, 3)
         # join vertices that hold two edges each, so they are searched
-        assert gathers == [2, 3]
+        assert gathers == [3, 3]
         assert (v.accepted, v.rejected, v.remaining_pebbles) == _reference_play(6, edges)
 
     def test_golden_arrangement_searches_three_edges(self, monkeypatch):
@@ -199,7 +200,7 @@ class TestRigidBlock:
         gathers = _counting_gathers(monkeypatch)
         v = play(cone.num_vertices, *cone.cones)
         # 1014 edges: 577 of the 579 accepted are Henneberg steps, and the
-        # first rejection, which builds the block, is the only search that
+        # first rejection, which starts the block, is the only search that
         # runs dry; the other 434 rejections fall inside the block
         assert len(v.accepted) == 579 and len(v.rejected) == 435
         assert gathers == [1, 2]
@@ -211,6 +212,64 @@ class TestRigidBlock:
         # -1 would index vertex 2, which is in the block
         with pytest.raises(ValueError, match=r"edge \(0, -1\) out of range"):
             play(3, triangle + [(0, -1)])
+
+
+class _CheckedGame(pebble._Game):
+    """A game that checks after every offer that its block is rigid."""
+
+    __slots__ = ()
+
+    def offer(self, u, v):
+        answer = super().offer(u, v)
+        _assert_block_rigid(self)
+        return answer
+
+
+def _assert_block_rigid(game):
+    """No edge between two block vertices is independent of the held edges."""
+    block = [x for x, inside in enumerate(game._in_block) if inside]
+    for i, x in enumerate(block):
+        for y in block[i + 1:]:
+            assert not independent_after(game.state, x, y), (x, y, block)
+
+
+class TestBlockInvariant:
+    """Whatever the offers, inserts and undos, the held edges span every
+    pair of block vertices."""
+
+    def test_through_play(self, monkeypatch):
+        monkeypatch.setattr(pebble, "_Game", _CheckedGame)
+        rng = random.Random(28)
+        started = 0
+        for _ in range(150):
+            n = rng.randint(2, 9)
+            edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 24))]
+            v = play(n, edges)
+            started += bool(v.rejected)
+            assert (v.accepted, v.rejected, v.remaining_pebbles) == _reference_play(n, edges)
+        assert started >= 50
+
+    def test_through_insert_and_undo(self):
+        rng = random.Random(29)
+        for _ in range(80):
+            n = rng.randint(3, 9)
+            game = _CheckedGame(n)
+            for _ in range(rng.randint(0, 8)):
+                game.offer(*rng.sample(range(n), 2))
+            depth = 0
+            for _ in range(rng.randint(1, 12)):
+                if depth and rng.random() < 0.4:
+                    game.undo()
+                    depth -= 1
+                else:
+                    batch = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 8))]
+                    game.insert(batch, rng.randint(0, len(batch)))
+                    depth += 1
+                _assert_block_rigid(game)
+            while depth:
+                game.undo()
+                depth -= 1
+                _assert_block_rigid(game)
 
 
 class TestHennebergSteps:
@@ -249,15 +308,22 @@ class TestHennebergSteps:
         assert not canonical_subgraph(chain_of_rods).rejected
         assert gathers == [0, 0]
 
-    def test_block_waits_for_the_first_rejection(self):
-        # a triangle with a path hanging off it: no block until the copy of
-        # (0, 1) is rejected, then the triangle grown from (0, 1)
+    def test_block_waits_for_the_first_rejection(self, monkeypatch):
+        # a triangle with a path hanging off it: nothing is kept of the held
+        # edges until the copy of (0, 1) is rejected.  Its dry search marks
+        # a rigid reach set inside the triangle, which starts the block, and
+        # the triangle's last vertex joins by a Henneberg step; the path,
+        # flexible on the triangle, stays outside.
         game = pebble._Game(5)
         for u, v in [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]:
             assert game.offer(u, v)
-        assert game._links is None and not any(game._in_block)
+        assert game._links is None and game._nbrs == [] and not any(game._in_block)
         assert not game.offer(1, 0)
         assert game._in_block == [True, True, True, False, False]
+        assert game._links[3:] == [1, 0]  # held edges into the block, outside it
+        # the next edge inside the triangle is rejected without a search
+        gathers = _counting_gathers(monkeypatch)
+        assert not game.offer(2, 1) and gathers == [0, 0]
 
 
 class TestTryEdge:
@@ -338,7 +404,7 @@ def _degrees(state):
 def _block(game):
     """A copy of everything the game keeps of its block."""
     links = None if game._links is None else game._links[:]
-    return game._first, game._in_block[:], links, [adj[:] for adj in game._nbrs]
+    return game._in_block[:], links, [adj[:] for adj in game._nbrs]
 
 
 def _one_game_per_group(n, groups):
@@ -422,7 +488,7 @@ class TestLeaveOneOut:
         game.undo()
         game.undo()
         assert _held(game.state) == [(0, 1)] and game.state.remaining_pebbles() == 5
-        # the rejection built the block, and the undo dropped it
+        # the rejection started the block, and the undo dropped it
         assert game._links is None and not any(game._in_block)
 
     @pytest.mark.parametrize("outer", [
@@ -433,8 +499,8 @@ class TestLeaveOneOut:
     ])
     def test_undo_takes_back_the_block(self, outer):
         # the inner batch completes a prism on the triangle 0 1 2: the
-        # rejection of (0, 4) merges its reach set into the block, or builds
-        # the block from (0, 1) when there is none, and 3, 4 and 5 join it
+        # rejection of (0, 4) merges its reach set into the block, or starts
+        # the block from it when there is none, and 3, 4 and 5 join it
         inner = [(3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5), (0, 4)]
         game = pebble._Game(6)
         assert game.insert(outer, len(outer)) == 3
