@@ -34,7 +34,7 @@ from .oracle import (
     sample_realization,
     string_config_rank,
 )
-from .pebble import PebbleVerdict, _Game, play, remaining_without_each
+from .pebble import PebbleState, PebbleVerdict, play, remaining_without_each
 # Not called here, but perfbench/tracing.py wraps these names in this module.
 from .oracle import is_string_config_rigid  # noqa: F401
 from .pebble import independent_after, try_edge  # noqa: F401
@@ -349,7 +349,7 @@ def canonical_subgraph(geometry: IncidenceGeometry) -> CanonicalSubgraph:
     """
     order, plan = canonical_edge_order(geometry)
     n_pts = geometry.num_points
-    offer = _Game(n_pts + geometry.num_lines).offer
+    offer = PebbleState(n_pts + geometry.num_lines).offer
     accepted: list[tuple[int, int]] = []
     rejected: list[tuple[int, int]] = []
     star_members: list[set[int]] = [set() for _ in range(geometry.num_lines)]

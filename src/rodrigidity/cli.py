@@ -86,14 +86,19 @@ def _verdict_text(verdict) -> str:
         text = f"flexible ({dof} internal degree{'s' if dof != 1 else ''} of freedom)"
     if not verdict.connected:
         text += " [disconnected input]"
-    return text + _cross_validation_text(verdict.agreement, verdict.skip_reason)
+    return text + _cross_validation_text(verdict)
 
 
-def _cross_validation_text(agreement: str, skip_reason: Optional[str]) -> str:
-    if agreement != "algebraic-skipped":
-        return f"; cross-validation: {agreement}"
-    if skip_reason is not None:
-        return f"; cross-validation: skipped ({skip_reason})"
+def _cross_validation_text(verdict) -> str:
+    """The clause for the verdict's cross-validation: none when nothing was
+    sampled, and "skipped (samples fell short)" when samples were ranked but
+    none reached the predicted rank."""
+    if verdict.agreement != "algebraic-skipped":
+        return f"; cross-validation: {verdict.agreement}"
+    if verdict.skip_reason is not None:
+        return f"; cross-validation: skipped ({verdict.skip_reason})"
+    if verdict.algebraic is not None:
+        return "; cross-validation: skipped (samples fell short)"
     return ""
 
 
@@ -147,9 +152,7 @@ def _cmd_minimal(args) -> int:
     else:
         rods = " ".join(str(l) for l in report.removable)
         text = f"rigid but not minimally rigid (removable rods: {rods})"
-    base = report.base
-    print(text + _cross_validation_text(base.agreement, base.skip_reason)
-          + _deletion_checks_text(report))
+    print(text + _cross_validation_text(report.base) + _deletion_checks_text(report))
     return EXIT_RIGID
 
 

@@ -45,6 +45,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .cone import ConeIncidenceGeometry
 from .geometry import IncidenceGeometry, _decimals, _json_list, shared_rod_pair
+from .geometry import _json_int as _geometry_json_int
 # Not called here, but perfbench/tracing.py wraps this name in this module.
 from .cone import build_cone_incidence  # noqa: F401
 
@@ -690,13 +691,12 @@ def realization_to_json(realization: LinearRealization) -> dict:
 
 
 def _json_int(value) -> int:
-    """A JSON integer, or a string that the text format reads as one: ASCII
-    digits after an optional '-'.  A float, bool or other string is refused."""
+    """A JSON integer, as the geometry reader takes one, or a string that the
+    text format reads as one: ASCII digits after an optional '-'.  A float,
+    bool or other string is refused."""
     if isinstance(value, str):
         return _decimals([value])[0]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r:.40}")
-    return value
+    return _geometry_json_int(value)
 
 
 def realization_from_json(doc: dict) -> LinearRealization:

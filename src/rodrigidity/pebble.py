@@ -16,10 +16,10 @@ A search allocates nothing: each state keeps one visit mark and one tree
 parent per vertex, and a vertex counts as visited when its mark equals the
 search's stamp.  try_edge searches for every edge: it is the reference.
 
-There is one game (_Game).  play and canonical_subgraph offer their edges
-to it and keep its answers in offer order; remaining_without_each inserts
-batches of edges into it and undoes them.  It places most edges without a
-search.
+There is one game, PebbleState.  play and canonical_subgraph offer their
+edges to it and keep its answers in offer order; remaining_without_each
+inserts batches of edges into it and undoes them.  offer places most edges
+without a search.
 
 Henneberg shortcut.  An edge one of whose ends w holds at most one edge,
 and not one to the other end x, is accepted at once, directed w -> x and
@@ -33,10 +33,10 @@ offered in order is such steps from its first spoke on.
 
 The block is one vertex set on which the held edges are rigid.  The first
 rejection starts it from the reach set of its last dry search, which spans
-2|R| - 3 held edges and so is rigid (see _Game._merge_reach).  It grows by
-Henneberg type I steps over the held edges (a vertex with two held edges
-into the block joins it) as edges are accepted, and by the reach set of a
-later rejection when that set meets the block in two vertices.  An edge
+2|R| - 3 held edges and so is rigid (see PebbleState._merge_reach).  It
+grows by Henneberg type I steps over the held edges (a vertex with two held
+edges into the block joins it) as edges are accepted, and by the reach set
+of a later rejection when that set meets the block in two vertices.  An edge
 with both ends in the block lies in the span of the held edges, so it is
 rejected without a search.  The accepted edges are the greedy basis of the
 offer order, which is unique, so the answers are those of a game that
@@ -69,17 +69,25 @@ __all__ = [
 ]
 
 class PebbleState:
-    """Mutable game state: pebble counts plus the orientation of accepted
-    edges, the only record of which edges the state holds.
+    """The game: pebble counts plus the orientation of accepted edges, the
+    only record of which edges the state holds, and the rigid block.
 
     Invariant: pebbles[v] + outdegree(v) == 2 for every vertex, hence the
     total pebble count is 2|V| minus the number of held edges, and no
     out-list holds more than two vertices.  degree[v] counts the held edges
     at v, in either direction.  _seen, _parent and _stamp are the searches'
     reusable visit marks (see _gather).
+
+    offer keeps the block; try_edge ignores it.  Until the first rejection
+    starts the block, nothing is kept beside the pebbles; after that, a held
+    edge with an end in the block counts at once toward the other end's
+    links, and one with both ends outside is kept in _nbrs until one of its
+    ends joins.  insert opens a batch and undo takes back the last open one.
+    A copy starts with no block and no open batch.
     """
 
-    __slots__ = ("num_vertices", "pebbles", "out", "degree", "_seen", "_parent", "_stamp")
+    __slots__ = ("num_vertices", "pebbles", "out", "degree", "_seen", "_parent", "_stamp",
+                 "_in_block", "_links", "_nbrs", "_log", "_batches")
 
     def __init__(self, num_vertices: int):
         if num_vertices < 2:
@@ -88,12 +96,19 @@ class PebbleState:
         self.pebbles = [2] * num_vertices
         self.out: list[list[int]] = [[] for _ in range(num_vertices)]
         self.degree = [0] * num_vertices
-        self._fresh_marks()
+        self._fresh()
 
-    def _fresh_marks(self) -> None:
-        self._seen = [0] * self.num_vertices  # stamp of the last search to reach each vertex
-        self._parent = [0] * self.num_vertices  # DFS tree parent, valid where _seen is current
+    def _fresh(self) -> None:
+        """Fresh search marks, no block and no open batch."""
+        n = self.num_vertices
+        self._seen = [0] * n  # stamp of the last search to reach each vertex
+        self._parent = [0] * n  # DFS tree parent, valid where _seen is current
         self._stamp = 0
+        self._in_block = [False] * n
+        self._links: list[int] | None = None  # held edges into the block, outside it
+        self._nbrs: list[list[int]] = []  # held neighbours, for the block's Henneberg steps
+        self._log: list[int] = []  # the vertices that joined the block during open batches
+        self._batches: list[tuple] = []  # the open batches, innermost last
 
     def copy(self) -> "PebbleState":
         dup = PebbleState.__new__(PebbleState)
@@ -101,100 +116,11 @@ class PebbleState:
         dup.pebbles = self.pebbles[:]
         dup.out = [adj[:] for adj in self.out]
         dup.degree = self.degree[:]
-        dup._fresh_marks()
+        dup._fresh()
         return dup
 
     def remaining_pebbles(self) -> int:
         return sum(self.pebbles)
-
-
-def _check_edges(num_vertices: int, edges: Iterable[tuple[int, int]]) -> None:
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-            raise ValueError(f"edge ({u}, {v}) out of range")
-
-
-def _gather(state: PebbleState, u: int, v: int) -> bool:
-    """Move pebbles onto u and v until they hold four; False when the
-    searches run dry, i.e. when edge (u, v) is dependent.
-
-    Each search is a DFS from an endpoint short of two pebbles (u first)
-    along directed edges, with the other endpoint blocked.  It pops a vertex,
-    scans its out-edges in order, and at the first vertex holding a pebble it
-    reverses the tree path, which moves that pebble to the root."""
-    pebbles, out, seen, parent = state.pebbles, state.out, state._seen, state._parent
-    while pebbles[u] + pebbles[v] < 4:
-        for root, blocked in ((u, v), (v, u)):
-            if pebbles[root] >= 2:
-                continue
-            state._stamp += 1
-            stamp = state._stamp
-            seen[root] = seen[blocked] = stamp
-            hit = -1
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                for w in out[x]:
-                    if seen[w] != stamp:
-                        seen[w] = stamp
-                        parent[w] = x
-                        if pebbles[w]:
-                            hit = w
-                            break
-                        stack.append(w)
-                if hit >= 0:
-                    break
-            if hit < 0:
-                continue  # this endpoint's search ran dry
-            pebbles[hit] -= 1
-            pebbles[root] += 1
-            while hit != root:  # reverse the tree path root -> hit
-                x = parent[hit]
-                out[x].remove(hit)
-                out[hit].append(x)
-                hit = x
-            break
-        else:
-            return False
-    return True
-
-
-def try_edge(state: PebbleState, u: int, v: int) -> bool:
-    """Offer edge (u, v); accept iff four pebbles can be gathered at u and v.
-
-    Accepting consumes one pebble from the lower-index endpoint and directs
-    the edge away from it.  A rejected edge leaves the pebble distribution
-    valid (searches may have reoriented edges and moved pebbles)."""
-    _check_edges(state.num_vertices, ((u, v),))
-    if not _gather(state, u, v):
-        return False
-    payer, other = (u, v) if u < v else (v, u)
-    state.pebbles[payer] -= 1
-    state.out[payer].append(other)
-    state.degree[u] += 1
-    state.degree[v] += 1
-    return True
-
-
-class _Game:
-    """The game over edges that its caller has checked.  Until the first
-    rejection starts the block it keeps nothing beside the state; after
-    that, a held edge with an end in the block counts at once toward the
-    other end's links, and one with both ends outside is kept in _nbrs until
-    one of its ends joins.  insert opens a batch and undo takes back the
-    last open one."""
-
-    __slots__ = ("state", "_in_block", "_links", "_nbrs", "_log", "_batches")
-
-    def __init__(self, num_vertices: int):
-        self.state = PebbleState(num_vertices)
-        self._in_block = [False] * num_vertices
-        self._links: list[int] | None = None  # held edges into the block, outside it
-        self._nbrs: list[list[int]] = []  # held neighbours, for the block's Henneberg steps
-        self._log: list[int] = []  # the vertices that joined the block during open batches
-        self._batches: list[tuple] = []  # the open batches, innermost last
 
     def offer(self, u: int, v: int) -> bool:
         """Offer edge (u, v); the answer is try_edge's on a state that held
@@ -204,18 +130,17 @@ class _Game:
         in_block = self._in_block
         if in_block[u] and in_block[v]:
             return False
-        state = self.state
-        out, degree = state.out, state.degree
+        out, degree = self.out, self.degree
         if degree[u] < 2 and v not in out[u] and u not in out[v]:
             payer, other = u, v
         elif degree[v] < 2 and u not in out[v] and v not in out[u]:
             payer, other = v, u
-        elif _gather(state, u, v):
+        elif _gather(self, u, v):
             payer, other = (u, v) if u < v else (v, u)
         else:
             self._merge_reach(u, v)
             return False
-        state.pebbles[payer] -= 1
+        self.pebbles[payer] -= 1
         out[payer].append(other)
         degree[u] += 1
         degree[v] += 1
@@ -263,7 +188,7 @@ class _Game:
         no search takes.  At the first rejection they start the block, with
         _nbrs holding every held edge; later they join a block that they
         meet in two vertices."""
-        out, seen, stamp = self.state.out, self.state._seen, self.state._stamp
+        out, seen, stamp = self.out, self._seen, self._stamp
         reach = []
         for root in (u, v):
             if seen[root] == stamp:
@@ -336,7 +261,7 @@ class _Game:
                 in_block[x] = False
             self._links, self._nbrs = None, []
         del log[mark:]
-        out, pebbles, degree = self.state.out, self.state.pebbles, self.state.degree
+        out, pebbles, degree = self.out, self.pebbles, self.degree
         for u, v in kept:
             if v in out[u]:
                 out[u].remove(v)
@@ -346,6 +271,76 @@ class _Game:
                 pebbles[v] += 1
             degree[u] -= 1
             degree[v] -= 1
+
+
+def _check_edges(num_vertices: int, edges: Iterable[tuple[int, int]]) -> None:
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+            raise ValueError(f"edge ({u}, {v}) out of range")
+
+
+def _gather(state: PebbleState, u: int, v: int) -> bool:
+    """Move pebbles onto u and v until they hold four; False when the
+    searches run dry, i.e. when edge (u, v) is dependent.
+
+    Each search is a DFS from an endpoint short of two pebbles (u first)
+    along directed edges, with the other endpoint blocked.  It pops a vertex,
+    scans its out-edges in order, and at the first vertex holding a pebble it
+    reverses the tree path, which moves that pebble to the root."""
+    pebbles, out, seen, parent = state.pebbles, state.out, state._seen, state._parent
+    while pebbles[u] + pebbles[v] < 4:
+        for root, blocked in ((u, v), (v, u)):
+            if pebbles[root] >= 2:
+                continue
+            state._stamp += 1
+            stamp = state._stamp
+            seen[root] = seen[blocked] = stamp
+            hit = -1
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                for w in out[x]:
+                    if seen[w] != stamp:
+                        seen[w] = stamp
+                        parent[w] = x
+                        if pebbles[w]:
+                            hit = w
+                            break
+                        stack.append(w)
+                if hit >= 0:
+                    break
+            if hit < 0:
+                continue  # this endpoint's search ran dry
+            pebbles[hit] -= 1
+            pebbles[root] += 1
+            while hit != root:  # reverse the tree path root -> hit
+                x = parent[hit]
+                out[x].remove(hit)
+                out[hit].append(x)
+                hit = x
+            break
+        else:
+            return False
+    return True
+
+
+def try_edge(state: PebbleState, u: int, v: int) -> bool:
+    """Offer edge (u, v); accept iff four pebbles can be gathered at u and v.
+
+    Accepting consumes one pebble from the lower-index endpoint and directs
+    the edge away from it.  A rejected edge leaves the pebble distribution
+    valid (searches may have reoriented edges and moved pebbles)."""
+    _check_edges(state.num_vertices, ((u, v),))
+    if not _gather(state, u, v):
+        return False
+    payer, other = (u, v) if u < v else (v, u)
+    state.pebbles[payer] -= 1
+    state.out[payer].append(other)
+    state.degree[u] += 1
+    state.degree[v] += 1
+    return True
 
 
 def _fans(
@@ -413,8 +408,7 @@ def remaining_without_each(forward: PebbleVerdict) -> tuple[int, ...]:
     if not groups:
         return ()
     count = len(groups)
-    game = _Game(num_vertices)
-    state = game.state
+    state = PebbleState(num_vertices)
     remaining = [0] * count
     touches = [tuple(set(chain.from_iterable(group))) for group in groups]
     first, last = [count] * num_vertices, [-1] * num_vertices  # groups touching each vertex
@@ -447,12 +441,12 @@ def remaining_without_each(forward: PebbleVerdict) -> tuple[int, ...]:
             return
         mid = (lo + hi) // 2
         batch = (e for j in range(mid, hi) for e in groups[j])
-        solve(lo, mid, held + game.insert(batch, full_rank(lo, mid) - held))
-        game.undo()
+        solve(lo, mid, held + state.insert(batch, full_rank(lo, mid) - held))
+        state.undo()
         batch = (e for j in range(lo, mid) for e in forward_bases[j])
-        solve(mid, hi, held + game.insert(batch, full_rank(mid, hi) - held))
+        solve(mid, hi, held + state.insert(batch, full_rank(mid, hi) - held))
         if hi < count:  # nothing follows the batches on the right spine
-            game.undo()
+            state.undo()
 
     solve(0, count, 0)
     return tuple(remaining)
@@ -497,8 +491,8 @@ def play(num_vertices: int, *groups: Iterable[tuple[int, int]]) -> PebbleVerdict
     and rejected.
 
     The accepted set depends on the order; its size (the rank) does not.
-    Henneberg steps are accepted without a search (see _Game)."""
-    offer = _Game(num_vertices).offer
+    Henneberg steps are accepted without a search (see PebbleState.offer)."""
+    offer = PebbleState(num_vertices).offer
     accepted: list[tuple[int, int]] = []
     rejected: list[tuple[int, int]] = []
     sizes: list[tuple[int, int]] = []

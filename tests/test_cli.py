@@ -103,6 +103,28 @@ class TestCheck:
         assert main(["check", str(path), "--format", "json"]) == 0
         assert "skip_reason" not in json.loads(capsys.readouterr().out)
 
+    def test_cross_validation_says_when_samples_fell_short(self, hinge_file, capsys, monkeypatch):
+        # every sample of the flexible hinge falls one short of the predicted
+        # rank: the verdict stands, and the text says nothing was certified
+        assert main(["check", hinge_file]) == 2
+        plain = capsys.readouterr().out
+        assert main(["check", hinge_file, "--format", "json"]) == 2
+        plain_json = capsys.readouterr().out
+        plant_rank_shift(monkeypatch, -1)
+        assert main(["check", hinge_file, "--cross-validate"]) == 2
+        assert capsys.readouterr().out == (
+            "flexible (1 internal degree of freedom); cross-validation: skipped (samples fell short)\n")
+        assert main(["check", hinge_file, "--cross-validate", "--format", "json"]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "accepted_edges": [[3, 0], [3, 1], [0, 1], [4, 0], [4, 2], [0, 2]],
+            "agreement": "algebraic-skipped", "algebraic": [[11, 13]] * 3,
+            "classification": "flexible-independent", "remaining_pebbles": 4}
+        # without --cross-validate nothing is sampled, and the output is as before
+        assert main(["check", hinge_file]) == 2
+        assert capsys.readouterr().out == plain == "flexible (1 internal degree of freedom)\n"
+        assert main(["check", hinge_file, "--format", "json"]) == 2
+        assert capsys.readouterr().out == plain_json
+
     def test_disagreement_exit_three(self, fig2_file, capsys, monkeypatch):
         plant_rank_shift(monkeypatch, -1)
         assert main(["check", fig2_file, "--cross-validate"]) == 3

@@ -214,7 +214,7 @@ class TestRigidBlock:
             play(3, triangle + [(0, -1)])
 
 
-class _CheckedGame(pebble._Game):
+class _CheckedGame(pebble.PebbleState):
     """A game that checks after every offer that its block is rigid."""
 
     __slots__ = ()
@@ -230,7 +230,7 @@ def _assert_block_rigid(game):
     block = [x for x, inside in enumerate(game._in_block) if inside]
     for i, x in enumerate(block):
         for y in block[i + 1:]:
-            assert not independent_after(game.state, x, y), (x, y, block)
+            assert not independent_after(game, x, y), (x, y, block)
 
 
 class TestBlockInvariant:
@@ -238,7 +238,7 @@ class TestBlockInvariant:
     pair of block vertices."""
 
     def test_through_play(self, monkeypatch):
-        monkeypatch.setattr(pebble, "_Game", _CheckedGame)
+        monkeypatch.setattr(pebble, "PebbleState", _CheckedGame)
         rng = random.Random(28)
         started = 0
         for _ in range(150):
@@ -285,10 +285,10 @@ class TestHennebergSteps:
         gathers = _counting_gathers(monkeypatch)
         v = play(3, edges)
         assert v.rejected == (copy,) and gathers == [1, 0]
-        game = pebble._Game(3)
+        game = pebble.PebbleState(3)
         assert game.insert(edges, 3) == 2 and gathers == [2, 0]
-        assert _held(game.state) == [(0, 1), (1, 2)]
-        assert game.state.degree == [1, 2, 1] == _degrees(game.state)
+        assert _held(game) == [(0, 1), (1, 2)]
+        assert game.degree == [1, 2, 1] == _degrees(game)
 
     def test_trees_grown_in_order_are_never_searched(self, monkeypatch):
         # each edge brings a new vertex; canon's plan for a chain of rods
@@ -301,10 +301,10 @@ class TestHennebergSteps:
         for n, edges in ((31, path), (40, tree), (40, [(v, u) for u, v in tree])):
             v = play(n, edges)
             assert v.accepted == tuple(edges) and not v.rejected
-            game = pebble._Game(n)
+            game = pebble.PebbleState(n)
             assert game.insert(edges, len(edges)) == len(edges)
-            assert _held(game.state) == sorted(tuple(sorted(e)) for e in edges)
-            assert game.state.degree == _degrees(game.state)
+            assert _held(game) == sorted(tuple(sorted(e)) for e in edges)
+            assert game.degree == _degrees(game)
         assert not canonical_subgraph(chain_of_rods).rejected
         assert gathers == [0, 0]
 
@@ -314,7 +314,7 @@ class TestHennebergSteps:
         # a rigid reach set inside the triangle, which starts the block, and
         # the triangle's last vertex joins by a Henneberg step; the path,
         # flexible on the triangle, stays outside.
-        game = pebble._Game(5)
+        game = pebble.PebbleState(5)
         for u, v in [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]:
             assert game.offer(u, v)
         assert game._links is None and game._nbrs == [] and not any(game._in_block)
@@ -452,42 +452,41 @@ class TestLeaveOneOut:
         rng = random.Random(11)
         for _ in range(60):
             n = rng.randint(3, 9)
-            game = pebble._Game(n)
-            state = game.state
+            state = pebble.PebbleState(n)
             for _ in range(rng.randint(0, 10)):  # the block may start here or in a batch
-                game.offer(*rng.sample(range(n), 2))
+                state.offer(*rng.sample(range(n), 2))
             before, held, degree = state.remaining_pebbles(), _held(state), state.degree[:]
-            block = _block(game)
+            block = _block(state)
             outer = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 10))]
             inner = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 10))]
-            assert game.insert(outer, len(outer)) <= len(outer)
+            assert state.insert(outer, len(outer)) <= len(outer)
             middle, held_middle = state.remaining_pebbles(), _held(state)
-            degree_middle, block_middle = state.degree[:], _block(game)
+            degree_middle, block_middle = state.degree[:], _block(state)
             assert degree_middle == _degrees(state)
             # the inner batch's searches may reverse edges of the outer batch,
             # and it may stop early, once room edges are accepted
             room = rng.randint(0, len(inner))
-            assert game.insert(inner, room) <= room
-            game.undo()
+            assert state.insert(inner, room) <= room
+            state.undo()
             assert state.remaining_pebbles() == middle and _held(state) == held_middle
-            assert state.degree == degree_middle and _block(game) == block_middle
-            game.undo()
+            assert state.degree == degree_middle and _block(state) == block_middle
+            state.undo()
             for w in range(n):
                 assert state.pebbles[w] + len(state.out[w]) == 2
             assert state.remaining_pebbles() == before
             assert _held(state) == held and state.degree == degree
-            assert _block(game) == block and not game._log
+            assert _block(state) == block and not state._log
 
     def test_rejected_parallel_copy_keeps_the_held_edge(self):
-        game = pebble._Game(3)
+        game = pebble.PebbleState(3)
         game.offer(0, 1)
         assert game.insert([(1, 0), (1, 2)], 2) == 1
-        assert _held(game.state) == [(0, 1), (1, 2)]
+        assert _held(game) == [(0, 1), (1, 2)]
         # with no room the batch is not even iterated
         assert game.insert(iter(lambda: pytest.fail("iterated"), None), 0) == 0
         game.undo()
         game.undo()
-        assert _held(game.state) == [(0, 1)] and game.state.remaining_pebbles() == 5
+        assert _held(game) == [(0, 1)] and game.remaining_pebbles() == 5
         # the rejection started the block, and the undo dropped it
         assert game._links is None and not any(game._in_block)
 
@@ -502,7 +501,7 @@ class TestLeaveOneOut:
         # rejection of (0, 4) merges its reach set into the block, or starts
         # the block from it when there is none, and 3, 4 and 5 join it
         inner = [(3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5), (0, 4)]
-        game = pebble._Game(6)
+        game = pebble.PebbleState(6)
         assert game.insert(outer, len(outer)) == 3
         block = _block(game)
         assert game.insert(inner, len(inner)) == 6
@@ -574,14 +573,14 @@ class TestLeaveOneOut:
         # settle and the block grow, groups that are not fans (paths, loose
         # edges) make the recursion descend, and repeated and reversed edges
         # are rejected inside the block or by a search
-        real_insert = pebble._Game.insert
+        real_insert = pebble.PebbleState.insert
         depth = [0]
 
         def insert(game, edges, room):
             depth[0] = max(depth[0], len(game._batches) + 1)
             return real_insert(game, edges, room)
 
-        monkeypatch.setattr(pebble._Game, "insert", insert)
+        monkeypatch.setattr(pebble.PebbleState, "insert", insert)
         rng = random.Random(26)
         deep = 0
         for _ in range(600):
@@ -621,7 +620,7 @@ class TestLeaveOneOut:
         verdict = play(n, *groups)
         forward = _play_bases(n, groups)
         states, offers, leaves = [], [], []
-        real_init, real_insert = pebble.PebbleState.__init__, pebble._Game.insert
+        real_init, real_insert = pebble.PebbleState.__init__, pebble.PebbleState.insert
         real_remaining = pebble.PebbleState.remaining_pebbles
 
         def init(state, num_vertices):
@@ -642,7 +641,7 @@ class TestLeaveOneOut:
             return real_remaining(state)
 
         monkeypatch.setattr(pebble.PebbleState, "__init__", init)
-        monkeypatch.setattr(pebble._Game, "insert", insert)
+        monkeypatch.setattr(pebble.PebbleState, "insert", insert)
         monkeypatch.setattr(pebble.PebbleState, "remaining_pebbles", remaining)
         gathers = _counting_gathers(monkeypatch)
         assert remaining_without_each(verdict) == expected
@@ -836,6 +835,35 @@ class TestCopy:
                     try_edge(fresh, u, v)
                 assert [try_edge(fresh, u, v) for u, v in tail] == answers
                 assert (game.pebbles, game.out) == (fresh.pebbles, fresh.out)
+
+    def test_copy_of_a_state_with_a_block(self):
+        # the copy of (0, 1) starts the block on the triangle 0 1 2, and the
+        # open batch joins 3 to it: the copy holds the same edges, but no
+        # block and no batch, and its own block leaves the original's alone
+        state = PebbleState(6)
+        for u, v in [(0, 1), (1, 2), (0, 2), (2, 3)]:
+            assert state.offer(u, v)
+        assert not state.offer(1, 0)
+        before = state.remaining_pebbles(), _held(state), state.degree[:], _block(state)
+        assert state.insert([(1, 3), (3, 4)], 2) == 2
+        assert state._in_block[:4] == [True] * 4 and state._log == [3]
+        dup = state.copy()
+        assert (dup.pebbles, dup.out, dup.degree) == (state.pebbles, state.out, state.degree)
+        assert dup._links is None and not any(dup._in_block)
+        assert not dup._log and not dup._batches
+        kept = _block(state), state._log[:], [(k[:], l[:], *rest) for k, l, *rest in state._batches]
+        # a rejection inside the triangle starts the copy's block, and more
+        # offers grow it
+        assert not dup.offer(2, 0)
+        assert dup._links is not None and any(dup._in_block)
+        assert dup.offer(4, 5) and dup.offer(2, 4) and dup.offer(3, 5)
+        assert not dup.offer(0, 5)
+        assert dup._in_block == [True] * 6
+        assert (_block(state), state._log,
+                [(k, l, *rest) for k, l, *rest in state._batches]) == kept
+        state.undo()
+        assert (state.remaining_pebbles(), _held(state), state.degree, _block(state)) == before
+        assert not state._log and not state._batches
 
 
 # sha256 of repr of each answer on a 30-rod arrangement (261 points, 291 cone
