@@ -146,8 +146,9 @@ def decide_rod_rigidity(
     and a flexible one stays "algebraic-skipped".  `algebraic` holds the
     (rank, max_rank) of each proper sample tried.
     Disconnected geometries (including any with an isolated point, when more
-    than one entity exists) are flexible immediately and skip the algebraic
-    side.  So do geometries without a proper realization: the first refusal
+    than one entity exists) are flexible and are sampled too: the matrix and
+    the cone graph split into one block per component, so ranks and pebbles
+    add up.  For geometries without a proper realization, the first refusal
     (Infeasible) ends the algebraic side, because another seed would be
     refused too (two rods through the same two points are refused without a
     draw), and its reason becomes `skip_reason`.
@@ -161,7 +162,7 @@ def decide_rod_rigidity(
     agreement = "algebraic-skipped"
     algebraic: Optional[tuple[tuple[int, int], ...]] = None
     skip_reason: Optional[str] = None
-    if mode == "cross-validated" and connected and pebble is not None:
+    if mode == "cross-validated" and pebble is not None:
         agreement, algebraic, refusal = _cross_validate(
             geometry, pebble.remaining_pebbles, seed, field,
             f"pebble: {pebble.classification}", pebble_classification=pebble.classification,
@@ -184,7 +185,7 @@ def _cross_validate(
     label: str,
     **about,
 ) -> tuple[str, Optional[tuple[tuple[int, int], ...]], Optional[Infeasible]]:
-    """Check a pebble count of a connected geometry on exact samples.
+    """Check a pebble count of a geometry on exact samples.
 
     `remaining` is the count the game left on the geometry's cone graph.
     Returns (agreement, algebraic, refusal) as decide_rod_rigidity reports
@@ -411,9 +412,8 @@ class MinimalRigidityReport:
 
     base: RigidityVerdict
     deletion_rigid: tuple[bool, ...]
-    # (agreement, skip_reason) per deletion when a rigid base was
-    # cross-validated; None for a deletion that disconnects the geometry
-    deletion_checks: Optional[tuple[Optional[tuple[str, Optional[str]]], ...]] = None
+    # (agreement, skip_reason) per deletion when a rigid base was cross-validated
+    deletion_checks: Optional[tuple[tuple[str, Optional[str]], ...]] = None
 
     @property
     def removable(self) -> tuple[int, ...]:
@@ -447,7 +447,7 @@ def decide_minimal_rigidity(
     geometry over `field`, exactly as decide_rod_rigidity checks its own
     count: same seeds, same agreement rule, and a disagreement raises
     OracleDisagreementError whose bundle names the `deleted_rod`.  A
-    deletion that disconnects the geometry is flexible and is not sampled.
+    deletion that disconnects the geometry is sampled like any other.
     Each outcome lands in deletion_checks, with a refusal's reason in the
     input's rod numbers.  A flexible base gets no deletions: its report has
     an empty deletion_rigid, so no removable rod, and is not minimally
@@ -460,14 +460,10 @@ def decide_minimal_rigidity(
         lefts = remaining_without_each(base.pebble) if base.pebble is not None else ()
         deletion_rigid = tuple(left == 5 for left in lefts)
         if mode == "cross-validated":
-            checks: list[Optional[tuple[str, Optional[str]]]] = []
+            checks: list[tuple[str, Optional[str]]] = []
             for l, left in enumerate(lefts):
-                deletion = remove_line(geometry, l)
-                if not is_connected(deletion):
-                    checks.append(None)
-                    continue
                 agreement, _, refusal = _cross_validate(
-                    deletion, left - 2, seed, field,
+                    remove_line(geometry, l), left - 2, seed, field,
                     f"deleting rod {l}: {left - 2} pebbles remain", deleted_rod=l,
                 )
                 checks.append((agreement, refusal.before_deleting(l).reason if refusal else None))
@@ -481,8 +477,8 @@ def minimal_report_to_json(report: MinimalRigidityReport) -> dict:
     doc["minimally_rigid"] = report.minimally_rigid
     if report.deletion_checks is not None:
         doc["deletion_cross_validation"] = [
-            None if check is None else {"agreement": check[0], "skip_reason": check[1]}
-            for check in report.deletion_checks
+            {"agreement": agreement, "skip_reason": reason}
+            for agreement, reason in report.deletion_checks
         ]
     return doc
 

@@ -108,11 +108,11 @@ def _deletion_checks_text(report) -> str:
     samples all fell short of the predicted rank."""
     refused: dict[str, list[str]] = {}
     short: list[str] = []
-    for l, check in enumerate(report.deletion_checks or ()):
-        if check is None or check[0] == "agree":
+    for l, (agreement, reason) in enumerate(report.deletion_checks or ()):
+        if agreement == "agree":
             continue
-        if check[1] is not None:
-            refused.setdefault(check[1], []).append(str(l))
+        if reason is not None:
+            refused.setdefault(reason, []).append(str(l))
         else:
             short.append(str(l))
 

@@ -86,9 +86,14 @@ MERSENNE_PRIME = 2**61 - 1
 ALTERNATE_PRIME = 2305843009213693967  # next prime above 2^61
 
 
+# psi_13 = 1287836182261 * 2575672364521, the least strong pseudoprime to
+# every base _is_prime tries: it is exact below this bound only.
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
     """Miller-Rabin with the primes up to 41 as bases, which is exact for
-    every n below 3.3e24."""
+    every n below _PRIME_BOUND (about 3.3e24)."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2 or any(n % a == 0 for a in bases):
         return n in bases
@@ -118,6 +123,9 @@ class PrimeField:
     one = 1
 
     def __post_init__(self):
+        if self.p >= _PRIME_BOUND:
+            raise ValueError(f"a prime field needs p below {_PRIME_BOUND}, where primality"
+                             f" is decided exactly; got {self.p}")
         if not _is_prime(self.p):
             raise ValueError(f"a prime field needs a prime p, got {self.p}")
 
@@ -521,6 +529,17 @@ def sample_realization(
     return Infeasible(f"all {_DRAWS} sampled realizations collapsed distinct points")
 
 
+def _point(pt) -> tuple[Fraction, Fraction]:
+    """An (x, y) list or tuple of rationals: a string or a mapping is not
+    unpacked into its characters or keys, and a bool is not read as 0 or 1."""
+    if not isinstance(pt, (list, tuple)):
+        raise TypeError(f"a point is an (x, y) pair, not {pt!r}")
+    x, y = pt
+    if isinstance(x, bool) or isinstance(y, bool):
+        raise TypeError(f"a coordinate is a number, not a bool: {pt!r}")
+    return Fraction(x), Fraction(y)
+
+
 def _rotate_coords(coords, rng: random.Random):
     t = Fraction(rng.randrange(1, 1 << 16), rng.randrange(1, 1 << 16))
     den = 1 + t * t
@@ -542,10 +561,10 @@ def realization_from_coords(
     direction comes from two of its points with distinct coordinates.
     Non-collinear coordinates for some line are a hard error, and so are a
     line whose points all coincide and anything that is not a sequence of
-    (x, y) rationals.
+    (x, y) rationals (`_point`).
     """
     try:
-        pts = [(Fraction(x), Fraction(y)) for x, y in coords]
+        pts = [_point(pt) for pt in coords]
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise OracleError(f"bad coordinates: {exc}") from None
     if len(pts) != geometry.num_points:

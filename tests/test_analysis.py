@@ -31,6 +31,7 @@ from rodrigidity import (
     verdict_to_json,
 )
 from rodrigidity.analysis import minimal_report_to_json
+from rodrigidity.oracle import DEFAULT_FIELD, RATIONALS
 
 from bruteforce import (
     deletion_rigid_by_redecide,
@@ -77,6 +78,26 @@ class TestDecideRodRigidity:
         g = IncidenceGeometry(4, ((0, 1), (2, 3)))
         v = decide_rod_rigidity(g)
         assert not v.connected and not v.is_rigid
+
+    @pytest.mark.parametrize("field", [DEFAULT_FIELD, RATIONALS], ids=["zp", "rational"])
+    @pytest.mark.parametrize("points,lines,algebraic", [
+        (6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)), (36, 39)),
+        (4, ((0, 1), (1, 2), (0, 2)), (18, 20)),
+        (3, (), (0, 3)),
+        (5, ((0, 1), (0, 2), (3, 4)), (18, 22)),
+        (6, ((0, 1, 2), (3, 4, 5)), (18, 21)),
+    ], ids=["two-triangles", "triangle-and-point", "three-points", "hinge-and-segment",
+            "two-3-point-rods"])
+    def test_disconnected_is_cross_validated(self, points, lines, algebraic, field):
+        # the matrix and the cone graph split into one block per component,
+        # so ranks and pebbles add up: a component of two or more points has
+        # 3 trivial motions, an isolated point 2
+        g = IncidenceGeometry(points, lines)
+        for seed in (1, 2, 1729):
+            v = decide_rod_rigidity(g, "cross-validated", seed, field=field)
+            assert not v.connected and not v.is_rigid
+            assert v.agreement == "agree" and v.algebraic == (algebraic,)
+            assert algebraic[1] - algebraic[0] == v.degrees_of_freedom
 
     def test_isolated_point_is_flexible(self):
         g = IncidenceGeometry(3, ((0, 1),))
@@ -402,10 +423,9 @@ class TestMinimalRigidity:
         json.dumps(bundle)
 
     def test_cross_validation_reports_each_deletion(self, fig2, two_point_three_lines):
-        # deleting rod 0 is flexible and agrees; the others strand a point,
-        # so they are flexible without sampling
+        # every deletion is flexible and agrees, those that strand a point too
         report = decide_minimal_rigidity(fig2, "cross-validated", seed=5)
-        assert report.deletion_checks == (("agree", None), None, None, None)
+        assert report.deletion_checks == (("agree", None),) * 4
         assert decide_minimal_rigidity(fig2).deletion_checks is None
         # every deletion still doubles a rod, so sampling refuses each one;
         # each reason names the two rods left, in the input's numbering
@@ -420,31 +440,29 @@ class TestMinimalRigidity:
             decide_minimal_rigidity(two_point_three_lines))
 
     def test_cross_validation_draws_what_redeciding_draws(self):
-        # each deletion is sampled with the seeds, and to the same verdict,
-        # that deciding the deletion geometry on its own would use; a shared
-        # pair is named by the input's rod numbers
+        # each deletion, connected or not, is sampled with the seeds, and to
+        # the same verdict, that deciding the deletion geometry on its own
+        # would use; a shared pair is named by the input's rod numbers
         rng = random.Random(7)
-        checked = renumbered = 0
+        checked = renumbered = disconnected = 0
         for _ in range(40):
             g = random_geometry(rng, max_points=8, max_lines=6)
             report = decide_minimal_rigidity(g, "cross-validated", seed=11)
             for l, check in enumerate(report.deletion_checks or ()):
                 deletion = remove_line(g, l)
                 verdict = decide_rod_rigidity(deletion, "cross-validated", seed=11)
-                if check is None:
-                    assert not verdict.connected
-                else:
-                    reason, pair = verdict.skip_reason, shared_rod_pair(deletion)
-                    if pair is not None:
-                        rods = [r for r in range(g.num_lines) if r != l]
-                        r1, r2, p, q = rods[pair[0]], rods[pair[1]], pair[2], pair[3]
-                        assert {p, q} <= set(g.lines[r1]) & set(g.lines[r2])
-                        reason = f"rods {r1} and {r2} share points {p} and {q}"
-                        renumbered += reason != verdict.skip_reason
-                    assert check == (verdict.agreement, reason)
-                    checked += 1
+                reason, pair = verdict.skip_reason, shared_rod_pair(deletion)
+                if pair is not None:
+                    rods = [r for r in range(g.num_lines) if r != l]
+                    r1, r2, p, q = rods[pair[0]], rods[pair[1]], pair[2], pair[3]
+                    assert {p, q} <= set(g.lines[r1]) & set(g.lines[r2])
+                    reason = f"rods {r1} and {r2} share points {p} and {q}"
+                    renumbered += reason != verdict.skip_reason
+                assert check == (verdict.agreement, reason)
+                checked += 1
+                disconnected += not verdict.connected
                 assert verdict.is_rigid == report.deletion_rigid[l]
-        assert checked and renumbered
+        assert checked and renumbered and disconnected
 
     def test_report_json(self, fig2):
         doc = minimal_report_to_json(decide_minimal_rigidity(fig2))

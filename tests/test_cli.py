@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from rodrigidity import cli, oracle
+from rodrigidity import IncidenceGeometry, cli, oracle, remove_line, serialize_geometry
 from rodrigidity.cli import main
 
-from conftest import FIG2_COORDS, PAPPUS_LINES, plant_rank_shift
+from conftest import FIG2_COORDS, PAPPUS_LINES, arrangement, plant_rank_shift
 
 FIG2_TEXT = """\
 points: 7
@@ -23,31 +27,49 @@ TRIANGLE_TEXT = "points: 3\nline: 0 1\nline: 1 2\nline: 0 2\n"
 DOUBLED_TEXT = "points: 2\nline: 0 1\nline: 0 1\n"
 PAPPUS_TEXT = "points: 9\n" + "".join(
     "line: " + " ".join(map(str, line)) + "\n" for line in PAPPUS_LINES)
+_PAIRS8 = list(combinations(range(8), 2))
+
+GEOMETRY_TEXTS = {
+    "fig2": FIG2_TEXT,
+    "hinge": HINGE_TEXT,
+    "triangle": TRIANGLE_TEXT,
+    "doubled": DOUBLED_TEXT,
+    # rod 3 doubles rod 0
+    "doubled-triangle": TRIANGLE_TEXT + "line: 0 1\n",
+    "pappus": PAPPUS_TEXT,
+    "point": "points: 1\n",
+    # eight rods, every two meeting in a point of their own
+    "arrangement8": f"points: {len(_PAIRS8)}\n" + "".join(
+        "line: " + " ".join(str(p) for p, pair in enumerate(_PAIRS8) if rod in pair) + "\n"
+        for rod in range(8)),
+    # 100 three-point rods, each meeting the next in one point: 99 degrees of freedom
+    "chain100": serialize_geometry(
+        IncidenceGeometry(201, [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(100)])),
+    # rigid, 1131 = max rank, canon keeps 579 edges on 291 vertices
+    "arrangement30": serialize_geometry(arrangement(30, 0.6, seed=2024)),
+    # rigid, and some rods are removable but not all
+    "sparse20": serialize_geometry(arrangement(20, 0.3, seed=1)),
+}
 
 
 @pytest.fixture
-def fig2_file(tmp_path):
-    path = tmp_path / "fig2.geo"
-    path.write_text(FIG2_TEXT)
-    return str(path)
+def geo_file(tmp_path):
+    """geo_file(name) writes GEOMETRY_TEXTS[name] to a file and returns its path."""
+    def write(name: str) -> str:
+        path = tmp_path / f"{name}.geo"
+        path.write_text(GEOMETRY_TEXTS[name])
+        return str(path)
+    return write
 
 
 @pytest.fixture
-def arrangement8_file(tmp_path):
-    """Eight rods, every two meeting in a point of their own."""
-    pairs = list(combinations(range(8), 2))
-    path = tmp_path / "arrangement8.geo"
-    path.write_text(f"points: {len(pairs)}\n" + "".join(
-        "line: " + " ".join(str(p) for p, pair in enumerate(pairs) if rod in pair) + "\n"
-        for rod in range(8)))
-    return str(path)
+def fig2_file(geo_file):
+    return geo_file("fig2")
 
 
 @pytest.fixture
-def hinge_file(tmp_path):
-    path = tmp_path / "hinge.geo"
-    path.write_text(HINGE_TEXT)
-    return str(path)
+def hinge_file(geo_file):
+    return geo_file("hinge")
 
 
 class TestCheck:
@@ -66,9 +88,23 @@ class TestCheck:
 
     def test_parse_error_position(self, tmp_path, capsys):
         path = tmp_path / "bad.geo"
-        path.write_text("points: 7\nline: 0 9\n")
-        assert main(["check", str(path)]) == 1
-        assert "line 2" in capsys.readouterr().err
+        for text, message in (("points: 7\nline: 0 9\n", "line 2"),
+                              ("points: 3\nline: 0 1_0\n", "line 2: bad point index")):
+            path.write_text(text)
+            assert main(["check", str(path)]) == 1
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,code,classification,remaining,accepted", [
+        ("hinge", 2, "flexible-independent", 4, 6),
+        ("chain100", 2, "flexible-independent", 102, 500),
+        ("arrangement30", 0, "rigid-redundant", 3, 579),
+    ], ids=["hinge", "chain100", "arrangement30"])
+    def test_json_verdict(self, geo_file, capsys, name, code, classification, remaining, accepted):
+        assert main(["check", geo_file(name), "--format", "json"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["classification"] == classification
+        assert doc["remaining_pebbles"] == remaining and len(doc["accepted_edges"]) == accepted
+        assert doc["agreement"] == "algebraic-skipped" and "algebraic" not in doc
 
     def test_json_output_is_deterministic(self, fig2_file, capsys):
         assert main(["check", fig2_file, "--format", "json", "--seed", "5"]) == 0
@@ -83,6 +119,20 @@ class TestCheck:
         assert main(["check", fig2_file, "--cross-validate"]) == 0
         assert "cross-validation: agree" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name,field,code,algebraic", [
+        ("triangle", "zp", 0, [[18, 18]]),
+        ("hinge", "zp", 2, [[12, 13]]),
+        ("arrangement30", "rational", 0, [[1131, 1131]]),
+    ], ids=["triangle", "hinge", "arrangement30-rational"])
+    def test_cross_validation_certifies_the_count(self, geo_file, capsys, name, field, code,
+                                                  algebraic):
+        path = geo_file(name)
+        assert main(["check", path, "--cross-validate", "--field", field]) == code
+        assert capsys.readouterr().out.endswith("; cross-validation: agree\n")
+        assert main(["check", path, "--cross-validate", "--field", field, "--format", "json"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["agreement"] == "agree" and doc["algebraic"] == algebraic
+
     @pytest.mark.parametrize("text,verdict,reason", [
         (PAPPUS_TEXT, "rigid (33/45 edges independent, 3 pebbles remain)",
          "all 32 sampled realizations collapsed distinct points"),
@@ -94,6 +144,9 @@ class TestCheck:
         path.write_text(text)
         assert main(["check", str(path), "--cross-validate"]) == 0
         assert capsys.readouterr().out == f"{verdict}; cross-validation: skipped ({reason})\n"
+        # minimal names the base's refusal as check does
+        assert main(["minimal", str(path), "--cross-validate"]) == 0
+        assert f"); cross-validation: skipped ({reason})" in capsys.readouterr().out
         assert main(["check", str(path), "--cross-validate", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["agreement"] == "algebraic-skipped" and doc["skip_reason"] == reason
@@ -172,6 +225,14 @@ class TestCheck:
         path.write_text("points: 4\nline: 0 1\nline: 2 3\n")
         assert main(["check", str(path)]) == 2
         assert "[disconnected input]" in capsys.readouterr().out
+        # and cross-validated: two components of two points, 3 + 3 trivial motions
+        assert main(["check", str(path), "--cross-validate"]) == 2
+        assert capsys.readouterr().out == (
+            "flexible (3 internal degrees of freedom) [disconnected input]; cross-validation: agree\n")
+        assert main(["check", str(path), "--cross-validate", "--format", "json"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["agreement"] == "agree" and doc["algebraic"] == [[12, 15]]
+        assert "skip_reason" not in doc
 
 
 class TestMinimal:
@@ -185,14 +246,57 @@ class TestMinimal:
         assert main(["minimal", str(path)]) == 0
         assert "removable rods: 0 3" in capsys.readouterr().out
 
-    def test_flexible_input(self, hinge_file, capsys):
-        assert main(["minimal", hinge_file]) == 2
-        assert "minimality undefined" in capsys.readouterr().out
+    def test_flexible_input(self, geo_file, capsys):
+        for name in ("hinge", "chain100"):
+            assert main(["minimal", geo_file(name)]) == 2
+            assert "minimality undefined" in capsys.readouterr().out
 
     def test_json(self, fig2_file, capsys):
         assert main(["minimal", fig2_file, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["minimally_rigid"] is True and doc["removable_rods"] == []
+
+    @pytest.mark.parametrize("name,removable,accepted", [
+        ("triangle", [], 9),
+        ("point", [], 0),
+        ("doubled-triangle", [0, 3], 11),
+        ("arrangement30", list(range(30)), 579),
+    ], ids=["triangle", "point", "doubled-triangle", "arrangement30"])
+    def test_json_report(self, geo_file, capsys, name, removable, accepted):
+        assert main(["minimal", geo_file(name), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["removable_rods"] == removable and doc["minimally_rigid"] == (not removable)
+        assert doc["remaining_pebbles"] == 3 and len(doc["accepted_edges"]) == accepted
+
+    @pytest.mark.parametrize("name", ["fig2", "triangle", "arrangement30"])
+    def test_json_cross_validates_every_deletion(self, geo_file, capsys, name):
+        # fig2's deletions of rods 1-3 strand a point, and are sampled too
+        path = geo_file(name)
+        assert main(["minimal", path, "--format", "json"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main(["minimal", path, "--cross-validate", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rods = cli.load_geometry(path).num_lines
+        assert doc["deletion_cross_validation"] == [{"agreement": "agree", "skip_reason": None}] * rods
+        assert doc["removable_rods"] == plain["removable_rods"]
+
+    @pytest.mark.parametrize("name", ["sparse20", "doubled-triangle"])
+    def test_removable_rods_are_the_rigid_deletions(self, geo_file, tmp_path, capsys, name):
+        path = geo_file(name)
+        assert main(["minimal", path, "--format", "json"]) == 0
+        removable = json.loads(capsys.readouterr().out)["removable_rods"]
+        geometry = cli.load_geometry(path)
+        rigid_deletions = []
+        deletion = tmp_path / "deletion.geo"
+        for l in range(geometry.num_lines):
+            deletion.write_text(serialize_geometry(remove_line(geometry, l)))
+            code = main(["check", str(deletion)])
+            assert code in (0, 2)
+            if code == 0:
+                rigid_deletions.append(l)
+        capsys.readouterr()
+        assert removable == rigid_deletions
+        assert 0 < len(removable) < geometry.num_lines
 
     def test_flexible_input_cross_validates(self, hinge_file, capsys):
         assert main(["minimal", hinge_file, "--cross-validate"]) == 2
@@ -202,7 +306,7 @@ class TestMinimal:
         )
 
     @pytest.mark.parametrize("name,decides,code", [("fig2", 1, 0), ("hinge", 1, 2)])
-    def test_decides_once_per_question(self, request, name, decides, code, monkeypatch, capsys):
+    def test_decides_once_per_question(self, geo_file, name, decides, code, monkeypatch, capsys):
         # the base verdict once; one leave-one-out game answers every deletion
         import rodrigidity.analysis as analysis
 
@@ -211,11 +315,11 @@ class TestMinimal:
         for module in (analysis, cli):
             monkeypatch.setattr(module, "decide_rod_rigidity",
                                 lambda *a, **k: calls.append(a) or real(*a, **k))
-        assert main(["minimal", request.getfixturevalue(f"{name}_file")]) == code
+        assert main(["minimal", geo_file(name)]) == code
         assert len(calls) == decides
 
-    @pytest.mark.parametrize("name", ["fig2", "arrangement8"])
-    def test_cross_validation_plays_once(self, request, name, monkeypatch, capsys):
+    @pytest.mark.parametrize("name", ["fig2", "arrangement8", "triangle"])
+    def test_cross_validation_plays_once(self, geo_file, name, monkeypatch, capsys):
         # each deletion is checked against its leave-one-out count, not
         # decided again with a game of its own
         import rodrigidity.analysis as analysis
@@ -226,7 +330,7 @@ class TestMinimal:
             monkeypatch.setattr(module, "decide_rod_rigidity",
                                 lambda *a, **k: decides.append(a) or real_decide(*a, **k))
         monkeypatch.setattr(analysis, "play", lambda *a, **k: plays.append(a) or real_play(*a, **k))
-        assert main(["minimal", request.getfixturevalue(f"{name}_file"), "--cross-validate"]) == 0
+        assert main(["minimal", geo_file(name), "--cross-validate"]) == 0
         assert "; cross-validation: agree" in capsys.readouterr().out
         assert len(decides) == len(plays) == 1
 
@@ -282,13 +386,14 @@ class TestMinimal:
         )
 
     def test_short_deletion_is_reported(self, fig2_file, monkeypatch, capsys):
-        # the base's sample is true; every sample of deleting rod 0, a
-        # flexible deletion, falls one short of its predicted rank
+        # the base's sample is true; every sample of each deletion, all of
+        # them flexible, falls one short of its predicted rank
         plant_rank_shift(monkeypatch, 0, -1)
         assert main(["minimal", fig2_file, "--cross-validate"]) == 0
         assert capsys.readouterr().out == (
             "minimally rigid (deleting any rod yields a flexible configuration); "
-            "cross-validation: agree; deleting rod 0: cross-validation skipped (samples fell short)\n"
+            "cross-validation: agree; deleting rods 0 1 2 3: cross-validation skipped "
+            "(samples fell short)\n"
         )
 
     def test_field_reaches_sampling(self, fig2_file, monkeypatch, capsys):
@@ -300,9 +405,9 @@ class TestMinimal:
                             lambda *a, **k: fields.append(k.get("field")) or real(*a, **k))
         assert main(["minimal", fig2_file, "--cross-validate", "--field", "rational"]) == 0
         assert "minimally rigid" in capsys.readouterr().out
-        # one certifying sample for the base and one for deleting rod 0; the
-        # other deletions strand a point, so they are flexible without sampling
-        assert len(fields) == 2 and all(f is oracle.RATIONALS for f in fields)
+        # one certifying sample for the base and one for each deletion, those
+        # that strand a point included
+        assert len(fields) == 5 and all(f is oracle.RATIONALS for f in fields)
 
 
 class TestCanon:
@@ -316,6 +421,32 @@ class TestCanon:
         assert main(["canon", fig2_file, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["edges"]) == 19 and doc["tight"] is True
+
+    @pytest.mark.parametrize("name,edges,vertices,tight", [
+        ("triangle", 9, 6, True),
+        ("chain100", 2 * 301 - 102, 301, False),
+        ("arrangement30", 579, 291, True),
+    ], ids=["triangle", "chain100", "arrangement30"])
+    def test_sizes(self, geo_file, capsys, name, edges, vertices, tight):
+        path = geo_file(name)
+        assert main(["canon", path]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"canonical subgraph: {edges} edges on {vertices} vertices (")
+        assert main(["canon", path, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["edges"]) == edges and doc["tight"] is tight
+
+    def test_point_order_within_rods_does_not_matter(self, geo_file, tmp_path, capsys):
+        path = geo_file("arrangement30")
+        geometry = cli.load_geometry(path)
+        reversed_path = tmp_path / "reversed.geo"
+        reversed_path.write_text(serialize_geometry(
+            IncidenceGeometry(geometry.num_points, [line[::-1] for line in geometry.lines])))
+        for fmt in ("text", "json"):
+            assert main(["canon", path, "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            assert main(["canon", str(reversed_path), "--format", fmt]) == 0
+            assert capsys.readouterr().out == out
 
     @pytest.mark.parametrize("text", ["points: 4\nline: 0 1\nline: 2 3\n",
                                       "points: 3\nline: 0 1\n"])
@@ -350,15 +481,30 @@ class TestOracleCommand:
 
     def test_infeasible(self, tmp_path, capsys):
         path = tmp_path / "forced.geo"
-        path.write_text("points: 2\nline: 0 1\nline: 0 1\nline: 0 1\n")
-        assert main(["oracle", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: sampling infeasible: rods 0 and 1 share points 0 and 1\n"
+        for text, reason in (
+            ("points: 2\nline: 0 1\nline: 0 1\nline: 0 1\n", "rods 0 and 1 share points 0 and 1"),
+            (DOUBLED_TEXT, "rods 0 and 1 share points 0 and 1"),
+            (PAPPUS_TEXT, "all 32 sampled realizations collapsed distinct points"),
+        ):
+            path.write_text(text)
+            assert main(["oracle", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: sampling infeasible: {reason}\n"
 
     def test_rational_field(self, hinge_file, capsys):
         assert main(["oracle", hinge_file, "--field", "rational", "--format", "json"]) == 2
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"max_rank": 13, "rank": 12, "rigid": False}
+
+    @pytest.mark.parametrize("name,field,code,rank,max_rank", [
+        ("hinge", "zp", 2, 12, 13),
+        ("triangle", "rational", 0, 18, 18),
+        ("arrangement30", "zp", 0, 1131, 1131),
+        ("arrangement30", "rational", 0, 1131, 1131),
+    ], ids=["hinge-zp", "triangle-rational", "arrangement30-zp", "arrangement30-rational"])
+    def test_json_rank(self, geo_file, capsys, name, field, code, rank, max_rank):
+        assert main(["oracle", geo_file(name), "--field", field, "--format", "json"]) == code
+        assert json.loads(capsys.readouterr().out) == {
+            "max_rank": max_rank, "rank": rank, "rigid": rank == max_rank}
 
     @pytest.mark.parametrize("points", [0, 1])
     def test_agrees_with_check_below_two_points(self, tmp_path, capsys, points):
@@ -391,6 +537,12 @@ class TestDotAndSvg:
         assert main(["dot", fig2_file]) == 0
         out = capsys.readouterr().out
         assert out.count("shape=square") == 4 and out.count(" -- ") == 20
+
+    def test_dot_escapes_a_quoted_name(self, tmp_path, capsys):
+        path = tmp_path / "quoted.geo"
+        path.write_text('points: 3\npoint 0 a"b\nline: 0 1\nline: 1 2\nline: 0 2\n')
+        assert main(["dot", str(path)]) == 0
+        assert 'label="a\\"b"' in capsys.readouterr().out
 
     def test_dot_to_file(self, fig2_file, tmp_path):
         target = tmp_path / "cone.dot"
@@ -431,8 +583,14 @@ class TestDotAndSvg:
          "points": [[[0, 1], [0, 1]]]},
         {"field": "rational", "slopes": [[1, 1]], "intercepts": [],
          "points": [[[0, 1], [0, 1]], [[1, 1], [-1, 1]]]},
+        {"coords": ["12", "34"]},
+        {"coords": [[True, False], [3, 4]]},
+        {"coords": [{"1": 0, "2": 0}, [3, 4]]},
+        {"field": "rational", "slopes": [["1_0", "1"]], "intercepts": [["0", "1"]],
+         "points": [[["0", "1"], ["0", "1"]], [["1", "1"], ["-10", "1"]]]},
     ], ids=["coords-int", "coords-text", "coords-short-pair", "top-level-int",
-            "too-few-points", "missing-intercept"])
+            "too-few-points", "missing-intercept", "coords-string-point", "coords-bool",
+            "coords-object-point", "underscore-integer"])
     def test_svg_malformed_realization_exits_1(self, tmp_path, capsys, doc):
         geo = tmp_path / "seg.geo"
         geo.write_text("points: 2\nline: 0 1\n")
@@ -546,3 +704,16 @@ FUZZ_GOLDEN = {
 def test_fuzz_golden(seed, capsys):
     assert main(["fuzz", "--count", "200", "--seed", str(seed)]) == 0
     assert capsys.readouterr().out == FUZZ_GOLDEN[seed]
+
+
+@pytest.mark.parametrize("name,code", [("triangle", 0), ("hinge", 2), ("missing", 1)])
+def test_exit_code_through_a_process(geo_file, tmp_path, name, code):
+    # the module's `sys.exit(main())`, which the installed `rodrig` script also takes
+    path = str(tmp_path / "missing.geo") if name == "missing" else geo_file(name)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "rodrigidity.cli", "check", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == code
+    if code == 1:
+        assert done.stdout == "" and done.stderr.startswith("error: ")

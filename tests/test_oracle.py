@@ -453,6 +453,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="prime"):
             PrimeField(int(p))
 
+    # psi_13 is composite, yet a strong pseudoprime to every base _is_prime
+    # tries; 2**89 - 1 is prime, but past the bound as well
+    @pytest.mark.parametrize("p", [1287836182261 * 2575672364521, 2**89 - 1],
+                             ids=["psi13", "mersenne89"])
+    def test_modulus_past_the_exact_primality_bound_refused(self, p):
+        bound = "p below 3317044064679887385961981"
+        with pytest.raises(ValueError, match=bound):
+            PrimeField(p)
+        doc = {"field": "zp", "p": str(p), "slopes": ["1"], "intercepts": ["0"], "points": [["0", "0"]]}
+        with pytest.raises(OracleError, match=f"bad realization document: .*{bound}"):
+            realization_from_json(doc)
+        assert oracle._is_prime(p)
+
     @settings(max_examples=300)
     @with_examples(MISTYPED_REALIZATIONS)
     @given(JSON_VALUES | st.fixed_dictionaries({
