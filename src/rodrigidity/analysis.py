@@ -23,7 +23,6 @@ from .geometry import (
     geometry_to_json,
     is_connected,
     remove_line,
-    shared_rod_pair,
 )
 from .oracle import (
     Field,
@@ -503,8 +502,22 @@ def random_geometry(
     getrandbits(n.bit_length()) until the value is below n, and
     `sample(range(n), k)` swaps picks out of a pool when n <= 21 and redraws
     picks it already holds when n > 21.  Connectivity is decided on the
-    drawn lines, so only the returned geometry is built.
+    drawn lines' point bitmasks, so only the returned geometry is built.
     """
+    n_pts, lines, _ = _draw_lines(rng, max_points, max_lines)
+    return _build(n_pts, lines)
+
+
+# bit widths of below(top) for the pool picks, where top <= 21
+_WIDTHS = tuple(top.bit_length() for top in range(22))
+
+
+def _draw_lines(
+    rng: random.Random, max_points: int, max_lines: int,
+) -> tuple[int, list[list[int]], list[int]]:
+    """random_geometry's draws, unbuilt: the number of points, each line's
+    points in the order they were picked, and each line's points as a
+    bitmask."""
     if max_points < 2 or max_lines < 1:
         # below(n) for n < 1 would draw forever
         raise ValueError(f"random_geometry needs max_points >= 2 and max_lines >= 1,"
@@ -524,20 +537,23 @@ def random_geometry(
         size_span = min(n_pts, 4) - 1  # a line takes 2 + below(size_span) points
         size_width, width = size_span.bit_length(), n_pts.bit_length()
         points = list(range(n_pts)) if n_pts <= 21 else None
-        lines = []
+        lines, masks = [], []
         for _ in range(n_lines):
             size = bits(size_width)
             while size >= size_span:
                 size = bits(size_width)
             line = []
+            mask = 0
             if points:  # pick from the pool, refill the gap from its end
                 pool = points[:]
                 for top in range(n_pts, n_pts - size - 2, -1):
-                    top_width = top.bit_length()
+                    top_width = _WIDTHS[top]
                     j = bits(top_width)
                     while j >= top:
                         j = bits(top_width)
-                    line.append(pool[j])
+                    p = pool[j]
+                    line.append(p)
+                    mask |= 1 << p
                     pool[j] = pool[top - 1]
             else:  # redraw a point the line already holds
                 for _ in range(size + 2):
@@ -545,36 +561,52 @@ def random_geometry(
                     while p >= n_pts or p in line:
                         p = bits(width)
                     line.append(p)
+                    mask |= 1 << p
             lines.append(line)
-        if _lines_connected(n_pts, lines):
-            return IncidenceGeometry(n_pts, tuple(tuple(sorted(line)) for line in lines))
+            masks.append(mask)
+        if _masks_connected(n_pts, masks):
+            return n_pts, lines, masks
     raise CampaignError(f"could not generate a connected geometry in 1000 draws"
                         f" (max_points={max_points}, max_lines={max_lines})")
 
 
-def _lines_connected(num_points: int, lines: Sequence[Sequence[int]]) -> bool:
-    """is_connected of IncidenceGeometry(num_points, lines), for one or more
-    lines of two or more points each, without building it: grow the points
-    reached from the last line, as a bitmask, until no line meets them."""
-    masks = []
-    for line in lines:
-        mask = 0
-        for p in line:
-            mask |= 1 << p
-        masks.append(mask)
-    reach = masks.pop()
+def _build(num_points: int, lines: Sequence[Sequence[int]]) -> IncidenceGeometry:
+    return IncidenceGeometry(num_points, tuple(tuple(sorted(line)) for line in lines))
+
+
+def _masks_connected(num_points: int, masks: Sequence[int]) -> bool:
+    """is_connected of the geometry whose lines have these point bitmasks,
+    for one or more lines of two or more points each: grow the points
+    reached from the last line until no line meets them."""
+    reach = masks[-1]
+    rest = masks[:-1]
     grown = True
     while grown:
         grown = False
-        rest = []
-        for mask in masks:
+        left = []
+        for mask in rest:
             if mask & reach:
                 reach |= mask
                 grown = True
             else:
-                rest.append(mask)
-        masks = rest
+                left.append(mask)
+        rest = left
     return reach == (1 << num_points) - 1
+
+
+def _shares_two_points(masks: Sequence[int]) -> bool:
+    """Do two of the lines with these point bitmasks pass through the same
+    two points?  Their common points c hold two iff c & (c - 1) != 0."""
+    for i, a in enumerate(masks):
+        for b in masks[:i]:
+            c = a & b
+            if c & (c - 1):
+                return True
+    return False
+
+
+# attempts in a row that validate none before a campaign gives up
+_DRY_ATTEMPTS = 1000
 
 
 @dataclass(frozen=True)
@@ -605,32 +637,36 @@ def run_agreement_campaign(
     """Generate random geometries until `target` of them cross-validate.
 
     Geometries whose sampling is infeasible, or flexible ones whose samples
-    all fall below the predicted rank, count as skipped.  A geometry with two
-    rods through the same two points is skipped without playing the game:
-    sampling would refuse it before drawing.  Any disagreement
-    raises OracleDisagreementError with its reproduction bundle, failing the
-    campaign immediately.  The campaign gives up after max(50, 25 * target)
-    geometries.
+    all fall below the predicted rank, count as skipped.  A draw with two
+    rods through the same two points is skipped on its lines' point bitmasks,
+    before a geometry is built: sampling would refuse it before drawing.  Any
+    disagreement raises OracleDisagreementError with its reproduction
+    bundle, failing the campaign immediately.  The campaign gives up, with
+    CampaignError, when _DRY_ATTEMPTS attempts in a row validate none: how
+    many attempts a validation takes varies too much with the bounds for a
+    cap in proportion to `target`.
     """
     rng = random.Random(seed)
-    cap = max(50, target * 25)
     skipped = rigid = flexible = 0
+    dry = 0  # attempts since the last validation
     while rigid + flexible < target:
-        if rigid + flexible + skipped >= cap:
+        if dry == _DRY_ATTEMPTS:
             raise CampaignError(
                 f"campaign validated only {rigid + flexible}/{target} geometries"
-                f" in {cap} attempts"
+                f" in {rigid + flexible + skipped} attempts, none in the last {dry}"
             )
-        geometry = random_geometry(rng, max_points, max_lines)
+        n_pts, lines, masks = _draw_lines(rng, max_points, max_lines)
         sample_seed = rng.randrange(1 << 62)  # drawn before the skip, so no later draw moves
-        if shared_rod_pair(geometry) is not None:
-            skipped += 1
-            continue
-        verdict = decide_rod_rigidity(geometry, "cross-validated", seed=sample_seed, field=field)
-        if verdict.agreement != "agree":
-            skipped += 1
-        elif verdict.is_rigid:
-            rigid += 1
-        else:
-            flexible += 1
+        if not _shares_two_points(masks):
+            verdict = decide_rod_rigidity(_build(n_pts, lines), "cross-validated",
+                                          seed=sample_seed, field=field)
+            if verdict.agreement == "agree":
+                if verdict.is_rigid:
+                    rigid += 1
+                else:
+                    flexible += 1
+                dry = 0
+                continue
+        skipped += 1
+        dry += 1
     return CampaignReport(skipped, rigid, flexible)

@@ -541,8 +541,8 @@ class TestRandomGeometry:
                 assert fast.getstate() == slow.getstate(), (seed, bounds)
 
     def test_line_check_matches_is_connected(self):
-        from rodrigidity import is_connected
-        from rodrigidity.analysis import _lines_connected
+        from rodrigidity import is_connected, shared_rod_pair
+        from rodrigidity.analysis import _masks_connected, _shares_two_points
 
         draws = [reference_draw(rng, *bounds)
                  for bounds in self.BOUNDS
@@ -550,13 +550,27 @@ class TestRandomGeometry:
                  for _ in range(20)]
         draws += [(3, ((0, 1),)), (3, ((1, 2),)), (4, ((0, 1), (1, 2))), (4, ((0, 1), (2, 3))),
                   (5, ((0, 1), (1, 2), (2, 3), (3, 4))), (6, ((0, 1), (1, 2), (2, 3), (3, 4))),
-                  (2, ((0, 1),)), (4, ((3, 1, 0), (2, 0)))]
+                  (2, ((0, 1),)), (4, ((3, 1, 0), (2, 0))), (2, ((0, 1), (1, 0))),
+                  (4, ((0, 1, 2), (3, 2, 1))), (4, ((0, 1, 2), (2, 3), (0, 3)))]
         found = Counter()
         for n, lines in draws:
-            connected = is_connected(IncidenceGeometry(n, lines))
-            assert _lines_connected(n, lines) == connected, (n, lines)
-            found[connected] += 1
+            geometry = IncidenceGeometry(n, lines)
+            masks = [sum(1 << p for p in line) for line in lines]
+            connected, shared = is_connected(geometry), shared_rod_pair(geometry) is not None
+            assert _masks_connected(n, masks) == connected, (n, lines)
+            assert _shares_two_points(masks) == shared, (n, lines)
+            found["connected", connected] += 1
+            found["shared", shared] += 1
         assert min(found.values()) > 1000
+
+    def test_drawn_masks_hold_the_drawn_lines(self):
+        from rodrigidity.analysis import _draw_lines
+
+        for bounds in self.BOUNDS[:-1]:  # (3000, 1) mostly runs out of draws
+            rng = random.Random(sum(bounds))
+            for _ in range(50):
+                n, lines, masks = _draw_lines(rng, *bounds)
+                assert masks == [sum(1 << p for p in line) for line in lines], (n, lines)
 
     @pytest.mark.parametrize("max_points,max_lines", [(1, 6), (0, 6), (-3, 6), (10, 0), (10, -1)])
     def test_bounds_below_the_least_raise(self, max_points, max_lines):
@@ -584,17 +598,20 @@ class TestTheoremEightAgreement:
         import rodrigidity.analysis as analysis
         from rodrigidity import run_agreement_campaign, shared_rod_pair
 
-        drawn, games = [], []
-        real_draw, real_play = analysis.random_geometry, analysis.play
-        monkeypatch.setattr(analysis, "random_geometry",
+        drawn, built, games = [], [], []
+        real_draw, real_build, real_play = analysis._draw_lines, analysis._build, analysis.play
+        monkeypatch.setattr(analysis, "_draw_lines",
                             lambda *a: drawn.append(real_draw(*a)) or drawn[-1])
+        monkeypatch.setattr(analysis, "_build",
+                            lambda *a: built.append(real_build(*a)) or built[-1])
         monkeypatch.setattr(analysis, "play",
                             lambda n, *groups: games.append(n) or real_play(n, *groups))
         report = run_agreement_campaign(target=20, seed=37)
-        shared = sum(shared_rod_pair(g) is not None for g in drawn)
+        shared = sum(shared_rod_pair(IncidenceGeometry(n, lines)) is not None
+                     for n, lines, _ in drawn)
         assert len(drawn) == report.attempted
         assert shared > 0  # the campaign met geometries sampling refuses
-        assert len(games) == report.attempted - shared
+        assert len(games) == len(built) == report.attempted - shared  # none built for a skip
         assert report.skipped >= shared
 
     def test_flexible_never_algebraically_rigid(self, hinge):

@@ -661,6 +661,18 @@ def test_fuzz_small(capsys):
     assert "agree=5" in out and "disagreements=0" in out
 
 
+# each gave up under a cap of max(50, 25 x count) attempts, though its bounds can be met
+@pytest.mark.parametrize("argv", [
+    ["--count", "1", "--seed", "311"], ["--count", "2", "--seed", "19"],
+    ["--count", "2", "--seed", "46"], ["--count", "2", "--seed", "179"],
+    ["--count", "3", "--seed", "225"], ["--count", "5", "--max-points", "40", "--max-lines", "12"],
+])
+def test_fuzz_validates_where_a_fixed_cap_gave_up(capsys, argv):
+    assert main(["fuzz", *argv]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"agree={argv[1]} ") and out.endswith(" disagreements=0\n")
+
+
 @pytest.mark.parametrize("flag,value,least", [
     ("--count", "-1", 1), ("--count", "0", 1), ("--max-points", "1", 2), ("--max-lines", "0", 1),
 ])
@@ -675,7 +687,7 @@ def test_fuzz_out_of_range_bound_exits_1(capsys, flag, value, least):
     (["--max-points", "3000", "--max-lines", "1", "--count", "1"],
      "could not generate a connected geometry in 1000 draws (max_points=3000, max_lines=1)"),
     (["--max-points", "2", "--max-lines", "1000", "--count", "5"],
-     "campaign validated only 0/5 geometries in 125 attempts"),
+     "campaign validated only 0/5 geometries in 1000 attempts, none in the last 1000"),
 ], ids=["no-connected-draw", "nothing-validates"])
 def test_fuzz_unmet_bounds_exit_1(capsys, argv, message):
     assert main(["fuzz", *argv]) == 1
