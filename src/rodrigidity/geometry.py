@@ -48,7 +48,9 @@ class IncidenceGeometry:
     Every line must contain at least two distinct points: a rod through fewer
     than two points constrains nothing and only produces degenerate cones
     downstream, so such input is rejected outright.  Points on no line are
-    legal; is_connected counts each as a component of its own.  Point names
+    legal; is_connected counts each as a component of its own.  The point
+    count and every point index are ints: a bool, float or string is refused,
+    never coerced, as geometry_from_json refuses it.  Point names
     are stored as a tuple, as the lines are, so any sequence of names gives
     an equal, hashable geometry.  An empty point name means no name, so names
     that are all empty are stored as None, which is how the text format (it
@@ -60,19 +62,24 @@ class IncidenceGeometry:
     point_names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        if self.num_points < 0:
+        n = self.num_points
+        if type(n) is not int:
+            raise GeometryError(f"point count {n!r:.40} is not an integer")
+        if n < 0:
             raise GeometryError("negative point count")
         object.__setattr__(self, "lines", tuple(tuple(ln) for ln in self.lines))
         for idx, line in enumerate(self.lines):
             if len(line) < 2:
                 raise GeometryError(f"line {idx} has {len(line)} point(s); need at least 2")
+            for p in line:
+                if type(p) is not int:
+                    raise GeometryError(f"line {idx} has point index {p!r:.40}, not an integer")
+                if not 0 <= p < n:
+                    raise GeometryError(
+                        f"line {idx} references point {p} but only {n} points exist"
+                    )
             if len(set(line)) != len(line):
                 raise GeometryError(f"line {idx} repeats a point (duplicate incidence)")
-            for p in line:
-                if not 0 <= p < self.num_points:
-                    raise GeometryError(
-                        f"line {idx} references point {p} but only {self.num_points} points exist"
-                    )
         if self.point_names is not None:
             names = tuple(self.point_names)
             if len(names) != self.num_points:

@@ -527,18 +527,24 @@ class TestRandomGeometry:
     BOUNDS = [(10, 6), (2, 3), (3, 2), (21, 5), (22, 5), (14, 9), (3000, 1)]
 
     def test_draws_what_randint_and_sample_draw(self):
+        gave_up = 0
         for seed in range(2000):
             fast, slow = random.Random(seed), random.Random(seed)
-            for bounds in self.BOUNDS:  # one rng carries on through every bound
+            # (3000, 1), last so no other bound's stream moves, makes up to
+            # 1000 draws per seed in each generator: the first 200 seeds suffice
+            bounds_list = self.BOUNDS if seed < 200 else self.BOUNDS[:-1]
+            for bounds in bounds_list:  # one rng carries on through every bound
                 try:
                     expected = reference_random_geometry(slow, *bounds)
                 except CampaignError as exc:
                     with pytest.raises(CampaignError) as raised:
                         random_geometry(fast, *bounds)
                     assert str(raised.value) == str(exc)
+                    gave_up += 1
                 else:
                     assert random_geometry(fast, *bounds) == expected, (seed, bounds)
                 assert fast.getstate() == slow.getstate(), (seed, bounds)
+        assert gave_up > 50
 
     def test_line_check_matches_is_connected(self):
         from rodrigidity import is_connected, shared_rod_pair

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 from rodrigidity import IncidenceGeometry, cli, oracle, remove_line, serialize_geometry
 from rodrigidity.cli import main
 
-from conftest import FIG2_COORDS, PAPPUS_LINES, arrangement, plant_rank_shift
+from conftest import FIG2_COORDS, FIG2_LINES, PAPPUS_LINES, arrangement, plant_rank_shift
 
 FIG2_TEXT = """\
 points: 7
@@ -566,6 +568,18 @@ class TestDotAndSvg:
         assert out.count("<circle") == 11
         assert out.count('fill="#ffffff"') == 4
 
+    # Neither construction checks its own output, so these digests are what
+    # catches a fault in the sampled or extended coordinates.
+    @pytest.mark.parametrize("seed,flags,digest", [
+        (1729, [], "e4a53715026be7ba8f0008a23c5c7d38f0c047500a9e89cbc8e553af9ba7dfbb"),
+        (1729, ["--cone"], "85d1b49773b1d42a20dbf280ed8732ca729f6b26cc977e89366786319f36f5d5"),
+        (3, [], "55a526e74461b35aa5bcaf8219e6d689185dcf1edaf72054fd94ac7df0d55bfb"),
+        (3, ["--cone"], "f68f87ce67e9198da69014fa0c7c836469231debba0bf49b6b67e324f87ce7ab"),
+    ], ids=["1729", "1729-cone", "3", "3-cone"])
+    def test_svg_digest(self, fig2_file, capsys, seed, flags, digest):
+        assert main(["svg", fig2_file, "--seed", str(seed)] + flags) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_svg_from_coords_file(self, fig2_file, tmp_path, capsys):
         coords = tmp_path / "coords.json"
         coords.write_text(json.dumps(
@@ -598,6 +612,17 @@ class TestDotAndSvg:
         realization.write_text(json.dumps(doc))
         assert main(["svg", str(geo), "--realization", str(realization)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_svg_realization_missing_an_incidence_exits_1(self, fig2_file, tmp_path, capsys):
+        rho = oracle.sample_realization(IncidenceGeometry(7, FIG2_LINES), 3,
+                                        field=oracle.RATIONALS)
+        intercepts = list(rho.intercepts)
+        intercepts[0] += 1
+        realization = tmp_path / "realization.json"
+        realization.write_text(json.dumps(
+            oracle.realization_to_json(replace(rho, intercepts=tuple(intercepts)))))
+        assert main(["svg", fig2_file, "--realization", str(realization)]) == 1
+        assert capsys.readouterr().err == "error: the realization does not satisfy the geometry\n"
 
     def test_svg_undecodable_realization_exits_1(self, tmp_path, capsys):
         geo = tmp_path / "seg.geo"

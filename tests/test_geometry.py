@@ -119,6 +119,21 @@ class TestParsing:
         with pytest.raises(GeometryError):
             IncidenceGeometry(3, ((0, 0),))
 
+    @pytest.mark.parametrize("num_points,lines,message", [
+        (3, [(True, 2), (0, 2.0)], "line 0 has point index True, not an integer"),
+        (3, [(0, 2), (0, 2.0)], "line 1 has point index 2.0, not an integer"),
+        (3, ["01", "12"], "line 0 has point index '0', not an integer"),
+        (3, [([0], [1])], r"line 0 has point index \[0\], not an integer"),
+        (3.0, [(0, 1)], "point count 3.0 is not an integer"),
+        (True, [], "point count True is not an integer"),
+        ("3", [(0, 1)], "point count '3' is not an integer"),
+    ], ids=["bool-index", "float-index", "str-index", "list-index", "float-count",
+            "bool-count", "str-count"])
+    def test_indices_and_count_are_ints(self, num_points, lines, message):
+        # refused, not coerced, as geometry_from_json refuses them
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            IncidenceGeometry(num_points, lines)
+
     def test_names_given_as_a_list(self):
         listed = IncidenceGeometry(2, [(0, 1)], ["a", "b"])
         named = IncidenceGeometry(2, ((0, 1),), ("a", "b"))

@@ -24,6 +24,7 @@ from rodrigidity import (
     build_cone_graph,
     build_cone_incidence,
     build_concurrence_matrix,
+    decide_rod_rigidity,
     is_string_config_rigid,
     play,
     rank_of,
@@ -32,9 +33,11 @@ from rodrigidity import (
     realization_to_json,
     realize_cone,
     sample_realization,
+    serialize_geometry,
     shared_rod_pair,
+    string_config_rank,
 )
-from rodrigidity import oracle
+from rodrigidity import analysis, cli, oracle
 from rodrigidity.analysis import random_geometry
 
 from bruteforce import apply, dense_rows, is_sharply_independent, minor_rank, shares_two_points
@@ -50,6 +53,13 @@ from paper_claims import (
 
 def single_line(k: int) -> IncidenceGeometry:
     return IncidenceGeometry(k, (tuple(range(k)),))
+
+
+def off_by_one_intercept(rho: LinearRealization, line: int) -> LinearRealization:
+    """rho with line `line` moved off every one of its points."""
+    intercepts = list(rho.intercepts)
+    intercepts[line] += 1
+    return replace(rho, intercepts=tuple(intercepts))
 
 
 class TestRealizationFromCoords:
@@ -300,6 +310,12 @@ class TestRealizeCone:
         with pytest.raises(OracleError, match="proper"):
             realize_cone(build_cone_incidence(fig2), trivial_realization(fig2), seed=0)
 
+    def test_refuses_a_missed_incidence(self, fig2):
+        rho = off_by_one_intercept(sample_realization(fig2, seed=7), 0)
+        assert rho.is_proper()
+        with pytest.raises(OracleError, match="^realization does not satisfy the geometry$"):
+            realize_cone(build_cone_incidence(fig2), rho, seed=7)
+
 
 class TestStringConfigRigidity:
     def test_triangle_is_rigid(self, triangle_rods):
@@ -332,6 +348,56 @@ class TestStringConfigRigidity:
         bad = trivial_realization(sc.geometry)
         with pytest.raises(OracleError, match="proper"):
             is_string_config_rigid(sc, bad)
+
+    def test_refuses_a_missed_incidence(self, fig2):
+        sc = build_cone_incidence(fig2)
+        ext = realize_cone(sc, sample_realization(fig2, seed=7), seed=7)
+        bad = off_by_one_intercept(ext, fig2.num_lines)  # the first spoke
+        assert bad.is_proper()
+        with pytest.raises(OracleError,
+                           match="^realization does not satisfy the cone incidence geometry$"):
+            string_config_rank(sc, bad)
+
+
+class TestEachSampleCheckedOnce:
+    """A sample is checked by realize_cone, which receives it, and its
+    extension by string_config_rank: two `satisfies` calls per proper
+    sample, none for a refused geometry."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"satisfies": 0, "proper": 0}
+        satisfies = LinearRealization.satisfies
+
+        def counted_satisfies(rho, geometry):
+            counts["satisfies"] += 1
+            return satisfies(rho, geometry)
+
+        def counted_sample(*args, **kwargs):
+            rho = sample_realization(*args, **kwargs)
+            counts["proper"] += not isinstance(rho, Infeasible)
+            return rho
+
+        monkeypatch.setattr(LinearRealization, "satisfies", counted_satisfies)
+        monkeypatch.setattr(analysis, "sample_realization", counted_sample)
+        monkeypatch.setattr(cli, "sample_realization", counted_sample)
+        return counts
+
+    @pytest.mark.parametrize("name,proper", [("fig2", 1), ("hinge", 1), ("pappus", 0)])
+    @pytest.mark.parametrize("field", [DEFAULT_FIELD, RATIONALS], ids=["zp", "rational"])
+    def test_cross_validated_decide(self, request, counts, name, proper, field):
+        verdict = decide_rod_rigidity(request.getfixturevalue(name), "cross-validated",
+                                      seed=3, field=field)
+        assert counts["proper"] == len(verdict.algebraic or ()) == proper
+        assert counts["satisfies"] == 2 * proper
+
+    @pytest.mark.parametrize("field", ["zp", "rational"])
+    def test_oracle_command(self, fig2, tmp_path, capsys, counts, field):
+        path = tmp_path / "fig2.geo"
+        path.write_text(serialize_geometry(fig2))
+        assert cli.main(["oracle", str(path), "--field", field]) == 0
+        assert capsys.readouterr().out.startswith("rigid")
+        assert counts == {"satisfies": 2, "proper": 1}
 
 
 class TestSharpIndependence:
