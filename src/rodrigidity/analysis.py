@@ -304,7 +304,7 @@ def canonical_edge_order(
     seen: set[int] = set()
     plan: list[tuple[int, int, int, int]] = []
     for line in order:  # the list grows while it is walked: a queue
-        pts = sorted(geometry.lines[line])
+        pts = geometry.lines[line]
         c = n_pts + line
         shared = [x for x in pts if x in seen]
         fresh = [x for x in pts if x not in seen]
@@ -386,19 +386,16 @@ def _subgeometry_from_parts(
     n_pts, n_lines = geometry.num_points, geometry.num_lines
     lines: list[tuple[int, ...]] = []
     sources: list[int] = []
-    for l in range(n_lines):
-        members = star_members[l]
+    for l, members in enumerate(star_members):
         if len(members) >= 2:
-            lines.append(tuple(sorted(members)))
+            lines.append(tuple(members))
             sources.append(l)
-    # spoke k of the cone incidence geometry, line-major with points ascending
-    incidences = ((l, p) for l, line in enumerate(geometry.lines) for p in sorted(line))
-    for k, (l, p) in enumerate(incidences):
+    # spoke k of the cone incidence geometry is incidence k of the geometry
+    for k, (p, l) in enumerate(geometry.incidences()):
         if (l, p) in spokes:
             lines.append((p, n_pts + l))
             sources.append(n_lines + k)
-    sub = IncidenceGeometry(n_pts + n_lines, tuple(lines))
-    return sub, tuple(sources)
+    return IncidenceGeometry(n_pts + n_lines, lines), tuple(sources)
 
 
 # --- minimal rigidity and fuzzing --------------------------------------------
@@ -488,13 +485,13 @@ def random_geometry(
     max_lines: int = 6,
 ) -> IncidenceGeometry:
     """The `rodrig fuzz` generator: a random connected geometry whose lines
-    each pass through 2..4 distinct random points, stored sorted.
+    each pass through 2..4 distinct random points.
 
     Stream contract: the geometries, the CampaignError and the state `rng`
     is left in are those of drawing, up to 1000 times until connected,
 
         n_pts = rng.randint(2, max_points)
-        lines = [tuple(sorted(rng.sample(range(n_pts), rng.randint(2, min(n_pts, 4)))))
+        lines = [rng.sample(range(n_pts), rng.randint(2, min(n_pts, 4)))
                  for _ in range(rng.randint(1, max_lines))]
 
     on CPython 3.10-3.13.  The same draws are taken from `rng.getrandbits`
@@ -505,7 +502,7 @@ def random_geometry(
     drawn lines' point bitmasks, so only the returned geometry is built.
     """
     n_pts, lines, _ = _draw_lines(rng, max_points, max_lines)
-    return _build(n_pts, lines)
+    return IncidenceGeometry(n_pts, lines)
 
 
 # bit widths of below(top) for the pool picks, where top <= 21
@@ -568,10 +565,6 @@ def _draw_lines(
             return n_pts, lines, masks
     raise CampaignError(f"could not generate a connected geometry in 1000 draws"
                         f" (max_points={max_points}, max_lines={max_lines})")
-
-
-def _build(num_points: int, lines: Sequence[Sequence[int]]) -> IncidenceGeometry:
-    return IncidenceGeometry(num_points, tuple(tuple(sorted(line)) for line in lines))
 
 
 def _masks_connected(num_points: int, masks: Sequence[int]) -> bool:
@@ -658,7 +651,7 @@ def run_agreement_campaign(
         n_pts, lines, masks = _draw_lines(rng, max_points, max_lines)
         sample_seed = rng.randrange(1 << 62)  # drawn before the skip, so no later draw moves
         if not _shares_two_points(masks):
-            verdict = decide_rod_rigidity(_build(n_pts, lines), "cross-validated",
+            verdict = decide_rod_rigidity(IncidenceGeometry(n_pts, lines), "cross-validated",
                                           seed=sample_seed, field=field)
             if verdict.agreement == "agree":
                 if verdict.is_rigid:

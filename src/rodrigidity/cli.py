@@ -27,7 +27,7 @@ from .analysis import (
     verdict_to_json,
 )
 from .cone import build_cone_graph, build_cone_incidence, cone_graph_to_dot
-from .geometry import GeometryError, IncidenceGeometry, load_geometry
+from .geometry import GeometryError, IncidenceGeometry, geometry_to_json, load_geometry
 from .oracle import (
     ALTERNATE_PRIME,
     DEFAULT_FIELD,
@@ -162,17 +162,12 @@ def _cmd_canon(args) -> int:
     sub = canon.subgeometry
     tight = sub.num_incidences == sub.num_lines + 2 * sub.num_points - 3
     if args.format == "json":
-        _emit_json(
-            {
-                "edges": [list(e) for e in canon.edges],
-                "line_order": list(canon.line_order),
-                "subgeometry": {
-                    "points": sub.num_points,
-                    "lines": [list(l) for l in sub.lines],
-                },
-                "tight": tight,
-            }
-        )
+        _emit_json({
+            "edges": [list(e) for e in canon.edges],
+            "line_order": list(canon.line_order),
+            "subgeometry": geometry_to_json(sub),
+            "tight": tight,
+        })
     else:
         print(
             f"canonical subgraph: {len(canon.edges)} edges on {canon.num_vertices} vertices"

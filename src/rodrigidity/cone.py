@@ -3,8 +3,8 @@
 The cone graph of a geometry has one vertex per point plus one cone vertex
 per line.  Each line contributes a "cone": spokes from its cone vertex to
 every incident point, plus a star on the incident points rooted at an inner
-vertex, its lowest point.  Point p is vertex p; line l is vertex
-num_points + l.
+vertex, its lowest point, which comes first.  Point p is vertex p; line l
+is vertex num_points + l.
 
 The cone incidence geometry adds one new point per line (the cone point) and
 one two-point "spoke line" per incidence; it does not depend on any inner
@@ -37,7 +37,7 @@ class ConeGraph:
     edges in all.  When two lines share two or more points the same
     unordered pair may occur in both cones; the pebble game treats the
     duplicate as dependent, so verdicts are unaffected.  Any inner vertex
-    on the line gives the same verdict; build_cone_graph takes the lowest.
+    on the line gives the same verdict; build_cone_graph takes the first.
     """
 
     num_points: int
@@ -56,14 +56,11 @@ class ConeGraph:
 
 
 def build_cone_graph(geometry: IncidenceGeometry) -> ConeGraph:
-    """Cone graph whose inner vertex on each line is its lowest point."""
+    """Cone graph whose inner vertex on each line is its first, lowest point."""
     n_pts = geometry.num_points
-    cones: list[tuple[tuple[int, int], ...]] = []
-    for i, line in enumerate(geometry.lines):
-        pts = sorted(line)
-        r = pts[0]
-        cones.append(tuple([(n_pts + i, p) for p in pts] + [(r, q) for q in pts[1:]]))
-    return ConeGraph(n_pts, tuple(cones))
+    return ConeGraph(n_pts, tuple(
+        tuple([(n_pts + i, p) for p in line] + [(line[0], q) for q in line[1:]])
+        for i, line in enumerate(geometry.lines)))
 
 
 @dataclass(frozen=True)
@@ -72,9 +69,9 @@ class ConeIncidenceGeometry:
 
     Points: the base points, then one cone point per base line (cone point of
     line l is base.num_points + l).  Lines: first the |L| collinear classes
-    (the point sets of the base lines, points ascending), then one spoke line
-    (p, cone point of l) per incidence of point p and line l, line-major with
-    points ascending: spoke k is line base.num_lines + k of geometry.
+    (the base lines, points ascending), then one spoke line (p, cone point
+    of l) per incidence (p, l) of base.incidences(), in that order: spoke k
+    is line base.num_lines + k of geometry.
     """
 
     base: IncidenceGeometry
@@ -83,9 +80,8 @@ class ConeIncidenceGeometry:
 
 def build_cone_incidence(geometry: IncidenceGeometry) -> ConeIncidenceGeometry:
     n_pts = geometry.num_points
-    lines: list[tuple[int, ...]] = [tuple(sorted(line)) for line in geometry.lines]
-    lines += [(p, n_pts + i) for i, pts in enumerate(lines) for p in pts]
-    cone_geometry = IncidenceGeometry(n_pts + geometry.num_lines, tuple(lines))
+    spokes = tuple((p, n_pts + l) for p, l in geometry.incidences())
+    cone_geometry = IncidenceGeometry(n_pts + geometry.num_lines, geometry.lines + spokes)
     return ConeIncidenceGeometry(geometry, cone_geometry)
 
 

@@ -43,18 +43,19 @@ class GeometryParseError(GeometryError):
 
 @dataclass(frozen=True)
 class IncidenceGeometry:
-    """Points 0..num_points-1 plus lines given as tuples of incident points.
+    """Points 0..num_points-1 plus lines, each stored as the ascending tuple
+    of its points, so a rod listed in another order gives an equal geometry.
 
     Every line must contain at least two distinct points: a rod through fewer
     than two points constrains nothing and only produces degenerate cones
     downstream, so such input is rejected outright.  Points on no line are
     legal; is_connected counts each as a component of its own.  The point
     count and every point index are ints: a bool, float or string is refused,
-    never coerced, as geometry_from_json refuses it.  Point names
-    are stored as a tuple, as the lines are, so any sequence of names gives
-    an equal, hashable geometry.  An empty point name means no name, so names
-    that are all empty are stored as None, which is how the text format (it
-    writes no empty name) reads them back.
+    never coerced, as geometry_from_json refuses it.  The names are a
+    sequence of strings, not one string, stored as a tuple as the lines are,
+    so any sequence of names gives an equal, hashable geometry.  An empty
+    point name means no name, so names that are all empty are stored as None,
+    which is how the text format (it writes no empty name) reads them back.
     """
 
     num_points: int
@@ -67,21 +68,36 @@ class IncidenceGeometry:
             raise GeometryError(f"point count {n!r:.40} is not an integer")
         if n < 0:
             raise GeometryError("negative point count")
-        object.__setattr__(self, "lines", tuple(tuple(ln) for ln in self.lines))
-        for idx, line in enumerate(self.lines):
+        try:
+            lines = list(self.lines)
+        except TypeError:
+            raise GeometryError(f"lines {self.lines!r:.40} are not a sequence") from None
+        for idx, line in enumerate(lines):
+            try:
+                line = tuple(line)
+            except TypeError:
+                raise GeometryError(f"line {idx} is {line!r:.40}, not a sequence") from None
             if len(line) < 2:
                 raise GeometryError(f"line {idx} has {len(line)} point(s); need at least 2")
             for p in line:
                 if type(p) is not int:
                     raise GeometryError(f"line {idx} has point index {p!r:.40}, not an integer")
                 if not 0 <= p < n:
-                    raise GeometryError(
-                        f"line {idx} references point {p} but only {n} points exist"
-                    )
+                    raise GeometryError(f"line {idx} references point {p} "
+                                        f"but only {n} points exist")
             if len(set(line)) != len(line):
                 raise GeometryError(f"line {idx} repeats a point (duplicate incidence)")
+            lines[idx] = tuple(sorted(line))
+        object.__setattr__(self, "lines", tuple(lines))
         if self.point_names is not None:
-            names = tuple(self.point_names)
+            try:
+                names = tuple(self.point_names)
+            except TypeError:
+                raise GeometryError(f"point names {self.point_names!r:.40} are not a "
+                                    "sequence of strings") from None
+            if isinstance(self.point_names, str) or not all(isinstance(s, str) for s in names):
+                raise GeometryError(f"point names {self.point_names!r:.40} are not a "
+                                    "sequence of strings")
             if len(names) != self.num_points:
                 raise GeometryError("point_names length does not match num_points")
             # an empty name is no name
@@ -96,7 +112,7 @@ class IncidenceGeometry:
         return sum(len(line) for line in self.lines)
 
     def incidences(self) -> tuple[tuple[int, int], ...]:
-        """All (point, line) pairs, line-major, points in stored order."""
+        """All (point, line) pairs, line-major, each line's points ascending."""
         return tuple((p, i) for i, line in enumerate(self.lines) for p in line)
 
     def point_line_map(self) -> list[list[int]]:
@@ -140,8 +156,8 @@ def shared_rod_pair(geometry: IncidenceGeometry) -> Optional[tuple[int, int, int
 
     Such a pair has no proper realization: rods of different slopes meet in
     one point, so p and q would coincide.  Rods are scanned in index order;
-    for each point q of rod l2, in stored order, the rods l1 < l2 through q
-    are walked, and the first rod l1 met at a second point ends the scan.
+    for each point q of rod l2, ascending, the rods l1 < l2 through q are
+    walked, and the first rod l1 met at a second point ends the scan.
     So l2 is the first rod that shares two points with an earlier one, and
     the scan takes O(sum of deg(p)^2) time at most.
     """
@@ -154,7 +170,7 @@ def shared_rod_pair(geometry: IncidenceGeometry) -> Optional[tuple[int, int, int
                     break
                 p = first_shared.setdefault(l1, q)
                 if p != q:
-                    return l1, l2, min(p, q), max(p, q)
+                    return l1, l2, p, q
     return None
 
 

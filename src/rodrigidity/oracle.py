@@ -557,9 +557,9 @@ def realization_from_coords(
     first (exactly; rotations by rational unit vectors keep coordinates
     rational; a fixed seed makes the rotation reproducible).  A line's
     direction comes from two of its points with distinct coordinates.
-    Non-collinear coordinates for some line are a hard error, and so are a
-    line whose points all coincide and anything that is not a sequence of
-    (x, y) rationals (`_point`).
+    Non-collinear coordinates for some line are a hard error, found before
+    any line is tested for verticality, as are a line whose points all
+    coincide and anything that is not a sequence of (x, y) rationals (`_point`).
     """
     try:
         pts = [_point(pt) for pt in coords]
@@ -567,35 +567,33 @@ def realization_from_coords(
         raise OracleError(f"bad coordinates: {exc}") from None
     if len(pts) != geometry.num_points:
         raise OracleError("coordinate count does not match the geometry")
+    seconds = []  # per line, a point whose coordinates differ from its first point's
+    for i, line in enumerate(geometry.lines):
+        x0, y0 = pts[line[0]]
+        q = next((p for p in line if pts[p] != (x0, y0)), None)
+        if q is None:
+            raise OracleError(f"every point of line {i} has the same coordinates, "
+                              "so they fix no direction for it")
+        dx, dy = pts[q][0] - x0, pts[q][1] - y0
+        for p in line:
+            if (pts[p][0] - x0) * dy != (pts[p][1] - y0) * dx:
+                raise OracleError(f"point {p} does not lie on line {i}: "
+                                  "coordinates do not realize the geometry")
+        seconds.append(q)
     rng = random.Random(0)
-    attempts = _DRAWS if rotate_if_vertical else 1
-    for attempt in range(attempts):
+    for attempt in range(_DRAWS if rotate_if_vertical else 1):  # rotations keep collinearity
         current = pts if attempt == 0 else _rotate_coords(pts, rng)
         slopes, intercepts = [], []
-        vertical = False
-        for i, line in enumerate(geometry.lines):
-            x0, y0 = current[line[0]]
-            other = next((current[p] for p in line if current[p] != (x0, y0)), None)
-            if other is None:
-                raise OracleError(f"every point of line {i} has the same coordinates, "
-                                  "so they fix no direction for it")
-            x1, y1 = other
+        for i, (line, q) in enumerate(zip(geometry.lines, seconds)):
+            (x0, y0), (x1, y1) = current[line[0]], current[q]
             if x0 == x1:
-                vertical = True
                 break
             f = -(y1 - y0) / (x1 - x0)
-            h = -f * x0 - y0
-            for p in line:
-                if f * current[p][0] + current[p][1] + h != 0:
-                    raise OracleError(
-                        f"point {p} does not lie on line {i}: coordinates do not realize the geometry"
-                    )
             slopes.append(f)
-            intercepts.append(h)
-        if vertical:
-            continue
-        return LinearRealization(RATIONALS, tuple(slopes), tuple(intercepts),
-                                 tuple(x for x, _ in current), tuple(y for _, y in current))
+            intercepts.append(-f * x0 - y0)
+        else:
+            return LinearRealization(RATIONALS, tuple(slopes), tuple(intercepts),
+                                     tuple(x for x, _ in current), tuple(y for _, y in current))
     raise VerticalLineError(f"line {i} is vertical, so it has no slope-intercept form")
 
 

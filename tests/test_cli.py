@@ -492,6 +492,21 @@ class TestOracleCommand:
             assert main(["oracle", str(path)]) == 1
             assert capsys.readouterr().err == f"error: sampling infeasible: {reason}\n"
 
+    @pytest.mark.parametrize("argv", [["oracle"], ["check", "--cross-validate"],
+                                      ["minimal", "--cross-validate"], ["svg", "--cone"]],
+                             ids=["oracle", "check", "minimal", "svg"])
+    def test_rod_listing_order_does_not_matter(self, tmp_path, capsys, argv):
+        # a rod is the set of its points: listing the doubled rod backwards
+        # names the same shared pair
+        runs = []
+        for listing in ("0 1 2", "2 1 0"):
+            path = tmp_path / "doubled3.geo"
+            path.write_text(f"points: 3\nline: 0 1 2\nline: {listing}\n")
+            code = main(argv + [str(path)])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert "rods 0 and 1 share points 0 and 1" in runs[0][1] + runs[0][2]
+
     def test_rational_field(self, hinge_file, capsys):
         assert main(["oracle", hinge_file, "--field", "rational", "--format", "json"]) == 2
         doc = json.loads(capsys.readouterr().out)
@@ -659,6 +674,28 @@ class TestDotAndSvg:
         assert captured.err == (
             "error: line 0 is vertical, so it has no slope-intercept form; "
             "pass --rotate to rotate the input first\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--rotate"]], ids=["plain", "rotate"])
+    @pytest.mark.parametrize("lines, coords, message", [
+        # the line through points 0 and 1 is vertical, but point 2 is off it:
+        # the coordinates realize no rod, however the rod is listed
+        ("points: 3\nline: 0 1 2\n", [[0, 0], [0, 1], [1, 5]],
+         "point 2 does not lie on line 0: coordinates do not realize the geometry"),
+        ("points: 3\nline: 2 0 1\n", [[0, 0], [0, 1], [1, 5]],
+         "point 2 does not lie on line 0: coordinates do not realize the geometry"),
+        # line 0 is vertical, but line 1 fixes no direction at all
+        ("points: 4\nline: 0 1\nline: 2 3\n", [[0, 0], [0, 1], [2, 2], [2, 2]],
+         "every point of line 1 has the same coordinates, so they fix no direction for it"),
+    ], ids=["bent-ascending", "bent-shuffled", "vertical-then-coincident"])
+    def test_svg_off_line_point_is_not_called_vertical(self, tmp_path, capsys, lines, coords,
+                                                       message, flags):
+        # every line is checked before any is tested for verticality
+        geo = tmp_path / "rods.geo"
+        geo.write_text(lines)
+        path = tmp_path / "coords.json"
+        path.write_text(json.dumps({"coords": coords}))
+        assert main(["svg", str(geo), "--realization", str(path)] + flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_svg_coincident_points(self, tmp_path, capsys):
         # a line's direction comes from two distinct points, whichever

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,31 @@ class TestParsing:
         with pytest.raises(GeometryError, match=f"^{message}$"):
             IncidenceGeometry(num_points, lines)
 
+    @pytest.mark.parametrize("args,message", [
+        ((3, [5]), "line 0 is 5, not a sequence"),
+        ((3, 5), "lines 5 are not a sequence"),
+        ((3, [(0, 1)], 5), "point names 5 are not a sequence of strings"),
+        ((3, [(0, 1)], "abc"), "point names 'abc' are not a sequence of strings"),
+        ((3, [(0, 1)], [1, 2, 3]), "point names [1, 2, 3] are not a sequence of strings"),
+        ((3, [(0, 1)], ("a", "b", None)),
+         "point names ('a', 'b', None) are not a sequence of strings"),
+    ], ids=["int-line", "int-lines", "int-names", "str-names", "int-name", "none-name"])
+    def test_parts_of_the_wrong_kind(self, args, message):
+        # once a bare TypeError, or a geometry whose JSON its reader refuses
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            IncidenceGeometry(*args)
+
+    @pytest.mark.parametrize("line,message", [
+        ((0, 1, 1), "line 1 repeats a point"),
+        ((2, 0, 1, 1), "line 1 repeats a point"),
+        ((2, 0, 3), "line 1 references point 3 but only 3 points exist"),
+        ((1, 0, "2"), "line 1 has point index '2', not an integer"),
+    ], ids=["ascending-repeat", "unordered-repeat", "unordered-range", "unordered-type"])
+    def test_checks_hold_in_and_out_of_order(self, line, message):
+        # every check holds whether or not the line is listed ascending
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}"):
+            IncidenceGeometry(3, [(0, 1), line])
+
     def test_names_given_as_a_list(self):
         listed = IncidenceGeometry(2, [(0, 1)], ["a", "b"])
         named = IncidenceGeometry(2, ((0, 1),), ("a", "b"))
@@ -177,6 +203,21 @@ class TestParsing:
     def test_json_round_trip(self, g):
         assert geometry_from_json(geometry_to_json(g)) == g
 
+    @settings(max_examples=60)
+    @given(geometries(), st.data())
+    def test_rods_listed_in_any_order(self, g, data):
+        # a rod is stored as its ascending point tuple: the readers give the
+        # same geometry for any listing, and the writers write it ascending
+        listed = [data.draw(st.permutations(line)) for line in g.lines]
+        text = f"points: {g.num_points}\n" + "".join(
+            "line: " + " ".join(map(str, line)) + "\n" for line in listed)
+        from_text = parse_geometry(text)
+        from_json = geometry_from_json({"points": g.num_points, "lines": listed})
+        assert from_text == from_json == g and hash(from_text) == hash(g)
+        assert from_text.lines == tuple(tuple(sorted(line)) for line in listed)
+        assert serialize_geometry(from_text) == serialize_geometry(g)
+        assert geometry_to_json(from_json) == geometry_to_json(g)
+
     @pytest.mark.parametrize("names", [5, "ab", [1, 2], {"0": "a"}])
     def test_json_malformed_names_rejected(self, names):
         with pytest.raises(GeometryError, match="bad geometry document"):
@@ -208,7 +249,8 @@ class TestJsonReader:
     ))
     def test_json_reader_refuses_or_reads_exactly(self, doc):
         # A document is either refused with GeometryError or read as written:
-        # the geometry's JSON says exactly what the document said.
+        # the geometry's JSON says exactly what the document said, each rod's
+        # points ascending.
         try:
             g = geometry_from_json(doc)
         except GeometryError:
@@ -216,7 +258,7 @@ class TestJsonReader:
         assert isinstance(g, IncidenceGeometry)
         written = geometry_to_json(g)
         assert json.dumps([written["points"], written["lines"]]) == \
-            json.dumps([doc["points"], doc["lines"]])
+            json.dumps([doc["points"], [sorted(line) for line in doc["lines"]]])
 
 
 class TestConnectivity:
