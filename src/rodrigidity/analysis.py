@@ -13,9 +13,9 @@ never swallowed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._record import Record, set_field
 from .cone import ConeIncidenceGeometry, build_cone_graph, build_cone_incidence
 from .geometry import (
     GeometryError,
@@ -74,17 +74,28 @@ class OracleDisagreementError(RuntimeError):
         self.bundle = bundle
 
 
-@dataclass(frozen=True)
-class RigidityVerdict:
+class RigidityVerdict(Record):
     """The cone graph's game (None for zero or one entity, which has no
     internal motion) and the cross-validation outcome; rigidity and the
     counts follow from the game."""
 
-    connected: bool
-    pebble: Optional[PebbleVerdict]
-    agreement: str  # "agree" | "algebraic-skipped"; a disagreement raises
-    algebraic: Optional[tuple[tuple[int, int], ...]] = None  # (rank, max_rank) per proper sample
-    skip_reason: Optional[str] = None  # why sampling refused the geometry, when it was asked to sample
+    __slots__ = ("connected", "pebble", "agreement", "algebraic", "skip_reason")
+
+    def __init__(
+        self,
+        connected: bool,
+        pebble: Optional[PebbleVerdict],
+        agreement: str,  # "agree" | "algebraic-skipped"; a disagreement raises
+        # (rank, max_rank) per proper sample
+        algebraic: Optional[tuple[tuple[int, int], ...]] = None,
+        # why sampling refused the geometry, when it was asked to sample
+        skip_reason: Optional[str] = None,
+    ):
+        set_field(self, "connected", connected)
+        set_field(self, "pebble", pebble)
+        set_field(self, "agreement", agreement)
+        set_field(self, "algebraic", algebraic)
+        set_field(self, "skip_reason", skip_reason)
 
     @property
     def is_rigid(self) -> bool:
@@ -253,8 +264,7 @@ def _raise_disagreement(geometry, seed, remaining, samples, label, about) -> Non
 # --- the canonical maximally independent subgraph -----------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalSubgraph:
+class CanonicalSubgraph(Record):
     """Maximally independent subgraph of a cone graph, plus its subgeometry.
 
     The subgeometry keeps every vertex of the cone graph as a point, so its
@@ -266,11 +276,16 @@ class CanonicalSubgraph:
     geometry restricts to one of the subgeometry.
     """
 
-    edges: tuple[tuple[int, int], ...]
-    rejected: tuple[tuple[int, int], ...]
-    line_order: tuple[int, ...]
-    subgeometry: IncidenceGeometry
-    source_lines: tuple[int, ...]
+    __slots__ = ("edges", "rejected", "line_order", "subgeometry", "source_lines")
+
+    def __init__(self, edges: tuple[tuple[int, int], ...], rejected: tuple[tuple[int, int], ...],
+                 line_order: tuple[int, ...], subgeometry: IncidenceGeometry,
+                 source_lines: tuple[int, ...]):
+        set_field(self, "edges", edges)
+        set_field(self, "rejected", rejected)
+        set_field(self, "line_order", line_order)
+        set_field(self, "subgeometry", subgeometry)
+        set_field(self, "source_lines", source_lines)
 
     @property
     def num_vertices(self) -> int:
@@ -388,28 +403,35 @@ def _subgeometry_from_parts(
     sources: list[int] = []
     for l, members in enumerate(star_members):
         if len(members) >= 2:
-            lines.append(tuple(members))
+            lines.append(tuple(sorted(members)))
             sources.append(l)
     # spoke k of the cone incidence geometry is incidence k of the geometry
     for k, (p, l) in enumerate(geometry.incidences()):
         if (l, p) in spokes:
             lines.append((p, n_pts + l))
             sources.append(n_lines + k)
-    return IncidenceGeometry(n_pts + n_lines, lines), tuple(sources)
+    # every line holds two or more distinct points of the geometry, ascending
+    # (a spoke's cone point follows its point), so the checks are skipped
+    sub = IncidenceGeometry.__new__(IncidenceGeometry)
+    sub._store(n_pts + n_lines, tuple(lines), None)
+    return sub, tuple(sources)
 
 
 # --- minimal rigidity and fuzzing --------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinimalRigidityReport:
+class MinimalRigidityReport(Record):
     """The base verdict and, for a rigid base, whether each single-rod
     deletion stays rigid; the removable rods follow from the deletions."""
 
-    base: RigidityVerdict
-    deletion_rigid: tuple[bool, ...]
-    # (agreement, skip_reason) per deletion when a rigid base was cross-validated
-    deletion_checks: Optional[tuple[tuple[str, Optional[str]], ...]] = None
+    __slots__ = ("base", "deletion_rigid", "deletion_checks")
+
+    def __init__(self, base: RigidityVerdict, deletion_rigid: tuple[bool, ...],
+                 # (agreement, skip_reason) per deletion when a rigid base was cross-validated
+                 deletion_checks: Optional[tuple[tuple[str, Optional[str]], ...]] = None):
+        set_field(self, "base", base)
+        set_field(self, "deletion_rigid", deletion_rigid)
+        set_field(self, "deletion_checks", deletion_checks)
 
     @property
     def removable(self) -> tuple[int, ...]:
@@ -602,13 +624,15 @@ def _shares_two_points(masks: Sequence[int]) -> bool:
 _DRY_ATTEMPTS = 1000
 
 
-@dataclass(frozen=True)
-class CampaignReport:
+class CampaignReport(Record):
     """Geometries skipped, and those that cross-validated rigid or flexible."""
 
-    skipped: int
-    rigid: int
-    flexible: int
+    __slots__ = ("skipped", "rigid", "flexible")
+
+    def __init__(self, skipped: int, rigid: int, flexible: int):
+        set_field(self, "skipped", skipped)
+        set_field(self, "rigid", rigid)
+        set_field(self, "flexible", flexible)
 
     @property
     def validated(self) -> int:

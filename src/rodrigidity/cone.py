@@ -13,9 +13,9 @@ vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import Record, set_field
 from .geometry import IncidenceGeometry
 
 __all__ = [
@@ -27,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConeGraph:
+class ConeGraph(Record):
     """A cone graph as the list of its cones, one per line.
 
     cones[l] holds the edges of line l's cone: the spokes (cone vertex,
@@ -40,8 +39,11 @@ class ConeGraph:
     on the line gives the same verdict; build_cone_graph takes the first.
     """
 
-    num_points: int
-    cones: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ("num_points", "cones")
+
+    def __init__(self, num_points: int, cones: tuple[tuple[tuple[int, int], ...], ...]):
+        set_field(self, "num_points", num_points)
+        set_field(self, "cones", cones)
 
     @property
     def num_lines(self) -> int:
@@ -63,8 +65,7 @@ def build_cone_graph(geometry: IncidenceGeometry) -> ConeGraph:
         for i, line in enumerate(geometry.lines)))
 
 
-@dataclass(frozen=True)
-class ConeIncidenceGeometry:
+class ConeIncidenceGeometry(Record):
     """The cone incidence geometry S^C built over a base geometry.
 
     Points: the base points, then one cone point per base line (cone point of
@@ -74,8 +75,11 @@ class ConeIncidenceGeometry:
     is line base.num_lines + k of geometry.
     """
 
-    base: IncidenceGeometry
-    geometry: IncidenceGeometry
+    __slots__ = ("base", "geometry")
+
+    def __init__(self, base: IncidenceGeometry, geometry: IncidenceGeometry):
+        set_field(self, "base", base)
+        set_field(self, "geometry", geometry)
 
 
 def build_cone_incidence(geometry: IncidenceGeometry) -> ConeIncidenceGeometry:

@@ -9,8 +9,9 @@ hashable, so they can be shared freely across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
+
+from ._record import Record, set_field
 
 __all__ = [
     "GeometryError",
@@ -41,8 +42,7 @@ class GeometryParseError(GeometryError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class IncidenceGeometry:
+class IncidenceGeometry(Record):
     """Points 0..num_points-1 plus lines, each stored as the ascending tuple
     of its points, so a rod listed in another order gives an equal geometry.
 
@@ -58,20 +58,19 @@ class IncidenceGeometry:
     which is how the text format (it writes no empty name) reads them back.
     """
 
-    num_points: int
-    lines: tuple[tuple[int, ...], ...]
-    point_names: Optional[tuple[str, ...]] = None
+    __slots__ = ("num_points", "lines", "point_names")
 
-    def __post_init__(self):
-        n = self.num_points
+    def __init__(self, num_points: int, lines: Sequence[Sequence[int]],
+                 point_names: Optional[Sequence[str]] = None):
+        n = num_points
         if type(n) is not int:
             raise GeometryError(f"point count {n!r:.40} is not an integer")
         if n < 0:
             raise GeometryError("negative point count")
         try:
-            lines = list(self.lines)
+            lines = list(lines)
         except TypeError:
-            raise GeometryError(f"lines {self.lines!r:.40} are not a sequence") from None
+            raise GeometryError(f"lines {lines!r:.40} are not a sequence") from None
         for idx, line in enumerate(lines):
             try:
                 line = tuple(line)
@@ -88,20 +87,30 @@ class IncidenceGeometry:
             if len(set(line)) != len(line):
                 raise GeometryError(f"line {idx} repeats a point (duplicate incidence)")
             lines[idx] = tuple(sorted(line))
-        object.__setattr__(self, "lines", tuple(lines))
-        if self.point_names is not None:
+        names = point_names
+        if names is not None:
             try:
-                names = tuple(self.point_names)
+                names = tuple(point_names)
             except TypeError:
-                raise GeometryError(f"point names {self.point_names!r:.40} are not a "
+                raise GeometryError(f"point names {point_names!r:.40} are not a "
                                     "sequence of strings") from None
-            if isinstance(self.point_names, str) or not all(isinstance(s, str) for s in names):
-                raise GeometryError(f"point names {self.point_names!r:.40} are not a "
+            if isinstance(point_names, str) or not all(isinstance(s, str) for s in names):
+                raise GeometryError(f"point names {point_names!r:.40} are not a "
                                     "sequence of strings")
-            if len(names) != self.num_points:
+            if len(names) != n:
                 raise GeometryError("point_names length does not match num_points")
             # an empty name is no name
-            object.__setattr__(self, "point_names", names if any(names) else None)
+            names = names if any(names) else None
+        self._store(n, tuple(lines), names)
+
+    def _store(self, num_points: int, lines: tuple[tuple[int, ...], ...],
+               point_names: Optional[tuple[str, ...]]) -> None:
+        """Set the fields to values that the checks of __init__ would store
+        unchanged: a caller that builds such values itself, on an instance
+        from IncidenceGeometry.__new__, skips the checks."""
+        set_field(self, "num_points", num_points)
+        set_field(self, "lines", lines)
+        set_field(self, "point_names", point_names)
 
     @property
     def num_lines(self) -> int:
@@ -314,10 +323,18 @@ def _json_list(value, length: Optional[int] = None) -> list:
     return value
 
 
+def _json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {value!r:.40}")
+    return value
+
+
 def geometry_from_json(doc: dict) -> IncidenceGeometry:
-    """Counts and point indices must be JSON integers, and the lines and each
-    line JSON lists: a string, float or bool is refused, never coerced."""
+    """The document must be a JSON object, its counts and point indices JSON
+    integers, and the lines and each line JSON lists: a string, float or bool
+    is refused, never coerced."""
     try:
+        doc = _json_object(doc)
         num_points = _json_int(doc["points"])
         lines = tuple(tuple(_json_int(p) for p in _json_list(line))
                       for line in _json_list(doc["lines"]))

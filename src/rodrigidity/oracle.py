@@ -39,12 +39,12 @@ with equality exactly when every redrawing is trivial.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
+from ._record import Record, set_field
 from .cone import ConeIncidenceGeometry
-from .geometry import IncidenceGeometry, _decimals, _json_list, shared_rod_pair
+from .geometry import IncidenceGeometry, _decimals, _json_list, _json_object, shared_rod_pair
 from .geometry import _json_int as _geometry_json_int
 # Not called here, but perfbench/tracing.py wraps this name in this module.
 from .cone import build_cone_incidence  # noqa: F401
@@ -113,29 +113,30 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Record):
     """Z_p: values are ints in [0, p)."""
 
-    p: int
+    __slots__ = ("p",)
 
     zero = 0
     one = 1
 
-    def __post_init__(self):
-        if self.p >= _PRIME_BOUND:
+    def __init__(self, p: int):
+        if p >= _PRIME_BOUND:
             raise ValueError(f"a prime field needs p below {_PRIME_BOUND}, where primality"
-                             f" is decided exactly; got {self.p}")
-        if not _is_prime(self.p):
-            raise ValueError(f"a prime field needs a prime p, got {self.p}")
+                             f" is decided exactly; got {p}")
+        if not _is_prime(p):
+            raise ValueError(f"a prime field needs a prime p, got {p}")
+        set_field(self, "p", p)
 
     def random_unit(self, rng: random.Random):
         return rng.randrange(1, self.p)
 
 
-@dataclass(frozen=True)
-class RationalField:
+class RationalField(Record):
     """Q: values are Fractions; p is 0 so that `x % p if p else x` leaves them."""
+
+    __slots__ = ()
 
     p = 0
     zero = Fraction(0)
@@ -157,8 +158,7 @@ RATIONALS = RationalField()
 _DRAWS = 32
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(Record):
     """The geometry has no proper realization, so sampling refused it.
 
     The reason names two rods through the same two points, refused before
@@ -168,9 +168,13 @@ class Infeasible:
     a draw collapses by accident with probability at most degree/p over Z_p.
     """
 
-    reason: str
-    # (l1, l2, p, q) when rods l1 and l2 both pass through points p and q
-    shared_pair: Optional[tuple[int, int, int, int]] = None
+    __slots__ = ("reason", "shared_pair")
+
+    def __init__(self, reason: str,
+                 # (l1, l2, p, q) when rods l1 and l2 both pass through points p and q
+                 shared_pair: Optional[tuple[int, int, int, int]] = None):
+        set_field(self, "reason", reason)
+        set_field(self, "shared_pair", shared_pair)
 
     @classmethod
     def shared(cls, l1: int, l2: int, p: int, q: int) -> "Infeasible":
@@ -185,13 +189,15 @@ class Infeasible:
         return Infeasible.shared(l1 + (l1 >= rod), l2 + (l2 >= rod), p, q)
 
 
-@dataclass(frozen=True)
-class LinearRealization:
-    field: Field
-    slopes: tuple
-    intercepts: tuple
-    xs: tuple
-    ys: tuple
+class LinearRealization(Record):
+    __slots__ = ("field", "slopes", "intercepts", "xs", "ys")
+
+    def __init__(self, field: Field, slopes: tuple, intercepts: tuple, xs: tuple, ys: tuple):
+        set_field(self, "field", field)
+        set_field(self, "slopes", slopes)
+        set_field(self, "intercepts", intercepts)
+        set_field(self, "xs", xs)
+        set_field(self, "ys", ys)
 
     @property
     def num_lines(self) -> int:
@@ -353,19 +359,22 @@ def matrix_kernel(rows: Sequence[Sequence], field: Field, ncols: int) -> list[li
 # --- the concurrence matrix --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConcurrenceMatrix:
+class ConcurrenceMatrix(Record):
     """Rows indexed by incidences; columns are (h-block, then x,y per point).
 
     Row (p, l) has 1 in column h_l = l, f_l in column x_p = num_lines + 2p
     and 1 in column y_p = num_lines + 2p + 1.
     """
 
-    field: Field
-    num_lines: int
-    num_points: int
-    incidences: tuple[tuple[int, int], ...]
-    slopes: tuple
+    __slots__ = ("field", "num_lines", "num_points", "incidences", "slopes")
+
+    def __init__(self, field: Field, num_lines: int, num_points: int,
+                 incidences: tuple[tuple[int, int], ...], slopes: tuple):
+        set_field(self, "field", field)
+        set_field(self, "num_lines", num_lines)
+        set_field(self, "num_points", num_points)
+        set_field(self, "incidences", incidences)
+        set_field(self, "slopes", slopes)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -713,10 +722,11 @@ def _json_int(value) -> int:
 
 
 def realization_from_json(doc: dict) -> LinearRealization:
-    """Values are integers (over Z_p) or [numerator, denominator] pairs
-    (over Q), each point a [x, y] list; every list must be a JSON list."""
+    """The document is a JSON object.  Values are integers (over Z_p) or
+    [numerator, denominator] pairs (over Q), each point a [x, y] list; every
+    list must be a JSON list."""
     try:
-        kind = doc["field"]
+        kind = _json_object(doc)["field"]
         if kind == "zp":
             p = _json_int(doc["p"])
             field: Field = PrimeField(p)

@@ -55,9 +55,10 @@ the groups after it, and which stops at a rank floor (see there).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
+
+from ._record import Record, set_field
 
 __all__ = [
     "PebbleState",
@@ -457,18 +458,23 @@ def independent_after(state: PebbleState, u: int, v: int) -> bool:
     return try_edge(state.copy(), u, v)
 
 
-@dataclass(frozen=True)
-class PebbleVerdict:
+class PebbleVerdict(Record):
     """Outcome of a full game: the accepted edges (the maximally independent
     subgraph) and the rejected ones, in offer order, and for each group of
     edges offered in turn, how many of its edges were accepted and how many
     rejected.  The count follows from them: each accepted edge took one of
     the 2|V| pebbles."""
 
-    num_vertices: int
-    accepted: tuple[tuple[int, int], ...]
-    rejected: tuple[tuple[int, int], ...]
-    group_sizes: tuple[tuple[int, int], ...]  # (accepted, rejected) per group
+    __slots__ = ("num_vertices", "accepted", "rejected", "group_sizes")
+
+    def __init__(self, num_vertices: int, accepted: tuple[tuple[int, int], ...],
+                 rejected: tuple[tuple[int, int], ...],
+                 # (accepted, rejected) per group
+                 group_sizes: tuple[tuple[int, int], ...]):
+        set_field(self, "num_vertices", num_vertices)
+        set_field(self, "accepted", accepted)
+        set_field(self, "rejected", rejected)
+        set_field(self, "group_sizes", group_sizes)
 
     @property
     def remaining_pebbles(self) -> int:

@@ -10,7 +10,6 @@ is why they are not part of the package.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
@@ -27,7 +26,7 @@ from rodrigidity import (
     rank_of,
 )
 from rodrigidity.analysis import _subgeometry_from_parts
-from rodrigidity.oracle import Field
+from rodrigidity.oracle import ConcurrenceMatrix, Field
 
 
 class BudgetExceededError(OracleError):
@@ -152,7 +151,8 @@ def is_regular(
         if not maximal:
             continue
         rows = tuple(incs[i] for i in range(n) if mask >> i & 1)
-        if rank_of(replace(matrix, incidences=rows)) < len(rows):
+        if rank_of(ConcurrenceMatrix(matrix.field, matrix.num_lines, matrix.num_points, rows,
+                                     matrix.slopes)) < len(rows):
             return False
     return True
 

@@ -675,6 +675,14 @@ def _golden_corpus(name, request):
     return [request.getfixturevalue(name)]
 
 
+@pytest.mark.parametrize("name", sorted({name for name, _ in GOLDEN}))
+def test_canonical_subgeometry_equals_the_checked_construction(request, name):
+    # canonical_subgraph stores its subgeometry without the checks
+    for g in _golden_corpus(name, request):
+        sub = canonical_subgraph(g).subgeometry
+        assert sub == IncidenceGeometry(sub.num_points, sub.lines, sub.point_names)
+
+
 @pytest.mark.parametrize("name,question", sorted(GOLDEN))
 def test_golden_pebble_answers(request, name, question):
     corpus = _golden_corpus(name, request)

@@ -5,13 +5,19 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from rodrigidity import IncidenceGeometry, cli, oracle, remove_line, serialize_geometry
+from rodrigidity import (
+    IncidenceGeometry,
+    canonical_subgraph,
+    cli,
+    oracle,
+    remove_line,
+    serialize_geometry,
+)
 from rodrigidity.cli import main
 
 from conftest import FIG2_COORDS, FIG2_LINES, PAPPUS_LINES, arrangement, plant_rank_shift
@@ -205,6 +211,22 @@ class TestCheck:
         path.write_text(text)
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().err == "error: bad geometry document: expected an integer, got inf\n"
+
+    @pytest.mark.parametrize("argv,kind", [(["check", "{doc}"], "geometry"),
+                                           (["svg", "{seg}", "--realization", "{doc}"],
+                                            "realization")],
+                             ids=["geometry", "realization"])
+    @pytest.mark.parametrize("text,shown", [("[1]", "[1]"), ("null", "None"),
+                                            ('"x"', "'x'"), ("5", "5")],
+                             ids=["list", "null", "string", "number"])
+    def test_json_document_that_is_not_an_object_exits_1(self, tmp_path, capsys, argv, kind,
+                                                          text, shown):
+        (tmp_path / "doc.json").write_text(text)
+        (tmp_path / "seg.geo").write_text("points: 2\nline: 0 1\n")
+        paths = {"doc": tmp_path / "doc.json", "seg": tmp_path / "seg.geo"}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad {kind} document: expected a JSON object, got {shown}\n")
 
     @pytest.mark.parametrize("argv", [["check", "{nested}"],
                                       ["svg", "{seg}", "--realization", "{nested}"]],
@@ -450,6 +472,11 @@ class TestCanon:
             assert main(["canon", str(reversed_path), "--format", fmt]) == 0
             assert capsys.readouterr().out == out
 
+    @pytest.mark.parametrize("name", sorted(set(GEOMETRY_TEXTS) - {"point"}))
+    def test_subgeometry_equals_the_checked_construction(self, geo_file, name):
+        sub = canonical_subgraph(cli.load_geometry(geo_file(name))).subgeometry
+        assert sub == IncidenceGeometry(sub.num_points, sub.lines, sub.point_names)
+
     @pytest.mark.parametrize("text", ["points: 4\nline: 0 1\nline: 2 3\n",
                                       "points: 3\nline: 0 1\n"])
     def test_disconnected_exits_1(self, tmp_path, capsys, text):
@@ -635,7 +662,8 @@ class TestDotAndSvg:
         intercepts[0] += 1
         realization = tmp_path / "realization.json"
         realization.write_text(json.dumps(
-            oracle.realization_to_json(replace(rho, intercepts=tuple(intercepts)))))
+            oracle.realization_to_json(oracle.LinearRealization(
+                rho.field, rho.slopes, tuple(intercepts), rho.xs, rho.ys))))
         assert main(["svg", fig2_file, "--realization", str(realization)]) == 1
         assert capsys.readouterr().err == "error: the realization does not satisfy the geometry\n"
 

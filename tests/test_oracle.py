@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -55,11 +54,18 @@ def single_line(k: int) -> IncidenceGeometry:
     return IncidenceGeometry(k, (tuple(range(k)),))
 
 
+def with_axis(rho: LinearRealization, axis: str, values: tuple) -> LinearRealization:
+    """rho with its slopes, intercepts, xs or ys (the axis) set to values."""
+    parts = {"slopes": rho.slopes, "intercepts": rho.intercepts, "xs": rho.xs, "ys": rho.ys}
+    parts[axis] = values
+    return LinearRealization(rho.field, **parts)
+
+
 def off_by_one_intercept(rho: LinearRealization, line: int) -> LinearRealization:
     """rho with line `line` moved off every one of its points."""
     intercepts = list(rho.intercepts)
     intercepts[line] += 1
-    return replace(rho, intercepts=tuple(intercepts))
+    return with_axis(rho, "intercepts", tuple(intercepts))
 
 
 class TestRealizationFromCoords:
@@ -129,7 +135,7 @@ class TestSatisfies:
             for i in range(count):
                 moved = list(getattr(rho, axis))
                 moved[i] += eps
-                other = replace(rho, **{axis: tuple(moved)})
+                other = with_axis(rho, axis, tuple(moved))
                 assert not other.satisfies(fig2)
                 assert not self.plain(other, fig2)
 
@@ -148,7 +154,7 @@ class TestSatisfies:
         rho = sample_realization(fig2, 0, field=field)
         assert rho.satisfies(fig2) and not rho.satisfies(triangle_rods)
         for axis in ("slopes", "intercepts", "xs", "ys"):
-            assert not replace(rho, **{axis: getattr(rho, axis)[:-1]}).satisfies(fig2)
+            assert not with_axis(rho, axis, getattr(rho, axis)[:-1]).satisfies(fig2)
 
 
 class TestSampling:
