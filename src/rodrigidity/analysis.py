@@ -506,85 +506,37 @@ def random_geometry(
     max_points: int = 10,
     max_lines: int = 6,
 ) -> IncidenceGeometry:
-    """The `rodrig fuzz` generator: a random connected geometry whose lines
-    each pass through 2..4 distinct random points.
+    """The `rodrig fuzz` generator: a random connected partial linear space,
+    whose lines each pass through 2..4 distinct points and share at most one
+    point pairwise, so sampling never refuses it for a shared rod pair.
 
-    Stream contract: the geometries, the CampaignError and the state `rng`
-    is left in are those of drawing, up to 1000 times until connected,
-
-        n_pts = rng.randint(2, max_points)
-        lines = [rng.sample(range(n_pts), rng.randint(2, min(n_pts, 4)))
-                 for _ in range(rng.randint(1, max_lines))]
-
-    on CPython 3.10-3.13.  The same draws are taken from `rng.getrandbits`
-    directly: `randint(a, b)` is a + below(b - a + 1), where below(n) draws
-    getrandbits(n.bit_length()) until the value is below n, and
-    `sample(range(n), k)` swaps picks out of a pool when n <= 21 and redraws
-    picks it already holds when n > 21.  Connectivity is decided on the
-    drawn lines' point bitmasks, so only the returned geometry is built.
+    A draw takes randint(2, max_points) points and randint(1, max_lines)
+    candidate lines.  Each candidate samples randint(2, min(points, 4))
+    distinct points and keeps those, in sampled order, that share no kept
+    line with a point it already kept; it is kept when two or more remain.
+    Up to 1000 draws are made, until one is connected.
     """
-    n_pts, lines, _ = _draw_lines(rng, max_points, max_lines)
-    return IncidenceGeometry(n_pts, lines)
-
-
-# bit widths of below(top) for the pool picks, where top <= 21
-_WIDTHS = tuple(top.bit_length() for top in range(22))
-
-
-def _draw_lines(
-    rng: random.Random, max_points: int, max_lines: int,
-) -> tuple[int, list[list[int]], list[int]]:
-    """random_geometry's draws, unbuilt: the number of points, each line's
-    points in the order they were picked, and each line's points as a
-    bitmask."""
     if max_points < 2 or max_lines < 1:
-        # below(n) for n < 1 would draw forever
         raise ValueError(f"random_geometry needs max_points >= 2 and max_lines >= 1,"
                          f" got {max_points} and {max_lines}")
-    bits = rng.getrandbits
-    pts_span = max_points - 1
-    pts_width, lines_width = pts_span.bit_length(), max_lines.bit_length()
     for _ in range(1000):
-        n_pts = bits(pts_width)
-        while n_pts >= pts_span:
-            n_pts = bits(pts_width)
-        n_pts += 2
-        n_lines = bits(lines_width)
-        while n_lines >= max_lines:
-            n_lines = bits(lines_width)
-        n_lines += 1
-        size_span = min(n_pts, 4) - 1  # a line takes 2 + below(size_span) points
-        size_width, width = size_span.bit_length(), n_pts.bit_length()
-        points = list(range(n_pts)) if n_pts <= 21 else None
+        n_pts = rng.randint(2, max_points)
         lines, masks = [], []
-        for _ in range(n_lines):
-            size = bits(size_width)
-            while size >= size_span:
-                size = bits(size_width)
-            line = []
-            mask = 0
-            if points:  # pick from the pool, refill the gap from its end
-                pool = points[:]
-                for top in range(n_pts, n_pts - size - 2, -1):
-                    top_width = _WIDTHS[top]
-                    j = bits(top_width)
-                    while j >= top:
-                        j = bits(top_width)
-                    p = pool[j]
+        met = [0] * n_pts  # met[p]: the points on a kept line with p
+        for _ in range(rng.randint(1, max_lines)):
+            line, mask, ban = [], 0, 0
+            for p in rng.sample(range(n_pts), rng.randint(2, min(n_pts, 4))):
+                if not ban >> p & 1:
                     line.append(p)
                     mask |= 1 << p
-                    pool[j] = pool[top - 1]
-            else:  # redraw a point the line already holds
-                for _ in range(size + 2):
-                    p = bits(width)
-                    while p >= n_pts or p in line:
-                        p = bits(width)
-                    line.append(p)
-                    mask |= 1 << p
-            lines.append(line)
-            masks.append(mask)
+                    ban |= met[p]
+            if len(line) >= 2:
+                lines.append(line)
+                masks.append(mask)
+                for p in line:
+                    met[p] |= mask
         if _masks_connected(n_pts, masks):
-            return n_pts, lines, masks
+            return IncidenceGeometry(n_pts, lines)
     raise CampaignError(f"could not generate a connected geometry in 1000 draws"
                         f" (max_points={max_points}, max_lines={max_lines})")
 
@@ -607,17 +559,6 @@ def _masks_connected(num_points: int, masks: Sequence[int]) -> bool:
                 left.append(mask)
         rest = left
     return reach == (1 << num_points) - 1
-
-
-def _shares_two_points(masks: Sequence[int]) -> bool:
-    """Do two of the lines with these point bitmasks pass through the same
-    two points?  Their common points c hold two iff c & (c - 1) != 0."""
-    for i, a in enumerate(masks):
-        for b in masks[:i]:
-            c = a & b
-            if c & (c - 1):
-                return True
-    return False
 
 
 # attempts in a row that validate none before a campaign gives up
@@ -654,14 +595,12 @@ def run_agreement_campaign(
     """Generate random geometries until `target` of them cross-validate.
 
     Geometries whose sampling is infeasible, or flexible ones whose samples
-    all fall below the predicted rank, count as skipped.  A draw with two
-    rods through the same two points is skipped on its lines' point bitmasks,
-    before a geometry is built: sampling would refuse it before drawing.  Any
-    disagreement raises OracleDisagreementError with its reproduction
-    bundle, failing the campaign immediately.  The campaign gives up, with
-    CampaignError, when _DRY_ATTEMPTS attempts in a row validate none: how
-    many attempts a validation takes varies too much with the bounds for a
-    cap in proportion to `target`.
+    all fall below the predicted rank, count as skipped.  Any disagreement
+    raises OracleDisagreementError with its reproduction bundle, failing the
+    campaign immediately.  The campaign gives up, with CampaignError, when
+    _DRY_ATTEMPTS attempts in a row validate none: how many attempts a
+    validation takes varies too much with the bounds for a cap in proportion
+    to `target`.
     """
     rng = random.Random(seed)
     skipped = rigid = flexible = 0
@@ -672,18 +611,16 @@ def run_agreement_campaign(
                 f"campaign validated only {rigid + flexible}/{target} geometries"
                 f" in {rigid + flexible + skipped} attempts, none in the last {dry}"
             )
-        n_pts, lines, masks = _draw_lines(rng, max_points, max_lines)
-        sample_seed = rng.randrange(1 << 62)  # drawn before the skip, so no later draw moves
-        if not _shares_two_points(masks):
-            verdict = decide_rod_rigidity(IncidenceGeometry(n_pts, lines), "cross-validated",
-                                          seed=sample_seed, field=field)
-            if verdict.agreement == "agree":
-                if verdict.is_rigid:
-                    rigid += 1
-                else:
-                    flexible += 1
-                dry = 0
-                continue
-        skipped += 1
-        dry += 1
+        geometry = random_geometry(rng, max_points, max_lines)
+        verdict = decide_rod_rigidity(geometry, "cross-validated",
+                                      seed=rng.randrange(1 << 62), field=field)
+        if verdict.agreement != "agree":
+            skipped += 1
+            dry += 1
+        elif verdict.is_rigid:
+            rigid += 1
+            dry = 0
+        else:
+            flexible += 1
+            dry = 0
     return CampaignReport(skipped, rigid, flexible)

@@ -617,7 +617,10 @@ def realize_cone(
     Original points keep their coordinates.  Each cone point is placed at
     random exact coordinates off its line, away from all other points, and
     with an abscissa different from every point of the line so no spoke is
-    vertical.  Spoke lines inherit the induced slope and intercept.
+    vertical.  Spoke lines inherit the induced slope and intercept.  The
+    cone points are drawn from random.Random(seed ^ 0x5DEECE66D), not from
+    sample_realization's stream for `seed`, so they do not replay the
+    sampled slopes.
     """
     geometry = cone.base
     if not realization.satisfies(geometry):
@@ -627,7 +630,7 @@ def realize_cone(
     taken = set(zip(_keys(realization.xs, p), _keys(realization.ys, p)))
     if len(taken) != realization.num_points:
         raise OracleError("cone extension requires a proper realization")
-    rng = random.Random(seed)
+    rng = random.Random(seed ^ 0x5DEECE66D)
     xs, ys = list(realization.xs), list(realization.ys)
     for i, line in enumerate(geometry.lines):
         f_i, h_i = realization.slopes[i], realization.intercepts[i]

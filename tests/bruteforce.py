@@ -262,8 +262,8 @@ def bipartite_connected(num_points: int, lines: tuple[tuple[int, ...], ...]) -> 
 def reference_draw(
     rng: random.Random, max_points: int, max_lines: int
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """One draw of the `rodrig fuzz` generator, through random's own randint
-    and sample: the number of points and the sorted lines."""
+    """One draw of reference_random_geometry: the number of points and the
+    sorted lines, through random's own randint and sample."""
     n_pts = rng.randint(2, max_points)
     n_lines = rng.randint(1, max_lines)
     lines = []
@@ -276,8 +276,11 @@ def reference_draw(
 def reference_random_geometry(
     rng: random.Random, max_points: int = 10, max_lines: int = 6
 ) -> IncidenceGeometry:
-    """random_geometry as randint and sample draw it: up to 1000 draws, until
-    the queue oracle finds one connected."""
+    """The tests' corpus generator: a random connected geometry whose lines
+    each pass through 2..4 distinct points, two of them possibly through the
+    same two points.  It draws what `rodrig fuzz` drew before its generator
+    kept only partial linear spaces: up to 1000 draws, until the queue
+    oracle finds one connected."""
     for _ in range(1000):
         n_pts, lines = reference_draw(rng, max_points, max_lines)
         if bipartite_connected(n_pts, lines):

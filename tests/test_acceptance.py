@@ -16,14 +16,13 @@ from rodrigidity import (
     decide_rod_rigidity,
     parse_geometry,
     play,
-    random_geometry,
     rank_of,
     realize_cone,
     run_agreement_campaign,
     sample_realization,
 )
 
-from bruteforce import henneberg_graph, laman_independent
+from bruteforce import henneberg_graph, laman_independent, reference_random_geometry
 from conftest import FIG1_EDGES, K4_EDGES, record_criterion
 from paper_claims import (
     cone_graph_with_inner,
@@ -134,7 +133,7 @@ def test_criterion_5_inner_vertex_invariance(fig2, hinge, triangle_rods):
     rng = random.Random(555)
     corpus = [fig2, hinge, triangle_rods]
     while len(corpus) < 32:
-        corpus.append(random_geometry(rng, max_points=8, max_lines=4))
+        corpus.append(reference_random_geometry(rng, max_points=8, max_lines=4))
     ok = all(len(inner_choice_classifications(g)) == 1 for g in corpus)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0

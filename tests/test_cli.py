@@ -12,6 +12,8 @@ import pytest
 
 from rodrigidity import (
     IncidenceGeometry,
+    RigidityVerdict,
+    analysis,
     canonical_subgraph,
     cli,
     oracle,
@@ -614,9 +616,9 @@ class TestDotAndSvg:
     # catches a fault in the sampled or extended coordinates.
     @pytest.mark.parametrize("seed,flags,digest", [
         (1729, [], "e4a53715026be7ba8f0008a23c5c7d38f0c047500a9e89cbc8e553af9ba7dfbb"),
-        (1729, ["--cone"], "85d1b49773b1d42a20dbf280ed8732ca729f6b26cc977e89366786319f36f5d5"),
+        (1729, ["--cone"], "7784a00ed58da93a2411ab66cdd8c8beef5b5ed01e71d38cf98b14aabc687670"),
         (3, [], "55a526e74461b35aa5bcaf8219e6d689185dcf1edaf72054fd94ac7df0d55bfb"),
-        (3, ["--cone"], "f68f87ce67e9198da69014fa0c7c836469231debba0bf49b6b67e324f87ce7ab"),
+        (3, ["--cone"], "de458fd7b5d92a5fdad144342cbadfa09d4ba00e0f44a8d90552efebbdafd98e"),
     ], ids=["1729", "1729-cone", "3", "3-cone"])
     def test_svg_digest(self, fig2_file, capsys, seed, flags, digest):
         assert main(["svg", fig2_file, "--seed", str(seed)] + flags) == 0
@@ -773,13 +775,24 @@ def test_fuzz_out_of_range_bound_exits_1(capsys, flag, value, least):
     assert captured.err == f"error: {flag} must be at least {least}, got {value}\n"
 
 
-@pytest.mark.parametrize("argv,message", [
+def test_fuzz_two_points_carry_one_rod(capsys):
+    # every candidate rod after the first shares both points with it
+    assert main(["fuzz", "--max-points", "2", "--max-lines", "1000", "--count", "5"]) == 0
+    assert capsys.readouterr().out == (
+        "agree=5 (rigid=5 flexible=0) skipped=0 attempted=5 disagreements=0\n")
+
+
+# nothing-validates: no drawn geometry cross-validates, as if every sample fell short
+@pytest.mark.parametrize("argv,message,validates", [
     (["--max-points", "3000", "--max-lines", "1", "--count", "1"],
-     "could not generate a connected geometry in 1000 draws (max_points=3000, max_lines=1)"),
-    (["--max-points", "2", "--max-lines", "1000", "--count", "5"],
-     "campaign validated only 0/5 geometries in 1000 attempts, none in the last 1000"),
+     "could not generate a connected geometry in 1000 draws (max_points=3000, max_lines=1)", True),
+    (["--count", "5"],
+     "campaign validated only 0/5 geometries in 1000 attempts, none in the last 1000", False),
 ], ids=["no-connected-draw", "nothing-validates"])
-def test_fuzz_unmet_bounds_exit_1(capsys, argv, message):
+def test_fuzz_unmet_bounds_exit_1(capsys, monkeypatch, argv, message, validates):
+    if not validates:
+        monkeypatch.setattr(analysis, "decide_rod_rigidity",
+                            lambda *a, **k: RigidityVerdict(True, None, "algebraic-skipped"))
     assert main(["fuzz", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -792,13 +805,13 @@ def test_fuzz_disagreement_still_exits_3(capsys, monkeypatch):
     assert "DEFECT" in capsys.readouterr().err
 
 
-# stdout of `rodrig fuzz --count 200` at the commit before sampling refused
-# shared rod pairs up front; refusing them must not change a single byte
+# stdout of `rodrig fuzz --count 200` once the generator drew only partial
+# linear spaces and the cone points came from their own stream
 FUZZ_GOLDEN = {
-    1: "agree=200 (rigid=135 flexible=65) skipped=1717 attempted=1917 disagreements=0\n",
-    2: "agree=200 (rigid=143 flexible=57) skipped=1806 attempted=2006 disagreements=0\n",
-    3: "agree=200 (rigid=133 flexible=67) skipped=1855 attempted=2055 disagreements=0\n",
-    77: "agree=200 (rigid=148 flexible=52) skipped=1635 attempted=1835 disagreements=0\n",
+    1: "agree=200 (rigid=140 flexible=60) skipped=0 attempted=200 disagreements=0\n",
+    2: "agree=200 (rigid=142 flexible=58) skipped=0 attempted=200 disagreements=0\n",
+    3: "agree=200 (rigid=152 flexible=48) skipped=1 attempted=201 disagreements=0\n",
+    77: "agree=200 (rigid=147 flexible=53) skipped=0 attempted=200 disagreements=0\n",
 }
 
 

@@ -13,8 +13,8 @@ from rodrigidity import (
     cone_graph_to_dot,
     play,
 )
-from rodrigidity.analysis import random_geometry
 
+from bruteforce import reference_random_geometry
 from paper_claims import cone_graph_with_inner
 
 
@@ -43,14 +43,14 @@ class TestConeGraph:
     def test_counts_on_random_geometries(self):
         rng = random.Random(0)
         for _ in range(60):
-            s = random_geometry(rng, max_points=8, max_lines=5)
+            s = reference_random_geometry(rng, max_points=8, max_lines=5)
             g = build_cone_graph(s)
             assert g.num_vertices == s.num_points + s.num_lines
             assert sum(map(len, g.cones)) == 2 * s.num_incidences - s.num_lines
 
     def test_cone_edge_bookkeeping(self, fig2):
         rng = random.Random(2)
-        draws = [random_geometry(rng, max_points=10, max_lines=6) for _ in range(60)]
+        draws = [reference_random_geometry(rng, max_points=10, max_lines=6) for _ in range(60)]
         for s in [fig2] + draws:
             g = build_cone_graph(s)
             for line, cone in enumerate(g.cones):
@@ -124,7 +124,7 @@ class TestConeIncidence:
         rng = random.Random(4)
         unsorted = IncidenceGeometry(5, [(3, 0, 2), (4, 1), (2, 4, 0)])
         geometries = [fig2, unsorted]
-        geometries += [random_geometry(rng, max_points=8, max_lines=5) for _ in range(30)]
+        geometries += [reference_random_geometry(rng, max_points=8, max_lines=5) for _ in range(30)]
         for g in geometries:
             sc = build_cone_incidence(g)
             lines, P, L = sc.geometry.lines, g.num_points, g.num_lines
@@ -135,7 +135,7 @@ class TestConeIncidence:
     def test_counts_on_random_geometries(self):
         rng = random.Random(1)
         for _ in range(40):
-            s = random_geometry(rng, max_points=8, max_lines=5)
+            s = reference_random_geometry(rng, max_points=8, max_lines=5)
             g = build_cone_incidence(s).geometry
             assert g.num_points == s.num_points + s.num_lines
             assert g.num_lines == s.num_lines + s.num_incidences

@@ -41,11 +41,10 @@ from rodrigidity import (
     string_config_rank,
 )
 from rodrigidity import oracle
-from rodrigidity.analysis import random_geometry
 from rodrigidity.oracle import ConcurrenceMatrix, _intercept_rows, build_concurrence_matrix
 
 from bruteforce import (apply, dense_kernel, dense_rank, dense_rows, full_kernel_sample,
-                        shares_two_points)
+                        reference_random_geometry, shares_two_points)
 from conftest import arrangement, concurrent_geometry, sparse_rank
 
 FIELDS = [
@@ -100,7 +99,7 @@ def test_integer_matrices_match_dense_reference(field, p, shape):
 def test_cone_concurrence_matrices_match_dense_reference(field, p, seed):
     # Small slopes, zero and repeats included, make rank deficits common.
     rng = random.Random(seed)
-    cone = build_cone_incidence(random_geometry(rng, 6, 4)).geometry
+    cone = build_cone_incidence(reference_random_geometry(rng, 6, 4)).geometry
     slopes = tuple(Fraction(rng.randint(-2, 2)) if p is None else rng.randint(0, 4)
                    for _ in range(cone.num_lines))
     matrix = ConcurrenceMatrix(field, cone.num_lines, cone.num_points,
@@ -181,7 +180,7 @@ def test_the_bound_never_changes_a_rank(fig2, hinge, field):
              (arrangement(12, 0.6, seed=2), True), (hinge, False), (_chain(5), False),
              (IncidenceGeometry(0, ()), True), (IncidenceGeometry(1, ()), True)]
     rng = random.Random(17)
-    cases += [(random_geometry(rng, 8, 6), None) for _ in range(12)]
+    cases += [(reference_random_geometry(rng, 8, 6), None) for _ in range(12)]
     verdicts = set()
     for geometry, rigid in cases:
         for cone, extended in _proper_cone_samples(geometry, range(2), field):
@@ -304,20 +303,20 @@ def test_golden_realizations(request, geometry, field_name, seed):
 
 
 # sha256 of repr(realize_cone(cone, sample_realization(geometry, seed, field),
-# seed)), fixed from the intercept-space sampler.
+# seed)), fixed once the cone points came from their own stream.
 CONE_GOLDEN = {
-    ("fig2", "zp", 0): "68f3bca6eae59510beaf9ff751edbf1efd419d74e5659167f9d1ae808efc954d",
-    ("fig2", "zp", 1): "e2600c27859cb6c2ec9c36efe180a45fc672c2334f6d08d9909bc02c0e304421",
-    ("fig2", "zp", 42): "3bf03cc562c9b7299cf4944824a3d96c8c8b7f7fe47b2a69281cd9951c4d2798",
-    ("fig2", "rational", 0): "d8ce136c818d25b486887293698c84762590ad7866c53c70804749ff7ade1e6b",
-    ("fig2", "rational", 1): "2761cb16431f88732b4dcbe393379cc1e3bd1b8bb12d14f276d59353f3bc8e17",
-    ("fig2", "rational", 42): "8a9417d2790ee413a59a2db1e35602563aae447f6558b63d45f75dfb0441796e",
-    ("triangle_rods", "zp", 0): "ea47f1a55a10c530d5b3a76cf2f63c83cb200a4b09dd4f4887886a6b2a9aa0f6",
-    ("triangle_rods", "zp", 1): "4200868e58e59524041cb249a5f25a11efeca9ee6e3aa0035aef0df3af83c2fa",
-    ("triangle_rods", "zp", 42): "b1afd8b3dd01270b3de38756dad959cceb6ae98fa38a14593e9b5f0283b934f5",
-    ("triangle_rods", "rational", 0): "2acfc27d870dd1f361b42e8a09453ad05b648310e58432a712058c01eda5f331",
-    ("triangle_rods", "rational", 1): "20687d805e24d66c8735947471d6c742f5ed3808b6f67c3c7eb834afccdc16c1",
-    ("triangle_rods", "rational", 42): "d7ceb80e4c185ef28b78712dfb4868d392a21df63c12c31464c3dd559d6d4838",
+    ("fig2", "zp", 0): "d2d5bc2179e6b561964eb0fd71375660fa632e87eb2b2d1c8c3aec95d1a28708",
+    ("fig2", "zp", 1): "5893f86b1296832584808cdc81065069d5b854287bc5b8521e26e0c2754aeb17",
+    ("fig2", "zp", 42): "9fe4c31332ddcf6b6576f35e5eebc6305a0a17e24ee1eeb6950a3665adbb65af",
+    ("fig2", "rational", 0): "38d243acc56d077cf1d4d6b02d29ce42af042948624621606db78da19d8cfc4f",
+    ("fig2", "rational", 1): "cad65c8b29dea8640cb2bce0982c1f92d8f8be887f8487910766f2a0c672aa06",
+    ("fig2", "rational", 42): "9a8c012278a9c50d830ceb29ae15d986726ecc9cb583c3c6bcbabff7d9a1b9f8",
+    ("triangle_rods", "zp", 0): "b1c985819a9d7257d822ef7fe1a170ae59d500cc3a67abc8bc56b8ad84de5b44",
+    ("triangle_rods", "zp", 1): "9822c424d4c80dea5c62bbb0f30969c78b7c5e5f814b311d3e9a1e2f56a9fa7f",
+    ("triangle_rods", "zp", 42): "2e69b3aa2d2394a0580a243f09e51b594c594535430932d7ad932c6e84193376",
+    ("triangle_rods", "rational", 0): "e2735959dd73e77340b1fee53f776a0a0e2f536901e7eba916c93c97b97fe5d6",
+    ("triangle_rods", "rational", 1): "364ef5e6a77d2f7065adf637de74bf4a65478c78c103369515509d4bd2e3829a",
+    ("triangle_rods", "rational", 42): "5f319ec37e87de6fafbb9766c9b7598441a9f33b9ad8d262020a112d22af4a05",
 }
 
 
@@ -328,6 +327,18 @@ def test_golden_cone_extensions(request, geometry, field_name, seed):
     extended = realize_cone(build_cone_incidence(g), sample_realization(g, seed, field=field), seed)
     digest = hashlib.sha256(repr(extended).encode()).hexdigest()
     assert digest == CONE_GOLDEN[(geometry, field_name, seed)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+@pytest.mark.parametrize("field", [DEFAULT_FIELD, RATIONALS], ids=["zp", "rational"])
+def test_cone_points_do_not_replay_the_slopes(fig2, field, seed):
+    # drawn from the sampler's stream for `seed`, the cone point of line l
+    # would be the pair of slopes (f_2l, f_2l+1)
+    rho = sample_realization(fig2, seed, field=field)
+    extended = realize_cone(build_cone_incidence(fig2), rho, seed)
+    cone_points = set(zip(extended.xs[fig2.num_points:], extended.ys[fig2.num_points:]))
+    f = rho.slopes
+    assert not cone_points & {(f[2 * l], f[2 * l + 1]) for l in range(len(f) // 2)}
 
 
 # sha256 of repr(full_kernel_sample(geometry, seed, field)): the digests the
@@ -370,7 +381,7 @@ def test_intercept_sampler_matches_full_kernel_sampler(pappus, field, count):
     rng = random.Random(3)
     corpus, unshared = [pappus], 0
     while unshared < count:
-        g = random_geometry(rng, 12, 8)
+        g = reference_random_geometry(rng, 12, 8)
         unshared += not shares_two_points(g)
         corpus.append(g)
     corpus += [concurrent_geometry(rng, 8, 12) for _ in range(count)]

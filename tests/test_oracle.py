@@ -37,9 +37,9 @@ from rodrigidity import (
     string_config_rank,
 )
 from rodrigidity import analysis, cli, oracle
-from rodrigidity.analysis import random_geometry
 
-from bruteforce import apply, dense_rows, is_sharply_independent, minor_rank, shares_two_points
+from bruteforce import (apply, dense_rows, is_sharply_independent, minor_rank,
+                        reference_random_geometry, shares_two_points)
 from conftest import FIG2_COORDS, JSON_VALUES, concurrent_geometry, sparse_rank, with_examples
 from paper_claims import (
     BudgetExceededError,
@@ -191,7 +191,7 @@ class TestSampling:
         rng = random.Random(5)
         corpus = [IncidenceGeometry(3, ((0, 1), (1, 2), (0, 2), (1, 0)))]
         while len(corpus) < 20:
-            g = random_geometry(rng)
+            g = reference_random_geometry(rng)
             if shares_two_points(g):
                 corpus.append(g)
         for seed, g in enumerate(corpus):
@@ -229,7 +229,7 @@ class TestSampling:
         # Equal slopes and cancellations are common here; a sample is still
         # a proper realization, or the geometry is refused.
         rng = random.Random(seed)
-        g = concurrent_geometry(rng, 6, 8) if concurrent else random_geometry(rng, 8, 6)
+        g = concurrent_geometry(rng, 6, 8) if concurrent else reference_random_geometry(rng, 8, 6)
         rho = sample_realization(g, seed, field=PrimeField(p))
         if not isinstance(rho, Infeasible):
             assert rho.satisfies(g) and rho.is_proper()
@@ -428,7 +428,7 @@ class TestSharpIndependence:
     def test_fast_matches_bruteforce(self):
         rng = random.Random(13)
         for _ in range(120):
-            g = random_geometry(rng, max_points=6, max_lines=4)
+            g = reference_random_geometry(rng, max_points=6, max_lines=4)
             incs = list(g.incidences())
             if len(incs) > 14:
                 continue

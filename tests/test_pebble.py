@@ -18,14 +18,14 @@ from rodrigidity import (
     decide_minimal_rigidity,
     independent_after,
     play,
-    random_geometry,
     remaining_without_each,
     try_edge,
 )
 from rodrigidity import pebble
 from rodrigidity.pebble import PebbleState, PebbleVerdict
 
-from bruteforce import henneberg_graph, laman_independent, laman_rank, shares_two_points
+from bruteforce import (henneberg_graph, laman_independent, laman_rank, reference_random_geometry,
+                        shares_two_points)
 from conftest import FIG1_EDGES, K4_EDGES, arrangement
 
 
@@ -153,7 +153,7 @@ class TestRigidBlock:
     def test_cone_graphs_and_canonical_subgraphs_match(self):
         # the verdict derives its count from the accepted edges; the
         # reference game sums its pebbles
-        geometries = [random_geometry(random.Random(seed)) for seed in range(500)]
+        geometries = [reference_random_geometry(random.Random(seed)) for seed in range(500)]
         geometries += [arrangement(m, 0.6, seed=m) for m in range(10, 41)]
         geometries.append(arrangement(30, 0.6, seed=2024))
         for g in geometries:
@@ -529,7 +529,7 @@ class TestLeaveOneOut:
                   (4, [[(2, 3), (0, 1)], [(0, 2)], [(3, 2), (1, 2)], [(1, 3)]])]
         # cone groups of geometries with two rods through the same two points,
         # whose cones then hold the same edge
-        geometries = (random_geometry(rng, 12, 8) for _ in range(400))
+        geometries = (reference_random_geometry(rng, 12, 8) for _ in range(400))
         shared = 0
         for g in geometries:
             cone = build_cone_graph(g)
