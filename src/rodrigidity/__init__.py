@@ -21,13 +21,7 @@ from .geometry import (
     serialize_geometry,
     shared_rod_pair,
 )
-from .cone import (
-    ConeGraph,
-    ConeIncidenceGeometry,
-    build_cone_graph,
-    build_cone_incidence,
-    cone_graph_to_dot,
-)
+from .cone import build_cone_graph, build_cone_incidence, cone_graph_to_dot
 from .pebble import (
     PebbleState,
     PebbleVerdict,

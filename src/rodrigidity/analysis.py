@@ -16,7 +16,7 @@ import random
 from typing import Optional, Sequence
 
 from ._record import Record, set_field
-from .cone import ConeIncidenceGeometry, build_cone_graph, build_cone_incidence
+from .cone import build_cone_graph, build_cone_incidence
 from .geometry import (
     GeometryError,
     IncidenceGeometry,
@@ -152,9 +152,10 @@ def decide_rod_rigidity(
     generic rank, so a sample above the prediction raises at once, and one
     that reaches it certifies the count: agreement is "agree" and no further
     seed is drawn.  A sample below it may be an unlucky draw, so the next
-    seed is tried.  When every sample falls short, a rigid verdict raises
-    and a flexible one stays "algebraic-skipped".  `algebraic` holds the
-    (rank, max_rank) of each proper sample tried.
+    seed is tried.  When every sample falls short, a rigid verdict (or a
+    count below three pebbles, which predicts a rank above the maximum)
+    raises and a flexible one stays "algebraic-skipped".  `algebraic` holds
+    the (rank, max_rank) of each proper sample tried.
     Disconnected geometries (including any with an isolated point, when more
     than one entity exists) are flexible and are sampled too: the matrix and
     the cone graph split into one block per component, so ranks and pebbles
@@ -166,9 +167,9 @@ def decide_rod_rigidity(
     if mode not in ("combinatorial", "cross-validated"):
         raise ValueError(f"unknown mode {mode!r}")
     connected = is_connected(geometry)
-    cone = build_cone_graph(geometry)
+    n = geometry.num_points + geometry.num_lines
     # zero or one entity: no game, and nothing has an internal motion
-    pebble = play(cone.num_vertices, *cone.cones) if cone.num_vertices >= 2 else None
+    pebble = play(n, *build_cone_graph(geometry)) if n >= 2 else None
     agreement = "algebraic-skipped"
     algebraic: Optional[tuple[tuple[int, int], ...]] = None
     skip_reason: Optional[str] = None
@@ -207,7 +208,7 @@ def _cross_validate(
     agreement = "algebraic-skipped"
     refusal: Optional[Infeasible] = None
     samples: list[tuple[int, LinearRealization, LinearRealization, int, int]] = []
-    sc: Optional[ConeIncidenceGeometry] = None
+    sc: Optional[IncidenceGeometry] = None
     for s in _spawn_seeds(seed, 3):
         rho = sample_realization(geometry, s, field=field)
         if isinstance(rho, Infeasible):
@@ -215,7 +216,7 @@ def _cross_validate(
             break  # final: no seed realizes these incidences properly
         if sc is None:
             sc = build_cone_incidence(geometry)
-        rho_cone = realize_cone(sc, rho, s)
+        rho_cone = realize_cone(geometry, rho, s)
         rank, max_rank = string_config_rank(sc, rho_cone)
         samples.append((s, rho, rho_cone, rank, max_rank))
         predicted = max_rank - deficit
@@ -226,9 +227,9 @@ def _cross_validate(
             agreement = "agree"
             break
     else:
-        # every sample fell short: a rigid count must be reached by one of
-        # them; a flexible count that none reached stays skipped
-        if samples and deficit == 0:
+        # every sample fell short: a count of three pebbles or fewer must
+        # be reached; a flexible count that none reached stays skipped
+        if samples and deficit <= 0:
             _raise_disagreement(geometry, seed, remaining, samples, label, about)
     algebraic = tuple((rank, max_rank) for *_, rank, max_rank in samples) if samples else None
     return agreement, algebraic, refusal

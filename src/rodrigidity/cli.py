@@ -186,9 +186,8 @@ def _cmd_oracle(args) -> int:
     rho = sample_realization(geometry, args.seed, field=FIELDS[args.field])
     if isinstance(rho, Infeasible):
         return _fail(f"sampling infeasible: {rho.reason}")
-    cone = build_cone_incidence(geometry)
-    extended = realize_cone(cone, rho, args.seed)
-    rank, max_rank = string_config_rank(cone, extended)
+    rank, max_rank = string_config_rank(build_cone_incidence(geometry),
+                                        realize_cone(geometry, rho, args.seed))
     rigid = rank == max_rank
     if args.format == "json":
         _emit_json({"rigid": rigid, "rank": rank, "max_rank": max_rank})
@@ -201,7 +200,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_dot(args) -> int:
     geometry = load_geometry(args.path)
-    dot = cone_graph_to_dot(build_cone_graph(geometry), geometry.point_names)
+    dot = cone_graph_to_dot(geometry, build_cone_graph(geometry))
     _write_output(args.output, dot)
     return EXIT_RIGID
 
@@ -234,9 +233,8 @@ def _cmd_svg(args) -> int:
     if rho.field.p:
         return _fail("svg rendering needs a rational realization")
     if args.cone:
-        cone = build_cone_incidence(geometry)
-        extended = realize_cone(cone, rho, args.seed)
-        svg = render_svg(cone.geometry, extended, hollow_from=geometry.num_points)
+        svg = render_svg(build_cone_incidence(geometry), realize_cone(geometry, rho, args.seed),
+                         hollow_from=geometry.num_points)
     else:
         svg = render_svg(geometry, rho)
     _write_output(args.output, svg)

@@ -1,92 +1,53 @@
-"""Cone graphs and the cone incidence geometry of a rank-two incidence geometry.
-
-The cone graph of a geometry has one vertex per point plus one cone vertex
-per line.  Each line contributes a "cone": spokes from its cone vertex to
-every incident point, plus a star on the incident points rooted at an inner
-vertex, its lowest point, which comes first.  Point p is vertex p; line l
-is vertex num_points + l.
-
-The cone incidence geometry adds one new point per line (the cone point) and
-one two-point "spoke line" per incidence; it does not depend on any inner
-vertex.
-"""
+"""Cone graphs and the cone incidence geometry of a rank-two incidence
+geometry, both built over one cone vertex (cone point) per line."""
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ._record import Record, set_field
 from .geometry import IncidenceGeometry
 
 __all__ = [
-    "ConeGraph",
-    "ConeIncidenceGeometry",
     "build_cone_graph",
     "build_cone_incidence",
     "cone_graph_to_dot",
 ]
 
 
-class ConeGraph(Record):
-    """A cone graph as the list of its cones, one per line.
+def build_cone_graph(geometry: IncidenceGeometry) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The cone graph, as its cones, one per line.
 
+    Point p is vertex p and the cone vertex of line l is num_points + l.
     cones[l] holds the edges of line l's cone: the spokes (cone vertex,
     point) first by point index, then the star edges (inner vertex, point)
     by point index, 2k - 1 edges for a line through k points, so 2|I| - |L|
-    edges in all.  When two lines share two or more points the same
-    unordered pair may occur in both cones; the pebble game treats the
-    duplicate as dependent, so verdicts are unaffected.  Any inner vertex
-    on the line gives the same verdict; build_cone_graph takes the first.
+    edges in all.  The inner vertex is the line's first, lowest point; any
+    inner vertex on the line gives the same verdict.  When two lines share
+    two or more points the same unordered pair may occur in both cones; the
+    pebble game treats the duplicate as dependent, so verdicts are
+    unaffected.
     """
-
-    __slots__ = ("num_points", "cones")
-
-    def __init__(self, num_points: int, cones: tuple[tuple[tuple[int, int], ...], ...]):
-        set_field(self, "num_points", num_points)
-        set_field(self, "cones", cones)
-
-    @property
-    def num_lines(self) -> int:
-        return len(self.cones)
-
-    @property
-    def num_vertices(self) -> int:
-        return self.num_points + self.num_lines
-
-    def cone_vertex(self, line: int) -> int:
-        return self.num_points + line
-
-
-def build_cone_graph(geometry: IncidenceGeometry) -> ConeGraph:
-    """Cone graph whose inner vertex on each line is its first, lowest point."""
     n_pts = geometry.num_points
-    return ConeGraph(n_pts, tuple(
+    return tuple(
         tuple([(n_pts + i, p) for p in line] + [(line[0], q) for q in line[1:]])
-        for i, line in enumerate(geometry.lines)))
+        for i, line in enumerate(geometry.lines))
 
 
-class ConeIncidenceGeometry(Record):
-    """The cone incidence geometry S^C built over a base geometry.
-
-    Points: the base points, then one cone point per base line (cone point of
-    line l is base.num_points + l).  Lines: first the |L| collinear classes
-    (the base lines, points ascending), then one spoke line (p, cone point
-    of l) per incidence (p, l) of base.incidences(), in that order: spoke k
-    is line base.num_lines + k of geometry.
-    """
-
-    __slots__ = ("base", "geometry")
-
-    def __init__(self, base: IncidenceGeometry, geometry: IncidenceGeometry):
-        set_field(self, "base", base)
-        set_field(self, "geometry", geometry)
-
-
-def build_cone_incidence(geometry: IncidenceGeometry) -> ConeIncidenceGeometry:
+def _spokes(geometry: IncidenceGeometry) -> list[tuple[int, int]]:
+    """(point, cone point) per incidence (p, l), line-major: the spoke lines
+    of the cone incidence geometry, in order."""
     n_pts = geometry.num_points
-    spokes = tuple((p, n_pts + l) for p, l in geometry.incidences())
-    cone_geometry = IncidenceGeometry(n_pts + geometry.num_lines, geometry.lines + spokes)
-    return ConeIncidenceGeometry(geometry, cone_geometry)
+    return [(p, n_pts + l) for l, line in enumerate(geometry.lines) for p in line]
+
+
+def build_cone_incidence(geometry: IncidenceGeometry) -> IncidenceGeometry:
+    """The cone incidence geometry S^C of S, which depends on no inner vertex.
+
+    Points: the points of S, then one cone point per line (that of line l is
+    S.num_points + l).  Lines: the |L| lines of S, then one two-point spoke
+    line (p, cone point of l) per incidence (p, l) of S.incidences(), in
+    that order: spoke k is line S.num_lines + k.
+    """
+    return IncidenceGeometry(geometry.num_points + geometry.num_lines,
+                             geometry.lines + tuple(_spokes(geometry)))
 
 
 _DOT_PALETTE = (
@@ -95,19 +56,21 @@ _DOT_PALETTE = (
 )
 
 
-def cone_graph_to_dot(graph: ConeGraph, point_names: Optional[tuple[str, ...]] = None) -> str:
-    """Graphviz rendering: square cone vertices, round point vertices,
-    each cone's edges in that line's color."""
+def cone_graph_to_dot(geometry: IncidenceGeometry,
+                      cones: tuple[tuple[tuple[int, int], ...], ...]) -> str:
+    """Graphviz rendering of a geometry's cones: square cone vertices, round
+    point vertices named after the geometry's points, each cone's edges in
+    that line's color."""
+    n_pts, names = geometry.num_points, geometry.point_names
     out = ["graph cone {", "  node [shape=circle];"]
-    for p in range(graph.num_points):
-        label = point_names[p] if point_names and point_names[p] else f"p{p}"
+    for p in range(n_pts):
+        label = names[p] if names and names[p] else f"p{p}"
         label = label.replace("\\", "\\\\").replace('"', '\\"')
         out.append(f'  v{p} [label="{label}"];')
-    for i in range(graph.num_lines):
+    for i in range(len(cones)):
         color = _DOT_PALETTE[i % len(_DOT_PALETTE)]
-        c = graph.cone_vertex(i)
-        out.append(f'  v{c} [label="c{i}" shape=square color="{color}"];')
-    for i, cone in enumerate(graph.cones):
+        out.append(f'  v{n_pts + i} [label="c{i}" shape=square color="{color}"];')
+    for i, cone in enumerate(cones):
         color = _DOT_PALETTE[i % len(_DOT_PALETTE)]
         for u, v in cone:
             out.append(f'  v{u} -- v{v} [color="{color}"];')

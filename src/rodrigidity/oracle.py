@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from ._record import Record, set_field
-from .cone import ConeIncidenceGeometry
+from .cone import _spokes
 from .geometry import IncidenceGeometry, _decimals, _json_list, _json_object, shared_rod_pair
 from .geometry import _json_int as _geometry_json_int
 # Not called here, but perfbench/tracing.py wraps this name in this module.
@@ -607,12 +607,12 @@ def realization_from_coords(
 
 
 def realize_cone(
-    cone: ConeIncidenceGeometry,
+    geometry: IncidenceGeometry,
     realization: LinearRealization,
     seed: int,
 ) -> LinearRealization:
-    """Extend a proper realization of S = cone.base to the cone incidence
-    geometry.
+    """Extend a proper realization of a geometry to its cone incidence
+    geometry (build_cone_incidence).
 
     Original points keep their coordinates.  Each cone point is placed at
     random exact coordinates off its line, away from all other points, and
@@ -622,7 +622,6 @@ def realize_cone(
     sample_realization's stream for `seed`, so they do not replay the
     sampled slopes.
     """
-    geometry = cone.base
     if not realization.satisfies(geometry):
         raise OracleError("realization does not satisfy the geometry")
     field = realization.field
@@ -651,7 +650,7 @@ def realize_cone(
         xs.append(cx)
         ys.append(cy)
     slopes, intercepts = list(realization.slopes), list(realization.intercepts)
-    spokes = cone.geometry.lines[geometry.num_lines:]  # (point, cone point) each
+    spokes = _spokes(geometry)  # (point, cone point) each
     invs = _inv_all([xs[c] - xs[j] for j, c in spokes], p)
     for (j, c), inv in zip(spokes, invs):
         fx = (ys[j] - ys[c]) * inv
@@ -662,19 +661,19 @@ def realize_cone(
     return extended
 
 
-def string_config_rank(cone: ConeIncidenceGeometry,
+def string_config_rank(cone: IncidenceGeometry,
                        realization: LinearRealization) -> tuple[int, int]:
-    """(rank, maximum rank) of the concurrence matrix of the extended
-    realization; the maximum is reached when only the trivial parallel
-    redrawings remain.  A geometry of one point or none has fewer than
-    three trivial motions, so the maximum is clamped at 0."""
-    if not realization.satisfies(cone.geometry):
+    """(rank, maximum rank) of the concurrence matrix of a realization of a
+    cone incidence geometry, as realize_cone extends one; the maximum is
+    reached when only the trivial parallel redrawings remain.  A geometry of
+    one point or none has fewer than three trivial motions, so the maximum
+    is clamped at 0."""
+    if not realization.satisfies(cone):
         raise OracleError("realization does not satisfy the cone incidence geometry")
     if not realization.is_proper():
         raise OracleError("non-proper realization refused")
-    g = cone.geometry
-    matrix = build_concurrence_matrix(g, realization)
-    max_rank = max(0, g.num_lines + 2 * g.num_points - 3)
+    matrix = build_concurrence_matrix(cone, realization)
+    max_rank = max(0, cone.num_lines + 2 * cone.num_points - 3)
     # Two or more distinct points: the translations and the dilation are
     # independent kernel vectors, so the rank cannot pass max_rank and the
     # reduction may stop there.  Fewer points carry no line, hence no row,
@@ -682,7 +681,7 @@ def string_config_rank(cone: ConeIncidenceGeometry,
     return rank_of(matrix, max_rank), max_rank
 
 
-def is_string_config_rigid(cone: ConeIncidenceGeometry, realization: LinearRealization) -> bool:
+def is_string_config_rigid(cone: IncidenceGeometry, realization: LinearRealization) -> bool:
     """Rigid iff the concurrence matrix of the extended realization has the
     maximum possible rank, i.e. only trivial parallel redrawings remain."""
     rank, max_rank = string_config_rank(cone, realization)

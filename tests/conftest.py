@@ -129,6 +129,41 @@ def plant_rank_shift(monkeypatch, *shifts: int) -> list[int]:
     return ranks
 
 
+def plant_pebble_shift(monkeypatch, shift: int) -> None:
+    """Plant a defect in the game: each verdict of analysis.play leaves
+    `shift` more pebbles, its last accepted edges dropped (shift > 0) or its
+    last accepted edge claimed again (shift < 0).  The group sizes are left
+    as played, so only the count is wrong."""
+    import rodrigidity.analysis as analysis
+    from rodrigidity import PebbleVerdict
+
+    real = analysis.play
+
+    def planted(num_vertices, *groups):
+        v = real(num_vertices, *groups)
+        accepted = v.accepted[:-shift] if shift > 0 else v.accepted + v.accepted[-1:] * -shift
+        return PebbleVerdict(v.num_vertices, accepted, v.rejected, v.group_sizes)
+
+    monkeypatch.setattr(analysis, "play", planted)
+
+
+def plant_dropped_spoke(monkeypatch) -> None:
+    """Plant a defect in the cone graph: analysis.build_cone_graph leaves
+    out the last spoke of the last cone (a cone of 2k - 1 edges holds its k
+    spokes first)."""
+    import rodrigidity.analysis as analysis
+
+    real = analysis.build_cone_graph
+
+    def planted(geometry):
+        cones = real(geometry)
+        last = cones[-1]
+        k = (len(last) + 1) // 2
+        return cones[:-1] + (last[:k - 1] + last[k:],)
+
+    monkeypatch.setattr(analysis, "build_cone_graph", planted)
+
+
 # Any value json.loads can return, infinities and NaN included (json.loads
 # reads 1e400 as inf).
 JSON_VALUES = st.recursive(

@@ -15,8 +15,6 @@ from typing import Iterable, Optional, Sequence
 
 from rodrigidity import (
     RATIONALS,
-    ConeGraph,
-    ConeIncidenceGeometry,
     GeometryError,
     IncidenceGeometry,
     LinearRealization,
@@ -192,9 +190,10 @@ def check_body_joint_counts(geometry: IncidenceGeometry, line_budget: int = 20) 
     return True
 
 
-def cone_graph_with_inner(geometry: IncidenceGeometry, inner: Sequence[int]) -> ConeGraph:
-    """The cone graph whose inner vertex on line l is inner[l], edges in
-    build_cone_graph's order; inner[l] must be a point of line l."""
+def cone_graph_with_inner(geometry: IncidenceGeometry,
+                          inner: Sequence[int]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The cones of the cone graph whose inner vertex on line l is inner[l],
+    edges in build_cone_graph's order; inner[l] must be a point of line l."""
     n_pts = geometry.num_points
     cones = []
     for l, (line, r) in enumerate(zip(geometry.lines, inner, strict=True)):
@@ -202,7 +201,7 @@ def cone_graph_with_inner(geometry: IncidenceGeometry, inner: Sequence[int]) -> 
         if r not in pts:
             raise GeometryError(f"inner vertex {r} is not incident to line {l}")
         cones.append(tuple([(n_pts + l, p) for p in pts] + [(r, q) for q in pts if q != r]))
-    return ConeGraph(n_pts, tuple(cones))
+    return tuple(cones)
 
 
 def inner_choice_classifications(geometry: IncidenceGeometry) -> set[str]:
@@ -210,10 +209,10 @@ def inner_choice_classifications(geometry: IncidenceGeometry) -> set[str]:
 
     Always a singleton: the choice of inner vertices never changes the
     verdict.  Exhaustive, so only for small geometries."""
+    n = geometry.num_points + geometry.num_lines
     out = set()
     for combo in product(*[sorted(line) for line in geometry.lines]):
-        graph = cone_graph_with_inner(geometry, combo)
-        out.add(play(graph.num_vertices, *graph.cones).classification)
+        out.add(play(n, *cone_graph_with_inner(geometry, combo)).classification)
     return out
 
 
@@ -222,19 +221,20 @@ def inner_choice_classifications(geometry: IncidenceGeometry) -> set[str]:
 
 def derive_subgeometry(
     geometry: IncidenceGeometry,
-    host: ConeGraph,
+    cones: Sequence[tuple[tuple[int, int], ...]],
     edges: Iterable[tuple[int, int]],
 ) -> tuple[IncidenceGeometry, tuple[int, ...]]:
-    """Subgeometry induced by an arbitrary subgraph of a cone graph.
+    """Subgeometry induced by an arbitrary subgraph of a cone graph, given
+    as its cones.
 
     Star edges are credited to the lowest-index line whose inner vertex (the
     inner end of its cone's last edge) they touch; ownership is only
     ambiguous when two lines share two points.  Raises if an edge is not part
-    of any cone of the host graph.
+    of any cone.
     """
     n_pts = geometry.num_points
     line_points = [set(line) for line in geometry.lines]
-    inner_vertex = [cone[-1][0] for cone in host.cones]
+    inner_vertex = [cone[-1][0] for cone in cones]
     star_members: list[set[int]] = [set() for _ in range(geometry.num_lines)]
     spokes: set[tuple[int, int]] = set()
     for u, v in edges:
@@ -258,7 +258,6 @@ def derive_subgeometry(
 
 
 def restrict_realization(
-    cone: ConeIncidenceGeometry,
     realization: LinearRealization,
     subgeometry: IncidenceGeometry,
     source_lines: Sequence[int],

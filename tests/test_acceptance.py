@@ -10,7 +10,6 @@ import time
 from rodrigidity import (
     IncidenceGeometry,
     build_cone_graph,
-    build_cone_incidence,
     build_concurrence_matrix,
     canonical_subgraph,
     decide_rod_rigidity,
@@ -86,8 +85,8 @@ def test_criterion_2_non_circuit_regression():
 def test_criterion_3_running_example_pipeline():
     t0 = time.perf_counter()
     geometry = parse_geometry(FIG2_TEXT)
-    cone = build_cone_graph(geometry)
-    game = play(cone.num_vertices, *cone.cones)
+    cones = build_cone_graph(geometry)
+    game = play(geometry.num_points + geometry.num_lines, *cones)
     verdict = decide_rod_rigidity(geometry)
     canon = canonical_subgraph(geometry)
     sub = canon.subgeometry
@@ -95,8 +94,8 @@ def test_criterion_3_running_example_pipeline():
     elapsed = time.perf_counter() - t0
     ok = (
         (geometry.num_points, geometry.num_lines) == (7, 4)
-        and cone.num_vertices == 11
-        and sum(map(len, cone.cones)) == 20
+        and len({v for cone in cones for e in cone for v in e}) == 11
+        and sum(map(len, cones)) == 20
         and len(game.accepted) == 19
         and verdict.is_rigid
         and len(canon.edges) == 19
@@ -188,18 +187,17 @@ def test_criterion_6_gluing_properties():
 
 def test_criterion_7_collinear_counterexample(fig2):
     t0 = time.perf_counter()
-    host = cone_graph_with_inner(fig2, [3, 4, 5, 6])
-    depicted = [e for cone in host.cones for e in cone if e != (9, 5)]  # drop the bottom line's spoke
-    generically = play(host.num_vertices, depicted)
-    sub, sources = derive_subgeometry(fig2, host, depicted)
-    sc = build_cone_incidence(fig2)
+    cones = cone_graph_with_inner(fig2, [3, 4, 5, 6])
+    depicted = [e for cone in cones for e in cone if e != (9, 5)]  # drop the bottom line's spoke
+    generically = play(11, depicted)
+    sub, sources = derive_subgeometry(fig2, cones, depicted)
     rho = sample_realization(fig2, seed=77)
-    ext = realize_cone(sc, rho, seed=77)
-    restricted = restrict_realization(sc, ext, sub, sources)
+    ext = realize_cone(fig2, rho, seed=77)
+    restricted = restrict_realization(ext, sub, sources)
     depicted_rank = rank_of(build_concurrence_matrix(sub, restricted))
     depicted_max = sub.num_lines + 2 * sub.num_points - 3
     canon = canonical_subgraph(fig2)
-    canon_restricted = restrict_realization(sc, ext, canon.subgeometry, canon.source_lines)
+    canon_restricted = restrict_realization(ext, canon.subgeometry, canon.source_lines)
     canon_rank = rank_of(build_concurrence_matrix(canon.subgeometry, canon_restricted))
     canon_max = canon.subgeometry.num_lines + 2 * canon.subgeometry.num_points - 3
     elapsed = time.perf_counter() - t0
@@ -227,12 +225,13 @@ def test_criterion_8_pebble_scaling():
     t0 = time.perf_counter()
     timings = {}
     for n_lines in (200, 400):
-        graph = build_cone_graph(_chain(n_lines))
+        chain = _chain(n_lines)
+        n, cones = chain.num_points + chain.num_lines, build_cone_graph(chain)
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()
             for _ in range(10):
-                play(graph.num_vertices, *graph.cones)
+                play(n, *cones)
             best = min(best, time.perf_counter() - start)
         timings[n_lines] = best
     ratio = timings[400] / timings[200]

@@ -39,7 +39,7 @@ from bruteforce import (
     reference_random_geometry,
     shares_two_points,
 )
-from conftest import arrangement, plant_rank_shift
+from conftest import arrangement, plant_dropped_spoke, plant_pebble_shift, plant_rank_shift
 from paper_claims import (
     BudgetExceededError,
     check_body_joint_counts,
@@ -146,6 +146,18 @@ class TestDecideRodRigidity:
         assert sample["rank"] == sample["max_rank"] == sample["predicted_rank"] + 1
         assert sample["algebraic_rigid"] is True
 
+    def test_a_count_below_three_pebbles_raises(self, triangle_rods, monkeypatch):
+        # the game claims one accepted edge too many on the rigid triangle:
+        # its prediction lies above the maximum rank, which every sample
+        # reaches and none can pass
+        plant_pebble_shift(monkeypatch, -1)
+        with pytest.raises(OracleDisagreementError) as info:
+            decide_rod_rigidity(triangle_rods, "cross-validated", seed=21)
+        bundle = info.value.bundle
+        assert bundle["remaining_pebbles"] == 2
+        assert [(s["rank"], s["max_rank"], s["predicted_rank"]) for s in bundle["samples"]] == \
+            [(18, 18, 19)] * 3
+
     def test_flexible_count_never_reached_is_skipped(self, hinge, monkeypatch):
         ranks = plant_rank_shift(monkeypatch, -1)
         v = decide_rod_rigidity(hinge, "cross-validated", seed=21)
@@ -189,7 +201,7 @@ class TestDecideRodRigidity:
 
     @pytest.mark.parametrize("name,builds", [("fig2", 1), ("two_point_three_lines", 0)])
     def test_cone_incidence_built_only_for_a_proper_sample(self, name, builds, request, monkeypatch):
-        # once however many seeds are sampled: realize_cone takes the one built here
+        # once however many seeds are sampled; realize_cone builds none of its own
         import rodrigidity.analysis as analysis
         import rodrigidity.oracle as oracle
 
@@ -247,11 +259,11 @@ class TestCanonicalSubgraph:
         # regularity of the restriction holds too)
         sc = build_cone_incidence(hinge)
         rho = sample_realization(hinge, seed=32)
-        ext = realize_cone(sc, rho, seed=32)
-        restricted = restrict_realization(sc, ext, sub, canon.source_lines)
+        ext = realize_cone(hinge, rho, seed=32)
+        restricted = restrict_realization(ext, sub, canon.source_lines)
         assert rank_of(build_concurrence_matrix(sub, restricted)) == 12
         assert is_regular(sub, restricted)
-        assert is_regular(sc.geometry, ext, budget=12)
+        assert is_regular(sc, ext, budget=12)
 
     def test_disconnected_rejected(self):
         # two separate rods, and a rod beside an isolated point
@@ -266,8 +278,8 @@ class TestCanonicalSubgraph:
             canon = canonical_subgraph(g)
             sub = canon.subgeometry
             assert sub.num_incidences == sub.num_lines + len(canon.edges)
-            cone = build_cone_graph(g)
-            assert len(canon.edges) == len(play(cone.num_vertices, *cone.cones).accepted)
+            game = play(g.num_points + g.num_lines, *build_cone_graph(g))
+            assert len(canon.edges) == len(game.accepted)
             assert is_sharply_independent_fast(sub, sub.incidences())
 
     def test_offers_each_edge_once(self, fig2, monkeypatch):
@@ -300,9 +312,9 @@ class TestCanonicalSubgraph:
         for g in [fig2, arrangement(30, 0.6, seed=2024)] + draws:
             _, plan = canonical_edge_order(g)
             inner = {line: u for _, line, u, _ in plan if u < g.num_points}
-            cone = cone_graph_with_inner(g, [inner[l] for l in range(g.num_lines)])
+            cones = cone_graph_with_inner(g, [inner[l] for l in range(g.num_lines)])
             assert Counter((line, u, v) for _, line, u, v in plan) == Counter(
-                (l, u, v) for l, edges in enumerate(cone.cones) for u, v in edges
+                (l, u, v) for l, edges in enumerate(cones) for u, v in edges
             )
 
     def test_stored_point_order_does_not_matter(self):
@@ -324,10 +336,9 @@ class TestCanonicalSubgraph:
         # the special property of this subgraph: full concurrence rank at a
         # realization where each rod's points truly sit on one line
         canon = canonical_subgraph(fig2)
-        sc = build_cone_incidence(fig2)
         rho = sample_realization(fig2, seed=33)
-        ext = realize_cone(sc, rho, seed=33)
-        restricted = restrict_realization(sc, ext, canon.subgeometry, canon.source_lines)
+        ext = realize_cone(fig2, rho, seed=33)
+        restricted = restrict_realization(ext, canon.subgeometry, canon.source_lines)
         sub = canon.subgeometry
         assert rank_of(build_concurrence_matrix(sub, restricted)) == \
             sub.num_lines + 2 * sub.num_points - 3
@@ -335,16 +346,15 @@ class TestCanonicalSubgraph:
 
 class TestDeriveSubgeometry:
     def test_fig5_subgraph(self, fig2):
-        host = cone_graph_with_inner(fig2, [3, 4, 5, 6])
-        edges = [e for cone in host.cones for e in cone if e != (9, 5)]
-        sub, sources = derive_subgeometry(fig2, host, edges)
+        cones = cone_graph_with_inner(fig2, [3, 4, 5, 6])
+        edges = [e for cone in cones for e in cone if e != (9, 5)]
+        sub, sources = derive_subgeometry(fig2, cones, edges)
         assert (sub.num_points, sub.num_lines, sub.num_incidences) == (11, 15, 34)
         assert len(sources) == sub.num_lines
 
     def test_rejects_foreign_edge(self, fig2):
-        host = build_cone_graph(fig2)
         with pytest.raises(GeometryError):
-            derive_subgeometry(fig2, host, [(5, 6)])
+            derive_subgeometry(fig2, build_cone_graph(fig2), [(5, 6)])
 
 
 class TestMinimalRigidity:
@@ -475,7 +485,7 @@ class TestMinimalRigidity:
         rho = sample_realization(bare, seed=34)
         assert not isinstance(rho, Infeasible)
         sc = build_cone_incidence(bare)
-        assert not is_string_config_rigid(sc, realize_cone(sc, rho, seed=34))
+        assert not is_string_config_rigid(sc, realize_cone(bare, rho, seed=34))
 
 
 class TestBodyJointCounts:
@@ -595,6 +605,19 @@ class TestTheoremEightAgreement:
         assert len(drawn) == len(decided) == report.attempted
         assert decided == drawn
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("plant", [
+        lambda mp: plant_pebble_shift(mp, 1),
+        lambda mp: plant_pebble_shift(mp, -1),
+        plant_dropped_spoke,
+    ], ids=["one-extra-pebble", "one-pebble-fewer", "last-spoke-dropped"])
+    def test_campaign_catches_a_planted_game_defect(self, plant, seed, monkeypatch):
+        from rodrigidity import run_agreement_campaign
+
+        plant(monkeypatch)
+        with pytest.raises(OracleDisagreementError):
+            run_agreement_campaign(20, seed=seed)
+
     def test_flexible_never_algebraically_rigid(self, hinge):
         # ten sampled realizations of flexible geometries: none reaches max rank
         flexibles = [hinge]
@@ -612,7 +635,7 @@ class TestTheoremEightAgreement:
                 rho = sample_realization(g, seed=seed)
                 if isinstance(rho, Infeasible):
                     continue
-                assert not is_string_config_rigid(sc, realize_cone(sc, rho, seed=seed))
+                assert not is_string_config_rigid(sc, realize_cone(g, rho, seed=seed))
 
     def test_agreement_on_regular_samples(self):
         # tiny geometries where the regularity of the extended realization can
@@ -628,8 +651,8 @@ class TestTheoremEightAgreement:
             combinatorial = decide_rod_rigidity(g).is_rigid
             rho = sample_realization(g, seed=38)
             assert not isinstance(rho, Infeasible)
-            ext = realize_cone(sc, rho, seed=38)
-            if is_regular(sc.geometry, ext, budget=18):
+            ext = realize_cone(g, rho, seed=38)
+            if is_regular(sc, ext, budget=18):
                 assert is_string_config_rigid(sc, ext) == combinatorial
 
 

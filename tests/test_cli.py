@@ -22,7 +22,14 @@ from rodrigidity import (
 )
 from rodrigidity.cli import main
 
-from conftest import FIG2_COORDS, FIG2_LINES, PAPPUS_LINES, arrangement, plant_rank_shift
+from conftest import (
+    FIG2_COORDS,
+    FIG2_LINES,
+    PAPPUS_LINES,
+    arrangement,
+    plant_pebble_shift,
+    plant_rank_shift,
+)
 
 FIG2_TEXT = """\
 points: 7
@@ -194,6 +201,14 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "DEFECT" in err
         assert "reproduction" in err
+
+    def test_a_count_below_three_pebbles_exits_three(self, geo_file, capsys, monkeypatch):
+        # a game that leaves two pebbles on the rigid triangle predicts a
+        # rank above the maximum: a defect, not a skipped check
+        plant_pebble_shift(monkeypatch, -1)
+        assert main(["check", geo_file("triangle"), "--cross-validate"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "DEFECT" in captured.err
 
     def test_json_geometry_input(self, tmp_path, capsys):
         path = tmp_path / "hinge.json"
@@ -583,6 +598,16 @@ class TestDotAndSvg:
         assert main(["dot", fig2_file]) == 0
         out = capsys.readouterr().out
         assert out.count("shape=square") == 4 and out.count(" -- ") == 20
+
+    # sha256 of `rodrig dot`: the file is pinned byte for byte, as the svg
+    # digests below pin `svg --cone`
+    @pytest.mark.parametrize("name,digest", [
+        ("fig2", "0b69b147e4892691d5b2e31c191d4339094faec84acb24b4c3cb75acc5fabfdd"),
+        ("arrangement30", "2629a384195eb02e34a0bf833345f82a24195ed5b3dfa889191bf507018f48ba"),
+    ])
+    def test_dot_digest(self, geo_file, capsys, name, digest):
+        assert main(["dot", geo_file(name)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_dot_escapes_a_quoted_name(self, tmp_path, capsys):
         path = tmp_path / "quoted.geo"

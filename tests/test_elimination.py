@@ -99,7 +99,7 @@ def test_integer_matrices_match_dense_reference(field, p, shape):
 def test_cone_concurrence_matrices_match_dense_reference(field, p, seed):
     # Small slopes, zero and repeats included, make rank deficits common.
     rng = random.Random(seed)
-    cone = build_cone_incidence(reference_random_geometry(rng, 6, 4)).geometry
+    cone = build_cone_incidence(reference_random_geometry(rng, 6, 4))
     slopes = tuple(Fraction(rng.randint(-2, 2)) if p is None else rng.randint(0, 4)
                    for _ in range(cone.num_lines))
     matrix = ConcurrenceMatrix(field, cone.num_lines, cone.num_points,
@@ -168,7 +168,7 @@ def _proper_cone_samples(geometry, seeds, field):
     for seed in seeds:
         rho = sample_realization(geometry, seed, field=field)
         if not isinstance(rho, Infeasible):
-            yield cone, realize_cone(cone, rho, seed)
+            yield cone, realize_cone(geometry, rho, seed)
 
 
 @pytest.mark.parametrize("field", [DEFAULT_FIELD, RATIONALS], ids=["mersenne", "rational"])
@@ -185,7 +185,7 @@ def test_the_bound_never_changes_a_rank(fig2, hinge, field):
     for geometry, rigid in cases:
         for cone, extended in _proper_cone_samples(geometry, range(2), field):
             rank, max_rank = string_config_rank(cone, extended)
-            assert rank == rank_of(build_concurrence_matrix(cone.geometry, extended))
+            assert rank == rank_of(build_concurrence_matrix(cone, extended))
             assert rigid is None or (rank == max_rank) == rigid
             verdicts.add(rank == max_rank)
     assert verdicts == {True, False}
@@ -302,7 +302,7 @@ def test_golden_realizations(request, geometry, field_name, seed):
     assert digest == GOLDEN[(geometry, field_name, seed)]
 
 
-# sha256 of repr(realize_cone(cone, sample_realization(geometry, seed, field),
+# sha256 of repr(realize_cone(geometry, sample_realization(geometry, seed, field),
 # seed)), fixed once the cone points came from their own stream.
 CONE_GOLDEN = {
     ("fig2", "zp", 0): "d2d5bc2179e6b561964eb0fd71375660fa632e87eb2b2d1c8c3aec95d1a28708",
@@ -324,7 +324,7 @@ CONE_GOLDEN = {
 def test_golden_cone_extensions(request, geometry, field_name, seed):
     field = DEFAULT_FIELD if field_name == "zp" else RATIONALS
     g = request.getfixturevalue(geometry)
-    extended = realize_cone(build_cone_incidence(g), sample_realization(g, seed, field=field), seed)
+    extended = realize_cone(g, sample_realization(g, seed, field=field), seed)
     digest = hashlib.sha256(repr(extended).encode()).hexdigest()
     assert digest == CONE_GOLDEN[(geometry, field_name, seed)]
 
@@ -335,7 +335,7 @@ def test_cone_points_do_not_replay_the_slopes(fig2, field, seed):
     # drawn from the sampler's stream for `seed`, the cone point of line l
     # would be the pair of slopes (f_2l, f_2l+1)
     rho = sample_realization(fig2, seed, field=field)
-    extended = realize_cone(build_cone_incidence(fig2), rho, seed)
+    extended = realize_cone(fig2, rho, seed)
     cone_points = set(zip(extended.xs[fig2.num_points:], extended.ys[fig2.num_points:]))
     f = rho.slopes
     assert not cone_points & {(f[2 * l], f[2 * l + 1]) for l in range(len(f) // 2)}
@@ -368,8 +368,7 @@ def test_full_kernel_reference_is_the_replaced_sampler(request, geometry, field_
 
 
 def _cone_rank(geometry, rho, seed):
-    cone = build_cone_incidence(geometry)
-    return string_config_rank(cone, realize_cone(cone, rho, seed))
+    return string_config_rank(build_cone_incidence(geometry), realize_cone(geometry, rho, seed))
 
 
 @pytest.mark.parametrize("field,count", [(DEFAULT_FIELD, 40), (RATIONALS, 10)],

@@ -288,8 +288,8 @@ class TestRealizeCone:
     def test_running_example_extension(self, fig2):
         rho = sample_realization(fig2, seed=7)
         sc = build_cone_incidence(fig2)
-        ext = realize_cone(sc, rho, seed=7)
-        assert ext.satisfies(sc.geometry)
+        ext = realize_cone(fig2, rho, seed=7)
+        assert ext.satisfies(sc)
         assert ext.is_proper()
         assert ext.xs[:7] == rho.xs and ext.ys[:7] == rho.ys
         # cone points sit off their lines, and no spoke is parallel to its base line
@@ -299,7 +299,7 @@ class TestRealizeCone:
             res = rho.slopes[line] * ext.xs[c] + ext.ys[c] + rho.intercepts[line]
             assert res % p != 0
         # spoke k is line L + k, (point, cone point of its line)
-        for k, (_point, c) in enumerate(sc.geometry.lines[L:]):
+        for k, (_point, c) in enumerate(sc.lines[L:]):
             assert ext.slopes[L + k] != rho.slopes[c - P]
 
     def test_many_seeds_on_a_single_line(self):
@@ -307,57 +307,55 @@ class TestRealizeCone:
         sc = build_cone_incidence(g)
         for seed in range(100):
             rho = sample_realization(g, seed=seed)
-            ext = realize_cone(sc, rho, seed=seed)
-            assert ext.satisfies(sc.geometry) and ext.is_proper()
-            for k, (_point, c) in enumerate(sc.geometry.lines[1:]):
+            ext = realize_cone(g, rho, seed=seed)
+            assert ext.satisfies(sc) and ext.is_proper()
+            for k, (_point, c) in enumerate(sc.lines[1:]):
                 assert ext.slopes[1 + k] != rho.slopes[c - g.num_points]
 
     def test_requires_proper_input(self, fig2):
         with pytest.raises(OracleError, match="proper"):
-            realize_cone(build_cone_incidence(fig2), trivial_realization(fig2), seed=0)
+            realize_cone(fig2, trivial_realization(fig2), seed=0)
 
     def test_refuses_a_missed_incidence(self, fig2):
         rho = off_by_one_intercept(sample_realization(fig2, seed=7), 0)
         assert rho.is_proper()
         with pytest.raises(OracleError, match="^realization does not satisfy the geometry$"):
-            realize_cone(build_cone_incidence(fig2), rho, seed=7)
+            realize_cone(fig2, rho, seed=7)
 
 
 class TestStringConfigRigidity:
     def test_triangle_is_rigid(self, triangle_rods):
         sc = build_cone_incidence(triangle_rods)
         rho = sample_realization(triangle_rods, seed=8)
-        assert is_string_config_rigid(sc, realize_cone(sc, rho, seed=8))
+        assert is_string_config_rigid(sc, realize_cone(triangle_rods, rho, seed=8))
 
     def test_single_line_three_points_is_rigid(self):
         g = single_line(3)
         sc = build_cone_incidence(g)
         rho = sample_realization(g, seed=9)
-        ext = realize_cone(sc, rho, seed=9)
+        ext = realize_cone(g, rho, seed=9)
         assert is_string_config_rigid(sc, ext)
-        m = build_concurrence_matrix(sc.geometry, ext)
+        m = build_concurrence_matrix(sc, ext)
         assert rank_of(m) == 4 + 8 - 3
 
     def test_hinge_is_flexible_with_deficit_one(self, hinge):
         sc = build_cone_incidence(hinge)
         rho = sample_realization(hinge, seed=10)
-        ext = realize_cone(sc, rho, seed=10)
+        ext = realize_cone(hinge, rho, seed=10)
         assert not is_string_config_rigid(sc, ext)
-        m = build_concurrence_matrix(sc.geometry, ext)
-        g = sc.geometry
-        assert rank_of(m) == g.num_lines + 2 * g.num_points - 4
-        cone_graph = build_cone_graph(hinge)
-        assert play(cone_graph.num_vertices, *cone_graph.cones).remaining_pebbles == 4
+        m = build_concurrence_matrix(sc, ext)
+        assert rank_of(m) == sc.num_lines + 2 * sc.num_points - 4
+        assert play(5, *build_cone_graph(hinge)).remaining_pebbles == 4
 
     def test_refuses_non_proper(self, triangle_rods):
         sc = build_cone_incidence(triangle_rods)
-        bad = trivial_realization(sc.geometry)
+        bad = trivial_realization(sc)
         with pytest.raises(OracleError, match="proper"):
             is_string_config_rigid(sc, bad)
 
     def test_refuses_a_missed_incidence(self, fig2):
         sc = build_cone_incidence(fig2)
-        ext = realize_cone(sc, sample_realization(fig2, seed=7), seed=7)
+        ext = realize_cone(fig2, sample_realization(fig2, seed=7), seed=7)
         bad = off_by_one_intercept(ext, fig2.num_lines)  # the first spoke
         assert bad.is_proper()
         with pytest.raises(OracleError,
@@ -419,7 +417,7 @@ class TestSharpIndependence:
     def test_budget(self, fig2):
         sc = build_cone_incidence(fig2)
         with pytest.raises(BudgetExceededError):
-            is_sharply_independent(sc.geometry, sc.geometry.incidences())
+            is_sharply_independent(sc, sc.incidences())
 
     def test_rejects_foreign_incidence(self, fig2):
         with pytest.raises(Exception, match="not part"):
@@ -459,9 +457,9 @@ class TestRegularity:
     def test_budget(self, fig2):
         sc = build_cone_incidence(fig2)
         rho = sample_realization(fig2, seed=15)
-        ext = realize_cone(sc, rho, seed=15)
+        ext = realize_cone(fig2, rho, seed=15)
         with pytest.raises(BudgetExceededError):
-            is_regular(sc.geometry, ext)
+            is_regular(sc, ext)
 
 
 # Integers, their decimal strings, [numerator, denominator] pairs and noise.

@@ -157,10 +157,10 @@ class TestRigidBlock:
         geometries += [arrangement(m, 0.6, seed=m) for m in range(10, 41)]
         geometries.append(arrangement(30, 0.6, seed=2024))
         for g in geometries:
-            cone = build_cone_graph(g)
-            v = play(cone.num_vertices, *cone.cones)
+            n, cones = g.num_points + g.num_lines, build_cone_graph(g)
+            v = play(n, *cones)
             assert (v.accepted, v.rejected, v.remaining_pebbles) == _reference_play(
-                cone.num_vertices, list(chain.from_iterable(cone.cones)))
+                n, list(chain.from_iterable(cones)))
             c = canonical_subgraph(g)
             assert (c.edges, c.rejected) == _reference_canonical(g)
 
@@ -196,9 +196,10 @@ class TestRigidBlock:
         assert (v.accepted, v.rejected, v.remaining_pebbles) == _reference_play(6, edges)
 
     def test_golden_arrangement_searches_three_edges(self, monkeypatch):
-        cone = build_cone_graph(arrangement(30, 0.6, seed=2024))
+        g = arrangement(30, 0.6, seed=2024)
+        cones = build_cone_graph(g)
         gathers = _counting_gathers(monkeypatch)
-        v = play(cone.num_vertices, *cone.cones)
+        v = play(g.num_points + g.num_lines, *cones)
         # 1014 edges: 577 of the 579 accepted are Henneberg steps, and the
         # first rejection, which starts the block, is the only search that
         # runs dry; the other 434 rejections fall inside the block
@@ -436,8 +437,8 @@ def _play_bases(n, groups):
 
 def _leave_one_out_case(case):
     if case == "golden":
-        cone = build_cone_graph(arrangement(30, 0.6, seed=2024))
-        return cone.num_vertices, cone.cones
+        g = arrangement(30, 0.6, seed=2024)
+        return g.num_points + g.num_lines, build_cone_graph(g)
     if case == "k4-sandwich":
         # (1, 0) is spanned by the K4 before it and by the K4 after it
         return 4, [K4_EDGES, [(1, 0)], K4_EDGES]
@@ -532,12 +533,12 @@ class TestLeaveOneOut:
         geometries = (reference_random_geometry(rng, 12, 8) for _ in range(400))
         shared = 0
         for g in geometries:
-            cone = build_cone_graph(g)
-            edges = list(chain.from_iterable(cone.cones))
+            cones = build_cone_graph(g)
+            edges = list(chain.from_iterable(cones))
             if len(set(map(frozenset, edges))) == len(edges):
                 continue
             assert shares_two_points(g)
-            cases.append((cone.num_vertices, cone.cones))
+            cases.append((g.num_points + g.num_lines, cones))
             shared += 1
         assert shared >= 100
         # rods through exactly two points, whose cones are triangles
@@ -545,8 +546,8 @@ class TestLeaveOneOut:
                                   (4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
                                   (4, ((0, 1, 2), (2, 3), (0, 3), (1, 3))),
                                   (4, ((0, 1), (1, 2), (2, 3), (0, 3)))]:
-            cone = build_cone_graph(IncidenceGeometry(num_points, lines))
-            cases.append((cone.num_vertices, cone.cones))
+            cases.append((num_points + len(lines),
+                          build_cone_graph(IncidenceGeometry(num_points, lines))))
         for n, groups in cases:
             assert _without_each(n, groups) == _one_game_per_group(n, groups)
         # sparse arrangements: the ranges settled from their floors must
@@ -556,10 +557,10 @@ class TestLeaveOneOut:
             for share in (0.1, 0.2, 0.3):
                 for seed in range(3):
                     try:
-                        cone = build_cone_graph(arrangement(num_rods, share, seed))
+                        g = arrangement(num_rods, share, seed)
                     except GeometryError:  # a rod met fewer than two others
                         continue
-                    n, groups = cone.num_vertices, cone.cones
+                    n, groups = g.num_points + g.num_lines, build_cone_graph(g)
                     expected = _one_game_per_group(n, groups)
                     assert _without_each(n, groups) == expected
                     # every point lies on two rods, so a deletion frees only
@@ -882,18 +883,18 @@ ARRANGEMENT_GOLDEN = {
 @pytest.mark.parametrize("question", sorted(ARRANGEMENT_GOLDEN))
 def test_golden_arrangement_answers(question):
     g = arrangement(30, 0.6, seed=2024)
-    cone = build_cone_graph(g)
+    n, cones = g.num_points + g.num_lines, build_cone_graph(g)
     if question == "play":
-        game = play(cone.num_vertices, *cone.cones)
+        game = play(n, *cones)
         answer = (game.accepted, game.rejected)
     elif question == "state":
         # the searches visit in a fixed order, so the orientation is pinned too
-        state = PebbleState(cone.num_vertices)
-        for u, v in chain.from_iterable(cone.cones):
+        state = PebbleState(n)
+        for u, v in chain.from_iterable(cones):
             try_edge(state, u, v)
         answer = (state.pebbles, state.out)
     elif question == "leave_one_out":
-        answer = remaining_without_each(play(cone.num_vertices, *cone.cones))
+        answer = remaining_without_each(play(n, *cones))
     else:
         c = canonical_subgraph(g)
         answer = (c.edges, c.rejected, c.line_order, c.subgeometry.lines, c.source_lines)

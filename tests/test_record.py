@@ -14,8 +14,6 @@ import pytest
 from rodrigidity import (
     CampaignReport,
     CanonicalSubgraph,
-    ConeGraph,
-    ConeIncidenceGeometry,
     IncidenceGeometry,
     Infeasible,
     LinearRealization,
@@ -47,9 +45,6 @@ _VERDICT = RigidityVerdict(True, _PEBBLE, "agree")
 RECORDS = {
     IncidenceGeometry: {"num_points": 3, "lines": ((0, 1), (1, 2)),
                         "point_names": ("a", "b", "c")},
-    ConeGraph: {"num_points": 2, "cones": (((2, 0), (2, 1), (0, 1)),)},
-    ConeIncidenceGeometry: {"base": _GEOMETRY,
-                            "geometry": IncidenceGeometry(5, ((0, 1), (1, 2), (0, 3)))},
     PrimeField: {"p": 7},
     RationalField: {},
     Infeasible: {"reason": "rods 0 and 1 share points 0 and 1", "shared_pair": (0, 1, 0, 1)},
