@@ -40,7 +40,6 @@ from .oracle import (
     PrimeField,
     RATIONALS,
     RationalField,
-    VerticalLineError,
     build_concurrence_matrix,
     is_string_config_rigid,
     matrix_kernel,

@@ -35,7 +35,6 @@ from .oracle import (
     OracleError,
     PrimeField,
     RATIONALS,
-    VerticalLineError,
     realization_from_coords,
     realization_from_json,
     realize_cone,
@@ -205,17 +204,14 @@ def _cmd_dot(args) -> int:
     return EXIT_RIGID
 
 
-def _load_realization_file(geometry: IncidenceGeometry, path: str, rotate: bool):
+def _load_realization_file(geometry: IncidenceGeometry, path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except RecursionError:
             raise OracleError("bad JSON: nested too deeply") from None
     if isinstance(doc, dict) and "coords" in doc:
-        try:
-            return realization_from_coords(geometry, doc["coords"], rotate_if_vertical=rotate)
-        except VerticalLineError as exc:
-            raise OracleError(f"{exc}; pass --rotate to rotate the input first") from None
+        return realization_from_coords(geometry, doc["coords"])
     rho = realization_from_json(doc)
     if not rho.satisfies(geometry):
         raise OracleError("the realization does not satisfy the geometry")
@@ -225,7 +221,7 @@ def _load_realization_file(geometry: IncidenceGeometry, path: str, rotate: bool)
 def _cmd_svg(args) -> int:
     geometry = load_geometry(args.path)
     if args.realization:
-        rho = _load_realization_file(geometry, args.realization, args.rotate)
+        rho = _load_realization_file(geometry, args.realization)
     else:
         rho = sample_realization(geometry, args.seed, field=RATIONALS)
         if isinstance(rho, Infeasible):
@@ -365,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("svg", help="render a rod configuration as SVG")
     p.add_argument("path")
     p.add_argument("--realization", help="realization JSON (or {'coords': ...} file)")
-    p.add_argument("--rotate", action="store_true",
-                   help="randomly rotate imported coordinates if a line is vertical")
     p.add_argument("--cone", action="store_true",
                    help="render the extended string configuration instead")
     p.add_argument("-o", "--output")

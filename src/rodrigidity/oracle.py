@@ -51,7 +51,6 @@ from .cone import build_cone_incidence  # noqa: F401
 
 __all__ = [
     "OracleError",
-    "VerticalLineError",
     "PrimeField",
     "RationalField",
     "MERSENNE_PRIME",
@@ -76,10 +75,6 @@ __all__ = [
 
 class OracleError(ValueError):
     pass
-
-
-class VerticalLineError(OracleError):
-    """A line of the realization is vertical and has no (slope, intercept) form."""
 
 
 MERSENNE_PRIME = 2**61 - 1
@@ -122,6 +117,8 @@ class PrimeField(Record):
     one = 1
 
     def __init__(self, p: int):
+        if type(p) is not int:
+            raise ValueError(f"a prime field needs an int p, got {p!r}")
         if p >= _PRIME_BOUND:
             raise ValueError(f"a prime field needs p below {_PRIME_BOUND}, where primality"
                              f" is decided exactly; got {p}")
@@ -153,8 +150,7 @@ DEFAULT_FIELD = PrimeField(MERSENNE_PRIME)
 RATIONALS = RationalField()
 
 # Random draws a construction makes before it gives up: slope vectors per
-# sampled realization, cone-point placements per line, and rotations of
-# imported coordinates.
+# sampled realization and cone-point placements per line.
 _DRAWS = 32
 
 
@@ -547,28 +543,20 @@ def _point(pt) -> tuple[Fraction, Fraction]:
     return Fraction(x), Fraction(y)
 
 
-def _rotate_coords(coords, rng: random.Random):
-    t = Fraction(rng.randrange(1, 1 << 16), rng.randrange(1, 1 << 16))
-    den = 1 + t * t
-    cos, sin = (1 - t * t) / den, 2 * t / den
-    return [(cos * x - sin * y, sin * x + cos * y) for x, y in coords]
-
-
-def realization_from_coords(
-    geometry: IncidenceGeometry,
-    coords: Sequence[tuple],
-    rotate_if_vertical: bool = False,
-) -> LinearRealization:
+def realization_from_coords(geometry: IncidenceGeometry,
+                            coords: Sequence[tuple]) -> LinearRealization:
     """Exact slope/intercept extraction from user-supplied rational coordinates.
 
-    Raises VerticalLineError for a vertical line unless rotate_if_vertical is
-    set, in which case a random rational rotation is applied to all points
-    first (exactly; rotations by rational unit vectors keep coordinates
-    rational; a fixed seed makes the rotation reproducible).  A line's
-    direction comes from two of its points with distinct coordinates.
-    Non-collinear coordinates for some line are a hard error, found before
-    any line is tested for verticality, as are a line whose points all
-    coincide and anything that is not a sequence of (x, y) rationals (`_point`).
+    A line's direction (dx, dy) comes from two of its points with distinct
+    coordinates.  Non-collinear coordinates for some line are a hard error,
+    as are a line whose points all coincide and anything that is not a
+    sequence of (x, y) rationals (`_point`).  A vertical line has no
+    slope-intercept form, so all points are turned by the exact rotation
+    cos = (1 - t^2)/(1 + t^2), sin = 2t/(1 + t^2) for the least t in 0, 1,
+    2, ... that leaves no line vertical.  t = 0 is the identity: coordinates
+    without a vertical line are kept as given.  A line forbids t = 0 only
+    when it is vertical, and otherwise at most one positive t, since the
+    roots of (1 - t^2)dx = 2t dy multiply to -1; so t <= |L|.
     """
     try:
         pts = [_point(pt) for pt in coords]
@@ -576,7 +564,7 @@ def realization_from_coords(
         raise OracleError(f"bad coordinates: {exc}") from None
     if len(pts) != geometry.num_points:
         raise OracleError("coordinate count does not match the geometry")
-    seconds = []  # per line, a point whose coordinates differ from its first point's
+    directions = []
     for i, line in enumerate(geometry.lines):
         x0, y0 = pts[line[0]]
         q = next((p for p in line if pts[p] != (x0, y0)), None)
@@ -588,22 +576,16 @@ def realization_from_coords(
             if (pts[p][0] - x0) * dy != (pts[p][1] - y0) * dx:
                 raise OracleError(f"point {p} does not lie on line {i}: "
                                   "coordinates do not realize the geometry")
-        seconds.append(q)
-    rng = random.Random(0)
-    for attempt in range(_DRAWS if rotate_if_vertical else 1):  # rotations keep collinearity
-        current = pts if attempt == 0 else _rotate_coords(pts, rng)
-        slopes, intercepts = [], []
-        for i, (line, q) in enumerate(zip(geometry.lines, seconds)):
-            (x0, y0), (x1, y1) = current[line[0]], current[q]
-            if x0 == x1:
-                break
-            f = -(y1 - y0) / (x1 - x0)
-            slopes.append(f)
-            intercepts.append(-f * x0 - y0)
-        else:
-            return LinearRealization(RATIONALS, tuple(slopes), tuple(intercepts),
-                                     tuple(x for x, _ in current), tuple(y for _, y in current))
-    raise VerticalLineError(f"line {i} is vertical, so it has no slope-intercept form")
+        directions.append((dx, dy))
+    t = 0
+    while any((1 - t * t) * dx == 2 * t * dy for dx, dy in directions):
+        t += 1
+    cos, sin = Fraction(1 - t * t, 1 + t * t), Fraction(2 * t, 1 + t * t)
+    xs = tuple(cos * x - sin * y for x, y in pts)
+    ys = tuple(sin * x + cos * y for x, y in pts)
+    slopes = tuple(-(sin * dx + cos * dy) / (cos * dx - sin * dy) for dx, dy in directions)
+    intercepts = tuple(-f * xs[line[0]] - ys[line[0]] for f, line in zip(slopes, geometry.lines))
+    return LinearRealization(RATIONALS, slopes, intercepts, xs, ys)
 
 
 def realize_cone(

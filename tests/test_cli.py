@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -139,8 +140,9 @@ class TestCheck:
     @pytest.mark.parametrize("name,field,code,algebraic", [
         ("triangle", "zp", 0, [[18, 18]]),
         ("hinge", "zp", 2, [[12, 13]]),
+        ("hinge", "zp2", 2, [[12, 13]]),
         ("arrangement30", "rational", 0, [[1131, 1131]]),
-    ], ids=["triangle", "hinge", "arrangement30-rational"])
+    ], ids=["triangle", "hinge", "hinge-zp2", "arrangement30-rational"])
     def test_cross_validation_certifies_the_count(self, geo_file, capsys, name, field, code,
                                                   algebraic):
         path = geo_file(name)
@@ -516,6 +518,27 @@ def test_unread_options_are_usage_errors(fig2_file, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_every_cli_option_has_a_case():
+    # every subcommand, option (in one of its spellings) and choice is passed
+    # by some case in this file, as a quoted literal
+    source = Path(__file__).read_text(encoding="utf-8")
+
+    def quoted(word):
+        return f'"{word}"' in source or f"'{word}'" in source
+
+    (commands,) = (action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    missing = [name for name in commands if not quoted(name)]
+    for name, parser in commands.items():
+        for action in parser._actions:
+            if action.option_strings and not isinstance(action, argparse._HelpAction):
+                if not any(map(quoted, action.option_strings)):
+                    missing.append(f"{name} {action.option_strings[-1]}")
+            missing += [f"{name} {action.dest}={choice}"
+                        for choice in action.choices or () if not quoted(choice)]
+    assert missing == []
+
+
 class TestOracleCommand:
     def test_rigid(self, fig2_file, capsys):
         assert main(["oracle", fig2_file]) == 0
@@ -558,10 +581,13 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("name,field,code,rank,max_rank", [
         ("hinge", "zp", 2, 12, 13),
+        ("hinge", "zp2", 2, 12, 13),
+        ("triangle", "zp2", 0, 18, 18),
         ("triangle", "rational", 0, 18, 18),
         ("arrangement30", "zp", 0, 1131, 1131),
         ("arrangement30", "rational", 0, 1131, 1131),
-    ], ids=["hinge-zp", "triangle-rational", "arrangement30-zp", "arrangement30-rational"])
+    ], ids=["hinge-zp", "hinge-zp2", "triangle-zp2", "triangle-rational", "arrangement30-zp",
+            "arrangement30-rational"])
     def test_json_rank(self, geo_file, capsys, name, field, code, rank, max_rank):
         assert main(["oracle", geo_file(name), "--field", field, "--format", "json"]) == code
         assert json.loads(capsys.readouterr().out) == {
@@ -709,28 +735,34 @@ class TestDotAndSvg:
         err = capsys.readouterr().err
         assert err == "error: sampling infeasible: rods 0 and 1 share points 0 and 1\n"
 
-    def test_svg_vertical_needs_rotate(self, tmp_path, capsys):
-        geo = tmp_path / "seg.geo"
-        geo.write_text("points: 2\nline: 0 1\n")
-        coords = tmp_path / "coords.json"
-        coords.write_text(json.dumps({"coords": [["0", "0"], ["0", "1"]]}))
-        assert main(["svg", str(geo), "--realization", str(coords)]) == 1
-        assert "vertical" in capsys.readouterr().err
-        assert main(["svg", str(geo), "--realization", str(coords), "--rotate"]) == 0
+    # sha256 of `svg --realization` on coordinates files.  The triangle has no
+    # vertical rod, so it is drawn as given: its digests were taken when a
+    # vertical rod still needed a flag.  The segment turns by t = 1, the unit
+    # square by t = 2.
+    @pytest.mark.parametrize("lines,coords,flags,digest", [
+        ("line: 0 1\nline: 1 2\nline: 0 2\n", [["0", "0"], ["3", "1"], ["1/2", "2"]], [],
+         "07a56114c07578b22f209195b7a8cb9339280491a8d1edef2157b60eb0ed709d"),
+        ("line: 0 1\nline: 1 2\nline: 0 2\n", [["0", "0"], ["3", "1"], ["1/2", "2"]], ["--cone"],
+         "483e32faca3292d4401da82285285e508a9086f9f5d9035ae1c730af29daab4e"),
+        ("line: 0 1\n", [["0", "0"], ["0", "1"]], [],
+         "297bd938f5249b6586d162a3079816a5bd08c2c8ffbae329857a7d0bf5dbffe4"),
+        ("line: 0 1\n", [["0", "0"], ["0", "1"]], ["--cone"],
+         "20519b790d240ca213ba27cf7ffff75200351eb122582a3c2a04eb1aed62391a"),
+        ("line: 0 1\nline: 1 2\nline: 2 3\nline: 3 0\n",
+         [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]], [],
+         "0c53b214c424423d0e79222544c09be79394dda7fb47dcb12cf93ff55d21aaaf"),
+        ("line: 0 1\nline: 1 2\nline: 2 3\nline: 3 0\n",
+         [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]], ["--cone"],
+         "484fe85d2f849b7cf53230b49c22b452baca9ca45acfd0c7279d577b3a2e390a"),
+    ], ids=["triangle", "triangle-cone", "segment", "segment-cone", "square", "square-cone"])
+    def test_svg_coords_digest(self, tmp_path, capsys, lines, coords, flags, digest):
+        geo = tmp_path / "rods.geo"
+        geo.write_text(f"points: {len(coords)}\n{lines}")
+        path = tmp_path / "coords.json"
+        path.write_text(json.dumps({"coords": coords}))
+        assert main(["svg", str(geo), "--realization", str(path)] + flags) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
-    def test_svg_vertical_names_the_flag(self, tmp_path, capsys):
-        geo = tmp_path / "seg.geo"
-        geo.write_text("points: 2\nline: 0 1\n")
-        coords = tmp_path / "v.json"
-        coords.write_text(json.dumps({"coords": [[0, 0], [0, 1]]}))
-        assert main(["svg", str(geo), "--realization", str(coords)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and "Traceback" not in captured.err
-        assert captured.err == (
-            "error: line 0 is vertical, so it has no slope-intercept form; "
-            "pass --rotate to rotate the input first\n")
-
-    @pytest.mark.parametrize("flags", [[], ["--rotate"]], ids=["plain", "rotate"])
     @pytest.mark.parametrize("lines, coords, message", [
         # the line through points 0 and 1 is vertical, but point 2 is off it:
         # the coordinates realize no rod, however the rod is listed
@@ -743,13 +775,13 @@ class TestDotAndSvg:
          "every point of line 1 has the same coordinates, so they fix no direction for it"),
     ], ids=["bent-ascending", "bent-shuffled", "vertical-then-coincident"])
     def test_svg_off_line_point_is_not_called_vertical(self, tmp_path, capsys, lines, coords,
-                                                       message, flags):
+                                                       message):
         # every line is checked before any is tested for verticality
         geo = tmp_path / "rods.geo"
         geo.write_text(lines)
         path = tmp_path / "coords.json"
         path.write_text(json.dumps({"coords": coords}))
-        assert main(["svg", str(geo), "--realization", str(path)] + flags) == 1
+        assert main(["svg", str(geo), "--realization", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_svg_coincident_points(self, tmp_path, capsys):
@@ -761,13 +793,11 @@ class TestDotAndSvg:
         for coords in ([["0", "0"], ["0", "0"], ["1", "1"]], [["0", "0"], ["1", "1"], ["0", "0"]]):
             path = tmp_path / "coords.json"
             path.write_text(json.dumps({"coords": coords}))
-            for flags in ([], ["--rotate"]):
-                assert main(["svg", str(geo), "--realization", str(path)] + flags) == 0
-                drawings.append(capsys.readouterr().out)
-        assert drawings[0] == drawings[1] and drawings[2] == drawings[3]
-        assert [d.count("<line") for d in drawings] == [1] * 4
+            assert main(["svg", str(geo), "--realization", str(path)]) == 0
+            drawings.append(capsys.readouterr().out)
+        assert [d.count("<line") for d in drawings] == [1] * 2
         path.write_text(json.dumps({"coords": [["1", "2"]] * 3}))
-        assert main(["svg", str(geo), "--realization", str(path), "--rotate"]) == 1
+        assert main(["svg", str(geo), "--realization", str(path)]) == 1
         assert capsys.readouterr().err == (
             "error: every point of line 0 has the same coordinates, so they fix no direction for it\n")
 

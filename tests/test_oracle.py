@@ -19,7 +19,6 @@ from rodrigidity import (
     OracleError,
     PrimeField,
     RATIONALS,
-    VerticalLineError,
     build_cone_graph,
     build_cone_incidence,
     build_concurrence_matrix,
@@ -75,6 +74,8 @@ class TestRealizationFromCoords:
         assert rho.is_proper()
         assert all(rho.slopes[l] * rho.xs[p] + rho.ys[p] + rho.intercepts[l] == 0
                    for p, l in fig2.incidences())
+        # no rod is vertical, so the points are kept as given
+        assert tuple(zip(rho.xs, rho.ys)) == FIG2_COORDS
 
     def test_non_collinear_coordinates_rejected(self, triangle_rods):
         coords = [(0, 0), (1, 0), (0, 1)]
@@ -82,17 +83,25 @@ class TestRealizationFromCoords:
         with pytest.raises(OracleError, match="does not lie on"):
             realization_from_coords(bent, coords)
 
-    def test_vertical_line_rejected_then_rotated(self):
+    def test_vertical_line_turned_a_quarter(self):
+        # the least rotation that turns the vertical rod away is t = 1, a
+        # quarter turn: (0, 1) goes to (-1, 0)
         g = single_line(2)
-        coords = [(0, 0), (0, 1)]
-        with pytest.raises(VerticalLineError):
-            realization_from_coords(g, coords)
-        rho = realization_from_coords(g, coords, rotate_if_vertical=True)
+        rho = realization_from_coords(g, [(0, 0), (0, 1)])
+        assert (rho.xs, rho.ys, rho.slopes, rho.intercepts) == ((0, -1), (0, 0), (0,), (0,))
         assert rho.satisfies(g) and rho.is_proper()
         # rotation preserves the distance between the two points
         dx = rho.xs[0] - rho.xs[1]
         dy = rho.ys[0] - rho.ys[1]
         assert dx * dx + dy * dy == 1
+
+    def test_least_rotation_clears_every_vertical_rod(self):
+        # t = 0 keeps two rods vertical and t = 1 turns the other two
+        # vertical, so the unit square turns by t = 2: cos -3/5, sin 4/5
+        square = IncidenceGeometry(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+        rho = realization_from_coords(square, [(0, 0), (1, 0), (1, 1), (0, 1)])
+        assert rho.slopes == (Fraction(4, 3), Fraction(-3, 4), Fraction(4, 3), Fraction(-3, 4))
+        assert rho.satisfies(square) and rho.is_proper()
 
     def test_coincident_points_in_either_order(self):
         g = single_line(3)
@@ -105,7 +114,7 @@ class TestRealizationFromCoords:
     def test_all_points_coincide_rejected(self):
         g = IncidenceGeometry(3, ((0, 1), (1, 2)))
         with pytest.raises(OracleError, match="every point of line 1 has the same coordinates"):
-            realization_from_coords(g, [(0, 0), (1, 1), (1, 1)], rotate_if_vertical=True)
+            realization_from_coords(g, [(0, 0), (1, 1), (1, 1)])
 
 
 class TestTrivialRealization:
@@ -535,6 +544,12 @@ class TestSerialization:
         with pytest.raises(OracleError, match=f"bad realization document: .*{bound}"):
             realization_from_json(doc)
         assert oracle._is_prime(p)
+
+    # a float or a Fraction once built a field whose inverses pow() refused
+    @pytest.mark.parametrize("p", [7.0, Fraction(7), True], ids=["float", "fraction", "bool"])
+    def test_modulus_that_is_not_an_int_refused(self, p):
+        with pytest.raises(ValueError, match="a prime field needs an int p"):
+            PrimeField(p)
 
     @settings(max_examples=300)
     @with_examples(MISTYPED_REALIZATIONS)
