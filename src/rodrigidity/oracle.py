@@ -62,12 +62,10 @@ __all__ = [
     "ConcurrenceMatrix",
     "build_concurrence_matrix",
     "rank_of",
-    "matrix_kernel",
     "sample_realization",
     "realization_from_coords",
     "realize_cone",
     "string_config_rank",
-    "is_string_config_rigid",
     "realization_to_json",
     "realization_from_json",
 ]
@@ -158,10 +156,12 @@ class Infeasible(Record):
     """The geometry has no proper realization, so sampling refused it.
 
     The reason names two rods through the same two points, refused before
-    any draw, or says that all _DRAWS sampled realizations collapsed distinct
-    points.  The refusal is final, so callers do not retry with another
-    seed: whether a proper realization exists depends on the incidences, and
-    a draw collapses by accident with probability at most degree/p over Z_p.
+    any draw, or says that all _DRAWS slope draws gave two rods through a
+    common point the same slope (the field has too few units), or that all
+    _DRAWS sampled realizations collapsed distinct points.  The refusal is
+    final, so callers do not retry with another seed: whether a proper
+    realization exists depends on the incidences, and a draw collapses by
+    accident with probability at most degree/p over Z_p.
     """
 
     __slots__ = ("reason", "shared_pair")
@@ -501,11 +501,13 @@ def sample_realization(
     rng = random.Random(seed)
     L = geometry.num_lines
     rods_at = geometry.point_line_map()
+    placed = 0
     for _ in range(_DRAWS):
         f = tuple(field.random_unit(rng) for _ in range(L))
         keys = _keys(f, p)
         if any(len({keys[l] for l in rods}) < len(rods) for rods in rods_at):
             continue  # rods through a common point must not be parallel
+        placed += 1
         rows, meets, _ = _intercept_rows(rods_at, f, field)
         pivots = _eliminate(rows, field)
         # one random unit per free intercept, in increasing column order
@@ -529,6 +531,8 @@ def sample_realization(
         candidate = LinearRealization(field, f, tuple(h), tuple(xs), tuple(ys))
         if candidate.is_proper():
             return candidate
+    if not placed:
+        return Infeasible(f"all {_DRAWS} slope draws gave two rods through a common point the same slope")
     return Infeasible(f"all {_DRAWS} sampled realizations collapsed distinct points")
 
 

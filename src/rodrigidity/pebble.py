@@ -63,8 +63,6 @@ from ._record import Record, set_field
 __all__ = [
     "PebbleState",
     "PebbleVerdict",
-    "try_edge",
-    "independent_after",
     "play",
     "remaining_without_each",
 ]

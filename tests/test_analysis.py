@@ -20,7 +20,6 @@ from rodrigidity import (
     canonical_subgraph,
     decide_minimal_rigidity,
     decide_rod_rigidity,
-    is_string_config_rigid,
     play,
     random_geometry,
     rank_of,
@@ -31,7 +30,7 @@ from rodrigidity import (
     verdict_to_json,
 )
 from rodrigidity.analysis import minimal_report_to_json
-from rodrigidity.oracle import DEFAULT_FIELD, RATIONALS
+from rodrigidity.oracle import DEFAULT_FIELD, RATIONALS, is_string_config_rigid
 
 from bruteforce import (
     deletion_rigid_by_redecide,

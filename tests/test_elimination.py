@@ -34,14 +34,13 @@ from rodrigidity import (
     Infeasible,
     build_cone_incidence,
     decide_rod_rigidity,
-    matrix_kernel,
     rank_of,
     realize_cone,
     sample_realization,
     string_config_rank,
 )
 from rodrigidity import oracle
-from rodrigidity.oracle import ConcurrenceMatrix, _intercept_rows, build_concurrence_matrix
+from rodrigidity.oracle import ConcurrenceMatrix, _intercept_rows, build_concurrence_matrix, matrix_kernel
 
 from bruteforce import (apply, dense_kernel, dense_rank, dense_rows, full_kernel_sample,
                         reference_random_geometry, shares_two_points)

@@ -23,7 +23,6 @@ from rodrigidity import (
     build_cone_incidence,
     build_concurrence_matrix,
     decide_rod_rigidity,
-    is_string_config_rigid,
     play,
     rank_of,
     realization_from_coords,
@@ -36,6 +35,7 @@ from rodrigidity import (
     string_config_rank,
 )
 from rodrigidity import analysis, cli, oracle
+from rodrigidity.oracle import is_string_config_rigid
 
 from bruteforce import (apply, dense_rows, is_sharply_independent, minor_rank,
                         reference_random_geometry, shares_two_points)
@@ -219,17 +219,25 @@ class TestSampling:
     def test_deterministic_in_seed(self, fig2):
         assert sample_realization(fig2, seed=9) == sample_realization(fig2, seed=9)
 
-    @pytest.mark.parametrize("name", ["triangle_rods", "hinge", "fig2", "pappus"])
-    def test_one_slope_field_redraws_until_refused(self, request, name, monkeypatch):
-        # Every unit of Z_2 is 1, so rods through a common point always get
-        # the same slope: all draws are redrawn, none reaches an elimination.
+    @pytest.mark.parametrize("name,p", [("triangle_rods", 2), ("hinge", 2), ("fig2", 2),
+                                        ("pappus", 2), ("triangle_rods", 3)],
+                             ids=["triangle_rods", "hinge", "fig2", "pappus", "triangle_rods-z3"])
+    def test_one_slope_field_redraws_until_refused(self, request, name, p, monkeypatch):
+        # Every unit of Z_2 is 1, and Z_3 has two units for the triangle's
+        # three pairwise meeting rods, so rods through a common point always
+        # get the same slope: all draws are redrawn, none reaches an elimination.
         eliminations = []
         real = oracle._eliminate
         monkeypatch.setattr(oracle, "_eliminate",
                             lambda rows, field: eliminations.append(field) or real(rows, field))
-        rho = sample_realization(request.getfixturevalue(name), seed=11, field=PrimeField(2))
-        assert rho == Infeasible("all 32 sampled realizations collapsed distinct points")
+        rho = sample_realization(request.getfixturevalue(name), seed=11, field=PrimeField(p))
+        assert rho == Infeasible(
+            "all 32 slope draws gave two rods through a common point the same slope")
         assert not eliminations
+
+    def test_four_units_place_the_triangle(self, triangle_rods):
+        rho = sample_realization(triangle_rods, seed=11, field=PrimeField(5))
+        assert not isinstance(rho, Infeasible) and rho.satisfies(triangle_rods) and rho.is_proper()
 
     @pytest.mark.parametrize("p", [7, 101])
     @settings(max_examples=60, deadline=None)

@@ -16,13 +16,11 @@ from rodrigidity import (
     canonical_edge_order,
     canonical_subgraph,
     decide_minimal_rigidity,
-    independent_after,
     play,
     remaining_without_each,
-    try_edge,
 )
 from rodrigidity import pebble
-from rodrigidity.pebble import PebbleState, PebbleVerdict
+from rodrigidity.pebble import PebbleState, PebbleVerdict, independent_after, try_edge
 
 from bruteforce import (henneberg_graph, laman_independent, laman_rank, reference_random_geometry,
                         shares_two_points)
