@@ -1,11 +1,11 @@
 """Rigidity verdicts for rod configurations.
 
 The combinatorial route plays the (2,3)-pebble game on a cone graph of the
-input geometry: three remaining pebbles means every sufficiently generic rod
-configuration realizing it is infinitesimally rigid.  The algebraic route
-samples an exact proper realization, extends it to the cone incidence
-geometry, and ranks its concurrence matrix; every pebble beyond three is one
-rank short of the maximum.  Both routes must agree on regular samples; a
+input geometry: no pebble beyond the trivial motions means every sufficiently
+generic rod configuration realizing it is infinitesimally rigid.  The
+algebraic route samples an exact proper realization, extends it to the cone
+incidence geometry, and ranks its concurrence matrix; every further pebble is
+one rank short of the maximum.  Both routes must agree on regular samples; a
 disagreement is a defect and is raised loudly with a reproduction bundle,
 never swallowed.
 """
@@ -53,6 +53,7 @@ __all__ = [
     "random_geometry",
     "run_agreement_campaign",
     "verdict_to_json",
+    "minimal_report_to_json",
 ]
 
 DEFAULT_SEED = 1729
@@ -75,16 +76,15 @@ class OracleDisagreementError(RuntimeError):
 
 
 class RigidityVerdict(Record):
-    """The cone graph's game (None for zero or one entity, which has no
-    internal motion) and the cross-validation outcome; rigidity and the
-    counts follow from the game."""
+    """The cone graph's game and the cross-validation outcome; rigidity and
+    the counts follow from the game."""
 
     __slots__ = ("connected", "pebble", "agreement", "algebraic", "skip_reason")
 
     def __init__(
         self,
         connected: bool,
-        pebble: Optional[PebbleVerdict],
+        pebble: PebbleVerdict,
         agreement: str,  # "agree" | "algebraic-skipped"; a disagreement raises
         # (rank, max_rank) per proper sample
         algebraic: Optional[tuple[tuple[int, int], ...]] = None,
@@ -99,27 +99,26 @@ class RigidityVerdict(Record):
 
     @property
     def is_rigid(self) -> bool:
-        # a disconnected cone graph leaves more than three pebbles
-        return self.pebble is None or self.pebble.is_rigid
+        return self.pebble.is_rigid
 
     @property
     def classification(self) -> str:
-        return self.pebble.classification if self.pebble is not None else "minimally-rigid"
+        return self.pebble.classification
 
     @property
     def remaining_pebbles(self) -> int:
-        return self.pebble.remaining_pebbles if self.pebble is not None else 3
+        return self.pebble.remaining_pebbles
 
     @property
     def degrees_of_freedom(self) -> int:
-        return self.remaining_pebbles - 3
+        return self.pebble.degrees_of_freedom
 
 
 def verdict_to_json(verdict: RigidityVerdict) -> dict:
     doc = {
         "classification": verdict.classification,
         "remaining_pebbles": verdict.remaining_pebbles,
-        "accepted_edges": [list(e) for e in verdict.pebble.accepted] if verdict.pebble else [],
+        "accepted_edges": [list(e) for e in verdict.pebble.accepted],
         "agreement": verdict.agreement,
     }
     if verdict.algebraic is not None:
@@ -146,16 +145,16 @@ def decide_rod_rigidity(
     Combinatorial mode plays the pebble game on the cone graph.
     Cross-validated mode also checks the game's count of degrees of freedom
     algebraically.  The game predicts the rank of a generic sample: the
-    maximum rank minus (remaining pebbles - 3).  Exact realizations are
+    maximum rank minus its degrees of freedom.  Exact realizations are
     sampled for up to three derived seeds, in order, each extended to the
     cone incidence geometry and ranked.  A sample's rank never exceeds the
     generic rank, so a sample above the prediction raises at once, and one
     that reaches it certifies the count: agreement is "agree" and no further
     seed is drawn.  A sample below it may be an unlucky draw, so the next
     seed is tried.  When every sample falls short, a rigid verdict (or a
-    count below three pebbles, which predicts a rank above the maximum)
-    raises and a flexible one stays "algebraic-skipped".  `algebraic` holds
-    the (rank, max_rank) of each proper sample tried.
+    negative count, which predicts a rank above the maximum) raises and a
+    flexible one stays "algebraic-skipped".  `algebraic` holds the (rank,
+    max_rank) of each proper sample tried.
     Disconnected geometries (including any with an isolated point, when more
     than one entity exists) are flexible and are sampled too: the matrix and
     the cone graph split into one block per component, so ranks and pebbles
@@ -167,16 +166,14 @@ def decide_rod_rigidity(
     if mode not in ("combinatorial", "cross-validated"):
         raise ValueError(f"unknown mode {mode!r}")
     connected = is_connected(geometry)
-    n = geometry.num_points + geometry.num_lines
-    # zero or one entity: no game, and nothing has an internal motion
-    pebble = play(n, *build_cone_graph(geometry)) if n >= 2 else None
+    pebble = play(geometry.num_points + geometry.num_lines, *build_cone_graph(geometry))
     agreement = "algebraic-skipped"
     algebraic: Optional[tuple[tuple[int, int], ...]] = None
     skip_reason: Optional[str] = None
-    if mode == "cross-validated" and pebble is not None:
+    if mode == "cross-validated":
         agreement, algebraic, refusal = _cross_validate(
-            geometry, pebble.remaining_pebbles, seed, field,
-            f"pebble: {pebble.classification}", pebble_classification=pebble.classification,
+            geometry, pebble.degrees_of_freedom, seed, field, f"pebble: {pebble.classification}",
+            remaining_pebbles=pebble.remaining_pebbles, pebble_classification=pebble.classification,
         )
         skip_reason = refusal.reason if refusal else None
     return RigidityVerdict(
@@ -190,7 +187,7 @@ def decide_rod_rigidity(
 
 def _cross_validate(
     geometry: IncidenceGeometry,
-    remaining: int,
+    dof: int,
     seed: int,
     field: Optional[Field],
     label: str,
@@ -198,13 +195,12 @@ def _cross_validate(
 ) -> tuple[str, Optional[tuple[tuple[int, int], ...]], Optional[Infeasible]]:
     """Check a pebble count of a geometry on exact samples.
 
-    `remaining` is the count the game left on the geometry's cone graph.
-    Returns (agreement, algebraic, refusal) as decide_rod_rigidity reports
-    them, refusal being the Infeasible whose reason becomes skip_reason, or
-    raises OracleDisagreementError; `label` goes into its message and
-    `about` into its bundle, naming the count that was checked.
+    `dof` is the degrees of freedom a game left on its cone graph.  Returns
+    (agreement, algebraic, refusal) as decide_rod_rigidity reports them,
+    refusal being the Infeasible whose reason becomes skip_reason, or raises
+    OracleDisagreementError; `label` goes into its message and `about` (its
+    remaining_pebbles, and what they were counted on) into its bundle.
     """
-    deficit = remaining - 3
     agreement = "algebraic-skipped"
     refusal: Optional[Infeasible] = None
     samples: list[tuple[int, LinearRealization, LinearRealization, int, int]] = []
@@ -219,47 +215,40 @@ def _cross_validate(
         rho_cone = realize_cone(geometry, rho, s)
         rank, max_rank = string_config_rank(sc, rho_cone)
         samples.append((s, rho, rho_cone, rank, max_rank))
-        predicted = max_rank - deficit
-        if rank > predicted:
-            # no sample exceeds the generic rank, which the game predicts
-            _raise_disagreement(geometry, seed, remaining, samples, label, about)
-        if rank == predicted:
-            agreement = "agree"
+        if rank >= max_rank - dof:
             break
-    else:
-        # every sample fell short: a count of three pebbles or fewer must
-        # be reached; a flexible count that none reached stays skipped
-        if samples and deficit <= 0:
-            _raise_disagreement(geometry, seed, remaining, samples, label, about)
-    algebraic = tuple((rank, max_rank) for *_, rank, max_rank in samples) if samples else None
-    return agreement, algebraic, refusal
-
-
-def _raise_disagreement(geometry, seed, remaining, samples, label, about) -> None:
-    deficit = remaining - 3
-    bundle = {
-        "geometry": geometry_to_json(geometry),
-        "seed": seed,
-        **about,
-        "remaining_pebbles": remaining,
-        "samples": [
-            {
-                "sample_seed": s,
-                "algebraic_rigid": rank == max_rank,
-                "rank": rank,
-                "max_rank": max_rank,
-                "predicted_rank": max_rank - deficit,
-                "realization": realization_to_json(rho),
-                "cone_realization": realization_to_json(rho_cone),
-            }
-            for s, rho, rho_cone, rank, max_rank in samples
-        ],
-    }
-    raise OracleDisagreementError(
-        f"combinatorial and algebraic rigidity verdicts disagree ({label}); "
-        "reproduction bundle attached",
-        bundle,
-    )
+    if not samples:
+        return agreement, None, refusal
+    # no sample exceeds the generic rank, which the game predicts; when every
+    # sample fell short, a count of no degree of freedom or fewer must still
+    # be reached, and a flexible count that none reached stays skipped
+    rank, max_rank = samples[-1][3:]
+    if rank == max_rank - dof:
+        agreement = "agree"
+    elif rank > max_rank - dof or (dof <= 0 and refusal is None):
+        bundle = {
+            "geometry": geometry_to_json(geometry),
+            "seed": seed,
+            **about,
+            "samples": [
+                {
+                    "sample_seed": s,
+                    "algebraic_rigid": rank == max_rank,
+                    "rank": rank,
+                    "max_rank": max_rank,
+                    "predicted_rank": max_rank - dof,
+                    "realization": realization_to_json(rho),
+                    "cone_realization": realization_to_json(rho_cone),
+                }
+                for s, rho, rho_cone, rank, max_rank in samples
+            ],
+        }
+        raise OracleDisagreementError(
+            f"combinatorial and algebraic rigidity verdicts disagree ({label}); "
+            "reproduction bundle attached",
+            bundle,
+        )
+    return agreement, tuple((rank, max_rank) for *_, rank, max_rank in samples), refusal
 
 
 # --- the canonical maximally independent subgraph -----------------------------
@@ -456,16 +445,17 @@ def decide_minimal_rigidity(
     pebble game that extends the base's (remaining_without_each over its
     verdict, which played the cone graph one cone at a time) answers every
     deletion:
-    deleting rod l leaves its cone vertex isolated with two pebbles, so the
-    deletion is rigid iff five pebbles remain (the three trivial motions
-    plus those two).  Each deletion keeps all points,
+    deleting rod l leaves its cone vertex isolated with two pebbles, and the
+    two or more entities left have three trivial motions, so when `left`
+    pebbles remain the deletion has left - 5 degrees of freedom, and it is
+    rigid iff it has none.  Each deletion keeps all points,
     so a rod whose removal strands a point yields a flexible configuration:
     the stranded point is a free joint and keeps two more pebbles.
-    Cross-validated mode also checks each leave-one-out count, less the two
-    pebbles of the isolated cone vertex, on exact samples of the deletion
-    geometry over `field`, exactly as decide_rod_rigidity checks its own
-    count: same seeds, same agreement rule, and a disagreement raises
-    OracleDisagreementError whose bundle names the `deleted_rod`.  A
+    Cross-validated mode also checks each deletion's degrees of freedom on
+    exact samples of the deletion geometry over `field`, exactly as
+    decide_rod_rigidity checks its own count: same seeds, same agreement
+    rule, and a disagreement raises OracleDisagreementError whose bundle
+    names the `deleted_rod`.  A
     deletion that disconnects the geometry is sampled like any other.
     Each outcome lands in deletion_checks, with a refusal's reason in the
     input's rod numbers.  A flexible base gets no deletions: its report has
@@ -475,15 +465,15 @@ def decide_minimal_rigidity(
     deletion_rigid: tuple[bool, ...] = ()
     deletion_checks = None
     if base.is_rigid:
-        # a rigid base with no game has at most one entity, so no rod
-        lefts = remaining_without_each(base.pebble) if base.pebble is not None else ()
-        deletion_rigid = tuple(left == 5 for left in lefts)
+        counts = [(left - 2, left - 5) for left in remaining_without_each(base.pebble)]
+        deletion_rigid = tuple(dof == 0 for _, dof in counts)
         if mode == "cross-validated":
             checks: list[tuple[str, Optional[str]]] = []
-            for l, left in enumerate(lefts):
+            for l, (remaining, dof) in enumerate(counts):
                 agreement, _, refusal = _cross_validate(
-                    remove_line(geometry, l), left - 2, seed, field,
-                    f"deleting rod {l}: {left - 2} pebbles remain", deleted_rod=l,
+                    remove_line(geometry, l), dof, seed, field,
+                    f"deleting rod {l}: {remaining} pebbles remain",
+                    deleted_rod=l, remaining_pebbles=remaining,
                 )
                 checks.append((agreement, refusal.before_deleting(l).reason if refusal else None))
             deletion_checks = tuple(checks)
@@ -515,16 +505,22 @@ def random_geometry(
     candidate lines.  Each candidate samples randint(2, min(points, 4))
     distinct points and keeps those, in sampled order, that share no kept
     line with a point it already kept; it is kept when two or more remain.
-    Up to 1000 draws are made, until one is connected.
+    Up to 1000 draws are made, until one is connected.  A draw of more points
+    than its candidates can hold is only sampled, to keep the stream.
     """
     if max_points < 2 or max_lines < 1:
         raise ValueError(f"random_geometry needs max_points >= 2 and max_lines >= 1,"
                          f" got {max_points} and {max_lines}")
     for _ in range(1000):
         n_pts = rng.randint(2, max_points)
+        candidates = rng.randint(1, max_lines)
+        if n_pts > 4 * candidates:
+            for _ in range(candidates):
+                rng.sample(range(n_pts), rng.randint(2, min(n_pts, 4)))
+            continue
         lines, masks = [], []
         met = [0] * n_pts  # met[p]: the points on a kept line with p
-        for _ in range(rng.randint(1, max_lines)):
+        for _ in range(candidates):
             line, mask, ban = [], 0, 0
             for p in rng.sample(range(n_pts), rng.randint(2, min(n_pts, 4))):
                 if not ban >> p & 1:

@@ -27,7 +27,7 @@ from .analysis import (
     verdict_to_json,
 )
 from .cone import build_cone_graph, build_cone_incidence, cone_graph_to_dot
-from .geometry import GeometryError, IncidenceGeometry, geometry_to_json, load_geometry
+from .geometry import GeometryError, IncidenceGeometry, _read_json, geometry_to_json, load_geometry
 from .oracle import (
     ALTERNATE_PRIME,
     DEFAULT_FIELD,
@@ -72,14 +72,9 @@ def _dump_disagreement(exc: OracleDisagreementError) -> int:
 def _verdict_text(verdict) -> str:
     pebble = verdict.pebble
     if verdict.is_rigid:
-        if pebble is None:
-            text = "rigid (degenerate geometry: nothing can move)"
-        else:
-            total = len(pebble.accepted) + len(pebble.rejected)
-            text = (
-                f"rigid ({len(pebble.accepted)}/{total} edges independent, "
-                f"{pebble.remaining_pebbles} pebbles remain)"
-            )
+        total = len(pebble.accepted) + len(pebble.rejected)
+        text = (f"rigid ({len(pebble.accepted)}/{total} edges independent, "
+                f"{pebble.remaining_pebbles} pebbles remain)")
     else:
         dof = verdict.degrees_of_freedom
         text = f"flexible ({dof} internal degree{'s' if dof != 1 else ''} of freedom)"
@@ -205,11 +200,7 @@ def _cmd_dot(args) -> int:
 
 
 def _load_realization_file(geometry: IncidenceGeometry, path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise OracleError("bad JSON: nested too deeply") from None
+    doc = _read_json(path)
     if isinstance(doc, dict) and "coords" in doc:
         return realization_from_coords(geometry, doc["coords"])
     rho = realization_from_json(doc)
@@ -383,14 +374,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except OracleDisagreementError as exc:
         return _dump_disagreement(exc)
-    except (GeometryError, OracleError, CampaignError) as exc:
-        return _fail(str(exc))
-    except OSError as exc:
+    except (GeometryError, OracleError, CampaignError, OSError) as exc:
         return _fail(str(exc))
     except UnicodeDecodeError as exc:
         return _fail(f"input is not UTF-8 text: {exc}")
-    except json.JSONDecodeError as exc:
-        return _fail(f"bad JSON: {exc}")
 
 
 if __name__ == "__main__":

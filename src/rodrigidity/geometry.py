@@ -348,14 +348,22 @@ def geometry_from_json(doc: dict) -> IncidenceGeometry:
     return IncidenceGeometry(num_points, lines, tuple(names) if names else None)
 
 
-def load_geometry(path: str) -> IncidenceGeometry:
-    """Read a geometry from a .json or text-format file."""
+def _read_json(path: str):
+    """The JSON document in a file, read as text first (UnicodeDecodeError
+    if it is not UTF-8); any JSON that cannot be read is a GeometryError."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise GeometryError("bad JSON: nested too deeply") from None
+    except ValueError as exc:
+        raise GeometryError(f"bad JSON: {exc}") from None
+
+
+def load_geometry(path: str) -> IncidenceGeometry:
+    """Read a geometry from a .json or text-format file."""
     if path.endswith(".json"):
-        try:
-            doc = json.loads(text)
-        except RecursionError:
-            raise GeometryError("bad JSON: nested too deeply") from None
-        return geometry_from_json(doc)
-    return parse_geometry(text)
+        return geometry_from_json(_read_json(path))
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_geometry(fh.read())

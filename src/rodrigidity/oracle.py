@@ -17,13 +17,13 @@ with the generic rank the pebble game predicts: a sample that reaches it
 certifies the count, one above it is a defect, and only one below it calls
 for another seed.
 
-Rank and kernel share one sparse exact elimination.  Rows are kept as
-{column: value} dicts and reduced one at a time against the pivot rows
-found so far.  Rank and sampling both work in intercept space: a point's
-coordinates occur only in its own rows, so they are eliminated by hand and
-only the rows that a third or further rod through a point puts on the
-intercepts are reduced (a rod arrangement sampled with distinct slopes has
-none).  For a proper realization of two or more points the rank is at most
+Rank and sampling share one sparse exact elimination (as does matrix_kernel,
+a reference for the tests).  Rows are kept as {column: value} dicts and
+reduced one at a time against the pivot rows found so far.  Rank and
+sampling both work in intercept space: a point's coordinates occur only in
+its own rows, so they are eliminated by hand and only the rows that a third
+or further rod through a point puts on the intercepts are reduced (a rod
+arrangement sampled with distinct slopes has none).  For a proper realization of two or more points the rank is at most
 the maximum below, so its reduction stops there.  The inverses a pass needs
 (one per point in sampling and rank, one per spoke in the cone extension)
 are taken together with one modular inversion (`_inv_all`).
@@ -246,15 +246,16 @@ def _keys(values: Sequence, p: int) -> Sequence:
 
 # --- exact linear algebra ----------------------------------------------------
 #
-# One sparse elimination serves the kernel and the intercept rows of rank
-# and sampling.  Rows are {column: value} dicts holding only nonzeros.  Each
-# row is reduced at its leading (smallest) column by that column's pivot row
-# until the leading column has no pivot; the row is then scaled to a leading
-# 1 and becomes that column's pivot row.  Over Z_p every entry is reduced
-# with an inline `% p`; over Q the same loop runs on Fractions.  A row that
-# already leads with 1 becomes a pivot row as it stands.  Over Z_p the
-# inverses a pass needs are batched by Montgomery's trick (`_inv_all`): one
-# modular inversion of their product, then three products per value.
+# One sparse elimination serves the intercept rows of rank and sampling, and
+# the reference matrix_kernel.  Rows are {column: value} dicts holding only
+# nonzeros.  Each row is reduced at its leading (smallest) column by that
+# column's pivot row until the leading column has no pivot; the row is then
+# scaled to a leading 1 and becomes that column's pivot row.  Over Z_p every
+# entry is reduced with an inline `% p`; over Q the same loop runs on
+# Fractions.  A row that already leads with 1 becomes a pivot row as it
+# stands.  Over Z_p the inverses a pass needs are batched by Montgomery's
+# trick (`_inv_all`): one modular inversion of their product, then three
+# products per value.
 
 
 def _inv(a, p: int):
@@ -651,19 +652,19 @@ def string_config_rank(cone: IncidenceGeometry,
                        realization: LinearRealization) -> tuple[int, int]:
     """(rank, maximum rank) of the concurrence matrix of a realization of a
     cone incidence geometry, as realize_cone extends one; the maximum is
-    reached when only the trivial parallel redrawings remain.  A geometry of
-    one point or none has fewer than three trivial motions, so the maximum
-    is clamped at 0."""
+    reached when only the trivial parallel redrawings remain.  Those are
+    the two translations and the dilation of two or more points, and every
+    redrawing of one point or none, so the maximum is L + 2P - min(3, 2P)."""
     if not realization.satisfies(cone):
         raise OracleError("realization does not satisfy the cone incidence geometry")
     if not realization.is_proper():
         raise OracleError("non-proper realization refused")
     matrix = build_concurrence_matrix(cone, realization)
-    max_rank = max(0, cone.num_lines + 2 * cone.num_points - 3)
+    max_rank = cone.num_lines + 2 * cone.num_points - min(3, 2 * cone.num_points)
     # Two or more distinct points: the translations and the dilation are
     # independent kernel vectors, so the rank cannot pass max_rank and the
     # reduction may stop there.  Fewer points carry no line, hence no row,
-    # and their rank is the clamped maximum 0.
+    # and their rank is the maximum 0.
     return rank_of(matrix, max_rank), max_rank
 
 

@@ -6,9 +6,9 @@ the edge away from the vertex that paid.  Pebbles are retrieved by depth-first
 search along directed edges, reversing the path that leads to a free pebble;
 while searching from one endpoint, the other endpoint is blocked.  Accepted
 edges always form a maximally independent subgraph of the edges seen so far,
-so a rejected edge never needs to be retried.  Three pebbles always remain
-(the trivial planar motions): exactly three means the graph is rigid, and
-any rejection means it is dependent.
+so a rejected edge never needs to be retried.  The trivial motions always
+keep their pebbles (PebbleVerdict.degrees_of_freedom): none beyond them
+means the graph is rigid, and any rejection means it is dependent.
 
 The state holds pebbles, orientations and each vertex's count of held
 edges: the accepted edges are the out-edges, and nothing else records them.
@@ -89,8 +89,8 @@ class PebbleState:
                  "_in_block", "_links", "_nbrs", "_log", "_batches")
 
     def __init__(self, num_vertices: int):
-        if num_vertices < 2:
-            raise ValueError("pebble game needs at least 2 vertices")
+        if num_vertices < 0:
+            raise ValueError(f"negative vertex count {num_vertices}")
         self.num_vertices = num_vertices
         self.pebbles = [2] * num_vertices
         self.out: list[list[int]] = [[] for _ in range(num_vertices)]
@@ -460,7 +460,7 @@ class PebbleVerdict(Record):
     """Outcome of a full game: the accepted edges (the maximally independent
     subgraph) and the rejected ones, in offer order, and for each group of
     edges offered in turn, how many of its edges were accepted and how many
-    rejected.  The count follows from them: each accepted edge took one of
+    rejected.  The counts follow from them: each accepted edge took one of
     the 2|V| pebbles."""
 
     __slots__ = ("num_vertices", "accepted", "rejected", "group_sizes")
@@ -479,8 +479,14 @@ class PebbleVerdict(Record):
         return 2 * self.num_vertices - len(self.accepted)
 
     @property
+    def degrees_of_freedom(self) -> int:
+        """The pebbles beyond the trivial motions: three on two or more
+        vertices, and all 2|V| on fewer, which have nothing to move against."""
+        return self.remaining_pebbles - min(3, 2 * self.num_vertices)
+
+    @property
     def is_rigid(self) -> bool:
-        return self.remaining_pebbles == 3
+        return self.degrees_of_freedom == 0
 
     @property
     def classification(self) -> str:

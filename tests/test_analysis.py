@@ -103,8 +103,14 @@ class TestDecideRodRigidity:
         assert not decide_rod_rigidity(g).is_rigid
 
     def test_degenerate_single_point(self):
-        v = decide_rod_rigidity(IncidenceGeometry(1, ()))
-        assert v.is_rigid and v.pebble is None
+        # one point has nothing to move against: its two pebbles are its
+        # trivial motions, and its sample ranks 0 of 0
+        g = IncidenceGeometry(1, ())
+        v = decide_rod_rigidity(g)
+        assert v.pebble == play(1) and v.remaining_pebbles == 2
+        assert v.is_rigid and v.degrees_of_freedom == 0 and v.classification == "minimally-rigid"
+        v = decide_rod_rigidity(g, "cross-validated")
+        assert v.agreement == "agree" and v.algebraic == ((0, 0),) and v.is_rigid
 
     @pytest.mark.parametrize("name", ["fig2", "triangle_rods", "hinge"])
     def test_cross_validation_agrees(self, name, request):
@@ -567,6 +573,17 @@ class TestRandomGeometry:
             assert _masks_connected(n, masks) == connected, (n, lines)
             found[connected] += 1
         assert min(found.values()) > 1000
+
+    def test_a_draw_too_large_to_connect_keeps_the_stream(self):
+        # no draw of 10^12 points can be connected by six candidates; each
+        # still makes a reference draw's random calls, and none allocates
+        # per point
+        rng, ref = random.Random(5), random.Random(5)
+        with pytest.raises(CampaignError, match=r"\(max_points=1000000000000, max_lines=6\)"):
+            random_geometry(rng, 10**12, 6)
+        for _ in range(1000):
+            reference_draw(ref, 10**12, 6)
+        assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("max_points,max_lines", [(1, 6), (0, 6), (-3, 6), (10, 0), (10, -1)])
     def test_bounds_below_the_least_raise(self, max_points, max_lines):

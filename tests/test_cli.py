@@ -18,6 +18,7 @@ from rodrigidity import (
     canonical_subgraph,
     cli,
     oracle,
+    play,
     remove_line,
     serialize_geometry,
 )
@@ -257,11 +258,38 @@ class TestCheck:
         assert main([arg.format(**paths) for arg in argv]) == 1
         assert capsys.readouterr().err == "error: bad JSON: nested too deeply\n"
 
+    @pytest.mark.parametrize("argv,text", [
+        (["check", "{big}"], '{{"points": {n}, "lines": []}}'),
+        (["svg", "{seg}", "--realization", "{big}"],
+         '{{"field": "zp", "p": {n}, "slopes": [], "intercepts": [], "points": []}}'),
+    ], ids=["geometry", "realization"])
+    def test_overlong_json_integer_exits_1(self, tmp_path, capsys, argv, text):
+        # json refuses an integer of more than 4300 digits with a plain ValueError
+        (tmp_path / "big.json").write_text(text.format(n="9" * 5000))
+        (tmp_path / "seg.geo").write_text("points: 2\nline: 0 1\n")
+        paths = {"big": tmp_path / "big.json", "seg": tmp_path / "seg.geo"}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: bad JSON: ")
+        assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+
     def test_undecodable_file_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.geo"
         path.write_bytes(b"\xff\xfe")
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: input is not UTF-8 text")
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_cross_validates_below_two_points(self, tmp_path, capsys, points):
+        path = tmp_path / "few.geo"
+        path.write_text(f"points: {points}\n")
+        assert main(["check", str(path), "--cross-validate"]) == 0
+        assert capsys.readouterr().out == (
+            f"rigid (0/0 edges independent, {2 * points} pebbles remain); cross-validation: agree\n")
+        assert main(["check", str(path), "--cross-validate", "--format", "json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"accepted_edges":[],"agreement":"agree","algebraic":[[0,0]],'
+            f'"classification":"minimally-rigid","remaining_pebbles":{2 * points}}}\n')
 
     def test_disconnected_input_is_flagged(self, tmp_path, capsys):
         path = tmp_path / "apart.geo"
@@ -299,17 +327,31 @@ class TestMinimal:
         doc = json.loads(capsys.readouterr().out)
         assert doc["minimally_rigid"] is True and doc["removable_rods"] == []
 
-    @pytest.mark.parametrize("name,removable,accepted", [
-        ("triangle", [], 9),
-        ("point", [], 0),
-        ("doubled-triangle", [0, 3], 11),
-        ("arrangement30", list(range(30)), 579),
+    # one point keeps its two pebbles: it has no third trivial motion
+    @pytest.mark.parametrize("name,removable,remaining,accepted", [
+        ("triangle", [], 3, 9),
+        ("point", [], 2, 0),
+        ("doubled-triangle", [0, 3], 3, 11),
+        ("arrangement30", list(range(30)), 3, 579),
     ], ids=["triangle", "point", "doubled-triangle", "arrangement30"])
-    def test_json_report(self, geo_file, capsys, name, removable, accepted):
+    def test_json_report(self, geo_file, capsys, name, removable, remaining, accepted):
         assert main(["minimal", geo_file(name), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["removable_rods"] == removable and doc["minimally_rigid"] == (not removable)
-        assert doc["remaining_pebbles"] == 3 and len(doc["accepted_edges"]) == accepted
+        assert doc["remaining_pebbles"] == remaining and len(doc["accepted_edges"]) == accepted
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_cross_validates_below_two_points(self, tmp_path, capsys, points):
+        path = tmp_path / "few.geo"
+        path.write_text(f"points: {points}\n")
+        assert main(["minimal", str(path), "--cross-validate"]) == 0
+        assert capsys.readouterr().out == (
+            "minimally rigid (deleting any rod yields a flexible configuration);"
+            " cross-validation: agree\n")
+        assert main(["minimal", str(path), "--cross-validate", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["agreement"] == "agree" and doc["algebraic"] == [[0, 0]]
+        assert doc["deletion_cross_validation"] == [] and doc["remaining_pebbles"] == 2 * points
 
     @pytest.mark.parametrize("name", ["fig2", "triangle", "arrangement30"])
     def test_json_cross_validates_every_deletion(self, geo_file, capsys, name):
@@ -595,17 +637,19 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("points", [0, 1])
     def test_agrees_with_check_below_two_points(self, tmp_path, capsys, points):
-        # Fewer than three trivial motions: the maximum rank is 0, not negative.
+        # Fewer than three trivial motions: each of the 2|P| pebbles is one,
+        # and the maximum rank is 0, not negative.
         path = tmp_path / "few.geo"
         path.write_text(f"points: {points}\n")
         assert main(["check", str(path)]) == main(["oracle", str(path)]) == 0
         assert capsys.readouterr().out == (
-            "rigid (degenerate geometry: nothing can move)\nrigid (concurrence rank 0 = max 0)\n"
+            f"rigid (0/0 edges independent, {2 * points} pebbles remain)\n"
+            "rigid (concurrence rank 0 = max 0)\n"
         )
         assert main(["check", str(path), "--format", "json"]) == 0
         assert main(["oracle", str(path), "--format", "json"]) == 0
         check, oracle_doc = map(json.loads, capsys.readouterr().out.splitlines())
-        assert check["remaining_pebbles"] == 3
+        assert check["remaining_pebbles"] == 2 * points
         assert oracle_doc == {"max_rank": 0, "rank": 0, "rigid": True}
 
     def test_ranks_once(self, fig2_file, monkeypatch, capsys):
@@ -841,13 +885,16 @@ def test_fuzz_two_points_carry_one_rod(capsys):
 @pytest.mark.parametrize("argv,message,validates", [
     (["--max-points", "3000", "--max-lines", "1", "--count", "1"],
      "could not generate a connected geometry in 1000 draws (max_points=3000, max_lines=1)", True),
+    (["--max-points", "1000000000000", "--count", "1"],
+     "could not generate a connected geometry in 1000 draws (max_points=1000000000000,"
+     " max_lines=6)", True),
     (["--count", "5"],
      "campaign validated only 0/5 geometries in 1000 attempts, none in the last 1000", False),
-], ids=["no-connected-draw", "nothing-validates"])
+], ids=["no-connected-draw", "no-draw-of-a-trillion-points", "nothing-validates"])
 def test_fuzz_unmet_bounds_exit_1(capsys, monkeypatch, argv, message, validates):
     if not validates:
         monkeypatch.setattr(analysis, "decide_rod_rigidity",
-                            lambda *a, **k: RigidityVerdict(True, None, "algebraic-skipped"))
+                            lambda *a, **k: RigidityVerdict(True, play(0), "algebraic-skipped"))
     assert main(["fuzz", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

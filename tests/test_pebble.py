@@ -70,9 +70,19 @@ class TestPlay:
         with pytest.raises(ValueError, match="self-loop"):
             play(3, [(1, 1)])
 
-    def test_needs_two_vertices(self):
-        with pytest.raises(ValueError):
-            PebbleState(1)
+    def test_plays_zero_and_one_vertex(self):
+        # fewer than two vertices have nothing to move against: every pebble
+        # is a trivial motion
+        for n in (0, 1):
+            assert PebbleState(n).remaining_pebbles() == 2 * n
+            v = play(n)
+            assert v.remaining_pebbles == 2 * n and v.degrees_of_freedom == 0
+            assert v.is_rigid and v.classification == "minimally-rigid"
+            assert remaining_without_each(v) == ()
+        with pytest.raises(ValueError, match="out of range"):
+            play(1, [(0, 1)])
+        with pytest.raises(ValueError, match="negative vertex count -1"):
+            PebbleState(-1)
 
     def test_single_bar(self):
         assert play(2, [(0, 1)]).classification == "minimally-rigid"
