@@ -25,6 +25,7 @@ from .geometry import (
     remove_line,
 )
 from .oracle import (
+    DEFAULT_FIELD,
     Field,
     Infeasible,
     LinearRealization,
@@ -135,16 +136,16 @@ def _spawn_seeds(seed: int, count: int) -> list[int]:
 
 def decide_rod_rigidity(
     geometry: IncidenceGeometry,
-    mode: str = "combinatorial",
-    seed: int = DEFAULT_SEED,
     *,
-    field: Optional[Field] = None,
+    cross_validate: bool = False,
+    seed: int = DEFAULT_SEED,
+    field: Field = DEFAULT_FIELD,
 ) -> RigidityVerdict:
     """Classify the rod configurations realizing a geometry.
 
-    Combinatorial mode plays the pebble game on the cone graph.
-    Cross-validated mode also checks the game's count of degrees of freedom
-    algebraically.  The game predicts the rank of a generic sample: the
+    The pebble game is played on the cone graph.  With cross_validate, the
+    game's count of degrees of freedom is also checked algebraically over
+    `field`.  The game predicts the rank of a generic sample: the
     maximum rank minus its degrees of freedom.  Exact realizations are
     sampled for up to three derived seeds, in order, each extended to the
     cone incidence geometry and ranked.  A sample's rank never exceeds the
@@ -161,35 +162,26 @@ def decide_rod_rigidity(
     add up.  For geometries without a proper realization, the first refusal
     (Infeasible) ends the algebraic side, because another seed would be
     refused too (two rods through the same two points are refused without a
-    draw), and its reason becomes `skip_reason`.
+    draw), and its reason becomes `skip_reason`.  So does a cone extension
+    that finds no place for a cone point, which only a tiny field leaves.
     """
-    if mode not in ("combinatorial", "cross-validated"):
-        raise ValueError(f"unknown mode {mode!r}")
     connected = is_connected(geometry)
     pebble = play(geometry.num_points + geometry.num_lines, *build_cone_graph(geometry))
-    agreement = "algebraic-skipped"
-    algebraic: Optional[tuple[tuple[int, int], ...]] = None
-    skip_reason: Optional[str] = None
-    if mode == "cross-validated":
-        agreement, algebraic, refusal = _cross_validate(
-            geometry, pebble.degrees_of_freedom, seed, field, f"pebble: {pebble.classification}",
-            remaining_pebbles=pebble.remaining_pebbles, pebble_classification=pebble.classification,
-        )
-        skip_reason = refusal.reason if refusal else None
-    return RigidityVerdict(
-        connected=connected,
-        pebble=pebble,
-        agreement=agreement,
-        algebraic=algebraic,
-        skip_reason=skip_reason,
+    if not cross_validate:
+        return RigidityVerdict(connected, pebble, "algebraic-skipped")
+    agreement, algebraic, refusal = _cross_validate(
+        geometry, pebble.degrees_of_freedom, seed, field, f"pebble: {pebble.classification}",
+        remaining_pebbles=pebble.remaining_pebbles, pebble_classification=pebble.classification,
     )
+    return RigidityVerdict(connected, pebble, agreement, algebraic,
+                           refusal.reason if refusal else None)
 
 
 def _cross_validate(
     geometry: IncidenceGeometry,
     dof: int,
     seed: int,
-    field: Optional[Field],
+    field: Field,
     label: str,
     **about,
 ) -> tuple[str, Optional[tuple[tuple[int, int], ...]], Optional[Infeasible]]:
@@ -207,12 +199,12 @@ def _cross_validate(
     sc: Optional[IncidenceGeometry] = None
     for s in _spawn_seeds(seed, 3):
         rho = sample_realization(geometry, s, field=field)
-        if isinstance(rho, Infeasible):
-            refusal = rho
+        rho_cone = rho if isinstance(rho, Infeasible) else realize_cone(geometry, rho, s)
+        if isinstance(rho_cone, Infeasible):
+            refusal = rho_cone
             break  # final: no seed realizes these incidences properly
         if sc is None:
             sc = build_cone_incidence(geometry)
-        rho_cone = realize_cone(geometry, rho, s)
         rank, max_rank = string_config_rank(sc, rho_cone)
         samples.append((s, rho, rho_cone, rank, max_rank))
         if rank >= max_rank - dof:
@@ -434,10 +426,10 @@ class MinimalRigidityReport(Record):
 
 def decide_minimal_rigidity(
     geometry: IncidenceGeometry,
-    mode: str = "combinatorial",
-    seed: int = DEFAULT_SEED,
     *,
-    field: Optional[Field] = None,
+    cross_validate: bool = False,
+    seed: int = DEFAULT_SEED,
+    field: Field = DEFAULT_FIELD,
 ) -> MinimalRigidityReport:
     """Rigid, and no single rod can be deleted without losing rigidity.
 
@@ -451,23 +443,23 @@ def decide_minimal_rigidity(
     rigid iff it has none.  Each deletion keeps all points,
     so a rod whose removal strands a point yields a flexible configuration:
     the stranded point is a free joint and keeps two more pebbles.
-    Cross-validated mode also checks each deletion's degrees of freedom on
-    exact samples of the deletion geometry over `field`, exactly as
+    With cross_validate, each deletion's degrees of freedom are also checked
+    on exact samples of the deletion geometry over `field`, exactly as
     decide_rod_rigidity checks its own count: same seeds, same agreement
     rule, and a disagreement raises OracleDisagreementError whose bundle
-    names the `deleted_rod`.  A
-    deletion that disconnects the geometry is sampled like any other.
+    names the `deleted_rod`.  A deletion that disconnects the geometry is
+    sampled like any other.
     Each outcome lands in deletion_checks, with a refusal's reason in the
     input's rod numbers.  A flexible base gets no deletions: its report has
     an empty deletion_rigid, so no removable rod, and is not minimally
     rigid."""
-    base = decide_rod_rigidity(geometry, mode, seed, field=field)
+    base = decide_rod_rigidity(geometry, cross_validate=cross_validate, seed=seed, field=field)
     deletion_rigid: tuple[bool, ...] = ()
     deletion_checks = None
     if base.is_rigid:
         counts = [(left - 2, left - 5) for left in remaining_without_each(base.pebble)]
         deletion_rigid = tuple(dof == 0 for _, dof in counts)
-        if mode == "cross-validated":
+        if cross_validate:
             checks: list[tuple[str, Optional[str]]] = []
             for l, (remaining, dof) in enumerate(counts):
                 agreement, _, refusal = _cross_validate(
@@ -587,7 +579,7 @@ def run_agreement_campaign(
     *,
     max_points: int = 10,
     max_lines: int = 6,
-    field: Optional[Field] = None,
+    field: Field = DEFAULT_FIELD,
 ) -> CampaignReport:
     """Generate random geometries until `target` of them cross-validate.
 
@@ -609,7 +601,7 @@ def run_agreement_campaign(
                 f" in {rigid + flexible + skipped} attempts, none in the last {dry}"
             )
         geometry = random_geometry(rng, max_points, max_lines)
-        verdict = decide_rod_rigidity(geometry, "cross-validated",
+        verdict = decide_rod_rigidity(geometry, cross_validate=True,
                                       seed=rng.randrange(1 << 62), field=field)
         if verdict.agreement != "agree":
             skipped += 1

@@ -83,47 +83,40 @@ def _verdict_text(verdict) -> str:
     return text + _cross_validation_text(verdict)
 
 
+def _skipped(reason: Optional[str]) -> str:
+    """Why a cross-validation certified nothing: a construction's refusal, or
+    no reason when every sample fell short of the predicted rank."""
+    return f"skipped ({reason or 'samples fell short'})"
+
+
 def _cross_validation_text(verdict) -> str:
-    """The clause for the verdict's cross-validation: none when nothing was
-    sampled, and "skipped (samples fell short)" when samples were ranked but
-    none reached the predicted rank."""
+    """The clause for the verdict's cross-validation, none when nothing was
+    sampled."""
     if verdict.agreement != "algebraic-skipped":
         return f"; cross-validation: {verdict.agreement}"
-    if verdict.skip_reason is not None:
-        return f"; cross-validation: skipped ({verdict.skip_reason})"
-    if verdict.algebraic is not None:
-        return "; cross-validation: skipped (samples fell short)"
-    return ""
+    if verdict.skip_reason is None and verdict.algebraic is None:
+        return ""
+    return f"; cross-validation: {_skipped(verdict.skip_reason)}"
 
 
 def _deletion_checks_text(report) -> str:
-    """Clauses naming the deletions whose cross-validation certified nothing:
-    those whose sampling was refused, grouped by reason, and those whose
-    samples all fell short of the predicted rank."""
-    refused: dict[str, list[str]] = {}
-    short: list[str] = []
+    """Clauses naming the deletions whose cross-validation certified nothing,
+    grouped by reason: refusals in the order first met, then the deletions
+    whose samples all fell short."""
+    skipped: dict[Optional[str], list[str]] = {}
     for l, (agreement, reason) in enumerate(report.deletion_checks or ()):
-        if agreement == "agree":
-            continue
-        if reason is not None:
-            refused.setdefault(reason, []).append(str(l))
-        else:
-            short.append(str(l))
-
-    def rods(ls: list[str]) -> str:
-        return f"rod{'s' if len(ls) > 1 else ''} {' '.join(ls)}"
-
-    text = "".join(f"; deleting {rods(ls)}: cross-validation skipped ({reason})"
-                   for reason, ls in refused.items())
-    if short:
-        text += f"; deleting {rods(short)}: cross-validation skipped (samples fell short)"
-    return text
+        if agreement != "agree":
+            skipped.setdefault(reason, []).append(str(l))
+    if None in skipped:
+        skipped[None] = skipped.pop(None)  # the shortfall group last
+    return "".join(f"; deleting rod{'s' if len(ls) > 1 else ''} {' '.join(ls)}: "
+                   f"cross-validation {_skipped(reason)}" for reason, ls in skipped.items())
 
 
 def _cmd_check(args) -> int:
     geometry = load_geometry(args.path)
-    mode = "cross-validated" if args.cross_validate else "combinatorial"
-    verdict = decide_rod_rigidity(geometry, mode, args.seed, field=FIELDS[args.field])
+    verdict = decide_rod_rigidity(geometry, cross_validate=args.cross_validate, seed=args.seed,
+                                  field=FIELDS[args.field])
     if args.format == "json":
         _emit_json(verdict_to_json(verdict))
     else:
@@ -133,8 +126,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_minimal(args) -> int:
     geometry = load_geometry(args.path)
-    mode = "cross-validated" if args.cross_validate else "combinatorial"
-    report = decide_minimal_rigidity(geometry, mode, args.seed, field=FIELDS[args.field])
+    report = decide_minimal_rigidity(geometry, cross_validate=args.cross_validate,
+                                     seed=args.seed, field=FIELDS[args.field])
     if not report.base.is_rigid:
         print(_verdict_text(report.base) + "; minimality undefined")
         return EXIT_FLEXIBLE
@@ -175,13 +168,19 @@ def _cmd_canon(args) -> int:
     return EXIT_RIGID
 
 
+def _realized(result, prefix: str = ""):
+    """A construction's realization; its refusal (Infeasible) is an error."""
+    if isinstance(result, Infeasible):
+        raise OracleError(prefix + result.reason)
+    return result
+
+
 def _cmd_oracle(args) -> int:
     geometry = load_geometry(args.path)
-    rho = sample_realization(geometry, args.seed, field=FIELDS[args.field])
-    if isinstance(rho, Infeasible):
-        return _fail(f"sampling infeasible: {rho.reason}")
+    rho = _realized(sample_realization(geometry, args.seed, field=FIELDS[args.field]),
+                    "sampling infeasible: ")
     rank, max_rank = string_config_rank(build_cone_incidence(geometry),
-                                        realize_cone(geometry, rho, args.seed))
+                                        _realized(realize_cone(geometry, rho, args.seed)))
     rigid = rank == max_rank
     if args.format == "json":
         _emit_json({"rigid": rigid, "rank": rank, "max_rank": max_rank})
@@ -214,13 +213,13 @@ def _cmd_svg(args) -> int:
     if args.realization:
         rho = _load_realization_file(geometry, args.realization)
     else:
-        rho = sample_realization(geometry, args.seed, field=RATIONALS)
-        if isinstance(rho, Infeasible):
-            return _fail(f"sampling infeasible: {rho.reason}")
+        rho = _realized(sample_realization(geometry, args.seed, field=RATIONALS),
+                        "sampling infeasible: ")
     if rho.field.p:
         return _fail("svg rendering needs a rational realization")
     if args.cone:
-        svg = render_svg(build_cone_incidence(geometry), realize_cone(geometry, rho, args.seed),
+        svg = render_svg(build_cone_incidence(geometry),
+                         _realized(realize_cone(geometry, rho, args.seed)),
                          hollow_from=geometry.num_points)
     else:
         svg = render_svg(geometry, rho)

@@ -153,11 +153,13 @@ _DRAWS = 32
 
 
 class Infeasible(Record):
-    """The geometry has no proper realization, so sampling refused it.
+    """A construction refused the geometry: sampling found no proper
+    realization, or realize_cone no place for a cone point.
 
     The reason names two rods through the same two points, refused before
     any draw, or says that all _DRAWS slope draws gave two rods through a
-    common point the same slope (the field has too few units), or that all
+    common point the same slope or that no cone point of a line fit in
+    _DRAWS draws (the field has too few units for either), or that all
     _DRAWS sampled realizations collapsed distinct points.  The refusal is
     final, so callers do not retry with another seed: whether a proper
     realization exists depends on the incidences, and a draw collapses by
@@ -472,7 +474,7 @@ def rank_of(matrix: ConcurrenceMatrix, at_most: Optional[int] = None) -> int:
 def sample_realization(
     geometry: IncidenceGeometry,
     seed: int,
-    field: Optional[Field] = None,
+    field: Field = DEFAULT_FIELD,
 ) -> Union[LinearRealization, Infeasible]:
     """Random exact realization: draw slopes, then intercepts, then points.
 
@@ -497,7 +499,6 @@ def sample_realization(
     pair = shared_rod_pair(geometry)
     if pair is not None:
         return Infeasible.shared(*pair)
-    field = field or DEFAULT_FIELD
     p = field.p
     rng = random.Random(seed)
     L = geometry.num_lines
@@ -597,14 +598,15 @@ def realize_cone(
     geometry: IncidenceGeometry,
     realization: LinearRealization,
     seed: int,
-) -> LinearRealization:
+) -> Union[LinearRealization, Infeasible]:
     """Extend a proper realization of a geometry to its cone incidence
     geometry (build_cone_incidence).
 
     Original points keep their coordinates.  Each cone point is placed at
     random exact coordinates off its line, away from all other points, and
     with an abscissa different from every point of the line so no spoke is
-    vertical.  Spoke lines inherit the induced slope and intercept.  The
+    vertical; when none of _DRAWS draws fits, Infeasible is returned.
+    Spoke lines inherit the induced slope and intercept.  The
     cone points are drawn from random.Random(seed ^ 0x5DEECE66D), not from
     sample_realization's stream for `seed`, so they do not replay the
     sampled slopes.
@@ -620,9 +622,7 @@ def realize_cone(
     xs, ys = list(realization.xs), list(realization.ys)
     for i, line in enumerate(geometry.lines):
         f_i, h_i = realization.slopes[i], realization.intercepts[i]
-        for attempt in range(_DRAWS + 1):
-            if attempt == _DRAWS:
-                raise OracleError(f"could not place the cone point of line {i} off the line")
+        for _ in range(_DRAWS):
             cx, cy = field.random_unit(rng), field.random_unit(rng)
             point = tuple(_keys((cx, cy), p))
             if point in taken:
@@ -633,6 +633,8 @@ def realize_cone(
             if any(cx == xs[j] for j in line):
                 continue  # would make a spoke vertical
             break
+        else:
+            return Infeasible(f"could not place the cone point of line {i} off the line")
         taken.add(point)
         xs.append(cx)
         ys.append(cy)

@@ -9,10 +9,12 @@ import pytest
 
 from rodrigidity import (
     CampaignError,
+    CampaignReport,
     GeometryError,
     IncidenceGeometry,
     Infeasible,
     OracleDisagreementError,
+    PrimeField,
     build_cone_graph,
     build_cone_incidence,
     build_concurrence_matrix,
@@ -93,7 +95,7 @@ class TestDecideRodRigidity:
         # 3 trivial motions, an isolated point 2
         g = IncidenceGeometry(points, lines)
         for seed in (1, 2, 1729):
-            v = decide_rod_rigidity(g, "cross-validated", seed, field=field)
+            v = decide_rod_rigidity(g, cross_validate=True, seed=seed, field=field)
             assert not v.connected and not v.is_rigid
             assert v.agreement == "agree" and v.algebraic == (algebraic,)
             assert algebraic[1] - algebraic[0] == v.degrees_of_freedom
@@ -109,13 +111,13 @@ class TestDecideRodRigidity:
         v = decide_rod_rigidity(g)
         assert v.pebble == play(1) and v.remaining_pebbles == 2
         assert v.is_rigid and v.degrees_of_freedom == 0 and v.classification == "minimally-rigid"
-        v = decide_rod_rigidity(g, "cross-validated")
+        v = decide_rod_rigidity(g, cross_validate=True)
         assert v.agreement == "agree" and v.algebraic == ((0, 0),) and v.is_rigid
 
     @pytest.mark.parametrize("name", ["fig2", "triangle_rods", "hinge"])
     def test_cross_validation_agrees(self, name, request):
         g = request.getfixturevalue(name)
-        v = decide_rod_rigidity(g, "cross-validated", seed=21)
+        v = decide_rod_rigidity(g, cross_validate=True, seed=21)
         assert v.agreement == "agree"
         assert v.skip_reason is None and "skip_reason" not in verdict_to_json(v)
         # the last sample reached the predicted rank; any before it fell short
@@ -130,13 +132,13 @@ class TestDecideRodRigidity:
         real = analysis.sample_realization
         monkeypatch.setattr(analysis, "sample_realization",
                             lambda g, s, **k: seeds.append(s) or real(g, s, **k))
-        v = decide_rod_rigidity(fig2, "cross-validated", seed=21)
+        v = decide_rod_rigidity(fig2, cross_validate=True, seed=21)
         assert v.agreement == "agree"
         assert len(seeds) == 1 and v.algebraic == ((35, 35),)
 
     def test_a_short_sample_draws_the_next_seed(self, triangle_rods, monkeypatch):
         ranks = plant_rank_shift(monkeypatch, -1, 0)
-        v = decide_rod_rigidity(triangle_rods, "cross-validated", seed=21)
+        v = decide_rod_rigidity(triangle_rods, cross_validate=True, seed=21)
         assert v.agreement == "agree" and v.is_rigid
         assert len(ranks) == 2
         (first, max_rank), second = v.algebraic
@@ -145,7 +147,7 @@ class TestDecideRodRigidity:
     def test_above_the_prediction_raises_at_once(self, hinge, monkeypatch):
         ranks = plant_rank_shift(monkeypatch, 1)
         with pytest.raises(OracleDisagreementError) as info:
-            decide_rod_rigidity(hinge, "cross-validated", seed=21)
+            decide_rod_rigidity(hinge, cross_validate=True, seed=21)
         assert len(ranks) == 1
         (sample,) = info.value.bundle["samples"]
         assert sample["rank"] == sample["max_rank"] == sample["predicted_rank"] + 1
@@ -157,7 +159,7 @@ class TestDecideRodRigidity:
         # reaches and none can pass
         plant_pebble_shift(monkeypatch, -1)
         with pytest.raises(OracleDisagreementError) as info:
-            decide_rod_rigidity(triangle_rods, "cross-validated", seed=21)
+            decide_rod_rigidity(triangle_rods, cross_validate=True, seed=21)
         bundle = info.value.bundle
         assert bundle["remaining_pebbles"] == 2
         assert [(s["rank"], s["max_rank"], s["predicted_rank"]) for s in bundle["samples"]] == \
@@ -165,7 +167,7 @@ class TestDecideRodRigidity:
 
     def test_flexible_count_never_reached_is_skipped(self, hinge, monkeypatch):
         ranks = plant_rank_shift(monkeypatch, -1)
-        v = decide_rod_rigidity(hinge, "cross-validated", seed=21)
+        v = decide_rod_rigidity(hinge, cross_validate=True, seed=21)
         assert v.agreement == "algebraic-skipped" and not v.is_rigid
         assert v.skip_reason is None  # sampled, not refused
         assert len(ranks) == 3 and len(v.algebraic) == 3
@@ -188,16 +190,24 @@ class TestDecideRodRigidity:
     def test_cross_validation_skips_infeasible(self, two_point_three_lines, monkeypatch):
         # refused before any draw, and the refusal ends the algebraic side
         seeds, eliminations = self.count_sampling(monkeypatch)
-        v = decide_rod_rigidity(two_point_three_lines, "cross-validated", seed=22)
+        v = decide_rod_rigidity(two_point_three_lines, cross_validate=True, seed=22)
         assert v.agreement == "algebraic-skipped"
         assert v.algebraic is None
         assert v.skip_reason == "rods 0 and 1 share points 0 and 1"
         assert len(seeds) == 1 and not eliminations
 
+    def test_a_cone_point_without_a_place_ends_the_algebraic_side(self):
+        # Z_3 has two units: the sample is proper, but no cone point of rod 0
+        # fits in any of the 32 draws, and the refusal ends the check
+        g = IncidenceGeometry(3, [(0, 1), (1, 2)])
+        v = decide_rod_rigidity(g, cross_validate=True, seed=1, field=PrimeField(3))
+        assert v.agreement == "algebraic-skipped" and v.algebraic is None
+        assert v.skip_reason == "could not place the cone point of line 0 off the line"
+
     def test_pappus_is_sampled_once(self, pappus, monkeypatch):
         # all 32 draws of the first seed collapse; no second seed is sampled
         seeds, eliminations = self.count_sampling(monkeypatch)
-        v = decide_rod_rigidity(pappus, "cross-validated", seed=22)
+        v = decide_rod_rigidity(pappus, cross_validate=True, seed=22)
         assert v.classification == "rigid-redundant"
         assert v.agreement == "algebraic-skipped"
         assert v.algebraic is None
@@ -214,12 +224,17 @@ class TestDecideRodRigidity:
         real = analysis.build_cone_incidence
         for module in (analysis, oracle):
             monkeypatch.setattr(module, "build_cone_incidence", lambda g: calls.append(g) or real(g))
-        decide_rod_rigidity(request.getfixturevalue(name), "cross-validated", seed=22)
+        decide_rod_rigidity(request.getfixturevalue(name), cross_validate=True, seed=22)
         assert len(calls) == builds
 
-    def test_unknown_mode(self, fig2):
-        with pytest.raises(ValueError):
-            decide_rod_rigidity(fig2, "vibes")
+    def test_mode_strings_are_refused(self, fig2):
+        # cross-validation is the keyword-only flag cross_validate, so the
+        # old positional mode strings fail loudly instead of passing as a seed
+        for mode in ("combinatorial", "cross-validated", "vibes"):
+            with pytest.raises(TypeError):
+                decide_rod_rigidity(fig2, mode)
+            with pytest.raises(TypeError):
+                decide_minimal_rigidity(fig2, mode)
 
     def test_verdict_json_schema(self, fig2):
         doc = verdict_to_json(decide_rod_rigidity(fig2))
@@ -229,7 +244,7 @@ class TestDecideRodRigidity:
     def test_disagreement_raises_with_bundle(self, triangle_rods, monkeypatch):
         plant_rank_shift(monkeypatch, -1)
         with pytest.raises(OracleDisagreementError) as info:
-            decide_rod_rigidity(triangle_rods, "cross-validated", seed=23)
+            decide_rod_rigidity(triangle_rods, cross_validate=True, seed=23)
         bundle = info.value.bundle
         assert bundle["geometry"]["points"] == 3
         assert len(bundle["samples"]) == 3
@@ -386,8 +401,9 @@ class TestMinimalRigidity:
         real_build = analysis.build_cone_graph
         monkeypatch.setattr(analysis, "build_cone_graph",
                             lambda *a: builds.append(a) or real_build(*a))
-        for mode in ("combinatorial", "cross-validated"):
-            assert decide_minimal_rigidity(fig2, mode, seed=5).minimally_rigid
+        for cross_validate in (False, True):
+            assert decide_minimal_rigidity(fig2, cross_validate=cross_validate,
+                                           seed=5).minimally_rigid
         assert len(builds) == 2
 
     def test_undefined_for_flexible_input(self, hinge):
@@ -395,7 +411,7 @@ class TestMinimalRigidity:
         assert not report.base.is_rigid and report.base.degrees_of_freedom == 1
         assert report.deletion_rigid == report.removable == ()
         assert not report.minimally_rigid
-        crossed = decide_minimal_rigidity(hinge, "cross-validated", seed=21)
+        crossed = decide_minimal_rigidity(hinge, cross_validate=True, seed=21)
         assert crossed.base.agreement == "agree" and not crossed.minimally_rigid
 
     def test_leave_one_out_matches_redecide(self, fig2, triangle_rods):
@@ -422,12 +438,12 @@ class TestMinimalRigidity:
     def test_cross_validation_checks_each_deletion(self, fig2, monkeypatch):
         import rodrigidity.analysis as analysis
 
-        report = decide_minimal_rigidity(fig2, "cross-validated", seed=5)
+        report = decide_minimal_rigidity(fig2, cross_validate=True, seed=5)
         assert report.base.agreement == "agree" and report.minimally_rigid
         monkeypatch.setattr(analysis, "remaining_without_each",
                             lambda verdict: (5,) * len(verdict.group_sizes))
         with pytest.raises(OracleDisagreementError, match="deleting rod 0") as info:
-            decide_minimal_rigidity(fig2, "cross-validated", seed=5)
+            decide_minimal_rigidity(fig2, cross_validate=True, seed=5)
         # the planted count calls deleting rod 0 rigid; its samples fall short
         bundle = info.value.bundle
         assert bundle["deleted_rod"] == 0 and bundle["remaining_pebbles"] == 3
@@ -437,13 +453,13 @@ class TestMinimalRigidity:
 
     def test_cross_validation_reports_each_deletion(self, fig2, two_point_three_lines):
         # every deletion is flexible and agrees, those that strand a point too
-        report = decide_minimal_rigidity(fig2, "cross-validated", seed=5)
+        report = decide_minimal_rigidity(fig2, cross_validate=True, seed=5)
         assert report.deletion_checks == (("agree", None),) * 4
         assert decide_minimal_rigidity(fig2).deletion_checks is None
         # every deletion still doubles a rod, so sampling refuses each one;
         # each reason names the two rods left, in the input's numbering
         reasons = [f"rods {a} and {b} share points 0 and 1" for a, b in ((1, 2), (0, 2), (0, 1))]
-        report = decide_minimal_rigidity(two_point_three_lines, "cross-validated")
+        report = decide_minimal_rigidity(two_point_three_lines, cross_validate=True)
         assert report.base.skip_reason == reasons[2] and report.removable == (0, 1, 2)
         assert report.deletion_checks == tuple(("algebraic-skipped", r) for r in reasons)
         doc = minimal_report_to_json(report)
@@ -460,10 +476,10 @@ class TestMinimalRigidity:
         checked = renumbered = disconnected = 0
         for _ in range(40):
             g = reference_random_geometry(rng, max_points=8, max_lines=6)
-            report = decide_minimal_rigidity(g, "cross-validated", seed=11)
+            report = decide_minimal_rigidity(g, cross_validate=True, seed=11)
             for l, check in enumerate(report.deletion_checks or ()):
                 deletion = remove_line(g, l)
-                verdict = decide_rod_rigidity(deletion, "cross-validated", seed=11)
+                verdict = decide_rod_rigidity(deletion, cross_validate=True, seed=11)
                 reason, pair = verdict.skip_reason, shared_rod_pair(deletion)
                 if pair is not None:
                     rods = [r for r in range(g.num_lines) if r != l]
@@ -606,6 +622,12 @@ class TestTheoremEightAgreement:
         report = run_agreement_campaign(target=30, seed=37)
         assert report.validated == 30
         assert report.rigid + report.flexible == 30
+
+    def test_a_tiny_field_skips_what_it_cannot_extend(self):
+        # cone extensions refused over Z_3 are skipped, not raised
+        from rodrigidity import run_agreement_campaign
+
+        assert run_agreement_campaign(2, field=PrimeField(3)) == CampaignReport(58, 0, 2)
 
     def test_campaign_decides_every_draw(self, monkeypatch):
         import rodrigidity.analysis as analysis

@@ -3,16 +3,23 @@ republishes exactly those lists."""
 
 from __future__ import annotations
 
+import ast
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
 import rodrigidity
-from rodrigidity import analysis, cone, geometry, oracle, pebble
+from rodrigidity import IncidenceGeometry, analysis, cone, geometry, oracle, pebble, serialize_geometry
+
+from conftest import FIG2_LINES
 
 MODULES = (geometry, cone, pebble, oracle, analysis)
 UNEXPORTED = {pebble: ("try_edge", "independent_after"),
               oracle: ("matrix_kernel", "is_string_config_rigid")}
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_package_all_joins_the_module_lists_in_order():
@@ -37,3 +44,46 @@ def test_readme_library_section_names_every_export():
     library = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     missing = [name for name in rodrigidity.__all__ if not re.search(rf"`{name}[`(]", library)]
     assert not missing
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the first python block under "## Library", run beside a fig2.geo; its
+    # closing expression is the string configuration's (rank, max_rank)
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    *body, last = ast.parse(code).body
+    (tmp_path / "fig2.geo").write_text(serialize_geometry(IncidenceGeometry(7, FIG2_LINES)))
+    monkeypatch.chdir(tmp_path)
+    scope: dict = {}
+    exec(compile(ast.Module(body, type_ignores=[]), "README.md", "exec"), scope)
+    assert scope["verdict"].agreement == "agree"
+    assert scope["verdict"].algebraic == ((35, 35),)
+    assert eval(compile(ast.Expression(last.value), "README.md", "eval"), scope) == (35, 35)
+
+
+def test_every_import_is_used_exported_or_traced():
+    # an imported name nothing reads is dead, unless the module republishes
+    # it or the benchmark's tracer wraps it there (read from its TARGETS)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing_targets", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = {(module.__name__, attr) for targets in tracing.TARGETS.values()
+              for module, attr in targets}
+    dead = []
+    for path in sorted(Path(rodrigidity.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        name = f"rodrigidity.{path.stem}"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = set(getattr(importlib.import_module(name), "__all__", ()))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read and bound not in exported and (name, bound) not in traced:
+                    dead.append(f"{name}: {bound}")
+    assert dead == []

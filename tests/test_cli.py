@@ -481,6 +481,19 @@ class TestMinimal:
             "(samples fell short)\n"
         )
 
+    def test_deletion_clauses_group_by_reason(self):
+        # refusals in the order first met, the shortfall group last even when
+        # it is met first; an agreeing deletion is not named
+        checks = (("algebraic-skipped", None), ("agree", None), ("algebraic-skipped", "b"),
+                  ("algebraic-skipped", "a"), ("algebraic-skipped", "b"),
+                  ("algebraic-skipped", None))
+        base = analysis.decide_rod_rigidity(IncidenceGeometry(3, [(0, 1), (1, 2), (0, 2)]))
+        report = analysis.MinimalRigidityReport(base, (False,) * 6, checks)
+        assert cli._deletion_checks_text(report) == (
+            "; deleting rods 2 4: cross-validation skipped (b)"
+            "; deleting rod 3: cross-validation skipped (a)"
+            "; deleting rods 0 5: cross-validation skipped (samples fell short)")
+
     def test_field_reaches_sampling(self, fig2_file, monkeypatch, capsys):
         import rodrigidity.analysis as analysis
 
@@ -501,6 +514,10 @@ class TestCanon:
         out = capsys.readouterr().out
         assert "19 edges on 11 vertices" in out
         assert "(= |L'|+2|P'|-3)" in out
+
+    def test_no_rod_exits_1(self, geo_file, capsys):
+        assert main(["canon", geo_file("point")]) == 1
+        assert capsys.readouterr() == ("", "error: the construction requires at least one line\n")
 
     def test_json(self, fig2_file, capsys):
         assert main(["canon", fig2_file, "--format", "json"]) == 0
@@ -600,6 +617,15 @@ class TestOracleCommand:
             path.write_text(text)
             assert main(["oracle", str(path)]) == 1
             assert capsys.readouterr().err == f"error: sampling infeasible: {reason}\n"
+
+    @pytest.mark.parametrize("argv", [["oracle"], ["svg", "--cone"]], ids=["oracle", "svg"])
+    def test_cone_extension_refused(self, fig2_file, capsys, monkeypatch, argv):
+        # only a field of a few units leaves a cone point no place, so the
+        # refusal is planted here; it reads as realize_cone words it
+        reason = "could not place the cone point of line 0 off the line"
+        monkeypatch.setattr(cli, "realize_cone", lambda *a: oracle.Infeasible(reason))
+        assert main([argv[0], fig2_file, *argv[1:]]) == 1
+        assert capsys.readouterr() == ("", f"error: {reason}\n")
 
     @pytest.mark.parametrize("argv", [["oracle"], ["check", "--cross-validate"],
                                       ["minimal", "--cross-validate"], ["svg", "--cone"]],
@@ -778,6 +804,33 @@ class TestDotAndSvg:
         assert main(["svg", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == "error: sampling infeasible: rods 0 and 1 share points 0 and 1\n"
+
+    @pytest.mark.parametrize("field", [oracle.RATIONALS, oracle.DEFAULT_FIELD], ids=["q", "zp"])
+    def test_svg_of_a_realization_document(self, fig2_file, tmp_path, capsys, field):
+        # a rational document draws as the same sample does; Z_p has no drawing
+        rho = oracle.sample_realization(IncidenceGeometry(7, FIG2_LINES), 3, field=field)
+        realization = tmp_path / "realization.json"
+        realization.write_text(json.dumps(oracle.realization_to_json(rho)))
+        code = main(["svg", fig2_file, "--realization", str(realization)])
+        out, err = capsys.readouterr()
+        if field.p:
+            assert (code, out, err) == (1, "", "error: svg rendering needs a rational realization\n")
+        else:
+            assert main(["svg", fig2_file, "--seed", "3"]) == code == 0
+            assert capsys.readouterr().out == out and err == ""
+
+    @pytest.mark.parametrize("points,circles", [
+        (0, ""),
+        (1, '  <circle cx="50.000" cy="50.000" r="7" fill="#000000"/>\n'),
+    ])
+    def test_svg_of_no_rod(self, tmp_path, capsys, points, circles):
+        # no span to scale: one point sits in the corner, none leaves the frame
+        path = tmp_path / "bare.geo"
+        path.write_text(f"points: {points}\n")
+        assert main(["svg", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="1000" height="1000" '
+            'viewBox="0 0 1000 1000">\n' + circles + "</svg>\n")
 
     # sha256 of `svg --realization` on coordinates files.  The triangle has no
     # vertical rod, so it is drawn as given: its digests were taken when a

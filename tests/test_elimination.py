@@ -268,7 +268,7 @@ def test_cross_validated_check_inverts_in_batches(monkeypatch):
     g = arrangement(20, 0.6, seed=7)
     real, calls = oracle._inv, []
     monkeypatch.setattr(oracle, "_inv", lambda a, p: calls.append(p) or real(a, p))
-    verdict = decide_rod_rigidity(g, "cross-validated")
+    verdict = decide_rod_rigidity(g, cross_validate=True)
     assert verdict.is_rigid and verdict.agreement == "agree"
     assert calls and set(calls) == {MERSENNE_PRIME}
     assert len(calls) <= 30

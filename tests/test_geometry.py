@@ -111,6 +111,16 @@ class TestParsing:
         with pytest.raises(GeometryParseError, match="line 2"):
             parse_geometry("points: 2\nrod: 0 1\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("points: 2\npoints: 2\n", "line 2: duplicate points: header"),
+        ("point 0 a\npoints: 2\n", "line 1: point alias before points: header"),
+        ("points: 2\npoint 0\n", "line 2: expected: point <idx> <name>"),
+        ("# no header\n", "missing points: header"),
+    ], ids=["duplicate-header", "alias-before-header", "alias-without-name", "no-header"])
+    def test_header_and_alias_errors(self, text, message):
+        with pytest.raises(GeometryParseError, match=f"^{re.escape(message)}$"):
+            parse_geometry(text)
+
     def test_constructor_validation(self):
         with pytest.raises(GeometryError):
             IncidenceGeometry(3, ((0,),))
@@ -118,6 +128,12 @@ class TestParsing:
             IncidenceGeometry(2, ((0, 2),))
         with pytest.raises(GeometryError):
             IncidenceGeometry(3, ((0, 0),))
+
+    def test_negative_count_and_names_of_the_wrong_length(self):
+        with pytest.raises(GeometryError, match="^negative point count$"):
+            geometry_from_json({"points": -1, "lines": []})
+        with pytest.raises(GeometryError, match="^point_names length does not match num_points$"):
+            IncidenceGeometry(3, [(0, 1)], ["a", "b"])
 
     @pytest.mark.parametrize("num_points,lines,message", [
         (3, [(True, 2), (0, 2.0)], "line 0 has point index True, not an integer"),
@@ -176,6 +192,12 @@ class TestParsing:
     def test_round_trip_with_names(self):
         g = parse_geometry(FIG2_TEXT)
         assert parse_geometry(serialize_geometry(g)) == g
+
+    def test_json_of_a_named_geometry(self):
+        g = parse_geometry(FIG2_TEXT)
+        doc = geometry_to_json(g)
+        assert doc["names"] == ["apex", "", "", "", "", "", ""]
+        assert geometry_from_json(json.loads(json.dumps(doc))) == g
 
     def test_names_the_text_format_cannot_hold(self):
         # these once came back as four lines and the names ('a', 'b', '')

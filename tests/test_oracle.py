@@ -116,6 +116,10 @@ class TestRealizationFromCoords:
         with pytest.raises(OracleError, match="every point of line 1 has the same coordinates"):
             realization_from_coords(g, [(0, 0), (1, 1), (1, 1)])
 
+    def test_wrong_point_count_rejected(self, triangle_rods):
+        with pytest.raises(OracleError, match="^coordinate count does not match the geometry$"):
+            realization_from_coords(triangle_rods, [(0, 0), (1, 0)])
+
 
 class TestTrivialRealization:
     def test_satisfies_but_not_proper(self, fig2):
@@ -258,6 +262,11 @@ class TestRank:
         assert sparse_rank(rows, DEFAULT_FIELD) == 0
         assert sparse_rank([[Fraction(0)] * 3] * 2, RATIONALS) == 0
 
+    def test_realization_of_another_shape_refused(self, fig2, triangle_rods):
+        rho = sample_realization(triangle_rods, seed=5)
+        with pytest.raises(OracleError, match="^realization shape does not match the geometry$"):
+            build_concurrence_matrix(fig2, rho)
+
     def test_triangle_reaches_max_rank(self, triangle_rods):
         rho = sample_realization(triangle_rods, seed=5, field=RATIONALS)
         m = build_concurrence_matrix(triangle_rods, rho)
@@ -339,6 +348,28 @@ class TestRealizeCone:
         with pytest.raises(OracleError, match="^realization does not satisfy the geometry$"):
             realize_cone(fig2, rho, seed=7)
 
+    # One rod, x + y = 0 over Z_7, through (1, 6) and (2, 5).  The cone
+    # point's draws are scripted: the first pair is redrawn for the reason
+    # named, and (3, 3) then fits.
+    SEGMENT = IncidenceGeometry(2, [(0, 1)])
+    SEGMENT_Z7 = LinearRealization(PrimeField(7), (1,), (0,), (1, 2), (6, 5))
+
+    @pytest.mark.parametrize("draw", [(1, 6), (3, 4), (1, 2)],
+                             ids=["taken-point", "on-the-line", "vertical-spoke"])
+    def test_redraws_a_cone_point_that_does_not_fit(self, draw, monkeypatch):
+        draws = iter([*draw, 3, 3])
+        monkeypatch.setattr(PrimeField, "random_unit", lambda field, rng: next(draws))
+        ext = realize_cone(self.SEGMENT, self.SEGMENT_Z7, seed=0)
+        assert (ext.xs[2], ext.ys[2]) == (3, 3)
+        assert next(draws, None) is None
+        assert ext.satisfies(build_cone_incidence(self.SEGMENT)) and ext.is_proper()
+
+    def test_refuses_when_no_cone_point_fits(self, monkeypatch):
+        # (1, 1) would make a vertical spoke, every time
+        monkeypatch.setattr(PrimeField, "random_unit", lambda field, rng: 1)
+        assert realize_cone(self.SEGMENT, self.SEGMENT_Z7, seed=0) == Infeasible(
+            "could not place the cone point of line 0 off the line")
+
 
 class TestStringConfigRigidity:
     def test_triangle_is_rigid(self, triangle_rods):
@@ -407,7 +438,7 @@ class TestEachSampleCheckedOnce:
     @pytest.mark.parametrize("name,proper", [("fig2", 1), ("hinge", 1), ("pappus", 0)])
     @pytest.mark.parametrize("field", [DEFAULT_FIELD, RATIONALS], ids=["zp", "rational"])
     def test_cross_validated_decide(self, request, counts, name, proper, field):
-        verdict = decide_rod_rigidity(request.getfixturevalue(name), "cross-validated",
+        verdict = decide_rod_rigidity(request.getfixturevalue(name), cross_validate=True,
                                       seed=3, field=field)
         assert counts["proper"] == len(verdict.algebraic or ()) == proper
         assert counts["satisfies"] == 2 * proper
@@ -539,6 +570,15 @@ class TestSerialization:
             realization_from_json(doc)
         with pytest.raises(ValueError, match="prime"):
             PrimeField(int(p))
+
+    # Neither has a factor among the bases, so Miller-Rabin must find the
+    # witness: 2021 = 43 * 47 fails at base 2, and 3215031751 =
+    # 151 * 751 * 28351, a strong pseudoprime to bases 2, 3, 5 and 7, at 11.
+    @pytest.mark.parametrize("n", [2021, 3215031751])
+    def test_composite_that_only_miller_rabin_finds(self, n):
+        assert not oracle._is_prime(n)
+        with pytest.raises(ValueError, match=f"^a prime field needs a prime p, got {n}$"):
+            PrimeField(n)
 
     # psi_13 is composite, yet a strong pseudoprime to every base _is_prime
     # tries; 2**89 - 1 is prime, but past the bound as well
